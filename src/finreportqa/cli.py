@@ -58,6 +58,8 @@ _PROVIDER_ERRORS = (TransportError, ProviderError, DecodeError, UnmatchedPromptE
                     ContextOverflowError, RateLimitedError, ChecksumMismatchError)
 
 PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_budget_rag")
+# Pipelines that never search, so they need no retriever or retrieval units.
+_INDEXLESS_PIPELINES = ("no_context", "long_context")
 
 
 @dataclass
@@ -196,11 +198,16 @@ def sha256_file(path: Path) -> str:
 
 
 class _ReportRunner:
-    """Shared per-report retrieval state for a bench run."""
+    """Shared per-report state for a bench run of one pipeline.
 
-    def __init__(self, config: RunConfig, client: LLMClient):
+    Only the state the pipeline reads is built: the report always, the
+    retriever and unit texts only for pipelines that search.
+    """
+
+    def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
         self.config = config
         self.client = client
+        self.pipeline = pipeline
         self._cache: dict[str, tuple] = {}
         self.agent_config = pipelines_mod.AgentConfig(
             max_rounds=config.max_rounds,
@@ -212,20 +219,27 @@ class _ReportRunner:
     def setup(self, report_id: str):
         if report_id not in self._cache:
             report = find_report(self.config, report_id)
-            provider = (build_embedding_provider(self.config)
-                        if self.config.scheme == "dense" else None)
-            granularity = (self.config.granularity
-                           if self.config.granularity == "page"
-                           else int(self.config.granularity))
-            retriever = retrieval_mod.build_retriever(
-                report, self.config.scheme, granularity=granularity, provider=provider,
-                bm25_params=(self.config.bm25_k1, self.config.bm25_b))
-            units = retrieval_mod.rechunk(report, granularity)
-            unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
-            self._cache[report_id] = (report, retriever, unit_texts)
+            if self.pipeline in _INDEXLESS_PIPELINES:
+                self._cache[report_id] = (report, None, None)
+            else:
+                self._cache[report_id] = (report, *self._index(report))
         return self._cache[report_id]
 
-    def run_instance(self, pipeline: str, instance: corpus_mod.QAInstance) -> dict:
+    def _index(self, report: corpus_mod.Report):
+        """The report's retriever and its unit_id -> (page, text) map."""
+        provider = (build_embedding_provider(self.config)
+                    if self.config.scheme == "dense" else None)
+        granularity = (self.config.granularity
+                       if self.config.granularity == "page"
+                       else int(self.config.granularity))
+        retriever = retrieval_mod.build_retriever(
+            report, self.config.scheme, granularity=granularity, provider=provider,
+            bm25_params=(self.config.bm25_k1, self.config.bm25_b))
+        units = retrieval_mod.rechunk(report, granularity)
+        return retriever, {u.unit_id: (u.page_number, u.text) for u in units}
+
+    def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
+        pipeline = self.pipeline
         report, retriever, unit_texts = self.setup(instance.report_id)
         if pipeline == "agent":
             agent = pipelines_mod.AgentPipeline(
@@ -308,17 +322,18 @@ def cmd_bench(args, config: RunConfig) -> int:
         instances = instances[:args.limit]
     run_dir = _make_run_dir(config, args.run_id)
     client = build_client(config, log_path=run_dir / "llm_log.jsonl")
-    runner = _ReportRunner(config, client)
+    runner = _ReportRunner(config, client, args.pipeline)
 
-    # index building is not thread-safe per report, so warm it up front
+    # per-report set-up is not thread-safe, so warm it up front
     for report_id in dict.fromkeys(i.report_id for i in instances):
         runner.setup(report_id)
 
+    # the pool bounds how many LLM calls are in flight at once
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda i: runner.run_instance(args.pipeline, i), instances))
+            rows = list(pool.map(runner.run_instance, instances))
     else:
-        rows = [runner.run_instance(args.pipeline, i) for i in instances]
+        rows = [runner.run_instance(i) for i in instances]
 
     with open(run_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:

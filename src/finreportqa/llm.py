@@ -3,7 +3,8 @@ persistent response cache, and an audit log.
 
 The client enforces the input-token budget before any network activity,
 serves repeated requests from the cache, and retries transient transport
-failures per the configured policy.
+failures per the configured policy. Each request's prompt is tokenized once;
+the counts travel with the reply as a ``Completion``.
 """
 
 from __future__ import annotations
@@ -104,6 +105,23 @@ def cache_key(model: str, messages: Sequence[ChatMessage], temperature: float) -
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class Completion(str):
+    """An assistant reply that also carries its request's token counts.
+
+    A ``str`` subclass, so it compares, formats and serializes as the reply
+    text; string methods such as ``strip`` return plain ``str``.
+    """
+
+    prompt_tokens: int
+    response_tokens: int
+
+    def __new__(cls, text: str, prompt_tokens: int, response_tokens: int) -> "Completion":
+        completion = super().__new__(cls, text)
+        completion.prompt_tokens = prompt_tokens
+        completion.response_tokens = response_tokens
+        return completion
 
 
 class Backend:
@@ -251,68 +269,65 @@ class ResponseCache:
 
 
 class LLMClient:
-    """Budget-checked, cached chat completion over an injectable backend."""
+    """Budget-checked, cached chat completion over an injectable backend.
+
+    Safe to share across threads; concurrency is bounded by the caller.
+    """
 
     def __init__(self, config: ProviderConfig, backend: Backend,
                  cache: Optional[ResponseCache] = None,
-                 log_path: Optional[str | Path] = None,
-                 max_in_flight: int = 4):
+                 log_path: Optional[str | Path] = None):
         self.config = config
         self.backend = backend
         self.cache = cache
         self.log_path = Path(log_path) if log_path else None
-        self._semaphore = threading.Semaphore(max_in_flight)
-        self._log_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the counters and the log file
         self.backend_calls = 0
         self.cache_hits = 0
 
-    def complete(self, messages: Sequence[ChatMessage], *, bypass_cache: bool = False) -> str:
+    def complete(self, messages: Sequence[ChatMessage], *,
+                 bypass_cache: bool = False) -> Completion:
         prompt_tokens = count_message_tokens(messages)
         if prompt_tokens > self.config.max_input_tokens:
             raise ContextOverflowError(
                 f"prompt is {prompt_tokens} tokens, budget is {self.config.max_input_tokens}")
 
         key = cache_key(self.config.model, messages, self.config.temperature)
+        response = None
         if self.cache is not None and not bypass_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._log(key, messages, cached, from_cache=True)
-                return cached
-
-        with self._semaphore:
+            response = self.cache.get(key)
+        from_cache = response is not None
+        if not from_cache:
             response = self.backend.generate(self.config, messages)
-        self.backend_calls += 1
-        if self.cache is not None:
-            request = {
+            if self.cache is not None:
+                request = {
+                    "model": self.config.model,
+                    "temperature": self.config.temperature,
+                    "messages": [m.to_dict() for m in messages],
+                }
+                self.cache.put(key, request, response)
+        completion = Completion(response, prompt_tokens, count_tokens(response))
+        self._record(key, completion, from_cache=from_cache)
+        return completion
+
+    def _record(self, key: str, completion: Completion, *, from_cache: bool) -> None:
+        """Count the call and append it to the audit log, if one is set."""
+        entry = None
+        if self.log_path is not None:
+            entry = json.dumps({
+                "key": key,
                 "model": self.config.model,
-                "temperature": self.config.temperature,
-                "messages": [m.to_dict() for m in messages],
-            }
-            self.cache.put(key, request, response)
-        self._log(key, messages, response, from_cache=False)
-        return response
-
-    def _log(self, key: str, messages: Sequence[ChatMessage], response: str,
-             *, from_cache: bool) -> None:
-        if self.log_path is None:
-            return
-        entry = {
-            "key": key,
-            "model": self.config.model,
-            "from_cache": from_cache,
-            "prompt_tokens": count_message_tokens(messages),
-            "response_tokens": count_tokens(response),
-            "response": response,
-        }
-        with self._log_lock:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def complete(config: ProviderConfig, messages: Sequence[ChatMessage],
-             backend: Optional[Backend] = None,
-             cache: Optional[ResponseCache] = None) -> str:
-    """One-shot convenience wrapper around LLMClient.complete."""
-    return LLMClient(config, backend or HttpBackend(), cache).complete(messages)
+                "from_cache": from_cache,
+                "prompt_tokens": completion.prompt_tokens,
+                "response_tokens": completion.response_tokens,
+                "response": completion,
+            }, sort_keys=True)
+        with self._lock:
+            if from_cache:
+                self.cache_hits += 1
+            else:
+                self.backend_calls += 1
+            if entry is not None:
+                self.log_path.parent.mkdir(parents=True, exist_ok=True)
+                with open(self.log_path, "a", encoding="utf-8") as fh:
+                    fh.write(entry + "\n")

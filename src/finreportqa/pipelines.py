@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import prompts
-from .corpus import Report, count_tokens
+from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
 from .errors import AnswerExtractionError
-from .llm import ChatMessage, LLMClient, count_message_tokens, system, user
+from .llm import ChatMessage, Completion, LLMClient, count_message_tokens, system, user
 from .metrics import normalize_answer
 from .retrieval import Retriever, ScoredHit
 
@@ -414,9 +414,9 @@ class AgentPipeline:
             return self.unit_texts[hit.unit_id]
         return hit.page_number, ""
 
-    def _complete(self, messages: Sequence[ChatMessage], bypass_cache: bool = False) -> str:
+    def _complete(self, messages: Sequence[ChatMessage], bypass_cache: bool = False) -> Completion:
         reply = self.client.complete(messages, bypass_cache=bypass_cache)
-        self._tokens_used += count_message_tokens(messages) + count_tokens(reply)
+        self._tokens_used += reply.prompt_tokens + reply.response_tokens
         return reply
 
 
@@ -542,5 +542,5 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         answer=answer,
         insufficient=insufficient,
         context_pages=context_pages,
-        prompt_tokens=count_message_tokens(messages),
+        prompt_tokens=reply.prompt_tokens,
     )

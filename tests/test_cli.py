@@ -1,11 +1,13 @@
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import write_dscr_workspace
 from finreportqa.cli import RunConfig, main
+from finreportqa.llm import ScriptedBackend
 
 
 def _hash(path: Path) -> str:
@@ -143,6 +145,58 @@ class TestBench:
                                 run_id="parallel", extra=("--workers", "4"))) == 0
         assert _hash(tmp_path / "runs" / "serial" / "scores.jsonl") == \
                _hash(tmp_path / "runs" / "parallel" / "scores.jsonl")
+
+    def test_long_context_builds_no_index(self, tmp_path, capsys, monkeypatch):
+        import requests
+
+        posts = []
+
+        def refuse(*args, **kwargs):
+            posts.append(args)
+            raise requests.ConnectionError("embedding endpoint unreachable")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        script.write_text(json.dumps({
+            "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
+        }))
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", "long_context", "--scheme", "dense",
+            "--embedding-endpoint", "http://127.0.0.1:9/v1/embeddings",
+            "--embedding-model", "embedder", "--embedding-dimension", "8")))
+        assert code == 0
+        assert posts == []
+
+    def test_workers_bound_llm_calls_in_flight(self, tmp_path, capsys, monkeypatch):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        record = json.loads(dataset.read_text())
+        dataset.write_text("".join(
+            json.dumps({**record, "id": f"q-{i}"}) + "\n" for i in range(8)))
+        script.write_text(json.dumps({
+            "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
+        }))
+        generate = ScriptedBackend.generate
+        state = {"in_flight": 0, "peak": 0}
+        changed = threading.Condition()
+
+        def held_generate(self, config, messages):
+            with changed:
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+                changed.notify_all()
+                # hold the call until more than 4 are in flight, or give up
+                changed.wait_for(lambda: state["peak"] > 4, timeout=2.0)
+            try:
+                return generate(self, config, messages)
+            finally:
+                with changed:
+                    state["in_flight"] -= 1
+
+        monkeypatch.setattr(ScriptedBackend, "generate", held_generate)
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", "no_context", "--workers", "8")))
+        assert code == 0
+        assert state["peak"] > 4
 
 
 class TestScore:

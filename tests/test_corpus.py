@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import pytest
 
@@ -48,6 +50,15 @@ class TestCountTokens:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             count_tokens("x", scheme="bpe")
+
+    def test_split_whitespace_is_regex_whitespace_on_every_code_point(self):
+        # count_tokens uses str.split(); this pins it to the maximal \S+ runs
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        regex_ws = {m.start() for m in re.finditer(r"\s", every_char)}
+        split_ws = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert split_ws == regex_ws
+        text = "a".join(chr(c) for c in sorted(regex_ws)) + " tail\u3000end\x1c"
+        assert count_tokens(text) == len(re.findall(r"\S+", text))
 
 
 class TestParseReport:

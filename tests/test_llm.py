@@ -1,5 +1,11 @@
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from finreportqa import llm as llm_mod
+from finreportqa.corpus import count_tokens
 from finreportqa.errors import (
     ContextOverflowError,
     DecodeError,
@@ -8,6 +14,7 @@ from finreportqa.errors import (
 )
 from finreportqa.llm import (
     ChatMessage,
+    Completion,
     HttpBackend,
     LLMClient,
     ProviderConfig,
@@ -218,3 +225,58 @@ class TestTokenCounting:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             ProviderConfig(max_input_tokens=0)
+
+
+class TestTokenizeOnce:
+    """complete() counts each prompt once and hands the counts on."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_one_count_per_message_and_reply(self, tmp_path, monkeypatch, cached):
+        log = tmp_path / "llm_log.jsonl"
+        client = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "EBITDA / debt service")]),
+                           ResponseCache(tmp_path / "llm"), log_path=log)
+        messages = _messages()
+        if cached:
+            client.complete(messages)
+        counted = []
+
+        def recording(text, *args, **kwargs):
+            counted.append(text)
+            return count_tokens(text, *args, **kwargs)
+
+        # llm binds corpus.count_tokens by name; count every call through it
+        monkeypatch.setattr(llm_mod, "count_tokens", recording)
+        reply = client.complete(messages)
+        assert counted == [m.content for m in messages] + ["EBITDA / debt service"]
+        assert client.cache_hits == int(cached)
+
+        entry = json.loads(log.read_text().splitlines()[-1])
+        assert entry["from_cache"] is cached
+        assert entry["prompt_tokens"] == reply.prompt_tokens == count_message_tokens(messages)
+        assert entry["response_tokens"] == reply.response_tokens == count_tokens(reply)
+
+    def test_completion_is_the_reply_text(self):
+        reply = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "ok then")])).complete(
+            _messages())
+        assert isinstance(reply, Completion) and reply == "ok then"
+        assert json.dumps({"r": reply}) == json.dumps({"r": "ok then"})
+        assert type(reply.strip()) is str
+        assert (reply.prompt_tokens, reply.response_tokens) == (
+            count_message_tokens(_messages()), 2)
+
+
+class TestConcurrency:
+    def test_counters_are_exact_under_threads(self, tmp_path):
+        client = LLMClient(ProviderConfig(), ScriptedBackend([("", "x")]),
+                           ResponseCache(tmp_path / "llm"))
+        requests = [_messages(f"question {i % 25}") for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                replies = list(pool.map(client.complete, requests, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == ["x"] * len(requests)
+        assert client.backend_calls + client.cache_hits == len(requests)
+        assert client.backend_calls == client.backend.calls

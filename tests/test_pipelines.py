@@ -375,3 +375,38 @@ class TestBaselines:
         result = run_baseline("no_context", "What?", client)
         assert result.answer == 0.0
         assert result.insufficient
+
+
+class TestTokenAccounting:
+    """Token figures come from the client's replies and keep their values."""
+
+    @pytest.mark.parametrize("script, usage", [(DSCR_SCRIPT, 957),
+                                               (ALWAYS_MISSING_SCRIPT, 2241)])
+    def test_agent_token_usage(self, dscr_report, script, usage):
+        agent = AgentPipeline.from_report(make_scripted_client(script), dscr_report)
+        assert agent.run(DSCR_QUESTION, question_id="q1").token_usage == usage
+
+    def test_solver_retry_counts_both_calls(self, dscr_report):
+        backend = ScriptedBackend(
+            [("annual report in Markdown form", "garbled"),
+             ("annual report in Markdown form", "fixed {{2.5}}")],
+            mode="consume-once")
+        agent = AgentPipeline.from_report(LLMClient(ProviderConfig(), backend), dscr_report)
+        agent.solve("q", "f", [(1, "text")])
+        assert agent._tokens_used == 229
+
+    @pytest.mark.parametrize("kind, budget, tokens", [
+        ("no_context", 128_000, 116),
+        ("long_context", 128_000, 194),
+        ("long_context", 150, 134),
+        ("single_round_rag", 128_000, 184),
+        ("fixed_budget_rag", 128_000, 184),
+    ])
+    def test_baseline_prompt_tokens(self, dscr_report, kind, budget, tokens):
+        units = rechunk(dscr_report, "page")
+        retriever = SparseRetriever(build_sparse_index(units, "bm25"))
+        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
+        client = make_scripted_client([("Question", "{{1.55}}")], max_input_tokens=budget)
+        result = run_baseline(kind, DSCR_QUESTION, client, report=dscr_report,
+                              retriever=retriever, unit_texts=unit_texts)
+        assert result.prompt_tokens == tokens

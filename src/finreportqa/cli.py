@@ -387,7 +387,9 @@ def cmd_score(args, config: RunConfig) -> int:
 def cmd_ask(args, config: RunConfig) -> int:
     client = build_client(config)
     report = load_report_file(Path(args.report))
-    if args.index:
+    if args.pipeline in _INDEXLESS_PIPELINES:
+        retriever, unit_texts = None, None
+    elif args.index:
         index_path = Path(args.index)
         if not index_path.exists():
             raise FileNotFoundError(

@@ -510,9 +510,7 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         base_messages = [system(solving_system), user(f"Question: {question}\n\nReport:\n")]
         overhead = count_message_tokens(base_messages) + _PROMPT_MARGIN_TOKENS
         budget = client.config.max_input_tokens - overhead
-        body = "\n".join(page.text for page in report.pages)
-        words = body.split()
-        prefix = " ".join(words[:max(0, budget)])
+        prefix = report.prefix(max(0, budget))
         messages = [system(solving_system),
                     user(f"Question: {question}\n\nReport:\n{prefix}")]
         context_pages = tuple(page.page_number for page in report.pages)

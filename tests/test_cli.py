@@ -167,6 +167,32 @@ class TestBench:
         assert code == 0
         assert posts == []
 
+    def test_ask_long_context_builds_no_index(self, tmp_path, capsys, monkeypatch):
+        import requests
+
+        posts = []
+
+        def refuse(*args, **kwargs):
+            posts.append(args)
+            raise requests.ConnectionError("embedding endpoint unreachable")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        script.write_text(json.dumps({
+            "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
+        }))
+        code = main([
+            "ask", "--question", "What is the DSCR in 2002?",
+            "--report", str(corpus_dir / "DemoCo_2002.md"),
+            "--pipeline", "long_context", "--scheme", "dense",
+            "--backend", "scripted", "--script-path", str(script),
+            "--embedding-endpoint", "http://127.0.0.1:9/v1/embeddings",
+            "--embedding-model", "embedder", "--embedding-dimension", "8",
+        ])
+        assert code == 0
+        assert posts == []
+        assert "answer: 1.55" in capsys.readouterr().out
+
     def test_workers_bound_llm_calls_in_flight(self, tmp_path, capsys, monkeypatch):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         record = json.loads(dataset.read_text())

@@ -1,11 +1,14 @@
 import json
+import random
 import re
 import sys
+import threading
 
 import pytest
 
 from finreportqa.corpus import (
     PageChunk,
+    Report,
     corpus_stats,
     count_tokens,
     detect_table_spans,
@@ -59,6 +62,119 @@ class TestCountTokens:
         assert split_ws == regex_ws
         text = "a".join(chr(c) for c in sorted(regex_ws)) + " tail\u3000end\x1c"
         assert count_tokens(text) == len(re.findall(r"\S+", text))
+
+    def test_ascii_count_equals_split_on_every_ascii_code_point(self):
+        for code in range(128):
+            char = chr(code)
+            for text in (char, f"a{char}b", char * 3, f"{char}ab{char}{char}c{char}"):
+                assert count_tokens(text) == len(text.split()), (code, text)
+
+    def test_ascii_count_equals_split_on_random_strings(self):
+        rng = random.Random(20261017)
+        for _ in range(20_000):
+            text = "".join(chr(rng.randrange(128)) for _ in range(rng.randrange(24)))
+            assert count_tokens(text) == len(text.split()), text
+
+    def test_non_ascii_count_equals_split(self):
+        for text in ("\u00e9", "caf\u00e9  au lait", "a\u3000b", "a\x85b\xa0c",
+                     "\u2028x\u2029", " \U0001f600 \t\x1c", "\u00a0"):
+            assert not text.isascii()
+            assert count_tokens(text) == len(text.split()), text
+
+
+def _reference_prefix(report: Report, n: int) -> str:
+    return " ".join("\n".join(p.text for p in report.pages).split()[:n])
+
+
+def _report_of(texts) -> Report:
+    return Report("r", "", 0, tuple(
+        PageChunk(number, text, count_tokens(text))
+        for number, text in enumerate(texts, start=1)))
+
+
+_AWKWARD_PAGES = (
+    "", "   ", "\t\n", "alpha", "", "beta\tgamma\r\ndelta",
+    "  eps  \x1czeta\x1f\x1d\x1eeta   theta  ", "\r\n\r\n", "iota",
+    "kappa\x0blambda\x0cmu\n\n| a | 1 |\n| b | 2 |\n", " \t ", "",
+)
+
+
+class TestReportPrefix:
+    def test_equals_reference_for_every_n(self):
+        report = _report_of(_AWKWARD_PAGES)
+        total = report.total_tokens()
+        assert total == 22
+        for n in range(total + 3):
+            assert report.prefix(n) == _reference_prefix(report, n), n
+
+    def test_blank_report_has_empty_prefix(self):
+        report = _report_of(("", " \n", "\t"))
+        assert [report.prefix(n) for n in range(3)] == ["", "", ""]
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            _report_of(("a b",)).prefix(-1)
+
+    def test_flattened_on_first_call_not_at_parse(self):
+        report = parse_report(TABLE_PAGE_MD)
+        assert "_flat" not in vars(report)
+        assert report.prefix(3) == _reference_prefix(report, 3)
+        assert "_flat" in vars(report)
+
+    def test_long_report_at_page_boundaries_and_random_n(self):
+        rng = random.Random(5)
+        vocab = ["".join(rng.choice("bcdfgklmnprst") + rng.choice("aeiou")
+                         for _ in range(rng.randint(2, 3))) for _ in range(600)]
+        parts = []
+        for page in range(1, 301):
+            parts.append(f"<!-- page: {page} -->\nAcme annual report 2020, page {page}.\n")
+            words = rng.choices(vocab, k=rng.choice((0, 30, 60)))
+            for start in range(0, len(words), 15):
+                parts.append(" ".join(words[start:start + 15]) + ".\n")
+            parts.append("\n| Line item | Amount |\n| --- | --- |\n")
+            for _ in range(rng.randint(0, 4)):
+                parts.append(f"| {rng.choice(vocab).capitalize()} | {rng.randint(100, 99_999):,} |\n")
+            parts.append("\n")
+        report = parse_report("".join(parts))
+        assert len(report.pages) == 300
+        words = "\n".join(p.text for p in report.pages).split()
+        total = len(words)
+        assert report.total_tokens() == total
+
+        boundaries = {0, 1, total - 1, total, total + 1, total + 2}
+        cumulative = 0
+        for page in report.pages:
+            cumulative += page.token_count
+            boundaries.update((cumulative - 1, cumulative, cumulative + 1))
+        random_ns = {rng.randrange(total + 3) for _ in range(200)}
+        for n in sorted(boundaries | random_ns):
+            assert report.prefix(n) == " ".join(words[:n]), n
+
+    def test_concurrent_first_use(self):
+        report = _report_of(_AWKWARD_PAGES * 40)
+        total = report.total_tokens()
+        ns = (0, 1, 7, total // 2, total - 1, total, total + 1)
+        expected = {n: _reference_prefix(report, n) for n in ns}
+        start = threading.Barrier(8)
+        results: list[list[str]] = [[] for _ in range(8)]
+
+        def work(slot: int) -> None:
+            start.wait(timeout=10)
+            for n in ns:
+                results[slot].append(report.prefix(n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[expected[n] for n in ns]] * 8
 
 
 class TestParseReport:

@@ -80,7 +80,7 @@ class RunConfig:
     script_path: Optional[str] = None
 
     scheme: str = "bm25"  # tfidf | bm25 | dense
-    granularity: str = "page"
+    granularity: str = "page"  # "page" or a positive token count
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     embedding_endpoint: str = ""
@@ -112,11 +112,24 @@ class RunConfig:
         if self.scheme == "dense" and not (self.embedding_endpoint and self.embedding_model
                                            and self.embedding_dimension > 0):
             raise ConfigError("dense retrieval needs embedding endpoint, model, and dimension")
+        self.unit_granularity()
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for name in ("k_per_round", "max_rounds", "chunk_budget", "baseline_k", "fixed_budget_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+
+    def unit_granularity(self) -> str | int:
+        """"page", or the token count of each retrieval unit."""
+        value = self.granularity
+        if value == "page":
+            return value
+        if isinstance(value, str) and value.isascii() and value.isdigit():
+            value = int(value)
+        if type(value) is not int or value < 1:
+            raise ConfigError(
+                f"granularity must be 'page' or a positive integer, got {self.granularity!r}")
+        return value
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,6 +210,17 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def build_report_index(report: corpus_mod.Report, config: RunConfig):
+    """The report's retriever and its unit_id -> (page, text) map."""
+    provider = build_embedding_provider(config) if config.scheme == "dense" else None
+    granularity = config.unit_granularity()
+    retriever = retrieval_mod.build_retriever(
+        report, config.scheme, granularity=granularity, provider=provider,
+        bm25_params=(config.bm25_k1, config.bm25_b))
+    units = retrieval_mod.rechunk(report, granularity)
+    return retriever, {u.unit_id: (u.page_number, u.text) for u in units}
+
+
 class _ReportRunner:
     """Shared per-report state for a bench run of one pipeline.
 
@@ -222,21 +246,8 @@ class _ReportRunner:
             if self.pipeline in _INDEXLESS_PIPELINES:
                 self._cache[report_id] = (report, None, None)
             else:
-                self._cache[report_id] = (report, *self._index(report))
+                self._cache[report_id] = (report, *build_report_index(report, self.config))
         return self._cache[report_id]
-
-    def _index(self, report: corpus_mod.Report):
-        """The report's retriever and its unit_id -> (page, text) map."""
-        provider = (build_embedding_provider(self.config)
-                    if self.config.scheme == "dense" else None)
-        granularity = (self.config.granularity
-                       if self.config.granularity == "page"
-                       else int(self.config.granularity))
-        retriever = retrieval_mod.build_retriever(
-            report, self.config.scheme, granularity=granularity, provider=provider,
-            bm25_params=(self.config.bm25_k1, self.config.bm25_b))
-        units = retrieval_mod.rechunk(report, granularity)
-        return retriever, {u.unit_id: (u.page_number, u.text) for u in units}
 
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
         pipeline = self.pipeline
@@ -399,12 +410,7 @@ def cmd_ask(args, config: RunConfig) -> int:
         units = retrieval_mod.rechunk(report, "page")
         unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
     else:
-        provider = build_embedding_provider(config) if config.scheme == "dense" else None
-        retriever = retrieval_mod.build_retriever(
-            report, config.scheme, provider=provider,
-            bm25_params=(config.bm25_k1, config.bm25_b))
-        units = retrieval_mod.rechunk(report, "page")
-        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
+        retriever, unit_texts = build_report_index(report, config)
 
     if args.pipeline == "agent":
         agent_config = pipelines_mod.AgentConfig(
@@ -441,7 +447,7 @@ def cmd_index(args, config: RunConfig) -> int:
              else sorted(Path(config.corpus_dir or ".").glob("*.md")))
     if not paths:
         raise FileNotFoundError("no report files to index")
-    granularity = config.granularity if config.granularity == "page" else int(config.granularity)
+    granularity = config.unit_granularity()
     for path in paths:
         report = load_report_file(path)
         units = retrieval_mod.rechunk(report, granularity)
@@ -582,7 +588,7 @@ _CONFIG_FLAGS: list[tuple[str, type, str]] = [
     ("backend", str, "llm backend: http or scripted"),
     ("script_path", str, "scripted backend response file"),
     ("scheme", str, "retrieval scheme: tfidf, bm25, dense"),
-    ("granularity", str, "retrieval unit granularity: page or token count"),
+    ("granularity", str, "retrieval unit granularity: page or a positive token count"),
     ("bm25_k1", float, "BM25 k1"),
     ("bm25_b", float, "BM25 b"),
     ("embedding_endpoint", str, "embeddings endpoint URL"),
@@ -597,7 +603,7 @@ _CONFIG_FLAGS: list[tuple[str, type, str]] = [
     ("dataset", str, "QA dataset JSON-lines path"),
     ("output_dir", str, "run output directory"),
     ("cache_dir", str, "cache directory for llm/embedding responses"),
-    ("index_dir", str, "prebuilt index directory"),
+    ("index_dir", str, "where the index command writes (default: indices); no command reads it"),
     ("workers", int, "bench worker count"),
     ("seed", int, "random seed"),
 ]

@@ -103,6 +103,15 @@ class DivisionByZeroError(ProgramError):
     """Program divides by zero."""
 
 
+class NestingTooDeepError(SyntaxUnsupportedError):
+    """Program nests deeper than the parser or evaluator can recurse."""
+
+
+class NumericRangeError(ProgramError):
+    """Program value leaves the finite Decimal range (overflow, infinity, or
+    a rounding to more digits than the context allows)."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 class NotFoundError(FinReportQAError):

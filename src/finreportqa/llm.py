@@ -93,12 +93,14 @@ def count_message_tokens(messages: Sequence[ChatMessage]) -> int:
     return sum(count_tokens(m.content) + 1 for m in messages)
 
 
-def cache_key(model: str, messages: Sequence[ChatMessage], temperature: float) -> str:
+def cache_key(model: str, messages: Sequence[ChatMessage], temperature: float,
+              max_output_tokens: int) -> str:
     """Stable content hash; order- and whitespace-sensitive."""
     payload = json.dumps(
         {
             "model": model,
             "temperature": temperature,
+            "max_output_tokens": max_output_tokens,
             "messages": [m.to_dict() for m in messages],
         },
         sort_keys=True,
@@ -292,7 +294,8 @@ class LLMClient:
             raise ContextOverflowError(
                 f"prompt is {prompt_tokens} tokens, budget is {self.config.max_input_tokens}")
 
-        key = cache_key(self.config.model, messages, self.config.temperature)
+        key = cache_key(self.config.model, messages, self.config.temperature,
+                        self.config.max_output_tokens)
         response = None
         if self.cache is not None and not bypass_cache:
             response = self.cache.get(key)
@@ -303,6 +306,7 @@ class LLMClient:
                 request = {
                     "model": self.config.model,
                     "temperature": self.config.temperature,
+                    "max_output_tokens": self.config.max_output_tokens,
                     "messages": [m.to_dict() for m in messages],
                 }
                 self.cache.put(key, request, response)

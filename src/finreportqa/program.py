@@ -23,6 +23,8 @@ from decimal import (
 
 from .errors import (
     DivisionByZeroError,
+    NestingTooDeepError,
+    NumericRangeError,
     SyntaxUnsupportedError,
     UndefinedIdentifierError,
 )
@@ -79,6 +81,13 @@ def _validate_expr(node: ast.expr) -> None:
 
 def parse_program(source: str) -> ProgramAST:
     """Parse source into a validated AST or raise SyntaxUnsupportedError."""
+    try:
+        return _parse_program(source)
+    except RecursionError:
+        raise NestingTooDeepError("program nests too deeply to parse") from None
+
+
+def _parse_program(source: str) -> ProgramAST:
     try:
         module = ast.parse(source, mode="exec")
     except SyntaxError as exc:
@@ -152,8 +161,19 @@ def _eval_expr(node: ast.expr, env: dict[str, Decimal]) -> Decimal:
 def eval_program(program: ProgramAST, *, round_final: bool = True) -> Decimal:
     """Run the program; the last statement's value, rounded to 2 decimals.
 
-    Set round_final=False to get the raw final value.
+    Set round_final=False to get the raw final value. Every failure is a
+    ProgramError.
     """
+    try:
+        return _eval_program(program, round_final)
+    except RecursionError:
+        raise NestingTooDeepError("program nests too deeply to evaluate") from None
+    except ArithmeticError as exc:  # decimal signals, int() of an infinity
+        raise NumericRangeError(
+            f"value out of range: {type(exc).__name__}") from None
+
+
+def _eval_program(program: ProgramAST, round_final: bool) -> Decimal:
     env: dict[str, Decimal] = {}
     value: Decimal | None = None
     with localcontext() as ctx:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -24,7 +23,9 @@ from .errors import (
     EmptyQueryError,
 )
 
-_TERM_RE = re.compile(r"[a-z0-9]+")
+# Keeps the bytes of [a-z0-9] and maps every other byte to a space.
+_TERM_BYTES = bytes(
+    c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for c in range(256))
 
 DEFAULT_BM25_PARAMS = (1.2, 0.75)
 
@@ -35,8 +36,12 @@ INDEX_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase terms split on any non-alphanumeric run; digits kept."""
-    return _TERM_RE.findall(text.lower())
+    """Maximal runs of [a-z0-9] in the lowercased text.
+
+    Each non-ASCII character encodes to "?", which separates terms as any
+    other character outside [a-z0-9] does.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TERM_BYTES).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -157,21 +162,21 @@ def build_sparse_index(units: Sequence[RetrievalUnit], scheme: str = "bm25",
         raise EmptyCorpusError("cannot index zero units")
     if scheme not in ("tfidf", "bm25"):
         raise ValueError(f"unknown sparse scheme: {scheme!r}")
-    vocabulary: dict[str, int] = {}
-    postings: dict[str, list[tuple[str, int]]] = {}
+    # each term's postings follow unit order; its df is its postings length
+    postings: defaultdict[str, list[tuple[str, int]]] = defaultdict(list)
     unit_lengths: dict[str, int] = {}
     unit_pages: dict[str, int] = {}
     for unit in units:
+        unit_id = unit.unit_id
         terms = tokenize(unit.text)
-        unit_lengths[unit.unit_id] = len(terms)
-        unit_pages[unit.unit_id] = unit.page_number
-        for term, tf in sorted(Counter(terms).items()):
-            vocabulary[term] = vocabulary.get(term, 0) + 1
-            postings.setdefault(term, []).append((unit.unit_id, tf))
+        unit_lengths[unit_id] = len(terms)
+        unit_pages[unit_id] = unit.page_number
+        for term, tf in Counter(terms).items():
+            postings[term].append((unit_id, tf))
     return SparseIndex(
         scheme=scheme,
-        vocabulary=vocabulary,
-        postings=postings,
+        vocabulary={term: len(posting) for term, posting in postings.items()},
+        postings=dict(postings),
         unit_lengths=unit_lengths,
         unit_pages=unit_pages,
         n_units=len(units),

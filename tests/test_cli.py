@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import write_dscr_workspace
 from finreportqa.cli import RunConfig, main
+from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
 
 
@@ -44,6 +46,27 @@ class TestRunConfig:
         # stats is a cheap command that exercises config resolution
         code = main(["stats", "--config", str(config_path), "--workers", "3"])
         assert code == 0
+
+    @pytest.mark.parametrize("value, expected", [
+        ("page", "page"), ("256", 256), (256, 256), ("1", 1)])
+    def test_granularity_accepted(self, value, expected):
+        config = RunConfig(granularity=value)
+        config.validate()
+        assert config.unit_granularity() == expected
+
+    @pytest.mark.parametrize("value", [
+        "abc", "0", "-3", "2.5", "", " 256", "\u00b2", "Page", 0, -1, 2.0, True, None])
+    def test_granularity_rejected(self, value):
+        with pytest.raises(ConfigError):
+            RunConfig(granularity=value).validate()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_granularity_flag_is_config_error(self, tmp_path, capsys, value):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--granularity", value)))
+        assert code == 2
+        assert "granularity" in capsys.readouterr().err
 
     def test_scripted_without_script_is_config_error(self, tmp_path):
         code = main(["bench", "--backend", "scripted",
@@ -287,6 +310,23 @@ class TestOtherCommands:
         assert "answer: 1.55" in out
         assert "transcript:" in out
         assert (tmp_path / "out" / "ask_transcript.json").exists()
+
+    @pytest.mark.parametrize("granularity, unit_id", [("page", r"p\d+"), ("4", r"p\d+\.\d+")])
+    def test_ask_honours_granularity(self, tmp_path, capsys, granularity, unit_id):
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        code = main([
+            "ask", "--question",
+            "What is the Debt Service Coverage Ratio (DSCR) of the company in 2002?",
+            "--report", str(corpus_dir / "DemoCo_2002.md"),
+            "--backend", "scripted", "--script-path", str(script),
+            "--output-dir", str(tmp_path / "out"), "--granularity", granularity,
+        ])
+        assert code == 0
+        transcript = json.loads((tmp_path / "out" / "ask_transcript.json").read_text())
+        unit_ids = [uid for round_ in transcript["rounds"]
+                    for uid in round_["new_unit_ids"]]
+        assert unit_ids
+        assert all(re.fullmatch(unit_id, uid) for uid in unit_ids), unit_ids
 
     def test_ablate(self, tmp_path, capsys):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)

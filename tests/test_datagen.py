@@ -202,6 +202,17 @@ class TestFilterPipeline:
         _, stats, _ = self._run(batch)
         assert stats.rejections == {"calc_error": 1}
 
+    @pytest.mark.parametrize("source, reason", [
+        ("1e999999", "calc_error"),
+        ("-" * 5000 + "1", "parse_error"),
+    ], ids=["infinite_literal", "deep_unary_chain"])
+    def test_interpreter_range_and_depth_failures_are_dropped(self, source, reason):
+        batch = [raw("bad", [5, 9], source, "1"), raw("c0", **CLEAN)]
+        kept, stats, outcomes = self._run(batch)
+        assert [i.id for i in kept] == ["c0"]
+        assert stats.rejections == {reason: 1}
+        assert outcomes[0].reason == reason
+
     def test_tolerance_applied_to_answer_agreement(self):
         # eval(10/3) = 3.33 at two decimals; stated 3.33 agrees, 3.43 does not
         ok, stats_ok, _ = self._run([raw("t0", [5, 9], "10/3", "3.33")])

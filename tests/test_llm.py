@@ -61,16 +61,33 @@ class TestChatMessage:
 
 class TestCacheKey:
     def test_stable(self):
-        assert cache_key("m", _messages(), 0.0) == cache_key("m", _messages(), 0.0)
+        assert cache_key("m", _messages(), 0.0, 64) == cache_key("m", _messages(), 0.0, 64)
 
     def test_one_char_difference(self):
-        assert cache_key("m", _messages("abc"), 0.0) != cache_key("m", _messages("abd"), 0.0)
+        assert cache_key("m", _messages("abc"), 0.0, 64) != cache_key("m", _messages("abd"), 0.0, 64)
 
     def test_model_sensitivity(self):
-        assert cache_key("m1", _messages(), 0.0) != cache_key("m2", _messages(), 0.0)
+        assert cache_key("m1", _messages(), 0.0, 64) != cache_key("m2", _messages(), 0.0, 64)
 
     def test_whitespace_sensitivity(self):
-        assert cache_key("m", _messages("a b"), 0.0) != cache_key("m", _messages("a  b"), 0.0)
+        assert cache_key("m", _messages("a b"), 0.0, 64) != cache_key("m", _messages("a  b"), 0.0, 64)
+
+    def test_max_output_tokens_sensitivity(self):
+        assert cache_key("m", _messages(), 0.0, 64) != cache_key("m", _messages(), 0.0, 65)
+
+    def test_output_cap_change_misses_cache(self, tmp_path):
+        transport = _CountingTransport([_ok("short"), _ok("long")])
+        cache = ResponseCache(tmp_path / "llm")
+        backend = HttpBackend(transport=transport)
+        short = LLMClient(ProviderConfig(max_output_tokens=16), backend, cache)
+        long = LLMClient(ProviderConfig(max_output_tokens=4096), backend, cache)
+        assert short.complete(_messages()) == "short"
+        assert long.complete(_messages()) == "long"
+        assert short.complete(_messages()) == "short"
+        assert transport.calls == 2
+        requests = sorted(json.loads(path.read_text())["request"]["max_output_tokens"]
+                          for path in (tmp_path / "llm").glob("*.json"))
+        assert requests == [16, 4096]
 
 
 class TestScriptedBackend:

@@ -1,6 +1,7 @@
 """Interpreter tests: worked ratio programs, grammar enforcement, and
 agreement with an independent eval()-based oracle on random programs."""
 
+import ast
 import random
 from decimal import Decimal
 
@@ -8,10 +9,12 @@ import pytest
 
 from finreportqa.errors import (
     DivisionByZeroError,
+    NestingTooDeepError,
+    NumericRangeError,
     SyntaxUnsupportedError,
     UndefinedIdentifierError,
 )
-from finreportqa.program import parse_program, run_source
+from finreportqa.program import ProgramAST, eval_program, parse_program, run_source
 
 
 class TestWorkedPrograms:
@@ -137,3 +140,34 @@ def test_random_programs_match_oracle():
         got = float(run_source(source, round_final=False))
         assert got == pytest.approx(expected, abs=1e-9, rel=1e-9), source
         checked += 1
+
+
+class TestOnlyProgramErrors:
+    """Inputs that once leaked decimal or recursion errors past the interpreter."""
+
+    def test_infinite_literal_is_numeric_range_error(self):
+        with pytest.raises(NumericRangeError):
+            run_source("1e999999")
+
+    @pytest.mark.parametrize("source", [
+        "x = 1e300\n" + "x = x * x\n" * 25,
+        "round(1, 1e999999)",
+        "round(1, 1e20)",
+        "abs(-1e999999)",
+    ])
+    def test_overflow_and_impossible_rounding(self, source):
+        with pytest.raises(NumericRangeError):
+            run_source(source)
+
+    def test_deep_unary_chain_is_nesting_error(self):
+        with pytest.raises(NestingTooDeepError):
+            run_source("-" * 5000 + "1")
+        assert issubclass(NestingTooDeepError, SyntaxUnsupportedError)
+
+    def test_deep_tree_at_eval_is_nesting_error(self):
+        node = ast.Constant(value=1)
+        for _ in range(20_000):
+            node = ast.UnaryOp(op=ast.USub(), operand=node)
+        program = ProgramAST(source="<built>", statements=(ast.Expr(value=node),))
+        with pytest.raises(NestingTooDeepError):
+            eval_program(program)

@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -11,6 +14,7 @@ from finreportqa.errors import (
     ProviderError,
 )
 from finreportqa.retrieval import (
+    DEFAULT_BM25_PARAMS,
     DenseRetriever,
     RetrievalUnit,
     SparseIndex,
@@ -46,6 +50,98 @@ class TestTokenize:
 
     def test_symbols_split(self):
         assert tokenize("EBITDA/(Interest+Principal)") == ["ebitda", "interest", "principal"]
+
+
+# --- reference implementations: the regex tokenizer and the sorted builder ---
+
+_REFERENCE_TERM_RE = re.compile(r"[a-z0-9]+")
+
+
+def reference_tokenize(text):
+    return _REFERENCE_TERM_RE.findall(text.lower())
+
+
+def reference_build_sparse_index(units, scheme, bm25_params=DEFAULT_BM25_PARAMS):
+    vocabulary, postings, unit_lengths, unit_pages = {}, {}, {}, {}
+    for unit in units:
+        terms = reference_tokenize(unit.text)
+        unit_lengths[unit.unit_id] = len(terms)
+        unit_pages[unit.unit_id] = unit.page_number
+        for term, tf in sorted(Counter(terms).items()):
+            vocabulary[term] = vocabulary.get(term, 0) + 1
+            postings.setdefault(term, []).append((unit.unit_id, tf))
+    return SparseIndex(scheme=scheme, vocabulary=vocabulary, postings=postings,
+                       unit_lengths=unit_lengths, unit_pages=unit_pages,
+                       n_units=len(units), bm25_params=bm25_params)
+
+
+# ASCII plus characters whose lowercase form or class is easy to get wrong:
+# Kelvin sign (lowercases to ASCII "k"), dotted capital I (lowercases to two
+# code points), sharp s, fullwidth A, superscript two, Arabic-Indic digits,
+# NEL, a lone surrogate and an emoji.
+_TRICKY_ALPHABET = ([chr(c) for c in range(128)]
+                    + ["\u212a", "\u0130", "\u00df", "\uff21", "\u00b2",
+                       "\u0660", "\u0669", "\x85", "\ud800", "\U0001f600"])
+
+
+class TestTokenizeMatchesRegex:
+    def test_every_code_point_between_letters(self):
+        block = 4096
+        for start in range(0, sys.maxunicode + 1, block):
+            text = " ".join(f"a{chr(c)}B" for c in range(start, min(start + block,
+                                                                      sys.maxunicode + 1)))
+            assert tokenize(text) == reference_tokenize(text), hex(start)
+
+    def test_seeded_random_strings(self):
+        rng = random.Random(20240605)
+        for _ in range(200_000):
+            text = "".join(rng.choices(_TRICKY_ALPHABET, k=rng.randint(0, 12)))
+            assert tokenize(text) == reference_tokenize(text), repr(text)
+
+
+def _generated_report(seed=11, pages=300):
+    """A seeded report with prose, numbers, punctuation, tables and non-ASCII."""
+    rng = random.Random(seed)
+    vocabulary = [f"w{i}" for i in range(3000)] + [
+        "Revenue", "NET", "income", "2023", "Ümsatz", "café", "\u212aelvin", "x\u00b2"]
+    punctuation = ["", "", "", ",", ".", "(", ")", "%", "$", "-", "/", "\u2014"]
+    body = []
+    for page in range(1, pages + 1):
+        words = [rng.choice(vocabulary) + rng.choice(punctuation)
+                 for _ in range(rng.randint(0, 400))]
+        rows = "\n".join(f"| {rng.choice(vocabulary)} | {rng.randint(0, 10**6):,} |"
+                         for _ in range(rng.randint(0, 4)))
+        body.append(f"<!-- page: {page} -->\n{' '.join(words)}\n{rows}\n")
+    return parse_report("".join(body), report_id="Seeded_2023")
+
+
+class TestBuildMatchesReference:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return _generated_report()
+
+    @pytest.mark.parametrize("granularity", ["page", 256])
+    @pytest.mark.parametrize("scheme", ["tfidf", "bm25"])
+    def test_index_and_hits_equal_reference(self, report, granularity, scheme):
+        units = rechunk(report, granularity)
+        index = build_sparse_index(units, scheme)
+        expected = reference_build_sparse_index(units, scheme)
+        assert index.vocabulary == expected.vocabulary
+        assert list(index.postings) == list(index.vocabulary)
+        assert set(index.postings) == set(expected.postings)
+        for term, posting in expected.postings.items():
+            assert index.postings[term] == posting, term  # unit order kept
+        assert index.unit_lengths == expected.unit_lengths
+        assert list(index.unit_lengths) == list(expected.unit_lengths)
+        assert index.unit_pages == expected.unit_pages
+        assert index.n_units == expected.n_units
+        assert index.to_json() == expected.to_json()
+        rng = random.Random(7)
+        queries = ["net revenue 2023", "café income", "\u212aelvin x2", "W17 w2999 w5",
+                   *(" ".join(rng.choices(sorted(expected.vocabulary), k=rng.randint(1, 30)))
+                     for _ in range(20))]
+        for query in queries:
+            assert search(index, query, k=50) == search(expected, query, k=50), query
 
 
 class TestRechunk:

@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: ingest, index, ask, bench, score, datagen, stats, ablate.
+Subcommands: ingest, ask, bench, score, datagen, stats, ablate. ``bench``
+and ``ask`` set up each report and answer each question through one runner;
+``ask`` is a one-question ``bench`` over a report file.
 Configuration comes from an optional JSON file plus flags (flags win);
 every run writes a manifest sufficient to reproduce it.
 
@@ -97,7 +99,6 @@ class RunConfig:
     dataset: Optional[str] = None
     output_dir: str = "runs"
     cache_dir: Optional[str] = None
-    index_dir: Optional[str] = None
 
     workers: int = 1
     seed: int = 0
@@ -144,12 +145,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        """A JSON config file, or the config of a run manifest."""
+        payload = read_json_object(path)
         if "config" in payload and isinstance(payload["config"], dict):
             payload = payload["config"]  # accept a manifest as a config source
         return cls.from_dict(payload)
@@ -165,6 +162,19 @@ class RunConfig:
             retry=RetryPolicy(self.retry_attempts, self.retry_backoff),
             api_key_env=self.api_key_env,
         )
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in a config or manifest file; anything else is a ConfigError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return payload
 
 
 # --- wiring helpers -----------------------------------------------------------
@@ -191,48 +201,23 @@ def build_embedding_provider(config: RunConfig):
     return provider
 
 
-def load_report_file(path: Path) -> corpus_mod.Report:
-    if not path.exists():
-        raise FileNotFoundError(f"report file not found: {path}")
-    return corpus_mod.load_report(path)
-
-
-def find_report(config: RunConfig, report_id: str) -> corpus_mod.Report:
-    if not config.corpus_dir:
-        raise ConfigError("corpus_dir is not set")
-    path = Path(config.corpus_dir) / f"{report_id}.md"
-    if not path.exists():
-        raise FileNotFoundError(f"no report {report_id!r} under {config.corpus_dir}")
-    return corpus_mod.load_report(path)
-
-
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def build_report_index(report: corpus_mod.Report, config: RunConfig):
-    """The report's retriever and its unit_id -> (page, text) map."""
-    provider = build_embedding_provider(config) if config.scheme == "dense" else None
-    granularity = config.unit_granularity()
-    retriever = retrieval_mod.build_retriever(
-        report, config.scheme, granularity=granularity, provider=provider,
-        bm25_params=(config.bm25_k1, config.bm25_b))
-    units = retrieval_mod.rechunk(report, granularity)
-    return retriever, {u.unit_id: (u.page_number, u.text) for u in units}
-
-
 class _ReportRunner:
-    """Shared per-report state for a bench run of one pipeline.
+    """Per-report state and question answering for one pipeline.
 
     Only the state the pipeline reads is built: the report always, the
-    retriever and unit texts only for pipelines that search.
+    retriever and unit texts only for pipelines that search. Set-up is not
+    thread-safe; answering is.
     """
 
     def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
         self.config = config
         self.client = client
         self.pipeline = pipeline
-        self._cache: dict[str, tuple] = {}
+        self._reports: dict[str, tuple] = {}
         self.agent_config = pipelines_mod.AgentConfig(
             max_rounds=config.max_rounds,
             k_per_round=config.k_per_round,
@@ -240,24 +225,29 @@ class _ReportRunner:
             retrieval_scheme=config.scheme,
         )
 
-    def setup(self, report_id: str):
-        if report_id not in self._cache:
-            report = find_report(self.config, report_id)
-            if self.pipeline in _INDEXLESS_PIPELINES:
-                self._cache[report_id] = (report, None, None)
-            else:
-                self._cache[report_id] = (report, *build_report_index(report, self.config))
-        return self._cache[report_id]
+    def setup(self, report: corpus_mod.Report) -> None:
+        config = self.config
+        if self.pipeline in _INDEXLESS_PIPELINES:
+            self._reports[report.report_id] = (report, None, None)
+            return
+        provider = build_embedding_provider(config) if config.scheme == "dense" else None
+        self._reports[report.report_id] = (report, *retrieval_mod.prepare_report(
+            report, config.scheme, granularity=config.unit_granularity(),
+            provider=provider, bm25_params=(config.bm25_k1, config.bm25_b)))
 
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
+        return self.answer(instance.report_id, instance.question, instance.id)
+
+    def answer(self, report_id: str, question: str, question_id: str) -> dict:
+        """One prediction row; an agent row also carries its transcript."""
         pipeline = self.pipeline
-        report, retriever, unit_texts = self.setup(instance.report_id)
+        report, retriever, unit_texts = self._reports[report_id]
         if pipeline == "agent":
             agent = pipelines_mod.AgentPipeline(
                 self.client, retriever, self.agent_config, unit_texts)
-            transcript = agent.run(instance.question, question_id=instance.id)
+            transcript = agent.run(question, question_id=question_id)
             return {
-                "id": instance.id,
+                "id": question_id,
                 "pipeline": pipeline,
                 "answer": transcript.final_answer,
                 "termination": transcript.termination,
@@ -270,10 +260,10 @@ class _ReportRunner:
         elif pipeline == "fixed_budget_rag":
             k = self.config.fixed_budget_k
         result = pipelines_mod.run_baseline(
-            pipeline, instance.question, self.client,
+            pipeline, question, self.client,
             report=report, retriever=retriever, unit_texts=unit_texts, k=k)
         return {
-            "id": instance.id,
+            "id": question_id,
             "pipeline": pipeline,
             "answer": result.answer,
             "insufficient": result.insufficient,
@@ -310,6 +300,10 @@ def _write_scores(run_dir: Path, scores: list[metrics_mod.InstanceScore]) -> Non
     (run_dir / "eval_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
 
 
+def _write_transcript(path: Path, transcript: dict) -> None:
+    path.write_text(json.dumps(transcript, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_manifest(out_dir: Path, command: str, config: RunConfig,
                     inputs: dict, **extra) -> None:
     manifest = {
@@ -335,9 +329,11 @@ def cmd_bench(args, config: RunConfig) -> int:
     client = build_client(config, log_path=run_dir / "llm_log.jsonl")
     runner = _ReportRunner(config, client, args.pipeline)
 
-    # per-report set-up is not thread-safe, so warm it up front
+    # per-report set-up is not thread-safe, so do it up front
     for report_id in dict.fromkeys(i.report_id for i in instances):
-        runner.setup(report_id)
+        if not config.corpus_dir:
+            raise ConfigError("corpus_dir is not set")
+        runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"))
 
     # the pool bounds how many LLM calls are in flight at once
     if config.workers > 1:
@@ -354,9 +350,7 @@ def cmd_bench(args, config: RunConfig) -> int:
     transcripts_dir.mkdir(exist_ok=True)
     for row in rows:
         if "transcript" in row:
-            (transcripts_dir / f"{row['id']}.json").write_text(
-                json.dumps(row["transcript"], indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+            _write_transcript(transcripts_dir / f"{row['id']}.json", row["transcript"])
 
     scores = _score_rows(rows, {i.id: i for i in instances})
     _write_scores(run_dir, scores)
@@ -396,74 +390,23 @@ def cmd_score(args, config: RunConfig) -> int:
 
 
 def cmd_ask(args, config: RunConfig) -> int:
-    client = build_client(config)
-    report = load_report_file(Path(args.report))
-    if args.pipeline in _INDEXLESS_PIPELINES:
-        retriever, unit_texts = None, None
-    elif args.index:
-        index_path = Path(args.index)
-        if not index_path.exists():
-            raise FileNotFoundError(
-                f"index file not found: {index_path} (build one with `finreportqa index`)")
-        index = retrieval_mod.SparseIndex.load(index_path)
-        retriever = retrieval_mod.SparseRetriever(index)
-        units = retrieval_mod.rechunk(report, "page")
-        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
-    else:
-        retriever, unit_texts = build_report_index(report, config)
-
-    if args.pipeline == "agent":
-        agent_config = pipelines_mod.AgentConfig(
-            max_rounds=config.max_rounds, k_per_round=config.k_per_round,
-            chunk_budget=config.chunk_budget, retrieval_scheme=config.scheme)
-        agent = pipelines_mod.AgentPipeline(client, retriever, agent_config, unit_texts)
-        transcript = agent.run(args.question, question_id="ask")
+    runner = _ReportRunner(config, build_client(config), args.pipeline)
+    report = corpus_mod.load_report(args.report)
+    runner.setup(report)
+    row = runner.answer(report.report_id, args.question, "ask")
+    print(f"answer: {row['answer']}")
+    if "transcript" in row:
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         transcript_path = out_dir / "ask_transcript.json"
-        transcript_path.write_text(transcript.to_json() + "\n", encoding="utf-8")
+        _write_transcript(transcript_path, row["transcript"])
         _write_manifest(out_dir, "ask", config,
                         inputs={"report_sha256": sha256_file(Path(args.report))},
                         pipeline=args.pipeline, question=args.question)
-        print(f"answer: {transcript.final_answer}")
-        print(f"termination: {transcript.termination}")
+        print(f"termination: {row['termination']}")
         print(f"transcript: {transcript_path}")
-    else:
-        k = config.baseline_k if args.pipeline == "single_round_rag" else config.fixed_budget_k
-        result = pipelines_mod.run_baseline(
-            args.pipeline, args.question, client,
-            report=report, retriever=retriever, unit_texts=unit_texts,
-            k=k if args.pipeline in ("single_round_rag", "fixed_budget_rag") else None)
-        print(f"answer: {result.answer}")
-        if result.context_pages:
-            print(f"context pages: {sorted(result.context_pages)}")
-    return EXIT_OK
-
-
-def cmd_index(args, config: RunConfig) -> int:
-    out_dir = Path(args.out or config.index_dir or "indices")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = ([Path(args.report)] if args.report
-             else sorted(Path(config.corpus_dir or ".").glob("*.md")))
-    if not paths:
-        raise FileNotFoundError("no report files to index")
-    granularity = config.unit_granularity()
-    for path in paths:
-        report = load_report_file(path)
-        units = retrieval_mod.rechunk(report, granularity)
-        if config.scheme == "dense":
-            provider = build_embedding_provider(config)
-            index = retrieval_mod.embed_units(provider, units)
-            suffix = "dense"
-        else:
-            index = retrieval_mod.build_sparse_index(
-                units, config.scheme, (config.bm25_k1, config.bm25_b))
-            suffix = config.scheme
-        target = out_dir / f"{report.report_id}.{suffix}.json"
-        index.save(target)
-        print(f"indexed {report.report_id}: {len(units)} units -> {target}")
-    _write_manifest(out_dir, "index", config,
-                    inputs={"reports": [str(p) for p in paths]})
+    elif row["context_pages"]:
+        print(f"context pages: {sorted(row['context_pages'])}")
     return EXIT_OK
 
 
@@ -603,7 +546,6 @@ _CONFIG_FLAGS: list[tuple[str, type, str]] = [
     ("dataset", str, "QA dataset JSON-lines path"),
     ("output_dir", str, "run output directory"),
     ("cache_dir", str, "cache directory for llm/embedding responses"),
-    ("index_dir", str, "where the index command writes (default: indices); no command reads it"),
     ("workers", int, "bench worker count"),
     ("seed", int, "random seed"),
 ]
@@ -653,13 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask.add_argument("--question", required=True)
     p_ask.add_argument("--report", required=True, help="report .md path")
     p_ask.add_argument("--pipeline", choices=PIPELINES, default="agent")
-    p_ask.add_argument("--index", help="prebuilt sparse index file")
     _add_config_flags(p_ask)
-
-    p_index = sub.add_parser("index", help="build per-report retrieval indices")
-    p_index.add_argument("--report", help="single report .md path")
-    p_index.add_argument("--out", help="index output directory")
-    _add_config_flags(p_index)
 
     p_stats = sub.add_parser("stats", help="corpus and dataset statistics")
     p_stats.add_argument("--out", help="write JSON here as well as stdout")
@@ -696,7 +632,6 @@ _COMMANDS = {
     "bench": cmd_bench,
     "score": cmd_score,
     "ask": cmd_ask,
-    "index": cmd_index,
     "stats": cmd_stats,
     "ablate": cmd_ablate,
     "datagen": cmd_datagen,
@@ -713,7 +648,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if getattr(args, "from_manifest", None):
-            manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+            manifest = read_json_object(args.from_manifest)
+            if not isinstance(manifest.get("config"), dict):
+                raise ConfigError(f"manifest {args.from_manifest} has no config object")
             config = RunConfig.from_dict(manifest["config"])
             config.validate()
             args.pipeline = manifest.get("pipeline", args.pipeline)

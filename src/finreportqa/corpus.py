@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DanglingReferenceError,
@@ -39,8 +39,9 @@ _ASCII_WORD_MARKS = bytes(
     ord(" ") if c < 128 and chr(c).isspace() else ord("x") for c in range(256))
 
 
-def _count_whitespace_runs(text: str) -> int:
-    r"""The number of maximal non-whitespace runs: ``len(text.split())``.
+def count_tokens(text: str) -> int:
+    r"""Approximate token count: the number of maximal non-whitespace runs,
+    ``len(text.split())``.
 
     str.split() breaks on exactly the code points regex ``\s`` matches. ASCII
     text is counted without building the word list: each byte is marked as
@@ -51,22 +52,6 @@ def _count_whitespace_runs(text: str) -> int:
         return len(text.split())
     marked = text.encode("ascii").translate(_ASCII_WORD_MARKS)
     return marked.count(b" x") + marked.startswith(b"x")
-
-
-TOKEN_SCHEMES: dict[str, Callable[[str], int]] = {
-    "whitespace": _count_whitespace_runs,
-}
-
-DEFAULT_TOKEN_SCHEME = "whitespace"
-
-
-def count_tokens(text: str, scheme: str = DEFAULT_TOKEN_SCHEME) -> int:
-    """Approximate token count; default counts maximal non-whitespace runs."""
-    try:
-        counter = TOKEN_SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown token scheme: {scheme!r}") from None
-    return counter(text)
 
 
 @dataclass(frozen=True)
@@ -422,7 +407,6 @@ class CorpusStats:
     evidence_pages_min: Optional[int]
     evidence_pages_max: Optional[int]
     page_histogram: dict[str, int]
-    token_scheme: str = DEFAULT_TOKEN_SCHEME
 
     def to_dict(self) -> dict:
         return {
@@ -431,7 +415,7 @@ class CorpusStats:
             "tables": self.n_tables,
             "tokens_mean": self.token_mean,
             "tokens_median": self.token_median,
-            "token_scheme": self.token_scheme,
+            "token_scheme": "whitespace",
             "qa_count": self.qa_count,
             "counts_by_type": dict(self.counts_by_type),
             "evidence_pages": {

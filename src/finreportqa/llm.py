@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .corpus import count_tokens
 from .errors import (
+    ConfigError,
     ContextOverflowError,
     DecodeError,
     TransportError,
@@ -72,9 +73,6 @@ class ProviderConfig:
     timeout: float = 120.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     api_key_env: str = "FINDOC_API_KEY"
-    # Whether provider-side reasoning traces consume the context budget;
-    # provider-specific and never guessed.
-    reasoning_counts_against_context: bool = False
 
     def __post_init__(self) -> None:
         if self.max_input_tokens <= 0:
@@ -199,6 +197,10 @@ class ScriptEntry:
     matcher: str  # substring, or "sha256:<hex>" for an exact prompt hash
     response: str
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.matcher, str) and isinstance(self.response, str)):
+            raise TypeError("script matcher and response must be strings")
+
     def matches(self, rendered: str) -> bool:
         if self.matcher.startswith("sha256:"):
             digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
@@ -225,11 +227,18 @@ class ScriptedBackend(Backend):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            [(e["matcher"], e["response"]) for e in payload["entries"]],
-            mode=payload.get("mode", "repeatable"),
-        )
+        """Load {"mode": ..., "entries": [{"matcher": ..., "response": ...}]};
+        a malformed file raises ConfigError."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(
+                [(e["matcher"], e["response"]) for e in payload["entries"]],
+                mode=payload.get("mode", "repeatable"),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"script file {path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"script file {path}: {exc}") from None
 
     def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage]) -> str:
         rendered = render_messages(messages)

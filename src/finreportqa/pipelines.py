@@ -20,7 +20,7 @@ from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
 from .errors import AnswerExtractionError
 from .llm import ChatMessage, Completion, LLMClient, count_message_tokens, system, user
 from .metrics import normalize_answer
-from .retrieval import Retriever, ScoredHit
+from .retrieval import Retriever, ScoredHit, prepare_report
 
 _PAGE_REF_RE = re.compile(r"page_number\s*[:=]?\s*(\d+)")
 _BRACES_RE = re.compile(r"\{\{(.*?)\}\}", re.DOTALL)
@@ -273,14 +273,8 @@ class AgentPipeline:
     def from_report(cls, client: LLMClient, report: Report,
                     config: Optional[AgentConfig] = None,
                     provider=None) -> "AgentPipeline":
-        from .retrieval import build_retriever, rechunk
-
         config = config or AgentConfig()
-        retriever = build_retriever(report, config.retrieval_scheme, provider=provider)
-        unit_texts = {
-            unit.unit_id: (unit.page_number, unit.text)
-            for unit in rechunk(report, "page")
-        }
+        retriever, unit_texts = prepare_report(report, config.retrieval_scheme, provider=provider)
         return cls(client, retriever, config, unit_texts)
 
     # -- individual agent steps ------------------------------------------

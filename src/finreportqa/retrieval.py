@@ -7,11 +7,9 @@ exact scoring over every unit is the right tool.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Report
@@ -30,9 +28,6 @@ _TERM_BYTES = bytes(
 DEFAULT_BM25_PARAMS = (1.2, 0.75)
 
 ABLATION_CHUNK_SIZES = (256, 512, 800, 1200)
-
-INDEX_FORMAT = "finreportqa-index"
-INDEX_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
@@ -116,45 +111,6 @@ class SparseIndex:
             return 0.0
         return sum(self.unit_lengths.values()) / len(self.unit_lengths)
 
-    def to_json(self) -> str:
-        payload = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "scheme": self.scheme,
-            "bm25_params": list(self.bm25_params),
-            "n_units": self.n_units,
-            "vocabulary": {t: self.vocabulary[t] for t in sorted(self.vocabulary)},
-            "postings": {
-                t: sorted(self.postings[t]) for t in sorted(self.postings)
-            },
-            "unit_lengths": {u: self.unit_lengths[u] for u in sorted(self.unit_lengths)},
-            "unit_pages": {u: self.unit_pages[u] for u in sorted(self.unit_pages)},
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseIndex":
-        payload = json.loads(text)
-        if payload.get("format") != INDEX_FORMAT:
-            raise ValueError("not a finreportqa index file")
-        return cls(
-            scheme=payload["scheme"],
-            vocabulary=dict(payload["vocabulary"]),
-            postings={t: [tuple(entry) for entry in post]
-                      for t, post in payload["postings"].items()},
-            unit_lengths=dict(payload["unit_lengths"]),
-            unit_pages=dict(payload["unit_pages"]),
-            n_units=payload["n_units"],
-            bm25_params=tuple(payload["bm25_params"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SparseIndex":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
-
 
 def build_sparse_index(units: Sequence[RetrievalUnit], scheme: str = "bm25",
                        bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> SparseIndex:
@@ -234,35 +190,6 @@ class DenseIndex:
     dimension: int
     vectors: dict[str, list[float]] = field(default_factory=dict)  # unit-norm
     unit_pages: dict[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "scheme": "dense",
-            "dimension": self.dimension,
-            "vectors": {u: self.vectors[u] for u in sorted(self.vectors)},
-            "unit_pages": {u: self.unit_pages[u] for u in sorted(self.unit_pages)},
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DenseIndex":
-        payload = json.loads(text)
-        if payload.get("format") != INDEX_FORMAT or payload.get("scheme") != "dense":
-            raise ValueError("not a finreportqa dense index file")
-        return cls(
-            dimension=payload["dimension"],
-            vectors={u: list(map(float, v)) for u, v in payload["vectors"].items()},
-            unit_pages=dict(payload["unit_pages"]),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DenseIndex":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _normalize(vector: Sequence[float]) -> list[float]:
@@ -346,10 +273,9 @@ class DenseRetriever(Retriever):
         return len(self.index.vectors)
 
 
-def build_retriever(report: Report, scheme: str, *, granularity: str | int = "page",
+def build_retriever(units: Sequence[RetrievalUnit], scheme: str, *,
                     provider: Optional[EmbeddingProvider] = None,
                     bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> Retriever:
-    units = rechunk(report, granularity)
     if scheme in ("tfidf", "bm25"):
         return SparseRetriever(build_sparse_index(units, scheme, bm25_params))
     if scheme == "dense":
@@ -357,6 +283,16 @@ def build_retriever(report: Report, scheme: str, *, granularity: str | int = "pa
             raise ValueError("dense retrieval needs an embedding provider")
         return DenseRetriever(embed_units(provider, units), provider)
     raise ValueError(f"unknown retrieval scheme: {scheme!r}")
+
+
+def prepare_report(report: Report, scheme: str, *, granularity: str | int = "page",
+                   provider: Optional[EmbeddingProvider] = None,
+                   bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS
+                   ) -> tuple[Retriever, dict[str, tuple[int, str]]]:
+    """The report's retriever and its unit_id -> (page, text) map, from one rechunk."""
+    units = rechunk(report, granularity)
+    retriever = build_retriever(units, scheme, provider=provider, bm25_params=bm25_params)
+    return retriever, {unit.unit_id: (unit.page_number, unit.text) for unit in units}
 
 
 # --- evaluation ----------------------------------------------------------------

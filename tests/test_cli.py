@@ -74,6 +74,63 @@ class TestRunConfig:
         assert code == 2
 
 
+class TestConfigFiles:
+    @pytest.mark.parametrize("text", ["3", "null", "[]", '"config"'])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert main(["stats", "--config", str(config_path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not valid JSON"),
+        ('{"command": "bench", "pipeline": "agent"}', "no config"),
+        ('{"config": 3}', "no config"),
+        ("null", "JSON object"),
+    ])
+    def test_bad_manifest_is_config_error(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["bench", "--from-manifest", str(manifest)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_with_index_dir_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"index_dir": "indices"}))
+        assert main(["stats", "--config", str(config_path)]) == 2
+        assert "index_dir" in capsys.readouterr().err
+
+    def test_manifest_with_index_dir_is_config_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["index_dir"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["bench", "--from-manifest", str(manifest_path),
+                     "--run-id", "run-b"]) == 2
+        assert "index_dir" in capsys.readouterr().err
+
+
+class TestScriptFile:
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"mode": "repeatable"}),
+        json.dumps({"entries": [{"matcher": "Question"}]}),
+        json.dumps({"entries": [{"response": "{{1.55}}"}]}),
+        json.dumps({"mode": "weird", "entries": []}),
+        json.dumps(["Question", "{{1.55}}"]),
+        json.dumps({"entries": [{"matcher": 5, "response": "{{1.55}}"}]}),
+        json.dumps({"entries": [{"matcher": "Question", "response": 7}]}),
+    ])
+    def test_malformed_script_is_config_error(self, tmp_path, capsys, text):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        script.write_text(text)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 2
+        assert "script file" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["bench", "--pipeline", "nonsense"]) == 1
@@ -85,17 +142,6 @@ class TestExitCodes:
         code = main(["bench", "--dataset", str(tmp_path / "absent.jsonl"),
                      "--corpus-dir", str(tmp_path)])
         assert code == 3
-
-    def test_ask_missing_index_is_data_error(self, tmp_path, capsys):
-        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
-        code = main([
-            "ask", "--question", "anything", "--report",
-            str(corpus_dir / "DemoCo_2002.md"),
-            "--index", str(tmp_path / "missing.index.json"),
-            "--backend", "scripted", "--script-path", str(script),
-        ])
-        assert code == 3
-        assert "index" in capsys.readouterr().err
 
     def test_provider_error_exit_code(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -248,6 +294,51 @@ class TestBench:
         assert state["peak"] > 4
 
 
+class TestReportSetup:
+    def test_sized_granularity_rechunks_once(self, tmp_path, capsys, monkeypatch):
+        import finreportqa.retrieval as retrieval_mod
+
+        calls = []
+        rechunk = retrieval_mod.rechunk
+
+        def counting_rechunk(*args, **kwargs):
+            calls.append(args)
+            return rechunk(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval_mod, "rechunk", counting_rechunk)
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--granularity", "256"))) == 0
+        assert len(calls) == 1
+
+    def test_ask_transcript_equals_bench_transcript(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        assert main([
+            "ask", "--question",
+            "What is the Debt Service Coverage Ratio (DSCR) of the company in 2002?",
+            "--report", str(corpus_dir / "DemoCo_2002.md"),
+            "--backend", "scripted", "--script-path", str(script),
+            "--output-dir", str(tmp_path / "out"),
+        ]) == 0
+
+        def without_question_id(path):
+            return re.sub(rb'\n  "question_id": "[^"]*",', b"", path.read_bytes())
+
+        bench = tmp_path / "runs" / "run-a" / "transcripts" / "q-dscr-1.json"
+        ask = tmp_path / "out" / "ask_transcript.json"
+        assert without_question_id(ask) == without_question_id(bench)
+        assert without_question_id(ask) != ask.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["index", "--corpus-dir", "corpus"],
+        ["ask", "--question", "q", "--report", "r.md", "--index", "x"],
+        ["bench", "--index-dir", "indices"],
+    ])
+    def test_index_options_are_gone(self, argv):
+        assert main(argv) == 1
+
+
 class TestScore:
     def test_all_correct_predictions(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -287,14 +378,6 @@ class TestOtherCommands:
         assert stats["reports"] == 1
         assert stats["qa_count"] == 1
         assert stats["tables"] == 3
-
-    def test_index_build_and_determinism(self, tmp_path, capsys):
-        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
-        out_a = tmp_path / "idx-a"
-        out_b = tmp_path / "idx-b"
-        assert main(["index", "--corpus-dir", str(corpus_dir), "--out", str(out_a)]) == 0
-        assert main(["index", "--corpus-dir", str(corpus_dir), "--out", str(out_b)]) == 0
-        assert _hash(out_a / "DemoCo_2002.bm25.json") == _hash(out_b / "DemoCo_2002.bm25.json")
 
     def test_ask_agent(self, tmp_path, capsys):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)

@@ -50,10 +50,6 @@ class TestCountTokens:
     def test_symbol_runs(self):
         assert count_tokens("17 / (11+0)") == 3
 
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            count_tokens("x", scheme="bpe")
-
     def test_split_whitespace_is_regex_whitespace_on_every_code_point(self):
         # count_tokens uses str.split(); this pins it to the maximal \S+ runs
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))

@@ -3,8 +3,8 @@
 Subcommands: ingest, ask, bench, score, datagen, stats, ablate. ``bench``
 and ``ask`` set up each report and answer each question through one runner;
 ``ask`` is a one-question ``bench`` over a report file.
-Configuration comes from an optional JSON file plus flags (flags win);
-every run writes a manifest sufficient to reproduce it.
+Configuration comes from an optional JSON file or run manifest plus flags
+(flags win); every run writes a manifest sufficient to reproduce it.
 
 Exit codes: 0 ok, 1 usage, 2 config, 3 data, 4 provider.
 """
@@ -209,8 +209,8 @@ class _ReportRunner:
     """Per-report state and question answering for one pipeline.
 
     Only the state the pipeline reads is built: the report always, the
-    retriever and unit texts only for pipelines that search. Set-up is not
-    thread-safe; answering is.
+    retriever (which holds the retrieval units) only for pipelines that
+    search. Set-up is not thread-safe; answering is.
     """
 
     def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
@@ -222,16 +222,15 @@ class _ReportRunner:
             max_rounds=config.max_rounds,
             k_per_round=config.k_per_round,
             chunk_budget=config.chunk_budget,
-            retrieval_scheme=config.scheme,
         )
 
     def setup(self, report: corpus_mod.Report) -> None:
         config = self.config
         if self.pipeline in _INDEXLESS_PIPELINES:
-            self._reports[report.report_id] = (report, None, None)
+            self._reports[report.report_id] = (report, None)
             return
         provider = build_embedding_provider(config) if config.scheme == "dense" else None
-        self._reports[report.report_id] = (report, *retrieval_mod.prepare_report(
+        self._reports[report.report_id] = (report, retrieval_mod.prepare_report(
             report, config.scheme, granularity=config.unit_granularity(),
             provider=provider, bm25_params=(config.bm25_k1, config.bm25_b)))
 
@@ -241,10 +240,9 @@ class _ReportRunner:
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
         """One prediction row; an agent row also carries its transcript."""
         pipeline = self.pipeline
-        report, retriever, unit_texts = self._reports[report_id]
+        report, retriever = self._reports[report_id]
         if pipeline == "agent":
-            agent = pipelines_mod.AgentPipeline(
-                self.client, retriever, self.agent_config, unit_texts)
+            agent = pipelines_mod.AgentPipeline(self.client, retriever, self.agent_config)
             transcript = agent.run(question, question_id=question_id)
             return {
                 "id": question_id,
@@ -261,7 +259,7 @@ class _ReportRunner:
             k = self.config.fixed_budget_k
         result = pipelines_mod.run_baseline(
             pipeline, question, self.client,
-            report=report, retriever=retriever, unit_texts=unit_texts, k=k)
+            report=report, retriever=retriever, k=k)
         return {
             "id": question_id,
             "pipeline": pipeline,
@@ -559,7 +557,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def resolve_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    """A manifest's config (plus its pipeline and limit), a config file or the defaults; flags win."""
+    if getattr(args, "from_manifest", None):
+        if args.config:
+            raise ConfigError("--from-manifest and --config cannot be combined")
+        manifest = read_json_object(args.from_manifest)
+        if not isinstance(manifest.get("config"), dict):
+            raise ConfigError(f"manifest {args.from_manifest} has no config object")
+        config = RunConfig.from_dict(manifest["config"])
+        args.pipeline = manifest.get("pipeline", args.pipeline)
+        args.limit = manifest.get("limit", args.limit)
+    elif getattr(args, "config", None):
+        config = RunConfig.from_file(args.config)
+    else:
+        config = RunConfig()
     overrides = {}
     for name, _, _ in _CONFIG_FLAGS:
         value = getattr(args, f"cfg_{name}", None)
@@ -582,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--pipeline", choices=PIPELINES, default="agent")
     p_bench.add_argument("--limit", type=int, default=0, help="run only the first N instances")
     p_bench.add_argument("--run-id", help="run directory name (default: timestamp)")
-    p_bench.add_argument("--from-manifest", help="re-execute a previous run's manifest")
+    p_bench.add_argument("--from-manifest", help="re-run a manifest's config; flags override it")
     _add_config_flags(p_bench)
 
     p_score = sub.add_parser("score", help="score a predictions file against gold")
@@ -647,17 +658,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        if getattr(args, "from_manifest", None):
-            manifest = read_json_object(args.from_manifest)
-            if not isinstance(manifest.get("config"), dict):
-                raise ConfigError(f"manifest {args.from_manifest} has no config object")
-            config = RunConfig.from_dict(manifest["config"])
-            config.validate()
-            args.pipeline = manifest.get("pipeline", args.pipeline)
-            args.limit = manifest.get("limit", args.limit)
-        else:
-            config = resolve_config(args)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,12 +19,7 @@ from typing import Optional, Sequence
 from .corpus import QAInstance, Report, instance_to_record
 from .errors import ProgramError, SyntaxUnsupportedError
 from .llm import LLMClient, system, user
-from .metrics import (
-    DEFAULT_CONSTANTS,
-    MetricConstants,
-    normalize_answer,
-    tolerance_correct,
-)
+from .metrics import normalize_answer, tolerance_correct
 from .program import parse_program, run_source
 from .prompts import QA_GENERATION_TEMPLATE
 
@@ -159,7 +154,6 @@ def sample_pages(report: Report, n: int = 40, seed: int = 0) -> PageSamplingPlan
 class GenerationBatch:
     records: list[RawQA]
     parse_errors: int = 0
-    raw_reply: str = ""
 
 
 def strip_fences(text: str) -> str:
@@ -183,12 +177,12 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
     try:
         decoded = json.loads(cleaned)
     except json.JSONDecodeError:
-        return GenerationBatch(records=[], parse_errors=1, raw_reply=reply)
+        return GenerationBatch(records=[], parse_errors=1)
 
     if isinstance(decoded, dict):
         decoded = [decoded]
     if not isinstance(decoded, list):
-        return GenerationBatch(records=[], parse_errors=1, raw_reply=reply)
+        return GenerationBatch(records=[], parse_errors=1)
 
     records: list[RawQA] = []
     errors = 0
@@ -197,7 +191,7 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
             records.append(RawQA.from_dict(element))
         except (ValueError, TypeError):
             errors += 1
-    return GenerationBatch(records=records, parse_errors=errors, raw_reply=reply)
+    return GenerationBatch(records=records, parse_errors=errors)
 
 
 # --- filtering ----------------------------------------------------------------
@@ -294,9 +288,7 @@ def _tables_with_operands(raw: RawQA, report: Report) -> tuple[int, int]:
     return blocks_containing_all, blocks_touched
 
 
-def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Sequence[Report],
-                    constants: MetricConstants = DEFAULT_CONSTANTS,
-                    *, report_for: Optional[dict[str, str]] = None
+def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Sequence[Report]
                     ) -> tuple[list[QAInstance], FilterStats, list[FilterOutcome]]:
     """Apply the rule-based filters in order and keep survivors.
 
@@ -314,7 +306,7 @@ def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Seq
     kept: list[QAInstance] = []
 
     for raw in raw_batch:
-        outcome = _filter_one(raw, reports, constants, report_for)
+        outcome = _filter_one(raw, reports)
         outcomes.append(outcome)
         if outcome.kept:
             stats.kept += 1
@@ -324,10 +316,7 @@ def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Seq
     return kept, stats, outcomes
 
 
-def _resolve_report(raw: RawQA, reports: dict[str, Report],
-                    report_for: Optional[dict[str, str]]) -> Optional[Report]:
-    if report_for and raw.id in report_for:
-        return reports.get(report_for[raw.id])
+def _resolve_report(raw: RawQA, reports: dict[str, Report]) -> Optional[Report]:
     candidate = raw.extras.get("report_id")
     if candidate and candidate in reports:
         return reports[candidate]
@@ -342,15 +331,13 @@ def _resolve_report(raw: RawQA, reports: dict[str, Report],
     return reports.get(make_report_id(raw.company, year))
 
 
-def _filter_one(raw: RawQA, reports: dict[str, Report],
-                constants: MetricConstants,
-                report_for: Optional[dict[str, str]]) -> FilterOutcome:
+def _filter_one(raw: RawQA, reports: dict[str, Report]) -> FilterOutcome:
     # (1) multi-page constraint
     distinct_pages = set(raw.page_numbers)
     if len(distinct_pages) < 2:
         return FilterOutcome(raw, kept=False, reason="too_few_pages")
 
-    report = _resolve_report(raw, reports, report_for)
+    report = _resolve_report(raw, reports)
 
     # program must be in-grammar before the table and execution checks
     try:
@@ -374,7 +361,7 @@ def _filter_one(raw: RawQA, reports: dict[str, Report],
         computed = run_source(raw.python_code)
     except ProgramError:
         return FilterOutcome(raw, kept=False, reason="calc_error")
-    if stated.is_numeric and not tolerance_correct(computed, stated.numeric_value, constants):
+    if stated.is_numeric and not tolerance_correct(computed, stated.numeric_value):
         return FilterOutcome(raw, kept=False, reason="calc_error")
 
     # (4) answer-type constraint

@@ -3,7 +3,7 @@
 Providers turn text into fixed-dimension vectors. The HTTP provider speaks
 the common embeddings wire format (POST {model, input} -> data[].embedding).
 The cache is content-addressed by (model, sha256 of text) so reruns and
-offline replays never re-embed.
+offline replays never re-embed; an unreadable entry is a miss.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
     transport(url, payload, headers, timeout) -> decoded JSON dict; the
     default uses requests. Injectable for tests. Identical text embeds
-    identically within a session (in-memory memo); concurrent requests are
-    bounded by max_in_flight.
+    identically within a session (in-memory memo). Concurrent requests are
+    bounded only by the caller (``--workers``).
     """
 
     def __init__(self, endpoint: str, model: str, dimension: int,
                  api_key_env: str = "FINDOC_API_KEY", timeout: float = 60.0,
-                 transport: Optional[Callable] = None, max_in_flight: int = 4):
+                 transport: Optional[Callable] = None):
         self.endpoint = endpoint
         self.model = model
         self.dimension = dimension
@@ -49,7 +49,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.timeout = timeout
         self._transport = transport or self._default_transport
         self._memo: dict[str, list[float]] = {}
-        self._semaphore = threading.Semaphore(max_in_flight)
 
     def _default_transport(self, url: str, payload: dict, headers: dict, timeout: float) -> dict:
         import requests
@@ -76,8 +75,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {"model": self.model, "input": texts}
         try:
-            with self._semaphore:
-                body = self._transport(self.endpoint, payload, headers, self.timeout)
+            body = self._transport(self.endpoint, payload, headers, self.timeout)
             vectors = [item["embedding"] for item in body["data"]]
         except ProviderError:
             raise
@@ -108,10 +106,12 @@ class EmbeddingCache:
         return self.root / slug / f"{text_sha256(text)}.json"
 
     def get(self, model: str, text: str) -> Optional[list[float]]:
-        path = self._path(model, text)
-        if not path.exists():
+        """The cached vector; None when the entry is absent or unreadable."""
+        try:
+            vector = json.loads(self._path(model, text).read_text(encoding="utf-8"))["vector"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["vector"]
+        return vector if isinstance(vector, list) else None
 
     def put(self, model: str, text: str, vector: Sequence[float]) -> None:
         path = self._path(model, text)

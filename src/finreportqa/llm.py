@@ -3,8 +3,9 @@ persistent response cache, and an audit log.
 
 The client enforces the input-token budget before any network activity,
 serves repeated requests from the cache, and retries transient transport
-failures per the configured policy. Each request's prompt is tokenized once;
-the counts travel with the reply as a ``Completion``.
+failures per the configured policy. An unreadable cache entry is a miss.
+Each request's prompt is tokenized once; the counts travel with the reply
+as a ``Completion``.
 """
 
 from __future__ import annotations
@@ -264,10 +265,12 @@ class ResponseCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[str]:
-        path = self._path(key)
-        if not path.exists():
+        """The cached reply; None when the entry is absent or unreadable."""
+        try:
+            response = json.loads(self._path(key).read_text(encoding="utf-8"))["response"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["response"]
+        return response if isinstance(response, str) else None
 
     def put(self, key: str, request: dict, response: str) -> None:
         with self._lock:

@@ -4,14 +4,14 @@ single-round / fixed-budget retrieval).
 
 One agent run is strictly sequential; rounds accumulate retrieved units
 under a hard chunk budget and stop on a completeness verdict, the round
-limit, or budget exhaustion.
+limit, or budget exhaustion. The agent and the retrieval baselines take each
+hit's text from the retriever's units, and their prompts from ``prompts``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,28 +48,10 @@ class AgentConfig:
     max_rounds: int = 5
     k_per_round: int = 15
     chunk_budget: int = 75
-    expansion_system: str = prompts.EXPANSION_SYSTEM
-    expansion_user: str = prompts.EXPANSION_USER
-    expansion_feedback_user: str = prompts.EXPANSION_FEEDBACK_USER
-    solving_system: str = prompts.SOLVING_SYSTEM
-    solving_user: str = prompts.SOLVING_USER
-    evaluation_system: str = prompts.EVALUATION_SYSTEM
-    evaluation_user: str = prompts.EVALUATION_USER
-    retrieval_scheme: str = "bm25"
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1 or self.k_per_round < 1 or self.chunk_budget < 1:
             raise ValueError("agent parameters must be positive")
-
-
-@dataclass(frozen=True)
-class ExpandedFormula:
-    formula_text: str
-    source_round: int
-
-    def __post_init__(self) -> None:
-        if not self.formula_text:
-            raise ValueError("formula text must be non-empty")
 
 
 @dataclass
@@ -146,11 +128,10 @@ class Transcript:
     final_answer: Optional[float] = None
     termination: str = ""  # "Complete" | "RoundLimit" | "Budget"
     token_usage: int = 0
-    wall_time_s: float = 0.0
     partial: bool = False
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "question_id": self.question_id,
             "question": self.question,
             "rounds": [r.to_dict() for r in self.rounds],
@@ -159,14 +140,9 @@ class Transcript:
             "token_usage": self.token_usage,
             "partial": self.partial,
         }
-        # Wall time is excluded from the canonical form so identical runs
-        # serialize byte-identically.
-        if include_timing:
-            payload["wall_time_s"] = self.wall_time_s
-        return payload
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def extract_answer(text: str) -> float | Insufficient:
@@ -260,50 +236,46 @@ class AgentPipeline:
     """Drives the three agent roles over retrieval rounds."""
 
     def __init__(self, client: LLMClient, retriever: Retriever,
-                 config: Optional[AgentConfig] = None,
-                 unit_texts: Optional[dict[str, tuple[int, str]]] = None):
+                 config: Optional[AgentConfig] = None):
         self.client = client
         self.retriever = retriever
         self.config = config or AgentConfig()
-        # unit_id -> (page_number, text) for building solver context
-        self.unit_texts = unit_texts or {}
         self._tokens_used = 0
 
     @classmethod
     def from_report(cls, client: LLMClient, report: Report,
-                    config: Optional[AgentConfig] = None,
-                    provider=None) -> "AgentPipeline":
-        config = config or AgentConfig()
-        retriever, unit_texts = prepare_report(report, config.retrieval_scheme, provider=provider)
-        return cls(client, retriever, config, unit_texts)
+                    config: Optional[AgentConfig] = None) -> "AgentPipeline":
+        """An agent over the report's page-level BM25 retriever."""
+        return cls(client, prepare_report(report, "bm25"), config)
 
     # -- individual agent steps ------------------------------------------
 
     def expand(self, question: str,
-               feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None,
-               source_round: int = 1) -> tuple[ExpandedFormula, str]:
+               feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None
+               ) -> tuple[str, str]:
+        """The expanded formula (possibly empty) and the user prompt that asked for it."""
         if not question:
             raise ValueError("question must be non-empty")
         if feedback:
             rendered_feedback = prompts.render_feedback(
                 [(name, list(syns)) for name, syns in feedback])
-            content = self.config.expansion_feedback_user.format(
+            content = prompts.EXPANSION_FEEDBACK_USER.format(
                 question=question, feedback=rendered_feedback)
         else:
-            content = self.config.expansion_user.format(question=question)
-        messages = [system(self.config.expansion_system), user(content)]
+            content = prompts.EXPANSION_USER.format(question=question)
+        messages = [system(prompts.EXPANSION_SYSTEM), user(content)]
         reply = self._complete(messages)
-        return ExpandedFormula(formula_text=reply.strip(), source_round=source_round), content
+        return reply.strip(), content
 
     def solve(self, question: str, formula: str, context_pages: list[tuple[int, str]]) -> SolverOutput:
         if not context_pages:
             raise ValueError("solver needs a non-empty context")
-        content = self.config.solving_user.format(
+        content = prompts.SOLVING_USER.format(
             question=question,
             formula=formula,
             context=prompts.render_context(context_pages),
         )
-        messages = [system(self.config.solving_system), user(content)]
+        messages = [system(prompts.SOLVING_SYSTEM), user(content)]
         reply = self._complete(messages)
         try:
             answer = extract_answer(reply)
@@ -325,9 +297,9 @@ class AgentPipeline:
         )
 
     def evaluate(self, question: str, solver_output: SolverOutput) -> EvaluatorVerdict:
-        content = self.config.evaluation_user.format(
+        content = prompts.EVALUATION_USER.format(
             question=question, answer=solver_output.raw_text)
-        messages = [system(self.config.evaluation_system), user(content)]
+        messages = [system(prompts.EVALUATION_SYSTEM), user(content)]
         reply = self._complete(messages)
         return parse_verdict(reply)
 
@@ -335,78 +307,63 @@ class AgentPipeline:
 
     def run(self, question: str, question_id: str = "") -> Transcript:
         config = self.config
+        units = self.retriever.units
         transcript = Transcript(question_id=question_id, question=question)
-        started = time.monotonic()
 
         held_units: set[str] = set()
         context: list[tuple[int, str]] = []
         context_pages_seen: set[int] = set()
         feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None
 
-        try:
-            for round_index in range(1, config.max_rounds + 1):
-                formula, expansion_input = self.expand(
-                    question, feedback, source_round=round_index)
-                query = build_round_query(
-                    question, formula.formula_text, list(feedback or ()))
+        for round_index in range(1, config.max_rounds + 1):
+            formula, expansion_input = self.expand(question, feedback)
+            query = build_round_query(question, formula, list(feedback or ()))
 
-                budget_left = config.chunk_budget - len(held_units)
-                new_hits = retrieve_round(
-                    self.retriever, query, config.k_per_round, held_units, budget_left)
-                new_pages: list[int] = []
-                for hit in new_hits:
-                    held_units.add(hit.unit_id)
-                    page_number, text = self._unit_context(hit)
-                    if page_number not in context_pages_seen:
-                        context_pages_seen.add(page_number)
-                        new_pages.append(page_number)
-                    # sub-page units of an already-held page still add text
-                    context.append((page_number, text))
+            budget_left = config.chunk_budget - len(held_units)
+            new_hits = retrieve_round(
+                self.retriever, query, config.k_per_round, held_units, budget_left)
+            new_pages: list[int] = []
+            for hit in new_hits:
+                held_units.add(hit.unit_id)
+                unit = units[hit.unit_id]
+                if unit.page_number not in context_pages_seen:
+                    context_pages_seen.add(unit.page_number)
+                    new_pages.append(unit.page_number)
+                # sub-page units of an already-held page still add text
+                context.append((unit.page_number, unit.text))
 
-                solver_output = self.solve(
-                    question, formula.formula_text,
-                    context if context else [(0, "(no pages retrieved)")])
-                verdict = self.evaluate(question, solver_output)
+            solver_output = self.solve(
+                question, formula, context if context else [(0, "(no pages retrieved)")])
+            verdict = self.evaluate(question, solver_output)
 
-                transcript.rounds.append(RoundRecord(
-                    round_index=round_index,
-                    expansion_input=expansion_input,
-                    formula=formula.formula_text,
-                    query=query,
-                    new_unit_ids=tuple(hit.unit_id for hit in new_hits),
-                    new_pages=tuple(new_pages),
-                    cumulative_pages=tuple(sorted(context_pages_seen)),
-                    solver=solver_output,
-                    verdict=verdict,
-                ))
+            transcript.rounds.append(RoundRecord(
+                round_index=round_index,
+                expansion_input=expansion_input,
+                formula=formula,
+                query=query,
+                new_unit_ids=tuple(hit.unit_id for hit in new_hits),
+                new_pages=tuple(new_pages),
+                cumulative_pages=tuple(sorted(context_pages_seen)),
+                solver=solver_output,
+                verdict=verdict,
+            ))
 
-                if verdict.complete:
-                    transcript.termination = "Complete"
-                    break
-                if round_index < config.max_rounds and len(held_units) >= config.chunk_budget:
-                    transcript.termination = "Budget"
-                    break
-                feedback = verdict.missing_components
-            else:
-                transcript.termination = "RoundLimit"
-        except Exception:
-            transcript.partial = True
-            transcript.wall_time_s = time.monotonic() - started
-            transcript.token_usage = self._tokens_used
-            raise
+            if verdict.complete:
+                transcript.termination = "Complete"
+                break
+            if round_index < config.max_rounds and len(held_units) >= config.chunk_budget:
+                transcript.termination = "Budget"
+                break
+            feedback = verdict.missing_components
+        else:
+            transcript.termination = "RoundLimit"
 
         last = transcript.rounds[-1].solver
         transcript.final_answer = last.answer_value()
-        transcript.wall_time_s = time.monotonic() - started
         transcript.token_usage = self._tokens_used
         return transcript
 
     # -- helpers ----------------------------------------------------------
-
-    def _unit_context(self, hit: ScoredHit) -> tuple[int, str]:
-        if hit.unit_id in self.unit_texts:
-            return self.unit_texts[hit.unit_id]
-        return hit.page_number, ""
 
     def _complete(self, messages: Sequence[ChatMessage], bypass_cache: bool = False) -> Completion:
         reply = self.client.complete(messages, bypass_cache=bypass_cache)
@@ -448,22 +405,10 @@ def retrieve_round(retriever: Retriever, query: str, k_per_round: int,
 
 @dataclass
 class BaselineResult:
-    kind: str
-    raw_text: str
     answer: float
     insufficient: bool
     context_pages: tuple[int, ...]
     prompt_tokens: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "raw_text": self.raw_text,
-            "answer": self.answer,
-            "insufficient": self.insufficient,
-            "context_pages": list(self.context_pages),
-            "prompt_tokens": self.prompt_tokens,
-        }
 
 
 BASELINE_KINDS = ("no_context", "long_context", "single_round_rag", "fixed_budget_rag")
@@ -488,24 +433,25 @@ def _extract(reply: str) -> tuple[float, bool]:
 def run_baseline(kind: str, question: str, client: LLMClient, *,
                  report: Optional[Report] = None,
                  retriever: Optional[Retriever] = None,
-                 unit_texts: Optional[dict[str, tuple[int, str]]] = None,
-                 k: Optional[int] = None,
-                 solving_system: str = prompts.SOLVING_SYSTEM) -> BaselineResult:
-    """Run one of the non-agentic pipelines; answers extracted identically."""
+                 k: Optional[int] = None) -> BaselineResult:
+    """Run one of the non-agentic pipelines; answers extracted identically.
+
+    long_context reads the report; the retrieval kinds read the retriever.
+    """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind!r}")
 
     if kind == "no_context":
-        messages = [system(solving_system), user(f"Question: {question}")]
+        messages = [system(prompts.SOLVING_SYSTEM), user(f"Question: {question}")]
         context_pages: tuple[int, ...] = ()
     elif kind == "long_context":
         if report is None:
             raise ValueError("long_context needs a report")
-        base_messages = [system(solving_system), user(f"Question: {question}\n\nReport:\n")]
+        base_messages = [system(prompts.SOLVING_SYSTEM), user(f"Question: {question}\n\nReport:\n")]
         overhead = count_message_tokens(base_messages) + _PROMPT_MARGIN_TOKENS
         budget = client.config.max_input_tokens - overhead
         prefix = report.prefix(max(0, budget))
-        messages = [system(solving_system),
+        messages = [system(prompts.SOLVING_SYSTEM),
                     user(f"Question: {question}\n\nReport:\n{prefix}")]
         context_pages = tuple(page.page_number for page in report.pages)
     else:
@@ -513,24 +459,16 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
             raise ValueError(f"{kind} needs a retriever")
         top_k = k if k is not None else (FIXED_BUDGET_K if kind == "fixed_budget_rag" else DEFAULT_RAG_K)
         hits = retriever.search(question, k=top_k)
-        blocks: list[tuple[int, str]] = []
-        for hit in hits:
-            if unit_texts and hit.unit_id in unit_texts:
-                blocks.append(unit_texts[hit.unit_id])
-            elif report is not None:
-                blocks.append((hit.page_number, report.page(hit.page_number).text))
-            else:
-                blocks.append((hit.page_number, ""))
+        units = [retriever.units[hit.unit_id] for hit in hits]
+        blocks = [(unit.page_number, unit.text) for unit in units]
         context_pages = tuple(dict.fromkeys(page for page, _ in blocks))
         content = (f"Question: {question}\n\nRetrieved report pages:\n"
                    f"{prompts.render_context(blocks)}")
-        messages = [system(solving_system), user(content)]
+        messages = [system(prompts.SOLVING_SYSTEM), user(content)]
 
     reply = client.complete(messages)
     answer, insufficient = _extract(reply)
     return BaselineResult(
-        kind=kind,
-        raw_text=reply,
         answer=answer,
         insufficient=insufficient,
         context_pages=context_pages,

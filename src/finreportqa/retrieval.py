@@ -2,7 +2,8 @@
 top-k search, page-level recall, and the chunk-granularity ablation.
 
 All retrieval happens within one report; corpora are small enough that
-exact scoring over every unit is the right tool.
+exact scoring over every unit is the right tool. Each retriever holds the
+units it indexes.
 """
 
 from __future__ import annotations
@@ -238,61 +239,57 @@ def dense_search(index: DenseIndex, provider: EmbeddingProvider, query: str, k: 
 # --- retriever facade --------------------------------------------------------
 
 class Retriever:
-    """Uniform search interface over a sparse or dense index."""
+    """Uniform search interface over a sparse or dense index and its units."""
+
+    def __init__(self, units: Sequence[RetrievalUnit]):
+        self.units = {unit.unit_id: unit for unit in units}
 
     def search(self, query: str, k: int) -> list[ScoredHit]:
         raise NotImplementedError
 
     @property
     def n_units(self) -> int:
-        raise NotImplementedError
+        return len(self.units)
 
 
 class SparseRetriever(Retriever):
-    def __init__(self, index: SparseIndex):
+    def __init__(self, index: SparseIndex, units: Sequence[RetrievalUnit]):
+        super().__init__(units)
         self.index = index
 
     def search(self, query: str, k: int) -> list[ScoredHit]:
         return search(self.index, query, k)
 
-    @property
-    def n_units(self) -> int:
-        return self.index.n_units
-
 
 class DenseRetriever(Retriever):
-    def __init__(self, index: DenseIndex, provider: EmbeddingProvider):
+    def __init__(self, index: DenseIndex, provider: EmbeddingProvider,
+                 units: Sequence[RetrievalUnit]):
+        super().__init__(units)
         self.index = index
         self.provider = provider
 
     def search(self, query: str, k: int) -> list[ScoredHit]:
         return dense_search(self.index, self.provider, query, k)
 
-    @property
-    def n_units(self) -> int:
-        return len(self.index.vectors)
-
 
 def build_retriever(units: Sequence[RetrievalUnit], scheme: str, *,
                     provider: Optional[EmbeddingProvider] = None,
                     bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> Retriever:
     if scheme in ("tfidf", "bm25"):
-        return SparseRetriever(build_sparse_index(units, scheme, bm25_params))
+        return SparseRetriever(build_sparse_index(units, scheme, bm25_params), units)
     if scheme == "dense":
         if provider is None:
             raise ValueError("dense retrieval needs an embedding provider")
-        return DenseRetriever(embed_units(provider, units), provider)
+        return DenseRetriever(embed_units(provider, units), provider, units)
     raise ValueError(f"unknown retrieval scheme: {scheme!r}")
 
 
 def prepare_report(report: Report, scheme: str, *, granularity: str | int = "page",
                    provider: Optional[EmbeddingProvider] = None,
-                   bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS
-                   ) -> tuple[Retriever, dict[str, tuple[int, str]]]:
-    """The report's retriever and its unit_id -> (page, text) map, from one rechunk."""
-    units = rechunk(report, granularity)
-    retriever = build_retriever(units, scheme, provider=provider, bm25_params=bm25_params)
-    return retriever, {unit.unit_id: (unit.page_number, unit.text) for unit in units}
+                   bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> Retriever:
+    """The report's retriever over its units at the given granularity."""
+    return build_retriever(rechunk(report, granularity), scheme,
+                           provider=provider, bm25_params=bm25_params)
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -222,12 +222,10 @@ def test_criterion_7_baseline_contracts(dscr_report):
     # single-round RAG context equals the oracle top-30 pages
     report = _massive_report(40)
     units = rechunk(report, "page")
-    unit_texts_map = {u.unit_id: (u.page_number, u.text) for u in units}
-    retriever = SparseRetriever(build_sparse_index(units, "bm25"))
+    retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
     client = make_scripted_client([("Question", "{{2.0}}")])
     result = run_baseline("single_round_rag", "shared metric value", client,
-                          report=report, retriever=retriever,
-                          unit_texts=unit_texts_map, k=30)
+                          report=report, retriever=retriever, k=30)
     oracle = brute_force_ranking({u.unit_id: u.text for u in units},
                                  {u.unit_id: u.page_number for u in units},
                                  "shared metric value", "bm25", k=30)
@@ -239,12 +237,11 @@ def test_criterion_7_baseline_contracts(dscr_report):
     for n_pages in (40, 75, 120):
         report = _massive_report(n_pages)
         units = rechunk(report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"))
+        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
         client = make_scripted_client([("Question", "{{2.0}}")])
         result = run_baseline(
             "fixed_budget_rag", "shared metric value", client, report=report,
-            retriever=retriever,
-            unit_texts={u.unit_id: (u.page_number, u.text) for u in units})
+            retriever=retriever)
         assert len(result.context_pages) == min(75, n_pages)
 
     elapsed = time.monotonic() - started

@@ -36,6 +36,9 @@ RUNS = {
     "no_context": ("--pipeline", "no_context"),
     "agent_granularity_256": ("--pipeline", "agent", "--granularity", "256"),
     "agent_workers_2": ("--pipeline", "agent", "--workers", "2"),
+    "single_round_rag_granularity_256": ("--pipeline", "single_round_rag",
+                                         "--granularity", "256"),
+    "agent_tfidf": ("--pipeline", "agent", "--scheme", "tfidf"),
 }
 
 DIGESTS = {
@@ -46,6 +49,9 @@ DIGESTS = {
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
     "agent_granularity_256": "e3e16963887f2d97ed77ec0b4a371d1c2c05bf5798880b803c8ea19785d4f23b",
     "agent_workers_2": "2bfc68cbfc70c2be23e7fc35088068a6cea56e0c28195a515c09f5427afeee4e",
+    "single_round_rag_granularity_256":
+        "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
+    "agent_tfidf": "ea0920be31af543a5bee2441ddc2eae5c2fe5701f2823306280b8cc949b1ce44",
 }
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_dscr_workspace
+from conftest import DSCR_SCRIPT, write_dscr_workspace
 from finreportqa.cli import RunConfig, main
 from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
@@ -14,6 +14,10 @@ from finreportqa.llm import ScriptedBackend
 
 def _hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_CANONICAL = ("predictions.jsonl", "scores.jsonl", "eval_report.json",
+              "transcripts/q-dscr-1.json")
 
 
 def _bench_args(tmp_path, corpus_dir, dataset, script, run_id="run-a", extra=()):
@@ -112,6 +116,36 @@ class TestConfigFiles:
                      "--run-id", "run-b"]) == 2
         assert "index_dir" in capsys.readouterr().err
 
+    def test_from_manifest_honours_flags(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        assert main(["bench", "--from-manifest", str(manifest_path), "--run-id", "run-b",
+                     "--output-dir", str(tmp_path / "elsewhere"), "--workers", "3"]) == 0
+        run_b = tmp_path / "elsewhere" / "run-b"
+        manifest = json.loads((run_b / "manifest.json").read_text())
+        assert manifest["config"]["workers"] == 3
+        assert manifest["config"]["output_dir"] == str(tmp_path / "elsewhere")
+        assert manifest["pipeline"] == "agent"
+        assert not (tmp_path / "runs" / "run-b").exists()
+        for name in _CANONICAL:
+            assert _hash(run_b / name) == _hash(tmp_path / "runs" / "run-a" / name), name
+
+    def test_from_manifest_flag_values_are_validated(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        capsys.readouterr()
+        assert main(["bench", "--from-manifest", str(manifest_path), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_from_manifest_with_config_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("{}")
+        assert main(["bench", "--from-manifest", str(tmp_path / "manifest.json"),
+                     "--config", str(config_path)]) == 2
+        assert "cannot be combined" in capsys.readouterr().err
+
 
 class TestScriptFile:
     @pytest.mark.parametrize("text", [
@@ -195,6 +229,31 @@ class TestBench:
         first_t = tmp_path / "runs" / "run-a" / "transcripts" / "q-dscr-1.json"
         second_t = tmp_path / "runs" / "run-b" / "transcripts" / "q-dscr-1.json"
         assert _hash(first_t) == _hash(second_t)
+
+    def test_blank_expansion_keeps_the_round(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        entries = [("financial text understanding", " \n "), *DSCR_SCRIPT[2:]]
+        script.write_text(json.dumps(
+            {"entries": [{"matcher": m, "response": r} for m, r in entries]}))
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        transcript = tmp_path / "runs" / "run-a" / "transcripts" / "q-dscr-1.json"
+        assert '"formula": ""' in transcript.read_text()
+        rounds = json.loads(transcript.read_text())["rounds"]
+        assert [r["formula"] for r in rounds] == [""] * len(rounds)
+
+    def test_corrupt_cache_entry_is_refetched(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        cache = ("--cache-dir", str(tmp_path / "cache"))
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=cache)) == 0
+        entry = sorted((tmp_path / "cache" / "llm").glob("*.json"))[0]
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[:20])
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, run_id="run-b",
+                                extra=cache)) == 0
+        for name in _CANONICAL:
+            first = _hash(tmp_path / "runs" / "run-a" / name)
+            assert _hash(tmp_path / "runs" / "run-b" / name) == first, name
+        assert entry.read_bytes() == intact
 
     def test_baseline_pipeline_runs(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)

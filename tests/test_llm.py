@@ -219,6 +219,22 @@ class TestComplete:
         assert client.complete(_messages(), bypass_cache=True) == "two"
         assert transport.calls == 2
 
+    @pytest.mark.parametrize("damaged", [
+        None, b"", b"[]", b"null", b'{"key": "k"}', b'{"response": 5}', b"\xff\xfe"])
+    def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
+        transport = _CountingTransport([_ok("fresh"), _ok("fresh")])
+        cache = ResponseCache(tmp_path / "llm")
+        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        client.complete(_messages())
+        (entry,) = (tmp_path / "llm").glob("*.json")
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[:20] if damaged is None else damaged)
+        assert cache.get(entry.stem) is None
+        assert client.complete(_messages()) == "fresh"
+        assert transport.calls == 2
+        assert entry.read_bytes() == intact
+        assert cache.get(entry.stem) == "fresh"
+
     def test_audit_log_written(self, tmp_path):
         import json
 

@@ -140,7 +140,7 @@ class TestRetrieveRound:
                           " ".join(rng.choices(vocab, k=rng.randint(3, 12))), 8)
             for i in range(n)
         ]
-        return SparseRetriever(build_sparse_index(units, "bm25"))
+        return SparseRetriever(build_sparse_index(units, "bm25"), units)
 
     def test_empty_exclude_equals_plain_search(self):
         retriever = self._retriever()
@@ -220,11 +220,10 @@ class TestSolverAndEvaluator:
         client = LLMClient(ProviderConfig(), Spy(DSCR_SCRIPT))
         agent = AgentPipeline.from_report(client, dscr_report)
         formula, _ = agent.expand(
-            DSCR_QUESTION, [("interest expense", ["interest and other expense"])],
-            source_round=2)
+            DSCR_QUESTION, [("interest expense", ["interest and other expense"])])
         assert "interest expense" in captured["prompt"]
         assert "interest and other expense" in captured["prompt"]
-        assert formula.formula_text == ROUND2_FORMULA
+        assert formula == ROUND2_FORMULA
 
 
 class TestAgentRun:
@@ -334,8 +333,7 @@ class TestBaselines:
     def test_single_round_rag_context_matches_oracle_top_k(self, dscr_report):
         units = rechunk(dscr_report, "page")
         index = build_sparse_index(units, "bm25")
-        retriever = SparseRetriever(index)
-        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
+        retriever = SparseRetriever(index, units)
 
         captured = {}
 
@@ -346,8 +344,7 @@ class TestBaselines:
 
         client = LLMClient(ProviderConfig(), Spy([("Question", "{{2.0}}")]))
         result = run_baseline("single_round_rag", DSCR_QUESTION, client,
-                              report=dscr_report, retriever=retriever,
-                              unit_texts=unit_texts, k=3)
+                              report=dscr_report, retriever=retriever, k=3)
         oracle_pages = [h.page_number for h in search(index, DSCR_QUESTION, 3)]
         assert list(result.context_pages) == oracle_pages
         for page in oracle_pages:
@@ -358,11 +355,10 @@ class TestBaselines:
             f"<!-- page: {i} -->\nshared metric value item{i}\n" for i in range(1, 41))
         report = parse_report(pages, report_id="Mid_2002")
         units = rechunk(report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"))
-        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
+        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
         client = make_scripted_client([("Question", "{{5.0}}")])
         result = run_baseline("fixed_budget_rag", "shared metric value", client,
-                              report=report, retriever=retriever, unit_texts=unit_texts)
+                              report=report, retriever=retriever)
         assert len(result.context_pages) == min(75, 40)
 
     def test_unknown_kind_rejected(self):
@@ -404,9 +400,8 @@ class TestTokenAccounting:
     ])
     def test_baseline_prompt_tokens(self, dscr_report, kind, budget, tokens):
         units = rechunk(dscr_report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"))
-        unit_texts = {u.unit_id: (u.page_number, u.text) for u in units}
+        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
         client = make_scripted_client([("Question", "{{1.55}}")], max_input_tokens=budget)
         result = run_baseline(kind, DSCR_QUESTION, client, report=dscr_report,
-                              retriever=retriever, unit_texts=unit_texts)
+                              retriever=retriever)
         assert result.prompt_tokens == tokens

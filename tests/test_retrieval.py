@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -23,6 +24,7 @@ from finreportqa.retrieval import (
     dense_search,
     embed_units,
     pages_from_hits,
+    prepare_report,
     rechunk,
     recall_at_k,
     search,
@@ -384,6 +386,20 @@ class TestDense:
         provider.embed(["unit 1"])
         assert inner.calls == calls_after_first
 
+    @pytest.mark.parametrize("damaged", [None, b"", b"[]", b'{"model": "m"}', b'{"vector": 3}'])
+    def test_unreadable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
+        cache = EmbeddingCache(tmp_path / "emb")
+        inner = _BasisProvider()
+        provider = CachedEmbeddingProvider(inner, cache)
+        first = provider.embed(["unit 1"])
+        (entry,) = (tmp_path / "emb").rglob("*.json")
+        intact = entry.read_bytes()
+        entry.write_bytes(intact[:20] if damaged is None else damaged)
+        assert cache.get(inner.model, "unit 1") is None
+        assert provider.embed(["unit 1"]) == first
+        assert inner.calls == 2
+        assert entry.read_bytes() == intact
+
     def test_dense_returns_min_k_corpus(self):
         provider = _BasisProvider()
         index = embed_units(provider, self._units(3))
@@ -391,7 +407,8 @@ class TestDense:
 
     def test_dense_retriever_facade(self):
         provider = _BasisProvider(query_axis=0)
-        retriever = DenseRetriever(embed_units(provider, self._units()), provider)
+        units = self._units()
+        retriever = DenseRetriever(embed_units(provider, units), provider, units)
         assert retriever.n_units == 4
         assert retriever.search("q", 2)[0].unit_id == "u0"
 
@@ -410,6 +427,41 @@ class TestDense:
         second = provider.embed(["a"])
         assert first[0] == first[2] == second[0]
         assert calls == [["a", "b"]]  # deduped, then fully memoized
+
+
+class _HashProvider(EmbeddingProvider):
+    """Toy provider: a fixed pseudo-random vector per text."""
+
+    model = "hash-toy"
+    dimension = 8
+
+    def embed(self, texts):
+        return [[b - 128.0 for b in hashlib.sha256(t.encode()).digest()[:8]] for t in texts]
+
+
+class TestRetrieverUnits:
+    """Every unit_id a search can return keys the unit that rechunk made."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return _generated_report(seed=5, pages=30)
+
+    @pytest.mark.parametrize("granularity", ["page", 256])
+    @pytest.mark.parametrize("scheme", ["bm25", "dense"])
+    def test_hits_key_their_units(self, report, granularity, scheme):
+        expected = {unit.unit_id: unit for unit in rechunk(report, granularity)}
+        retriever = prepare_report(report, scheme, granularity=granularity,
+                                   provider=_HashProvider())
+        assert retriever.n_units == len(expected)
+        # a query holding every term of the report reaches every unit with a term
+        terms = sorted({t for unit in expected.values() for t in tokenize(unit.text)})
+        hits = retriever.search(" ".join(terms), k=len(expected))
+        searchable = [uid for uid, unit in expected.items()
+                      if scheme == "dense" or tokenize(unit.text)]
+        assert sorted(hit.unit_id for hit in hits) == sorted(searchable)
+        for hit in hits:
+            assert retriever.units[hit.unit_id] == expected[hit.unit_id]
+            assert hit.page_number == expected[hit.unit_id].page_number
 
 
 class TestRecall:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +115,11 @@ class RunConfig:
                                            and self.embedding_dimension > 0):
             raise ConfigError("dense retrieval needs embedding endpoint, model, and dimension")
         self.unit_granularity()
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        for name in ("max_input_tokens", "max_output_tokens", "timeout"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for name in ("k_per_round", "max_rounds", "chunk_budget", "baseline_k", "fixed_budget_k"):
@@ -194,6 +200,7 @@ def build_embedding_provider(config: RunConfig):
         model=config.embedding_model,
         dimension=config.embedding_dimension,
         api_key_env=config.api_key_env,
+        timeout=config.timeout,
     )
     if config.cache_dir:
         provider = CachedEmbeddingProvider(

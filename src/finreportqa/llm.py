@@ -5,13 +5,15 @@ The client enforces the input-token budget before any network activity,
 serves repeated requests from the cache, and retries transient transport
 failures per the configured policy. An unreadable cache entry is a miss.
 Each request's prompt is tokenized once; the counts travel with the reply
-as a ``Completion``.
+as a ``Completion``. Each request is also serialized once: the same JSON
+body is hashed for the cache key, posted, and stored in the cache entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import threading
@@ -78,8 +80,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if self.max_input_tokens <= 0:
             raise ValueError("max_input_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
 
 
 def render_messages(messages: Sequence[ChatMessage]) -> str:
@@ -92,20 +94,19 @@ def count_message_tokens(messages: Sequence[ChatMessage]) -> int:
     return sum(count_tokens(m.content) + 1 for m in messages)
 
 
-def cache_key(model: str, messages: Sequence[ChatMessage], temperature: float,
-              max_output_tokens: int) -> str:
-    """Stable content hash; order- and whitespace-sensitive."""
-    payload = json.dumps(
-        {
-            "model": model,
-            "temperature": temperature,
-            "max_output_tokens": max_output_tokens,
-            "messages": [m.to_dict() for m in messages],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> bytes:
+    """The chat-completions request as posted: UTF-8 JSON in the wire's key order."""
+    return json.dumps({
+        "model": config.model,
+        "messages": [m.to_dict() for m in messages],
+        "temperature": config.temperature,
+        "max_tokens": config.max_output_tokens,
+    }, allow_nan=False).encode("utf-8")
+
+
+def cache_key(body: bytes) -> str:
+    """Content hash of a request body; order- and whitespace-sensitive."""
+    return hashlib.sha256(body).hexdigest()
 
 
 class Completion(str):
@@ -126,17 +127,20 @@ class Completion(str):
 
 
 class Backend:
-    """Produces assistant text for a rendered request."""
+    """Produces assistant text for a request, given as messages and as its
+    encoded ``request_body``."""
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage]) -> str:
+    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+                 body: bytes) -> str:
         raise NotImplementedError
 
 
 class HttpBackend(Backend):
-    """POSTs the chat-completions wire format and reads the first candidate.
+    """POSTs the encoded request body and reads the first candidate.
 
-    transport(url, payload, headers, timeout) -> (status_code, decoded JSON);
-    the default uses requests. Injectable for tests and call counting.
+    transport(url, body, headers, timeout) -> (status_code, decoded JSON);
+    the default uses requests. Injectable for tests and call counting. Every
+    attempt posts the same body bytes.
     """
 
     def __init__(self, transport: Optional[Callable] = None,
@@ -145,19 +149,14 @@ class HttpBackend(Backend):
         self._sleep = sleep
 
     @staticmethod
-    def _default_transport(url: str, payload: dict, headers: dict, timeout: float):
+    def _default_transport(url: str, body: bytes, headers: dict, timeout: float):
         import requests
 
-        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        response = requests.post(url, data=body, headers=headers, timeout=timeout)
         return response.status_code, response.json()
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage]) -> str:
-        payload = {
-            "model": config.model,
-            "messages": [m.to_dict() for m in messages],
-            "temperature": config.temperature,
-            "max_tokens": config.max_output_tokens,
-        }
+    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+                 body: bytes) -> str:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(config.api_key_env)
         if api_key:
@@ -167,13 +166,13 @@ class HttpBackend(Backend):
         last_error: Optional[str] = None
         for attempt in range(attempts):
             try:
-                status, body = self._transport(config.endpoint, payload, headers, config.timeout)
+                status, reply = self._transport(config.endpoint, body, headers, config.timeout)
             except Exception as exc:  # transport-level failure is retryable
                 last_error = str(exc)
-                status, body = None, None
-            if status == 200 and body is not None:
+                status, reply = None, None
+            if status == 200 and reply is not None:
                 try:
-                    content = body["choices"][0]["message"]["content"]
+                    content = reply["choices"][0]["message"]["content"]
                 except (KeyError, IndexError, TypeError) as exc:
                     raise DecodeError(f"malformed completion response: {exc}") from exc
                 if not isinstance(content, str):
@@ -241,7 +240,8 @@ class ScriptedBackend(Backend):
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"script file {path}: {exc}") from None
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage]) -> str:
+    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+                 body: bytes) -> str:
         rendered = render_messages(messages)
         with self._lock:
             self.calls += 1
@@ -255,7 +255,8 @@ class ScriptedBackend(Backend):
 
 
 class ResponseCache:
-    """Content-addressed completion cache: one JSON file per request key."""
+    """Content-addressed completion cache: one JSON file per request key,
+    holding the request body as posted and the reply."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -272,13 +273,15 @@ class ResponseCache:
             return None
         return response if isinstance(response, str) else None
 
-    def put(self, key: str, request: dict, response: str) -> None:
+    def put(self, key: str, body: bytes, response: str) -> None:
+        entry = b"".join((b'{"key": ', json.dumps(key).encode(), b', "request": ', body,
+                          b', "response": ', json.dumps(response).encode(), b"}"))
         with self._lock:
             self.root.mkdir(parents=True, exist_ok=True)
             path = self._path(key)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"key": key, "request": request, "response": response}, fh)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(entry)
             os.replace(tmp, path)
 
 
@@ -306,22 +309,16 @@ class LLMClient:
             raise ContextOverflowError(
                 f"prompt is {prompt_tokens} tokens, budget is {self.config.max_input_tokens}")
 
-        key = cache_key(self.config.model, messages, self.config.temperature,
-                        self.config.max_output_tokens)
+        body = request_body(self.config, messages)
+        key = cache_key(body)
         response = None
         if self.cache is not None and not bypass_cache:
             response = self.cache.get(key)
         from_cache = response is not None
         if not from_cache:
-            response = self.backend.generate(self.config, messages)
+            response = self.backend.generate(self.config, messages, body)
             if self.cache is not None:
-                request = {
-                    "model": self.config.model,
-                    "temperature": self.config.temperature,
-                    "max_output_tokens": self.config.max_output_tokens,
-                    "messages": [m.to_dict() for m in messages],
-                }
-                self.cache.put(key, request, response)
+                self.cache.put(key, body, response)
         completion = Completion(response, prompt_tokens, count_tokens(response))
         self._record(key, completion, from_cache=from_cache)
         return completion

@@ -59,7 +59,7 @@ class OracleBackend(Backend):
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
 
-    def generate(self, config, messages) -> str:
+    def generate(self, config, messages, body) -> str:
         return self.oracle.reply([m.to_dict() for m in messages])[1]
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import DSCR_SCRIPT, write_dscr_workspace
-from finreportqa.cli import RunConfig, main
+from finreportqa.cli import RunConfig, build_embedding_provider, main
+from finreportqa.embeddings import CachedEmbeddingProvider
 from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
 
@@ -71,6 +72,24 @@ class TestRunConfig:
                                 extra=("--granularity", value)))
         assert code == 2
         assert "granularity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "-1"), ("--temperature", "nan"), ("--temperature", "inf"),
+        ("--max-input-tokens", "0"), ("--max-output-tokens", "0"),
+        ("--timeout", "0"), ("--timeout", "-2.5"), ("--timeout", "nan")])
+    def test_bad_provider_setting_is_config_error(self, tmp_path, capsys, flag, value):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(flag, value)))
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_timeout_bounds_embedding_calls(self, tmp_path):
+        config = RunConfig(timeout=5.0, scheme="dense", embedding_endpoint="http://localhost:1",
+                           embedding_model="e", embedding_dimension=4,
+                           cache_dir=str(tmp_path / "cache"))
+        provider = build_embedding_provider(config)
+        assert isinstance(provider, CachedEmbeddingProvider)
+        assert provider.provider.timeout == 5.0
 
     def test_scripted_without_script_is_config_error(self, tmp_path):
         code = main(["bench", "--backend", "scripted",
@@ -333,7 +352,7 @@ class TestBench:
         state = {"in_flight": 0, "peak": 0}
         changed = threading.Condition()
 
-        def held_generate(self, config, messages):
+        def held_generate(self, config, messages, body):
             with changed:
                 state["in_flight"] += 1
                 state["peak"] = max(state["peak"], state["in_flight"])
@@ -341,7 +360,7 @@ class TestBench:
                 # hold the call until more than 4 are in flight, or give up
                 changed.wait_for(lambda: state["peak"] > 4, timeout=2.0)
             try:
-                return generate(self, config, messages)
+                return generate(self, config, messages, body)
             finally:
                 with changed:
                     state["in_flight"] -= 1

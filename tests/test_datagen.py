@@ -135,7 +135,7 @@ class TestGenerateQA:
         class Spy:
             model = "spy"
 
-            def generate(self, config, messages):
+            def generate(self, config, messages, body):
                 captured["prompt"] = messages[-1].content
                 return json.dumps([])
 

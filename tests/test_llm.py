@@ -24,6 +24,7 @@ from finreportqa.llm import (
     ScriptedBackend,
     cache_key,
     count_message_tokens,
+    request_body,
     system,
     user,
 )
@@ -61,19 +62,24 @@ class TestChatMessage:
 
 class TestCacheKey:
     def test_stable(self):
-        assert cache_key("m", _messages(), 0.0, 64) == cache_key("m", _messages(), 0.0, 64)
+        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages()))
+                == cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages())))
 
     def test_one_char_difference(self):
-        assert cache_key("m", _messages("abc"), 0.0, 64) != cache_key("m", _messages("abd"), 0.0, 64)
+        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("abc")))
+                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("abd"))))
 
     def test_model_sensitivity(self):
-        assert cache_key("m1", _messages(), 0.0, 64) != cache_key("m2", _messages(), 0.0, 64)
+        assert (cache_key(request_body(ProviderConfig(model="m1", max_output_tokens=64), _messages()))
+                != cache_key(request_body(ProviderConfig(model="m2", max_output_tokens=64), _messages())))
 
     def test_whitespace_sensitivity(self):
-        assert cache_key("m", _messages("a b"), 0.0, 64) != cache_key("m", _messages("a  b"), 0.0, 64)
+        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("a b")))
+                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("a  b"))))
 
     def test_max_output_tokens_sensitivity(self):
-        assert cache_key("m", _messages(), 0.0, 64) != cache_key("m", _messages(), 0.0, 65)
+        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages()))
+                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=65), _messages())))
 
     def test_output_cap_change_misses_cache(self, tmp_path):
         transport = _CountingTransport([_ok("short"), _ok("long")])
@@ -85,9 +91,37 @@ class TestCacheKey:
         assert long.complete(_messages()) == "long"
         assert short.complete(_messages()) == "short"
         assert transport.calls == 2
-        requests = sorted(json.loads(path.read_text())["request"]["max_output_tokens"]
+        requests = sorted(json.loads(path.read_text())["request"]["max_tokens"]
                           for path in (tmp_path / "llm").glob("*.json"))
         assert requests == [16, 4096]
+
+
+class TestWire:
+    def test_posted_request_is_pinned(self, monkeypatch):
+        import hashlib
+
+        import requests
+
+        sent = []
+
+        def send(adapter, request, **kwargs):
+            sent.append(request)
+            response = requests.Response()
+            response.status_code = 200
+            response.request, response.url = request, request.url
+            response._content = b'{"choices": [{"message": {"content": "ok"}}]}'
+            return response
+
+        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+        monkeypatch.delenv("FINDOC_API_KEY", raising=False)
+        text = 'Net «revenue» — "quoted", a back\\slash,\ta tab\nand a new line: €1.2 bn'
+        client = LLMClient(ProviderConfig(model="m"), HttpBackend())
+        assert client.complete([system("Answer in JSON."), user(text)]) == "ok"
+        (request,) = sent
+        assert hashlib.sha256(request.body).hexdigest() == (
+            "fae80758f4bd4b0b0495aac189df3632960bb01a39de4313691d928bac964f51")
+        assert request.headers["Content-Type"] == "application/json"
+        assert request.headers["Content-Length"] == "245"
 
 
 class TestScriptedBackend:
@@ -171,6 +205,18 @@ class TestComplete:
         assert client.complete(_messages()) == "recovered"
         assert transport.calls == 3
 
+    def test_every_attempt_posts_the_request_body(self):
+        posted = []
+
+        def transport(url, body, headers, timeout):
+            posted.append(body)
+            return _ok("third time") if len(posted) == 3 else (503, {"error": "busy"})
+
+        config = ProviderConfig(retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0))
+        client = LLMClient(config, HttpBackend(transport=transport, sleep=lambda s: None))
+        assert client.complete(_messages()) == "third time"
+        assert posted == [request_body(config, _messages())] * 3
+
     def test_transport_error_after_retries(self):
         transport = _CountingTransport([ConnectionError("a"), ConnectionError("b")])
         config = ProviderConfig(retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0))
@@ -200,6 +246,18 @@ class TestComplete:
         assert client.complete(_messages()) == "cached answer"
         assert transport.calls == 1
         assert client.cache_hits == 1
+
+    def test_cache_entry_holds_the_hashed_body(self, tmp_path):
+        import hashlib
+
+        cache = ResponseCache(tmp_path / "llm")
+        client = LLMClient(ProviderConfig(), HttpBackend(transport=_CountingTransport([_ok()])), cache)
+        client.complete(_messages('quote " and «non-ASCII»'))
+        (path,) = (tmp_path / "llm").glob("*.json")
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert entry["key"] == path.stem
+        assert hashlib.sha256(json.dumps(entry["request"]).encode()).hexdigest() == path.stem
+        assert entry["response"] == "fine"
 
     def test_cache_survives_new_client(self, tmp_path):
         cache = ResponseCache(tmp_path / "llm")
@@ -258,6 +316,11 @@ class TestTokenCounting:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             ProviderConfig(max_input_tokens=0)
+
+    @pytest.mark.parametrize("temperature", [-0.5, float("nan"), float("inf")])
+    def test_invalid_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError):
+            ProviderConfig(temperature=temperature)
 
 
 class TestTokenizeOnce:

@@ -213,9 +213,9 @@ class TestSolverAndEvaluator:
         captured = {}
 
         class Spy(ScriptedBackend):
-            def generate(self, config, messages):
+            def generate(self, config, messages, body):
                 captured["prompt"] = "\n".join(m.content for m in messages)
-                return super().generate(config, messages)
+                return super().generate(config, messages, body)
 
         client = LLMClient(ProviderConfig(), Spy(DSCR_SCRIPT))
         agent = AgentPipeline.from_report(client, dscr_report)
@@ -320,9 +320,9 @@ class TestBaselines:
         captured = {}
 
         class Spy(ScriptedBackend):
-            def generate(self, config, messages):
+            def generate(self, config, messages, body):
                 captured["user"] = messages[-1].content
-                return super().generate(config, messages)
+                return super().generate(config, messages, body)
 
         client = LLMClient(ProviderConfig(max_input_tokens=150),
                            Spy([("Question", "{{1.0}}")]))
@@ -338,9 +338,9 @@ class TestBaselines:
         captured = {}
 
         class Spy(ScriptedBackend):
-            def generate(self, config, messages):
+            def generate(self, config, messages, body):
                 captured["user"] = messages[-1].content
-                return super().generate(config, messages)
+                return super().generate(config, messages, body)
 
         client = LLMClient(ProviderConfig(), Spy([("Question", "{{2.0}}")]))
         result = run_baseline("single_round_rag", DSCR_QUESTION, client,

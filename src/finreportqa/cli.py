@@ -65,6 +65,16 @@ PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_b
 _INDEXLESS_PIPELINES = ("no_context", "long_context")
 
 
+# The JSON values each RunConfig annotation takes; no field takes a bool.
+_JSON_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "Optional[str]": (str, type(None)),
+    "str | int": (str, int),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; serialized verbatim into the manifest."""
@@ -83,7 +93,7 @@ class RunConfig:
     script_path: Optional[str] = None
 
     scheme: str = "bm25"  # tfidf | bm25 | dense
-    granularity: str = "page"  # "page" or a positive token count
+    granularity: str | int = "page"  # "page" or a positive token count
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     embedding_endpoint: str = ""
@@ -147,6 +157,10 @@ class RunConfig:
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in payload.items():
+            annotation = cls.__dataclass_fields__[name].type
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation]):
+                raise ConfigError(f"config field {name} must be {annotation}, got {value!r}")
         return cls(**payload)
 
     @classmethod
@@ -327,6 +341,8 @@ def _write_manifest(out_dir: Path, command: str, config: RunConfig,
 def cmd_bench(args, config: RunConfig) -> int:
     if not config.dataset:
         raise ConfigError("bench needs a dataset (--dataset)")
+    if type(args.limit) is not int or args.limit < 0:
+        raise ConfigError(f"limit must be a non-negative integer, got {args.limit!r}")
     instances = corpus_mod.read_dataset(config.dataset)
     if args.limit:
         instances = instances[:args.limit]

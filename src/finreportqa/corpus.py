@@ -90,6 +90,14 @@ class _FlatText(NamedTuple):
     cumulative_tokens: tuple[int, ...]
 
 
+class ReportPrefix(NamedTuple):
+    """The start of a report's normalised text, as ``Report.prefix`` returns it."""
+
+    text: str
+    tokens: int
+    page_numbers: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Report:
     report_id: str
@@ -124,22 +132,27 @@ class Report:
     def total_tokens(self) -> int:
         return sum(p.token_count for p in self.pages)
 
-    def prefix(self, n: int) -> str:
+    def prefix(self, n: int) -> ReportPrefix:
         r"""The report's first ``n`` whitespace tokens, joined by single spaces.
 
-        Equal to ``" ".join("\n".join(p.text for p in pages).split()[:n])``, but
-        only the page holding token ``n`` is split on each call.
+        The text equals ``" ".join("\n".join(p.text for p in pages).split()[:n])``,
+        but only the page holding token ``n`` is split on each call. ``tokens``
+        is its token count, ``min(n, total)``; ``page_numbers`` lists the pages
+        with at least one token in it.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
         flat = self._flat
-        index = bisect.bisect_left(flat.cumulative_tokens, n) - 1
+        cumulative = flat.cumulative_tokens
+        index = bisect.bisect_left(cumulative, n) - 1
         if index < 0:
-            return ""
+            return ReportPrefix("", 0, ())
+        pages = tuple(page.page_number for page, start, end
+                      in zip(self.pages[:index + 1], cumulative, cumulative[1:]) if end > start)
         if index == len(self.pages):
-            return flat.text
-        words = self.pages[index].text.split()[:n - flat.cumulative_tokens[index]]
-        return flat.text[:flat.page_starts[index] + len(" ".join(words))]
+            return ReportPrefix(flat.text, cumulative[-1], pages)
+        words = self.pages[index].text.split()[:n - cumulative[index]]
+        return ReportPrefix(flat.text[:flat.page_starts[index] + len(" ".join(words))], n, pages)
 
     @cached_property
     def _flat(self) -> _FlatText:

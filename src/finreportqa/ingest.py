@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import html
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -50,6 +51,15 @@ class FilingRef:
             accession_nodash=self.accession_number.replace("-", ""),
             document=self.primary_document,
         )
+
+
+def _retry_after_seconds(value: Optional[str]) -> float:
+    """A ``Retry-After`` header as a delay: 1 s unless it is a finite number >= 0."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return 1.0
+    return seconds if math.isfinite(seconds) and seconds >= 0 else 1.0
 
 
 class EdgarClient:
@@ -100,7 +110,7 @@ class EdgarClient:
             if status == 404:
                 raise NotFoundError(f"GET {url} returned 404")
             if status in (429, 503):
-                retry_after = float(resp_headers.get("Retry-After", 1.0))
+                retry_after = _retry_after_seconds(resp_headers.get("Retry-After"))
                 if attempt == self.max_attempts - 1:
                     raise RateLimitedError(f"GET {url} rate limited after {self.max_attempts} attempts")
                 self._sleep(retry_after)

@@ -4,8 +4,9 @@ persistent response cache, and an audit log.
 The client enforces the input-token budget before any network activity,
 serves repeated requests from the cache, and retries transient transport
 failures per the configured policy. An unreadable cache entry is a miss.
-Each request's prompt is tokenized once; the counts travel with the reply
-as a ``Completion``. Each request is also serialized once: the same JSON
+Each request's prompt is tokenized at most once, or not at all when the
+caller supplies its count; the counts travel with the reply as a
+``Completion``. Each request is also serialized once: the same JSON
 body is hashed for the cache key, posted, and stored in the cache entry.
 """
 
@@ -303,8 +304,16 @@ class LLMClient:
         self.cache_hits = 0
 
     def complete(self, messages: Sequence[ChatMessage], *,
-                 bypass_cache: bool = False) -> Completion:
-        prompt_tokens = count_message_tokens(messages)
+                 bypass_cache: bool = False,
+                 prompt_tokens: Optional[int] = None) -> Completion:
+        """The reply to ``messages``, from the cache or the backend.
+
+        ``prompt_tokens``, when given, must equal ``count_message_tokens(messages)``:
+        a caller that already knows the count spares the client a scan of the
+        prompt. The budget check, the reply's counts and the log use it as is.
+        """
+        if prompt_tokens is None:
+            prompt_tokens = count_message_tokens(messages)
         if prompt_tokens > self.config.max_input_tokens:
             raise ContextOverflowError(
                 f"prompt is {prompt_tokens} tokens, budget is {self.config.max_input_tokens}")

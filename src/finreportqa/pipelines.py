@@ -441,19 +441,21 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind!r}")
 
+    prompt_tokens: Optional[int] = None  # None: the client counts the prompt
     if kind == "no_context":
         messages = [system(prompts.SOLVING_SYSTEM), user(f"Question: {question}")]
         context_pages: tuple[int, ...] = ()
     elif kind == "long_context":
         if report is None:
             raise ValueError("long_context needs a report")
-        base_messages = [system(prompts.SOLVING_SYSTEM), user(f"Question: {question}\n\nReport:\n")]
-        overhead = count_message_tokens(base_messages) + _PROMPT_MARGIN_TOKENS
-        budget = client.config.max_input_tokens - overhead
+        header = f"Question: {question}\n\nReport:\n"
+        header_tokens = count_message_tokens([system(prompts.SOLVING_SYSTEM), user(header)])
+        budget = client.config.max_input_tokens - header_tokens - _PROMPT_MARGIN_TOKENS
         prefix = report.prefix(max(0, budget))
-        messages = [system(prompts.SOLVING_SYSTEM),
-                    user(f"Question: {question}\n\nReport:\n{prefix}")]
-        context_pages = tuple(page.page_number for page in report.pages)
+        messages = [system(prompts.SOLVING_SYSTEM), user(header + prefix.text)]
+        # the header ends in whitespace, so the prefix's tokens add up exactly
+        prompt_tokens = header_tokens + prefix.tokens
+        context_pages = prefix.page_numbers
     else:
         if retriever is None:
             raise ValueError(f"{kind} needs a retriever")
@@ -466,7 +468,7 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
                    f"{prompts.render_context(blocks)}")
         messages = [system(prompts.SOLVING_SYSTEM), user(content)]
 
-    reply = client.complete(messages)
+    reply = client.complete(messages, prompt_tokens=prompt_tokens)
     answer, insufficient = _extract(reply)
     return BaselineResult(
         answer=answer,

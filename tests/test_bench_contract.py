@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from finreportqa import cli
+from finreportqa import corpus as corpus_mod
 from finreportqa.llm import Backend
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -43,7 +44,7 @@ RUNS = {
 
 DIGESTS = {
     "agent": "2bfc68cbfc70c2be23e7fc35088068a6cea56e0c28195a515c09f5427afeee4e",
-    "long_context": "6093cb152eccdd41855fe7a80f7a7e79b5f9f165eaa09f335e52fead262d0c82",
+    "long_context": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag": "647e27d69dcfe515a5f12c5b20ec179b33cf95b8008b1cbc50a8709fd777f4c8",
     "fixed_budget_rag": "36d634718078620cfd4ef948357b17944a069fd3189d9f506aa54f5be79ed5f4",
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
@@ -74,9 +75,14 @@ def canonical_digest(run_dir: Path) -> str:
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def data(tmp_path_factory):
+    """The generated corpus and dataset; each run of RUNS writes runs/<name>."""
+    return tmp_path_factory.mktemp("contract")
+
+
+@pytest.fixture(scope="module")
+def runs(data):
     """Every run of RUNS: name -> (canonical digest, eval report)."""
-    data = tmp_path_factory.mktemp("contract")
     gen.generate(data, seed=7, n_reports=2, pages=300, questions_per_report=25)
     oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
     patch = pytest.MonkeyPatch()
@@ -112,3 +118,21 @@ def test_accuracy_orders_the_pipelines(runs):
     accuracy = {name: report["tol_acc"] for name, (_, report) in runs.items()}
     assert (accuracy["agent"] > accuracy["long_context"] > accuracy["single_round_rag"]
             >= accuracy["fixed_budget_rag"] > accuracy["no_context"]), accuracy
+
+
+def _jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_long_context_lists_only_the_pages_in_its_prompt(runs, data):
+    """The oracle answers only when every gold row is in the prompt, so each
+    correct row's gold pages lie in its context; pages cut off by the input
+    budget do not, so some row misses a gold page."""
+    run_dir = data / "runs" / "long_context"
+    gold = {i.id: i.evidence_pages for i in corpus_mod.read_dataset(data / "dataset.jsonl")}
+    correct = {row["id"] for row in _jsonl(run_dir / "scores.jsonl") if row["tol_correct"]}
+    rows = _jsonl(run_dir / "predictions.jsonl")
+    assert correct
+    covered = {row["id"]: gold[row["id"]] <= set(row["context_pages"]) for row in rows}
+    assert all(covered[qid] for qid in correct)
+    assert not all(covered.values())

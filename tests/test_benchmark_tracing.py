@@ -26,11 +26,14 @@ import tracing  # noqa: E402
 TARGETS = {name for _, _, name, _ in tracing.FUNCTIONS} | {m[3] for m in tracing.METHODS}
 AGENT_ONLY = {"pipelines.run", "pipelines.expand", "pipelines.solve", "pipelines.evaluate",
               "pipelines.retrieve_round"}
+# pipelines that never search build no retriever and render no retrieved context
+SEARCH_ONLY = {"retrieval.build_retriever", "retrieval.rechunk", "retrieval.search",
+               "prompts.render_context"}
 # the scripted backend stands in for HttpBackend
 NOT_REACHED = {"llm.backend"}
 
 
-@pytest.mark.parametrize("pipeline", ["agent", "single_round_rag"])
+@pytest.mark.parametrize("pipeline", ["agent", "single_round_rag", "long_context"])
 def test_traced_bench_reaches_every_target(tmp_path, pipeline):
     corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
     result = tmp_path / "result.json"
@@ -52,4 +55,9 @@ def test_traced_bench_reaches_every_target(tmp_path, pipeline):
     assert questions and all(s["qid"] == "q-dscr-1" for s in questions)
     expected = TARGETS - NOT_REACHED
     expected -= {"pipelines.run_baseline"} if pipeline == "agent" else AGENT_ONLY
+    if pipeline == "long_context":
+        expected -= SEARCH_ONLY
+        # run_baseline counts the prompt's header; the client does not re-count the prompt
+        counted = [s for s in spans if s["name"] == "llm.count_message_tokens"]
+        assert len(counted) == len(questions)
     assert expected <= {s["name"] for s in spans}

@@ -117,6 +117,25 @@ class TestConfigFiles:
         assert main(["bench", "--from-manifest", str(manifest)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"temperature": "x"}, {"workers": "2"}, {"max_rounds": 2.5}, {"workers": True},
+        {"timeout": None}, {"script_path": 3}, {"model": None}, {"granularity": [256]},
+        {"bm25_k1": False},
+    ])
+    def test_config_value_of_wrong_type_is_config_error(self, tmp_path, capsys, payload):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        assert main(["stats", "--config", str(config_path)]) == 2
+        assert next(iter(payload)) in capsys.readouterr().err
+
+    def test_config_values_of_the_field_types_are_accepted(self):
+        config = RunConfig.from_dict({"timeout": 5, "temperature": 0.5, "script_path": None,
+                                      "dataset": "d.jsonl", "granularity": 256, "workers": 2})
+        config.validate()
+        assert (config.timeout, config.unit_granularity(), config.workers) == (5, 256, 2)
+        # every field, as a manifest writes it
+        assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+
     def test_config_with_index_dir_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"index_dir": "indices"}))
@@ -157,6 +176,25 @@ class TestConfigFiles:
         capsys.readouterr()
         assert main(["bench", "--from-manifest", str(manifest_path), "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["1", -1, 1.0, True, None])
+    def test_manifest_limit_must_be_a_non_negative_int(self, tmp_path, capsys, limit):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["limit"] = limit
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["bench", "--from-manifest", str(manifest_path), "--run-id", "run-b"]) == 2
+        assert "limit" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "run-b").exists()
+
+    def test_negative_limit_flag_is_config_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--limit", "-1"))) == 2
+        assert "limit" in capsys.readouterr().err
 
     def test_from_manifest_with_config_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

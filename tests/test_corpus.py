@@ -101,11 +101,29 @@ class TestReportPrefix:
         total = report.total_tokens()
         assert total == 22
         for n in range(total + 3):
-            assert report.prefix(n) == _reference_prefix(report, n), n
+            assert report.prefix(n).text == _reference_prefix(report, n), n
+
+    def test_counts_tokens_and_lists_pages_with_a_token_in_the_prefix(self):
+        report = _report_of(_AWKWARD_PAGES)
+        total = report.total_tokens()
+        for n in range(total + 3):
+            prefix = report.prefix(n)
+            assert prefix.tokens == count_tokens(prefix.text) == min(n, total), n
+            covered, seen = [], 0
+            for page in report.pages:
+                if seen >= n:
+                    break
+                if page.token_count:
+                    covered.append(page.page_number)
+                seen += page.token_count
+            assert prefix.page_numbers == tuple(covered), n
+        assert report.prefix(1).page_numbers == (4,)
+        assert report.prefix(2).page_numbers == (4, 6)
+        assert report.prefix(total).page_numbers == (4, 6, 7, 9, 10)
 
     def test_blank_report_has_empty_prefix(self):
         report = _report_of(("", " \n", "\t"))
-        assert [report.prefix(n) for n in range(3)] == ["", "", ""]
+        assert [report.prefix(n) for n in range(3)] == [("", 0, ())] * 3
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +132,7 @@ class TestReportPrefix:
     def test_flattened_on_first_call_not_at_parse(self):
         report = parse_report(TABLE_PAGE_MD)
         assert "_flat" not in vars(report)
-        assert report.prefix(3) == _reference_prefix(report, 3)
+        assert report.prefix(3).text == _reference_prefix(report, 3)
         assert "_flat" in vars(report)
 
     def test_long_report_at_page_boundaries_and_random_n(self):
@@ -144,7 +162,7 @@ class TestReportPrefix:
             boundaries.update((cumulative - 1, cumulative, cumulative + 1))
         random_ns = {rng.randrange(total + 3) for _ in range(200)}
         for n in sorted(boundaries | random_ns):
-            assert report.prefix(n) == " ".join(words[:n]), n
+            assert report.prefix(n).text == " ".join(words[:n]), n
 
     def test_concurrent_first_use(self):
         report = _report_of(_AWKWARD_PAGES * 40)
@@ -157,7 +175,7 @@ class TestReportPrefix:
         def work(slot: int) -> None:
             start.wait(timeout=10)
             for n in ns:
-                results[slot].append(report.prefix(n))
+                results[slot].append(report.prefix(n).text)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

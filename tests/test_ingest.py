@@ -169,6 +169,16 @@ class TestRateLimiting:
         assert len(refs) == 1
         assert 7.0 in sleeps
 
+    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "inf", "nan", "-5"])
+    def test_unusable_retry_after_waits_one_second(self, value):
+        responses = {SUBMISSIONS_URL: [(503, {"Retry-After": value}, b""),
+                                       _json_response(SUBMISSIONS_FIXTURE)]}
+        sleeps = []
+        client = EdgarClient(transport=RecordedTransport(responses), sleep=sleeps.append,
+                             clock=lambda: 0.0, min_interval_s=0.0)
+        assert len(client.list_filings("320193", year_range=(2024, 2024))) == 1
+        assert sleeps == [1.0]
+
     def test_rate_limited_after_exhausting_attempts(self):
         url = SUBMISSIONS_URL
         responses = {url: [(429, {"Retry-After": "1"}, b"")] * 3}

@@ -351,6 +351,28 @@ class TestTokenizeOnce:
         assert entry["prompt_tokens"] == reply.prompt_tokens == count_message_tokens(messages)
         assert entry["response_tokens"] == reply.response_tokens == count_tokens(reply)
 
+    def test_supplied_prompt_count_is_used_without_a_scan(self, tmp_path, monkeypatch):
+        log = tmp_path / "llm_log.jsonl"
+        client = LLMClient(ProviderConfig(max_input_tokens=10),
+                           ScriptedBackend([("DSCR", "EBITDA / debt service")]), log_path=log)
+        counted = []
+
+        def recording(text, *args, **kwargs):
+            counted.append(text)
+            return count_tokens(text, *args, **kwargs)
+
+        messages = _messages()
+        exact = count_message_tokens(messages)
+        monkeypatch.setattr(llm_mod, "count_tokens", recording)
+        reply = client.complete(messages, prompt_tokens=exact)
+        assert counted == ["EBITDA / debt service"]  # the reply only
+        entry = json.loads(log.read_text().splitlines()[-1])
+        assert entry["prompt_tokens"] == reply.prompt_tokens == exact == 10
+        # the budget check reads the supplied count too
+        with pytest.raises(ContextOverflowError):
+            client.complete(messages, prompt_tokens=11)
+        assert client.backend_calls == 1
+
     def test_completion_is_the_reply_text(self):
         reply = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "ok then")])).complete(
             _messages())

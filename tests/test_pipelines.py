@@ -9,10 +9,19 @@ from conftest import (
     ROUND2_FORMULA,
     make_scripted_client,
 )
-from finreportqa.corpus import parse_report
+from finreportqa.corpus import PageChunk, Report, count_tokens, parse_report
 from finreportqa.errors import AnswerExtractionError
-from finreportqa.llm import ScriptedBackend, LLMClient, ProviderConfig
+from finreportqa.llm import (
+    LLMClient,
+    ProviderConfig,
+    ScriptedBackend,
+    count_message_tokens,
+    system,
+    user,
+)
+from finreportqa.prompts import SOLVING_SYSTEM
 from finreportqa.pipelines import (
+    _PROMPT_MARGIN_TOKENS,
     INSUFFICIENT,
     AgentConfig,
     AgentPipeline,
@@ -390,6 +399,36 @@ class TestTokenAccounting:
         agent = AgentPipeline.from_report(LLMClient(ProviderConfig(), backend), dscr_report)
         agent.solve("q", "f", [(1, "text")])
         assert agent._tokens_used == 229
+
+    @pytest.mark.parametrize("texts", [
+        None,  # the DSCR fixture report
+        ("", "   ", "\t\n", "alpha", "", "beta\tgamma\r\ndelta", "\r\n\r\n",
+         "caf\u00e9\u3000au\xa0lait", " \t ", "iota\x1ckappa", ""),
+    ])
+    def test_long_context_supplies_the_exact_prompt_count(self, dscr_report, texts):
+        report = dscr_report if texts is None else Report("r", "", 0, tuple(
+            PageChunk(number, text, count_tokens(text))
+            for number, text in enumerate(texts, start=1)))
+        sent = []
+
+        class Spy(ScriptedBackend):
+            def generate(self, config, messages, body):
+                sent.append(messages)
+                return super().generate(config, messages, body)
+
+        header = count_message_tokens([system(SOLVING_SYSTEM),
+                                       user(f"Question: {DSCR_QUESTION}\n\nReport:\n")])
+        for prefix_budget in range(report.total_tokens() + 3):
+            config = ProviderConfig(max_input_tokens=header + _PROMPT_MARGIN_TOKENS + prefix_budget)
+            client = LLMClient(config, Spy([("Question", "{{1.0}}")]))
+            result = run_baseline("long_context", DSCR_QUESTION, client, report=report)
+            assert result.prompt_tokens == count_message_tokens(sent[-1]), prefix_budget
+            assert result.prompt_tokens == header + min(prefix_budget, report.total_tokens())
+        # an input budget with no room past the header leaves an empty prefix
+        client = LLMClient(ProviderConfig(max_input_tokens=header), Spy([("Question", "{{1.0}}")]))
+        result = run_baseline("long_context", DSCR_QUESTION, client, report=report)
+        assert (result.prompt_tokens, result.context_pages) == (header, ())
+        assert result.prompt_tokens == count_message_tokens(sent[-1])
 
     @pytest.mark.parametrize("kind, budget, tokens", [
         ("no_context", 128_000, 116),

@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,7 @@ from .errors import (
     FinReportQAError,
     ProviderError,
     RateLimitedError,
+    SchemaError,
     TransportError,
     UnmatchedPromptError,
 )
@@ -395,9 +397,18 @@ def cmd_score(args, config: RunConfig) -> int:
     instances = {i.id: i for i in corpus_mod.read_dataset(dataset_path)}
     rows = []
     with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
+        for line_number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{args.predictions}: invalid JSON: {exc}",
+                                  line_number) from None
+            if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
+                raise SchemaError(f"{args.predictions}: a prediction must be a JSON object "
+                                  "with a string id", line_number)
+            rows.append(row)
     scores = _score_rows(rows, instances)
     out_dir = Path(args.out) if args.out else Path(args.predictions).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -451,10 +462,8 @@ def cmd_ablate(args, config: RunConfig) -> int:
     reports = [corpus_mod.load_report(path)
                for path in sorted(Path(config.corpus_dir).glob("*.md"))]
     instances = corpus_mod.read_dataset(config.dataset)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else list(
-        retrieval_mod.ABLATION_CHUNK_SIZES)
-    k_values = [int(k) for k in args.k_values.split(",")]
-    rows = retrieval_mod.ablate_chunks(reports, instances, sizes, k_values,
+    sizes = args.sizes or retrieval_mod.ABLATION_CHUNK_SIZES
+    rows = retrieval_mod.ablate_chunks(reports, instances, sizes, args.k_values,
                                        scheme=config.scheme if config.scheme != "dense" else "bm25")
     rendered = json.dumps(rows, indent=2, sort_keys=True)
     if args.out:
@@ -506,7 +515,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
 
 def cmd_ingest(args, config: RunConfig) -> int:
     client = ingest_mod.EdgarClient(user_agent=args.user_agent)
-    start, end = (int(y) for y in args.years.split("-"))
+    start, end = args.years
     refs = client.list_filings(args.issuer, form_type=args.form, year_range=(start, end))
     print(f"{len(refs)} filings for {args.issuer} ({args.form}, {start}-{end})")
     for ref in refs:
@@ -605,6 +614,24 @@ def resolve_config(args) -> RunConfig:
     return config
 
 
+def _positive_ints(text: str) -> list[int]:
+    """A flag value like ``5,10,30``: comma-separated integers >= 1."""
+    parts = text.split(",")
+    if not all(re.fullmatch(r"[0-9]+", p.strip()) and int(p) >= 1 for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
+    return [int(p) for p in parts]
+
+
+def _year_range(text: str) -> tuple[int, int]:
+    """A flag value like ``2022-2024``: an inclusive range of years."""
+    match = re.fullmatch(r"([0-9]{4})-([0-9]{4})", text)
+    if not match or int(match[1]) > int(match[2]):
+        raise argparse.ArgumentTypeError(
+            f"expected YYYY-YYYY with the first year not after the second, got {text!r}")
+    return int(match[1]), int(match[2])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finreportqa",
@@ -636,8 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_stats)
 
     p_ablate = sub.add_parser("ablate", help="chunk-granularity recall study")
-    p_ablate.add_argument("--sizes", help="comma-separated token sizes (default 256,512,800,1200)")
-    p_ablate.add_argument("--k-values", default="5,10,30")
+    p_ablate.add_argument("--sizes", type=_positive_ints,
+                          help="comma-separated token sizes (default 256,512,800,1200)")
+    p_ablate.add_argument("--k-values", type=_positive_ints, default="5,10,30")
     p_ablate.add_argument("--out", help="write JSON table here")
     _add_config_flags(p_ablate)
 
@@ -652,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="list and fetch EDGAR filings")
     p_ingest.add_argument("--issuer", required=True, help="ticker or CIK")
     p_ingest.add_argument("--form", default="10-K")
-    p_ingest.add_argument("--years", default="2022-2024", help="inclusive range, e.g. 2022-2024")
+    p_ingest.add_argument("--years", type=_year_range, default="2022-2024",
+                          help="inclusive range YYYY-YYYY, e.g. 2022-2024")
     p_ingest.add_argument("--fetch", action="store_true")
     p_ingest.add_argument("--convert", action="store_true", help="also convert HTML to .md pages")
     p_ingest.add_argument("--dest", help="download directory")

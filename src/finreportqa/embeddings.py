@@ -17,7 +17,8 @@ import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionMismatchError, ProviderError
+from . import transport
+from .errors import DimensionMismatchError, ProviderError, TransportError
 
 
 class EmbeddingProvider:
@@ -34,9 +35,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     """Calls an embeddings endpoint over HTTP.
 
     transport(url, payload, headers, timeout) -> decoded JSON dict; the
-    default uses requests. Injectable for tests. Identical text embeds
-    identically within a session (in-memory memo). Concurrent requests are
-    bounded only by the caller (``--workers``).
+    default posts the payload as UTF-8 JSON through ``transport.request``.
+    Injectable for tests. Identical text embeds identically within a session
+    (in-memory memo). Concurrent requests are bounded only by the caller
+    (``--workers``).
     """
 
     def __init__(self, endpoint: str, model: str, dimension: int,
@@ -50,16 +52,17 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self._transport = transport or self._default_transport
         self._memo: dict[str, list[float]] = {}
 
-    def _default_transport(self, url: str, payload: dict, headers: dict, timeout: float) -> dict:
-        import requests
-
+    @staticmethod
+    def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            status, _, reply = transport.request("POST", url, headers=headers, body=body,
+                                                 timeout=timeout)
+        except TransportError as exc:
             raise ProviderError(f"embedding request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise ProviderError(f"embedding endpoint returned {response.status_code}")
-        return response.json()
+        if status != 200:
+            raise ProviderError(f"embedding endpoint returned {status}")
+        return json.loads(reply)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         pending = [t for t in dict.fromkeys(texts) if t not in self._memo]

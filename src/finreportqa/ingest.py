@@ -19,6 +19,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Callable, Optional
 
+from . import transport
 from .corpus import PageChunk, Report, count_tokens, detect_table_spans
 from .errors import ChecksumMismatchError, NotFoundError, RateLimitedError, TransportError
 
@@ -65,8 +66,10 @@ def _retry_after_seconds(value: Optional[str]) -> float:
 class EdgarClient:
     """Metadata listing and document fetching with polite rate limiting.
 
-    transport(url, headers) -> (status_code, headers_dict, body_bytes);
-    the default uses requests. min_interval_s spaces successive calls.
+    transport(url, headers) -> (status_code, headers, body_bytes), where
+    headers is a mapping with ``get``; the default GETs through
+    ``transport.request``, which decodes a gzip or deflate body.
+    min_interval_s spaces successive calls.
     """
 
     def __init__(self, user_agent: str = DEFAULT_USER_AGENT,
@@ -85,10 +88,7 @@ class EdgarClient:
         self.request_count = 0
 
     def _default_transport(self, url: str, headers: dict):
-        import requests
-
-        response = requests.get(url, headers=headers, timeout=60)
-        return response.status_code, dict(response.headers), response.content
+        return transport.request("GET", url, headers=headers, timeout=60)
 
     def _get(self, url: str) -> tuple[dict, bytes]:
         headers = {"User-Agent": self.user_agent, "Accept-Encoding": "gzip, deflate"}

@@ -24,6 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import transport
 from .corpus import count_tokens
 from .errors import (
     ConfigError,
@@ -140,8 +141,9 @@ class HttpBackend(Backend):
     """POSTs the encoded request body and reads the first candidate.
 
     transport(url, body, headers, timeout) -> (status_code, decoded JSON);
-    the default uses requests. Injectable for tests and call counting. Every
-    attempt posts the same body bytes.
+    the default posts through ``transport.request`` and decodes only a 200
+    reply. Injectable for tests and call counting. Every attempt posts the
+    same body bytes.
     """
 
     def __init__(self, transport: Optional[Callable] = None,
@@ -151,10 +153,9 @@ class HttpBackend(Backend):
 
     @staticmethod
     def _default_transport(url: str, body: bytes, headers: dict, timeout: float):
-        import requests
-
-        response = requests.post(url, data=body, headers=headers, timeout=timeout)
-        return response.status_code, response.json()
+        status, _, reply = transport.request("POST", url, headers=headers, body=body,
+                                             timeout=timeout)
+        return status, (json.loads(reply) if status == 200 else None)
 
     def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
                  body: bytes) -> str:

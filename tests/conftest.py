@@ -9,6 +9,11 @@ second round find it.
 from __future__ import annotations
 
 import json
+import socket
+import ssl
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -125,3 +130,108 @@ def write_dscr_workspace(tmp_path):
         "entries": [{"matcher": m, "response": r} for m, r in DSCR_SCRIPT],
     }), encoding="utf-8")
     return corpus_dir, dataset, script
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Fails the test on any socket connect; yields the addresses tried."""
+    attempts = []
+
+    def refuse(sock, address, *args):
+        attempts.append(address)
+        pytest.fail(f"network connect to {address!r}")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket.socket, "connect_ex", refuse)
+    yield attempts
+    assert attempts == []
+
+
+class RecordedRequest(NamedTuple):
+    method: str
+    path: str
+    headers: dict  # the request's header lines, names as sent
+    body: bytes
+
+
+class LocalServer:
+    """An HTTP/1.0 server on 127.0.0.1 that records each request and answers
+    from ``replies``: a list of (status, headers, body), the last one repeated.
+
+    A reply without a ``Content-Length`` header gets one for its body. Given a
+    PEM file holding a certificate and its key, it serves HTTPS instead.
+    """
+
+    def __init__(self, certfile: Optional[str] = None) -> None:
+        self.replies: list[tuple[int, dict, bytes]] = [(200, {}, b"{}")]
+        self.requests: list[RecordedRequest] = []
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def _answer(self) -> None:
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                owner.requests.append(
+                    RecordedRequest(self.command, self.path, dict(self.headers), body))
+                replies = owner.replies
+                status, headers, payload = replies.pop(0) if len(replies) > 1 else replies[0]
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                if "Content-Length" not in headers:
+                    self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            do_GET = do_POST = _answer
+
+            def log_message(self, *args) -> None:
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        scheme = "http"
+        if certfile:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(certfile)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
+            scheme = "https"
+        self.url = f"{scheme}://127.0.0.1:{self._server.server_address[1]}"
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+@pytest.fixture
+def local_servers(monkeypatch):
+    """Starts ``LocalServer(certfile)`` on each call; the servers are reached
+    directly even when a proxy is configured, and closed at teardown."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    servers = []
+
+    def start(certfile: Optional[str] = None) -> LocalServer:
+        servers.append(LocalServer(certfile))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+@pytest.fixture
+def local_server(local_servers):
+    """A ``LocalServer``, reached directly even when a proxy is configured."""
+    return local_servers()
+
+
+def refused_url() -> str:
+    """A URL on 127.0.0.1 whose port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"http://127.0.0.1:{port}/"

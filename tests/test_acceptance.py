@@ -163,13 +163,8 @@ def _massive_report(n_pages: int):
     return parse_report(body, report_id=f"Mass_{n_pages}")
 
 
-def test_criterion_6_orchestrator_contract(dscr_report, monkeypatch):
-    import requests
-
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: pytest.fail("network hit during scripted run"))
-    monkeypatch.setattr(requests, "get",
-                        lambda *a, **k: pytest.fail("network hit during scripted run"))
+def test_criterion_6_orchestrator_contract(dscr_report, no_network):
+    # no_network fails the test on any socket connect during the scripted run
     started = time.monotonic()
 
     # (a) two-round scenario: Complete, correct answer, EM=1 end to end
@@ -304,14 +299,8 @@ def test_criterion_10_bench_reproducibility(tmp_path, capsys):
     _report(10, "bench rerun from its manifest produces hash-equal score files")
 
 
-def test_criterion_11_ingest_replay(monkeypatch, tmp_path):
-    import requests
-
-    monkeypatch.setattr(requests, "get",
-                        lambda *a, **k: pytest.fail("live network call"))
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: pytest.fail("live network call"))
-
+def test_criterion_11_ingest_replay(no_network, tmp_path):
+    # no_network fails the test on any socket connect: a live network call
     from test_ingest import (
         DOC_BYTES,
         SUBMISSIONS_FIXTURE,

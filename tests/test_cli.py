@@ -331,16 +331,7 @@ class TestBench:
         assert _hash(tmp_path / "runs" / "serial" / "scores.jsonl") == \
                _hash(tmp_path / "runs" / "parallel" / "scores.jsonl")
 
-    def test_long_context_builds_no_index(self, tmp_path, capsys, monkeypatch):
-        import requests
-
-        posts = []
-
-        def refuse(*args, **kwargs):
-            posts.append(args)
-            raise requests.ConnectionError("embedding endpoint unreachable")
-
-        monkeypatch.setattr(requests, "post", refuse)
+    def test_long_context_builds_no_index(self, tmp_path, capsys, no_network):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({
             "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
@@ -350,18 +341,9 @@ class TestBench:
             "--embedding-endpoint", "http://127.0.0.1:9/v1/embeddings",
             "--embedding-model", "embedder", "--embedding-dimension", "8")))
         assert code == 0
-        assert posts == []
+        assert no_network == []
 
-    def test_ask_long_context_builds_no_index(self, tmp_path, capsys, monkeypatch):
-        import requests
-
-        posts = []
-
-        def refuse(*args, **kwargs):
-            posts.append(args)
-            raise requests.ConnectionError("embedding endpoint unreachable")
-
-        monkeypatch.setattr(requests, "post", refuse)
+    def test_ask_long_context_builds_no_index(self, tmp_path, capsys, no_network):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({
             "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
@@ -375,7 +357,7 @@ class TestBench:
             "--embedding-model", "embedder", "--embedding-dimension", "8",
         ])
         assert code == 0
-        assert posts == []
+        assert no_network == []
         assert "answer: 1.55" in capsys.readouterr().out
 
     def test_workers_bound_llm_calls_in_flight(self, tmp_path, capsys, monkeypatch):
@@ -483,6 +465,23 @@ class TestScore:
         assert main(["score", "--predictions", str(predictions),
                      "--gold", str(dataset)]) == 3
 
+    @pytest.mark.parametrize("line, message", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "JSON object with a string id"),
+        ('{"answer": 1.0}', "JSON object with a string id"),
+        ('{"id": ["q-dscr-1"], "answer": 1.0}', "JSON object with a string id"),
+    ])
+    def test_malformed_prediction_line_is_data_error(self, tmp_path, capsys, line, message):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(json.dumps({"id": "q-dscr-1", "answer": 1.55}) + "\n\n"
+                               + line + "\n")
+        assert main(["score", "--predictions", str(predictions),
+                     "--gold", str(dataset)]) == 3
+        err = capsys.readouterr().err
+        assert f"line 3: {predictions}" in err and message in err
+        assert not (tmp_path / "scores.jsonl").exists()
+
 
 class TestOtherCommands:
     def test_stats(self, tmp_path, capsys):
@@ -546,6 +545,20 @@ class TestOtherCommands:
         assert [row["granularity"] for row in rows] == ["page", "8"]
         for row in rows:
             assert row["recall@6"] == 1.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sizes", "abc"), ("--sizes", "256,x"), ("--sizes", "0"), ("--sizes", "-8"),
+        ("--sizes", ""), ("--k-values", "abc"), ("--k-values", "5,,10"),
+        ("--k-values", "0,5"),
+    ])
+    def test_ablate_rejects_a_malformed_list_as_usage_error(self, tmp_path, capsys,
+                                                            flag, value):
+        corpus_dir, dataset, _ = write_dscr_workspace(tmp_path)
+        code = main(["ablate", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                     flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "integers >= 1" in err
 
     def test_datagen_filter_mode(self, tmp_path, capsys):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)
@@ -611,6 +624,14 @@ class TestOtherCommands:
         code = main(["ingest", "--issuer", "123", "--years", "2024-2024"])
         assert code == 0
         assert "1 filings" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("years", ["abc", "2022", "22-24", "2022-", "2022-2024-2026",
+                                   "2024-2022", " 2022-2024", "２０２２-2024"])
+def test_ingest_rejects_malformed_years_as_usage_error(capsys, no_network, years):
+    assert main(["ingest", "--issuer", "123", "--years", years]) == 1
+    err = capsys.readouterr().err
+    assert "argument --years" in err and "YYYY-YYYY" in err
 
 
 def test_help_lists_every_config_flag(capsys):

@@ -97,31 +97,23 @@ class TestCacheKey:
 
 
 class TestWire:
-    def test_posted_request_is_pinned(self, monkeypatch):
+    def test_posted_request_is_pinned(self, local_server, monkeypatch):
         import hashlib
 
-        import requests
-
-        sent = []
-
-        def send(adapter, request, **kwargs):
-            sent.append(request)
-            response = requests.Response()
-            response.status_code = 200
-            response.request, response.url = request, request.url
-            response._content = b'{"choices": [{"message": {"content": "ok"}}]}'
-            return response
-
-        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+        local_server.replies = [(200, {"Content-Type": "application/json"},
+                                 b'{"choices": [{"message": {"content": "ok"}}]}')]
         monkeypatch.delenv("FINDOC_API_KEY", raising=False)
         text = 'Net «revenue» — "quoted", a back\\slash,\ta tab\nand a new line: €1.2 bn'
-        client = LLMClient(ProviderConfig(model="m"), HttpBackend())
+        config = ProviderConfig(endpoint=local_server.url + "/v1/chat/completions", model="m")
+        client = LLMClient(config, HttpBackend())
         assert client.complete([system("Answer in JSON."), user(text)]) == "ok"
-        (request,) = sent
+        (request,) = local_server.requests
+        assert (request.method, request.path) == ("POST", "/v1/chat/completions")
         assert hashlib.sha256(request.body).hexdigest() == (
             "fae80758f4bd4b0b0495aac189df3632960bb01a39de4313691d928bac964f51")
-        assert request.headers["Content-Type"] == "application/json"
-        assert request.headers["Content-Length"] == "245"
+        headers = {name.lower(): value for name, value in request.headers.items()}
+        assert headers["content-type"] == "application/json"
+        assert headers["content-length"] == "245"
 
 
 class TestScriptedBackend:
@@ -160,16 +152,11 @@ class TestScriptedBackend:
         client = LLMClient(ProviderConfig(), backend)
         assert client.complete(_messages()) == "exact"
 
-    def test_zero_network_activity(self, monkeypatch):
-        import requests
-
-        calls = []
-        monkeypatch.setattr(requests, "post",
-                            lambda *a, **k: calls.append(1) or pytest.fail("network hit"))
+    def test_zero_network_activity(self, no_network):
         backend = ScriptedBackend([("DSCR", "scripted")])
         client = LLMClient(ProviderConfig(), backend)
         client.complete(_messages())
-        assert calls == []
+        assert no_network == []
 
     def test_from_file(self, tmp_path):
         import json

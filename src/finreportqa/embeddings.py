@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import transport
-from .errors import DimensionMismatchError, ProviderError, TransportError
+from .errors import ConfigError, DimensionMismatchError, ProviderError, TransportError
 
 
 class EmbeddingProvider:
@@ -97,6 +97,23 @@ def text_sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def write_atomic(root: Path, path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` under cache directory ``root`` by renaming a
+    temporary file over it; on failure remove the temporary file and raise
+    ConfigError naming ``root``."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise ConfigError(f"cannot write to cache directory {root}: {exc}") from None
+
+
 class EmbeddingCache:
     """Directory of per-text vector files, keyed by (model, content hash)."""
 
@@ -112,19 +129,15 @@ class EmbeddingCache:
         """The cached vector; None when the entry is absent or unreadable."""
         try:
             vector = json.loads(self._path(model, text).read_text(encoding="utf-8"))["vector"]
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
         return vector if isinstance(vector, list) else None
 
     def put(self, model: str, text: str, vector: Sequence[float]) -> None:
-        path = self._path(model, text)
+        """Write the entry atomically; a ConfigError when the directory refuses it."""
+        payload = {"model": model, "sha256": text_sha256(text), "vector": list(vector)}
         with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {"model": model, "sha256": text_sha256(text), "vector": list(vector)}
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
+            write_atomic(self.root, self._path(model, text), json.dumps(payload).encode())
 
 
 class CachedEmbeddingProvider(EmbeddingProvider):

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from . import transport
 from .corpus import count_tokens
+from .embeddings import write_atomic
 from .errors import (
     ConfigError,
     ContextOverflowError,
@@ -271,20 +271,16 @@ class ResponseCache:
         """The cached reply; None when the entry is absent or unreadable."""
         try:
             response = json.loads(self._path(key).read_text(encoding="utf-8"))["response"]
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
         return response if isinstance(response, str) else None
 
     def put(self, key: str, body: bytes, response: str) -> None:
+        """Write the entry atomically; a ConfigError when the directory refuses it."""
         entry = b"".join((b'{"key": ', json.dumps(key).encode(), b', "request": ', body,
                           b', "response": ', json.dumps(response).encode(), b"}"))
         with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self._path(key)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(entry)
-            os.replace(tmp, path)
+            write_atomic(self.root, self._path(key), entry)
 
 
 class LLMClient:

@@ -312,6 +312,20 @@ class TestBench:
             assert _hash(tmp_path / "runs" / "run-b" / name) == first, name
         assert entry.read_bytes() == intact
 
+    def test_directory_at_cache_entry_exits_config(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        cache = ("--cache-dir", str(tmp_path / "cache"))
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=cache)) == 0
+        entries = sorted((tmp_path / "cache" / "llm").glob("*.json"))
+        for entry in entries:
+            entry.unlink()
+            entry.mkdir()
+        capsys.readouterr()
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, run_id="run-b",
+                                extra=cache)) == 2
+        assert "cache directory" in capsys.readouterr().err
+        assert sorted((tmp_path / "cache" / "llm").iterdir()) == entries
+
     def test_baseline_pipeline_runs(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({

@@ -7,6 +7,7 @@ import pytest
 from finreportqa import llm as llm_mod
 from finreportqa.corpus import count_tokens
 from finreportqa.errors import (
+    ConfigError,
     ContextOverflowError,
     DecodeError,
     TransportError,
@@ -279,6 +280,19 @@ class TestComplete:
         assert transport.calls == 2
         assert entry.read_bytes() == intact
         assert cache.get(entry.stem) == "fresh"
+
+    def test_directory_at_entry_path(self, tmp_path):
+        transport = _CountingTransport([_ok("fresh")])
+        cache = ResponseCache(tmp_path / "llm")
+        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        key = llm_mod.cache_key(llm_mod.request_body(ProviderConfig(), _messages()))
+        (tmp_path / "llm" / f"{key}.json").mkdir(parents=True)
+        assert cache.get(key) is None
+        with pytest.raises(ConfigError) as raised:
+            client.complete(_messages())
+        assert str(tmp_path / "llm") in str(raised.value)
+        assert transport.calls == 1
+        assert [p.name for p in (tmp_path / "llm").iterdir()] == [f"{key}.json"]
 
     def test_audit_log_written(self, tmp_path):
         import json

@@ -1,21 +1,25 @@
 import hashlib
+import math
 import random
 import re
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from finreportqa.corpus import parse_report
 from finreportqa.embeddings import CachedEmbeddingProvider, EmbeddingCache, EmbeddingProvider
 from finreportqa.errors import (
+    ConfigError,
     EmptyCorpusError,
     EmptyGoldError,
     EmptyQueryError,
     ProviderError,
 )
 from finreportqa.retrieval import (
-    DEFAULT_BM25_PARAMS,
     DenseRetriever,
     RetrievalUnit,
     SparseIndex,
@@ -63,7 +67,17 @@ def reference_tokenize(text):
     return _REFERENCE_TERM_RE.findall(text.lower())
 
 
-def reference_build_sparse_index(units, scheme, bm25_params=DEFAULT_BM25_PARAMS):
+@dataclass
+class DecodedIndex:
+    """A sparse index keyed by unit id, with (unit_id, tf) postings."""
+    vocabulary: dict  # term -> document frequency
+    postings: dict    # term -> [(unit_id, tf)] in unit order
+    unit_lengths: dict
+    unit_pages: dict
+    n_units: int
+
+
+def reference_build_sparse_index(units):
     vocabulary, postings, unit_lengths, unit_pages = {}, {}, {}, {}
     for unit in units:
         terms = reference_tokenize(unit.text)
@@ -72,9 +86,36 @@ def reference_build_sparse_index(units, scheme, bm25_params=DEFAULT_BM25_PARAMS)
         for term, tf in sorted(Counter(terms).items()):
             vocabulary[term] = vocabulary.get(term, 0) + 1
             postings.setdefault(term, []).append((unit.unit_id, tf))
-    return SparseIndex(scheme=scheme, vocabulary=vocabulary, postings=postings,
-                       unit_lengths=unit_lengths, unit_pages=unit_pages,
-                       n_units=len(units), bm25_params=bm25_params)
+    return DecodedIndex(vocabulary, postings, unit_lengths, unit_pages, len(units))
+
+
+def decode(index):
+    """Read a SparseIndex back as unit ids and (unit_id, tf) postings."""
+    ids = index.unit_ids
+    return DecodedIndex(
+        vocabulary={term: len(p) // 2 for term, p in index.postings.items()},
+        postings={term: [(ids[position], tf) for position, tf in zip(p[::2], p[1::2])]
+                  for term, p in index.postings.items()},
+        unit_lengths=dict(zip(ids, index.unit_lengths)),
+        unit_pages=dict(zip(ids, index.unit_pages)),
+        n_units=index.n_units,
+    )
+
+
+def encode(reference, scheme):
+    """The SparseIndex that holds a DecodedIndex, so search() can run on it."""
+    ids = list(reference.unit_lengths)
+    position = {uid: i for i, uid in enumerate(ids)}
+    lengths = list(reference.unit_lengths.values())
+    return SparseIndex(
+        scheme=scheme,
+        postings={term: array("i", [x for uid, tf in posting for x in (position[uid], tf)])
+                  for term, posting in reference.postings.items()},
+        unit_ids=ids,
+        unit_pages=[reference.unit_pages[uid] for uid in ids],
+        unit_lengths=lengths,
+        avg_unit_length=sum(lengths) / len(lengths),
+    )
 
 
 # ASCII plus characters whose lowercase form or class is easy to get wrong:
@@ -127,23 +168,44 @@ class TestBuildMatchesReference:
     def test_index_and_hits_equal_reference(self, report, granularity, scheme):
         units = rechunk(report, granularity)
         index = build_sparse_index(units, scheme)
-        expected = reference_build_sparse_index(units, scheme)
-        assert index.vocabulary == expected.vocabulary
-        assert list(index.postings) == list(index.vocabulary)
+        expected = reference_build_sparse_index(units)
+        decoded = decode(index)
+        assert decoded.vocabulary == expected.vocabulary
         assert set(index.postings) == set(expected.postings)
         for term, posting in expected.postings.items():
-            assert index.postings[term] == posting, term  # unit order kept
-        assert index.unit_lengths == expected.unit_lengths
-        assert list(index.unit_lengths) == list(expected.unit_lengths)
-        assert index.unit_pages == expected.unit_pages
+            assert decoded.postings[term] == posting, term  # unit order kept
+        assert decoded.unit_lengths == expected.unit_lengths
+        assert list(decoded.unit_lengths) == list(expected.unit_lengths)
+        assert decoded.unit_pages == expected.unit_pages
         assert index.n_units == expected.n_units
-        assert index == expected
+        reference = encode(expected, scheme)
+        assert index == reference
         rng = random.Random(7)
         queries = ["net revenue 2023", "café income", "\u212aelvin x2", "W17 w2999 w5",
                    *(" ".join(rng.choices(sorted(expected.vocabulary), k=rng.randint(1, 30)))
                      for _ in range(20))]
         for query in queries:
-            assert search(index, query, k=50) == search(expected, query, k=50), query
+            assert search(index, query, k=50) == search(reference, query, k=50), query
+
+
+class TestIndexFootprint:
+    # half of the 4.60 MB that postings of (unit_id, tf) tuples in lists take here
+    BOUND_BYTES = 2_300_000
+
+    def test_bm25_index_of_seeded_report_fits_bound(self):
+        units = rechunk(_generated_report(), "page")
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_sparse_index(units, "bm25")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert index.n_units == 300
+        assert retained < self.BOUND_BYTES, retained
 
 
 class TestRechunk:
@@ -187,11 +249,11 @@ class TestRechunk:
 class TestBuildSparseIndex:
     def test_document_frequencies(self):
         index = build_sparse_index(units_from_texts(["a b", "b c"]), "tfidf")
-        assert index.vocabulary == {"a": 1, "b": 2, "c": 1}
+        assert decode(index).vocabulary == {"a": 1, "b": 2, "c": 1}
 
     def test_single_unit_df_one(self):
         index = build_sparse_index(units_from_texts(["x y z x"]), "bm25")
-        assert all(df == 1 for df in index.vocabulary.values())
+        assert all(df == 1 for df in decode(index).vocabulary.values())
 
     def test_postings_match_exhaustive_counts(self):
         texts = ["net income net", "income tax", "net assets assets"]
@@ -200,13 +262,14 @@ class TestBuildSparseIndex:
         for i, text in enumerate(texts):
             for term in set(tokenize(text)):
                 expected.setdefault(term, []).append((f"u{i:03d}", tokenize(text).count(term)))
-        assert {t: sorted(p) for t, p in index.postings.items()} == \
+        assert {t: sorted(p) for t, p in decode(index).postings.items()} == \
                {t: sorted(p) for t, p in expected.items()}
 
     def test_df_equals_distinct_posting_units(self):
         index = build_sparse_index(units_from_texts(["a b a", "b", "a c"]), "tfidf")
-        for term, posting in index.postings.items():
-            assert index.vocabulary[term] == len({uid for uid, _ in posting})
+        decoded = decode(index)
+        for term, posting in decoded.postings.items():
+            assert decoded.vocabulary[term] == len({uid for uid, _ in posting})
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -400,6 +463,21 @@ class TestDense:
         assert inner.calls == 2
         assert entry.read_bytes() == intact
 
+    def test_directory_at_entry_path(self, tmp_path):
+        cache = EmbeddingCache(tmp_path / "emb")
+        inner = _BasisProvider()
+        provider = CachedEmbeddingProvider(inner, cache)
+        provider.embed(["unit 1"])
+        (entry,) = (tmp_path / "emb").rglob("*.json")
+        entry.unlink()
+        entry.mkdir()
+        assert cache.get(inner.model, "unit 1") is None
+        with pytest.raises(ConfigError) as raised:
+            provider.embed(["unit 1"])
+        assert str(tmp_path / "emb") in str(raised.value)
+        assert inner.calls == 2
+        assert list(entry.parent.iterdir()) == [entry]
+
     def test_dense_returns_min_k_corpus(self):
         provider = _BasisProvider()
         index = embed_units(provider, self._units(3))
@@ -437,6 +515,30 @@ class _HashProvider(EmbeddingProvider):
 
     def embed(self, texts):
         return [[b - 128.0 for b in hashlib.sha256(t.encode()).digest()[:8]] for t in texts]
+
+
+class TestDenseMatchesListReference:
+    """Dense hits and scores equal a list-of-floats reference."""
+
+    def test_hits_and_scores_equal_reference(self):
+        provider = _HashProvider()
+        units = rechunk(_generated_report(seed=5, pages=30), 256)
+        index = embed_units(provider, units)
+
+        def normalize(vector):
+            norm = math.sqrt(sum(x * x for x in vector))
+            return [x / norm for x in vector]
+
+        vectors = {unit.unit_id: normalize(v)
+                   for unit, v in zip(units, provider.embed([u.text for u in units]))}
+        pages = {unit.unit_id: unit.page_number for unit in units}
+        for query in ("net revenue 2023", "café income", "w17", "x"):
+            q = normalize(provider.embed([query])[0])
+            scores = {uid: sum(a * b for a, b in zip(q, v)) for uid, v in vectors.items()}
+            expected = sorted(scores.items(), key=lambda item: (-item[1], pages[item[0]], item[0]))
+            hits = dense_search(index, provider, query, k=20)
+            assert [(h.unit_id, h.page_number, h.score) for h in hits] == \
+                   [(uid, pages[uid], score) for uid, score in expected[:20]], query
 
 
 class TestRetrieverUnits:

@@ -17,7 +17,9 @@ import json
 import math
 import re
 import sys
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -233,7 +235,9 @@ class _ReportRunner:
 
     Only the state the pipeline reads is built: the report always, the
     retriever (which holds the retrieval units) only for pipelines that
-    search. Set-up is not thread-safe; answering is.
+    search. A report set up with a question count is dropped, with all it
+    holds, once ``run_instance`` has answered that many of its questions.
+    Set-up is not thread-safe; answering is.
     """
 
     def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
@@ -241,14 +245,18 @@ class _ReportRunner:
         self.client = client
         self.pipeline = pipeline
         self._reports: dict[str, tuple] = {}
+        self._questions_left: dict[str, int] = {}
+        self._lock = threading.Lock()
         self.agent_config = pipelines_mod.AgentConfig(
             max_rounds=config.max_rounds,
             k_per_round=config.k_per_round,
             chunk_budget=config.chunk_budget,
         )
 
-    def setup(self, report: corpus_mod.Report) -> None:
+    def setup(self, report: corpus_mod.Report, questions: Optional[int] = None) -> None:
         config = self.config
+        if questions is not None:
+            self._questions_left[report.report_id] = questions
         if self.pipeline in _INDEXLESS_PIPELINES:
             self._reports[report.report_id] = (report, None)
             return
@@ -258,7 +266,13 @@ class _ReportRunner:
             provider=provider, bm25_params=(config.bm25_k1, config.bm25_b)))
 
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
-        return self.answer(instance.report_id, instance.question, instance.id)
+        report_id = instance.report_id
+        row = self.answer(report_id, instance.question, instance.id)
+        with self._lock:
+            self._questions_left[report_id] -= 1
+            if not self._questions_left[report_id]:
+                del self._reports[report_id]
+        return row
 
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
         """One prediction row; an agent row also carries its transcript."""
@@ -353,10 +367,11 @@ def cmd_bench(args, config: RunConfig) -> int:
     runner = _ReportRunner(config, client, args.pipeline)
 
     # per-report set-up is not thread-safe, so do it up front
-    for report_id in dict.fromkeys(i.report_id for i in instances):
+    for report_id, questions in Counter(i.report_id for i in instances).items():
         if not config.corpus_dir:
             raise ConfigError("corpus_dir is not set")
-        runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"))
+        runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"),
+                     questions)
 
     # the pool bounds how many LLM calls are in flight at once
     if config.workers > 1:

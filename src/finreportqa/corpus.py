@@ -1,8 +1,10 @@
 """Document model: page-delimited Markdown reports and the QA dataset.
 
 A report is an ordered sequence of page chunks split on standalone
-delimiter lines. Detected Markdown table blocks are recorded as character
-spans. The QA dataset is JSON-lines, one instance per line.
+delimiter lines. A page holds only its number and text: its token count and
+its Markdown table blocks (as character spans) are derived from the text the
+first time they are read, so loading a report does no per-page work that no
+caller reads. The QA dataset is JSON-lines, one instance per line.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -56,23 +59,23 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class PageChunk:
+    """One page's text; its token count and table spans are worked out from
+    the text the first time each is read."""
+
     page_number: int
     text: str
-    token_count: int
-    table_block_spans: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.page_number < 1:
             raise ValueError("page_number must be positive")
-        last_end = -1
-        for start, end in self.table_block_spans:
-            if not (0 <= start < end <= len(self.text)):
-                raise ValueError(f"table span ({start}, {end}) out of bounds")
-            if start < last_end:
-                raise ValueError("table spans overlap")
-            if not self.text[start:end].startswith("|"):
-                raise ValueError("table span does not start at a table row marker")
-            last_end = end
+
+    @cached_property
+    def token_count(self) -> int:
+        return count_tokens(self.text)
+
+    @cached_property
+    def table_block_spans(self) -> tuple[tuple[int, int], ...]:
+        return detect_table_spans(self.text)
 
     def table_blocks(self) -> list[str]:
         return [self.text[s:e] for s, e in self.table_block_spans]
@@ -198,15 +201,6 @@ def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _make_page(page_number: int, text: str) -> PageChunk:
-    return PageChunk(
-        page_number=page_number,
-        text=text,
-        token_count=count_tokens(text),
-        table_block_spans=detect_table_spans(text),
-    )
-
-
 def parse_report(markdown_text: str, delimiter_pattern: str = DEFAULT_PAGE_DELIMITER,
                  *, report_id: str = "report", company: str = "", fiscal_year: int = 0) -> Report:
     """Split page-delimited Markdown into a Report.
@@ -214,7 +208,8 @@ def parse_report(markdown_text: str, delimiter_pattern: str = DEFAULT_PAGE_DELIM
     The delimiter regex must have one capture group (the page number) or
     zero groups (pages numbered sequentially from 1). A delimiter line
     opens a page; content before the first delimiter is attached to the
-    first page. With no delimiter matches the whole text becomes page 1.
+    first page unless it is blank. With no delimiter matches the whole
+    text becomes page 1.
     """
     pattern = re.compile(delimiter_pattern)
     if pattern.groups > 1:
@@ -222,32 +217,28 @@ def parse_report(markdown_text: str, delimiter_pattern: str = DEFAULT_PAGE_DELIM
     if not markdown_text.strip():
         raise EmptyDocumentError("document has no non-whitespace content")
 
-    segments: list[tuple[Optional[int], list[str]]] = []
-    preamble: list[str] = []
-    for line in markdown_text.splitlines(keepends=True):
-        match = pattern.fullmatch(line.rstrip("\r\n"))
-        if match:
-            number = int(match.group(1)) if pattern.groups == 1 else None
-            segments.append((number, []))
-        elif segments:
-            segments[-1][1].append(line)
-        else:
-            preamble.append(line)
+    # each line, without its line break, is matched against the delimiter;
+    # map and compress keep the scan over every line out of the interpreter
+    lines = markdown_text.splitlines(keepends=True)
+    matches = list(map(pattern.fullmatch, map(str.rstrip, lines, repeat("\r\n"))))
+    starts = list(compress(range(len(lines)), matches))
+    if not starts:
+        return Report(report_id, company, fiscal_year, (PageChunk(1, markdown_text),))
 
-    if not segments:
-        return Report(report_id, company, fiscal_year, (_make_page(1, markdown_text),))
-
-    if any(line.strip() for line in preamble):
-        segments[0][1][:0] = preamble
+    texts = ["".join(lines[start + 1:end])
+             for start, end in zip(starts, starts[1:] + [len(lines)])]
+    preamble = "".join(lines[:starts[0]])
+    if preamble.strip():
+        texts[0] = preamble + texts[0]
 
     pages: list[PageChunk] = []
     seen: set[int] = set()
-    for index, (number, lines) in enumerate(segments, start=1):
-        page_number = number if number is not None else index
+    for index, (start, text) in enumerate(zip(starts, texts), start=1):
+        page_number = int(matches[start].group(1)) if pattern.groups == 1 else index
         if page_number in seen:
             raise DuplicatePageNumberError(f"page {page_number} captured twice")
         seen.add(page_number)
-        pages.append(_make_page(page_number, "".join(lines)))
+        pages.append(PageChunk(page_number, text))
 
     pages.sort(key=lambda p: p.page_number)
     return Report(report_id, company, fiscal_year, tuple(pages))

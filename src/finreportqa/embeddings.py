@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -140,11 +141,25 @@ class EmbeddingCache:
             write_atomic(self.root, self._path(model, text), json.dumps(payload).encode())
 
 
+def _as_vector(value, dimension: int) -> Optional[list[float]]:
+    """``value`` as a list of floats if it is a list of ``dimension`` finite
+    numbers (bools excluded), else None."""
+    if not (isinstance(value, list) and len(value) == dimension
+            and all(type(x) is float or type(x) is int for x in value)):
+        return None
+    try:
+        vector = [float(x) for x in value]
+    except OverflowError:  # an int too large for a float
+        return None
+    return vector if all(map(math.isfinite, vector)) else None
+
+
 class CachedEmbeddingProvider(EmbeddingProvider):
     """Serves vectors from the cache, calling the inner provider on misses.
 
     With a warm cache the inner provider is never touched, so offline
-    replay works for any previously embedded text.
+    replay works for any previously embedded text. A cached entry that is
+    not a list of ``dimension`` finite numbers is a miss, and is re-embedded.
     """
 
     def __init__(self, provider: EmbeddingProvider, cache: EmbeddingCache):
@@ -154,7 +169,7 @@ class CachedEmbeddingProvider(EmbeddingProvider):
         self.dimension = provider.dimension
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        results: list[Optional[list[float]]] = [self.cache.get(self.model, t) for t in texts]
+        results = [_as_vector(self.cache.get(self.model, t), self.dimension) for t in texts]
         missing = [i for i, vec in enumerate(results) if vec is None]
         if missing:
             fresh = self.provider.embed([texts[i] for i in missing])

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import transport
-from .corpus import PageChunk, Report, count_tokens, detect_table_spans
+from .corpus import PageChunk, Report
 from .errors import ChecksumMismatchError, NotFoundError, RateLimitedError, TransportError
 
 SUBMISSIONS_URL = "https://data.sec.gov/submissions/CIK{cik}.json"
@@ -319,15 +319,7 @@ def html_to_pages(html_text: str, *, report_id: str = "document",
                 for start in range(0, len(words), synthetic_page_tokens)
             ]
 
-    pages = tuple(
-        PageChunk(
-            page_number=index,
-            text=text,
-            token_count=count_tokens(text),
-            table_block_spans=detect_table_spans(text),
-        )
-        for index, text in enumerate(page_texts, start=1)
-    )
+    pages = tuple(PageChunk(index, text) for index, text in enumerate(page_texts, start=1))
     return Report(report_id=report_id, company="", fiscal_year=0, pages=pages)
 
 

@@ -10,8 +10,8 @@ one ``array('i')`` of interleaved (unit position, term frequency) pairs in
 unit order; unit ids, pages and lengths are lists indexed by position. On a
 300-page report of about 450 words a page, that is about 2.4 MB (by
 tracemalloc), where postings of ``(unit_id, tf)`` tuples in lists took about
-9.3 MB. ``bench`` builds every report's retriever before it answers and keeps them
-all until the run ends, so its memory grows with the number of reports.
+9.3 MB. ``bench`` builds every report's retriever before it answers and frees
+each one after that report's last question.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class RetrievalUnit:
     unit_id: str
     page_number: int
     text: str
-    token_count: int
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ def rechunk(report: Report, granularity: str | int = "page") -> list[RetrievalUn
                 unit_id=f"p{page.page_number}",
                 page_number=page.page_number,
                 text=page.text,
-                token_count=page.token_count,
             )
             for page in report.pages
         ]
@@ -93,12 +91,10 @@ def rechunk(report: Report, granularity: str | int = "page") -> list[RetrievalUn
         if not words:
             continue
         for index, start in enumerate(range(0, len(words), size)):
-            piece = words[start:start + size]
             units.append(RetrievalUnit(
                 unit_id=f"p{page.page_number}.{index}",
                 page_number=page.page_number,
-                text=" ".join(piece),
-                token_count=len(piece),
+                text=" ".join(words[start:start + size]),
             ))
     return units
 

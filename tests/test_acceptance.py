@@ -123,7 +123,7 @@ def test_criterion_4_retrieval_oracle_equivalence():
     while corpora < 200:
         unit_texts = random_corpus(rng, max_units=50)
         unit_pages = {uid: rng.randint(1, 30) for uid in unit_texts}
-        units = [RetrievalUnit(uid, unit_pages[uid], text, len(text.split()))
+        units = [RetrievalUnit(uid, unit_pages[uid], text)
                  for uid, text in unit_texts.items()]
         query = random_query(rng)
         if not brute_force_scores(unit_texts, query, "bm25"):

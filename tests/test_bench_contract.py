@@ -136,3 +136,27 @@ def test_long_context_lists_only_the_pages_in_its_prompt(runs, data):
     covered = {row["id"]: gold[row["id"]] <= set(row["context_pages"]) for row in rows}
     assert all(covered[qid] for qid in correct)
     assert not all(covered.values())
+
+
+def test_long_context_derives_no_page_fields(runs, data, monkeypatch):
+    """Loading and answering over a report computes no page's token count or table spans."""
+    oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
+    monkeypatch.setattr(cli, "HttpBackend", lambda: OracleBackend(oracle))
+    reports = []
+    load_report = corpus_mod.load_report
+
+    def keep_report(*args, **kwargs):
+        reports.append(load_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(corpus_mod, "load_report", keep_report)
+    assert cli.main([
+        "bench", "--pipeline", "long_context", "--backend", "http",
+        "--corpus-dir", str(data / "corpus"), "--dataset", str(data / "dataset.jsonl"),
+        "--output-dir", str(data / "runs"), "--run-id", "long_context_fields",
+    ]) == 0
+    assert canonical_digest(data / "runs" / "long_context_fields") == DIGESTS["long_context"]
+    pages = [page for report in reports for page in report.pages]
+    assert len(reports) == 2 and len(pages) == 600
+    assert not [page.page_number for page in pages
+                if {"token_count", "table_block_spans"} & set(vars(page))]

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import re
+import sys
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from conftest import DSCR_SCRIPT, write_dscr_workspace
+from finreportqa import cli as cli_mod
 from finreportqa.cli import RunConfig, build_embedding_provider, main
+from finreportqa.corpus import QAInstance, parse_report
 from finreportqa.embeddings import CachedEmbeddingProvider
 from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
@@ -29,6 +34,12 @@ def _bench_args(tmp_path, corpus_dir, dataset, script, run_id="run-a", extra=())
         "--output-dir", str(tmp_path / "runs"), "--run-id", run_id,
         *extra,
     ]
+
+
+def _instance(question_id, report_id):
+    return QAInstance(id=question_id, company="DemoCo", fiscal_year=2002, question="Question?",
+                      gold_answer="1.55", question_type="text", evidence_pages=frozenset({1}),
+                      program_source="1.55", reasoning_trace="", report_id=report_id)
 
 
 class TestRunConfig:
@@ -441,6 +452,91 @@ class TestReportSetup:
         ask = tmp_path / "out" / "ask_transcript.json"
         assert without_question_id(ask) == without_question_id(bench)
         assert without_question_id(ask) != ask.read_bytes()
+
+    @pytest.mark.parametrize("pipeline", ["single_round_rag", "long_context"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_report_freed_after_its_last_question(self, tmp_path, capsys, monkeypatch,
+                                                  pipeline, workers):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
+        (corpus_dir / "DemoCo_2003.md").write_text(text, encoding="utf-8")
+        record = json.loads(dataset.read_text())
+        # the report ids interleave: 2002, 2003, 2002, 2003, 2003
+        years = [2002, 2003, 2002, 2003, 2003]
+        dataset.write_text("".join(json.dumps({**record, "id": f"q-{i}", "year": year}) + "\n"
+                                   for i, year in enumerate(years)))
+        script.write_text(json.dumps({
+            "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
+        }))
+        refs = {}
+        load_report = cli_mod.corpus_mod.load_report
+
+        def tracked_load_report(path, *args):
+            report = load_report(path, *args)
+            refs[report.report_id] = weakref.ref(report)
+            return report
+
+        alive, done, lock = {}, set(), threading.Lock()
+        run_instance = cli_mod._ReportRunner.run_instance
+
+        def tracked_run_instance(self, instance):
+            row = run_instance(self, instance)
+            with lock:
+                done.add(instance.id)
+                if instance.id in ("q-0", "q-2") and {"q-0", "q-2"} <= done:
+                    # both of the 2002 report's questions are answered
+                    alive["2002"] = refs["DemoCo_2002"]() is not None
+            return row
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
+        monkeypatch.setattr(cli_mod._ReportRunner, "run_instance", tracked_run_instance)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", pipeline, "--workers", workers))) == 0
+        assert alive == {"2002": False}
+
+    def test_report_freed_with_its_retriever(self, tmp_path):
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        config = RunConfig(backend="scripted", script_path=str(script))
+        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "single_round_rag")
+        instances = [_instance("a1", "A"), _instance("b1", "B"), _instance("a2", "A"),
+                     _instance("b2", "B")]
+        text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
+        for report_id in ("A", "B"):
+            runner.setup(parse_report(text, report_id=report_id), questions=2)
+        refs = {rid: [weakref.ref(obj) for obj in runner._reports[rid]] for rid in ("A", "B")}
+
+        def alive():
+            return {rid: [ref() is not None for ref in pair] for rid, pair in refs.items()}
+
+        states = []
+        for instance in instances:
+            runner.run_instance(instance)
+            states.append(alive())
+        both, gone = [True, True], [False, False]
+        assert states == [{"A": both, "B": both}, {"A": both, "B": both},
+                          {"A": gone, "B": both}, {"A": gone, "B": gone}]
+
+    def test_question_counts_survive_many_workers(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({
+            "mode": "repeatable", "entries": [{"matcher": "Question", "response": "{{1}}"}]}))
+        config = RunConfig(backend="scripted", script_path=str(script))
+        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "no_context")
+        report_ids = [f"R{i}" for i in range(6)]
+        for report_id in report_ids:
+            runner.setup(parse_report("<!-- page: 1 -->\nbody\n", report_id=report_id),
+                         questions=40)
+        instances = [_instance(f"{rid}-{n}", rid) for n in range(40) for rid in report_ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rows = list(pool.map(runner.run_instance, instances, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) == len(instances)
+        assert runner._reports == {}
+        assert runner._questions_left == dict.fromkeys(report_ids, 0)
 
     @pytest.mark.parametrize("argv", [
         ["index", "--corpus-dir", "corpus"],

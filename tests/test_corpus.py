@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from finreportqa.corpus import (
+    DEFAULT_PAGE_DELIMITER,
     PageChunk,
     Report,
     corpus_stats,
@@ -84,7 +85,7 @@ def _reference_prefix(report: Report, n: int) -> str:
 
 def _report_of(texts) -> Report:
     return Report("r", "", 0, tuple(
-        PageChunk(number, text, count_tokens(text))
+        PageChunk(number, text)
         for number, text in enumerate(texts, start=1)))
 
 
@@ -245,6 +246,105 @@ class TestParseReport:
         assert report.page_numbers == [2, 9]
 
 
+def _reference_parse(markdown_text, delimiter_pattern=DEFAULT_PAGE_DELIMITER):
+    """The line-by-line parse that parse_report must match: (number, text) per page."""
+    pattern = re.compile(delimiter_pattern)
+    segments, preamble = [], []
+    for line in markdown_text.splitlines(keepends=True):
+        match = pattern.fullmatch(line.rstrip("\r\n"))
+        if match:
+            number = int(match.group(1)) if pattern.groups == 1 else None
+            segments.append((number, []))
+        elif segments:
+            segments[-1][1].append(line)
+        else:
+            preamble.append(line)
+    if not segments:
+        return [(1, markdown_text)]
+    if any(line.strip() for line in preamble):
+        segments[0][1][:0] = preamble
+    pages, seen = [], set()
+    for index, (number, lines) in enumerate(segments, start=1):
+        page_number = number if number is not None else index
+        if page_number in seen:
+            raise DuplicatePageNumberError(f"page {page_number} captured twice")
+        seen.add(page_number)
+        pages.append((page_number, "".join(lines)))
+    return sorted(pages)
+
+
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029")
+
+# (markdown, delimiter pattern) pairs with awkward line breaks and layouts
+_PARSE_CASES = [
+    *(("<!-- page: 1 -->" + brk + "A" + brk + "<!-- page: 2 -->" + brk + "B" + brk,
+       DEFAULT_PAGE_DELIMITER) for brk in _BREAKS),
+    *(("<!-- page: 1 -->\nA " + brk + "<!-- page: 2 -->" + brk + " B", DEFAULT_PAGE_DELIMITER)
+      for brk in _BREAKS),
+    ("<!-- page: 1 -->\r\nA\r\n<!-- page: 2 -->\r\n", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 1 -->\r\n\r\nA\n<!-- page: 2 -->\r\r\nB", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 1 -->\n\r\n", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 1 --> \nA\n<!--page=2-->\nB\n", DEFAULT_PAGE_DELIMITER),
+    ("\n \t\n\r\n<!-- page: 1 -->\nA\n", DEFAULT_PAGE_DELIMITER),
+    ("\x0c\u2028<!-- page: 4 -->\nA\n", DEFAULT_PAGE_DELIMITER),
+    ("cover\n\n<!-- page: 2 -->\nA\n<!-- page: 3 -->\nB", DEFAULT_PAGE_DELIMITER),
+    ("cover\x85<!-- page: 2 -->\x85A", DEFAULT_PAGE_DELIMITER),
+    ("  x  <!-- page: 1 -->\nbody\n", DEFAULT_PAGE_DELIMITER),
+    ("===\nfirst\n===\r\nsecond\n===\n", r"==="),
+    ("intro\n===\nfirst\n===\nsecond", r"==="),
+    ("\n\n===\n===\n===\n", r"==="),
+    ("just some body text\r\nwith two lines\n", DEFAULT_PAGE_DELIMITER),
+    ("no delimiter\x1cat all", r"==="),
+    ("<!-- page: 3 -->\nA\n<!-- page: 3 -->\nB\n", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 9 -->\nlate\n<!-- page: 2 -->\nearly\n<!-- page: 5 -->\nmid",
+     DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 10 -->\n| a |\n<!-- page: 1 -->\n\n| b |\r\n| c |\r\n",
+     DEFAULT_PAGE_DELIMITER),
+]
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize("markdown, pattern", _PARSE_CASES)
+    def test_same_pages_as_line_loop(self, markdown, pattern):
+        try:
+            expected = _reference_parse(markdown, pattern)
+        except DuplicatePageNumberError:
+            with pytest.raises(DuplicatePageNumberError):
+                parse_report(markdown, pattern)
+            return
+        report = parse_report(markdown, pattern)
+        assert [(p.page_number, p.text) for p in report.pages] == expected
+
+    def test_random_documents(self):
+        rng = random.Random(11)
+        pieces = ["<!-- page: {} -->", "===", "text", "| t |", " ", "", *_BREAKS]
+        for _ in range(2000):
+            numbers = rng.sample(range(1, 40), 12)
+            markdown = "".join(rng.choice(pieces).format(numbers.pop())
+                               for _ in range(rng.randrange(1, 12)))
+            if not markdown.strip():
+                continue
+            for pattern in (DEFAULT_PAGE_DELIMITER, r"==="):
+                try:
+                    expected = _reference_parse(markdown, pattern)
+                except DuplicatePageNumberError:
+                    continue
+                report = parse_report(markdown, pattern)
+                assert [(p.page_number, p.text) for p in report.pages] == expected, markdown
+
+    @pytest.mark.parametrize("markdown, pattern",
+                             _PARSE_CASES[-2:] + [(TABLE_PAGE_MD, DEFAULT_PAGE_DELIMITER)])
+    def test_derived_fields_equal_detectors(self, markdown, pattern):
+        report = parse_report(markdown, pattern)
+        for page in report.pages:
+            assert "token_count" not in vars(page)
+            assert "table_block_spans" not in vars(page)
+            assert page.token_count == count_tokens(page.text)
+            assert page.table_block_spans == detect_table_spans(page.text)
+            assert vars(page)["token_count"] == page.token_count
+
+
 class TestReportProperties:
     def test_lossless_reconstruction(self):
         report = parse_report(TABLE_PAGE_MD)
@@ -262,10 +362,16 @@ class TestReportProperties:
         body = "\n".join(page.text for page in report.pages)
         assert sum(page.token_count for page in report.pages) == count_tokens(body)
 
-    def test_table_span_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PageChunk(page_number=1, text="abc", token_count=1,
-                      table_block_spans=((0, 2),))
+    def test_derived_table_spans_keep_invariants(self):
+        texts = [page.text for page in parse_report(TABLE_PAGE_MD).pages]
+        texts += ["abc", "|", "| a\r\n| b\rx\n|c", "x\n|\x85|\u2028y", *_AWKWARD_PAGES]
+        for text in texts:
+            last_end = -1
+            for start, end in PageChunk(1, text).table_block_spans:
+                assert 0 <= start < end <= len(text), text
+                assert start >= last_end, text
+                assert text[start:end].startswith("|"), text
+                last_end = end
 
     def test_detect_table_spans_multiple_runs(self):
         text = "| a |\ntext\n| b |\n| c |"

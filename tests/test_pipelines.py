@@ -9,7 +9,7 @@ from conftest import (
     ROUND2_FORMULA,
     make_scripted_client,
 )
-from finreportqa.corpus import PageChunk, Report, count_tokens, parse_report
+from finreportqa.corpus import PageChunk, Report, parse_report
 from finreportqa.errors import AnswerExtractionError
 from finreportqa.llm import (
     LLMClient,
@@ -146,7 +146,7 @@ class TestRetrieveRound:
         vocab = ["net", "income", "assets", "interest", "w1", "w2", "w3"]
         units = [
             RetrievalUnit(f"u{i:03d}", i + 1,
-                          " ".join(rng.choices(vocab, k=rng.randint(3, 12))), 8)
+                          " ".join(rng.choices(vocab, k=rng.randint(3, 12))))
             for i in range(n)
         ]
         return SparseRetriever(build_sparse_index(units, "bm25"), units)
@@ -407,7 +407,7 @@ class TestTokenAccounting:
     ])
     def test_long_context_supplies_the_exact_prompt_count(self, dscr_report, texts):
         report = dscr_report if texts is None else Report("r", "", 0, tuple(
-            PageChunk(number, text, count_tokens(text))
+            PageChunk(number, text)
             for number, text in enumerate(texts, start=1)))
         sent = []
 

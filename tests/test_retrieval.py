@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from finreportqa.corpus import parse_report
+from finreportqa.corpus import count_tokens, parse_report
 from finreportqa.embeddings import CachedEmbeddingProvider, EmbeddingCache, EmbeddingProvider
 from finreportqa.errors import (
     ConfigError,
@@ -41,8 +41,7 @@ from oracles import brute_force_ranking, brute_force_scores, random_corpus, rand
 def units_from_texts(texts, pages=None):
     pages = pages or list(range(1, len(texts) + 1))
     return [
-        RetrievalUnit(unit_id=f"u{i:03d}", page_number=pages[i], text=text,
-                      token_count=len(text.split()))
+        RetrievalUnit(unit_id=f"u{i:03d}", page_number=pages[i], text=text)
         for i, text in enumerate(texts)
     ]
 
@@ -225,14 +224,14 @@ class TestRechunk:
     def test_sized_packing(self):
         report = self._report([600])
         units = rechunk(report, 256)
-        assert [u.token_count for u in units] == [256, 256, 88]
+        assert [count_tokens(u.text) for u in units] == [256, 256, 88]
         assert all(u.page_number == 1 for u in units)
 
     def test_small_page_single_unit(self):
         report = self._report([100])
         units = rechunk(report, 256)
         assert len(units) == 1
-        assert units[0].token_count == 100
+        assert count_tokens(units[0].text) == 100
 
     def test_units_never_straddle_pages(self):
         report = self._report([300, 300])
@@ -323,7 +322,7 @@ class TestSearch:
             unit_texts = random_corpus(rng)
             unit_pages = {uid: i + 1 for i, uid in enumerate(unit_texts)}
             units = [
-                RetrievalUnit(uid, unit_pages[uid], text, len(text.split()))
+                RetrievalUnit(uid, unit_pages[uid], text)
                 for uid, text in unit_texts.items()
             ]
             index = build_sparse_index(units, scheme)
@@ -341,7 +340,7 @@ class TestSearch:
     def test_prefix_stable_ranking(self):
         rng = random.Random(99)
         unit_texts = random_corpus(rng, max_units=30)
-        units = [RetrievalUnit(uid, i + 1, text, len(text.split()))
+        units = [RetrievalUnit(uid, i + 1, text)
                  for i, (uid, text) in enumerate(unit_texts.items())]
         index = build_sparse_index(units, "bm25")
         query = "revenue net income"
@@ -394,7 +393,7 @@ class _OfflineProvider(EmbeddingProvider):
 
 class TestDense:
     def _units(self, count=4):
-        return [RetrievalUnit(f"u{i}", i + 1, f"unit {i}", 2) for i in range(count)]
+        return [RetrievalUnit(f"u{i}", i + 1, f"unit {i}") for i in range(count)]
 
     def test_basis_vectors_rank_matching_unit_first(self):
         provider = _BasisProvider(query_axis=2)
@@ -462,6 +461,32 @@ class TestDense:
         assert provider.embed(["unit 1"]) == first
         assert inner.calls == 2
         assert entry.read_bytes() == intact
+
+    @pytest.mark.parametrize("vector", [
+        '["a", "b"]', '["a", "b", "c", "d"]', "[0.0, 1.0, 0.0]", "[0.0, 1.0, 0.0, 0.0, 0.0]",
+        "[]", "[true, false, false, false]", "[null, 1.0, 0.0, 0.0]", "[[0.0], 1.0, 0.0, 0.0]",
+        "[NaN, 1.0, 0.0, 0.0]", "[0.0, Infinity, 0.0, 0.0]", "[0.0, 1e400, 0.0, 0.0]",
+        "[0, " + "9" * 400 + ", 0, 0]"])
+    def test_malformed_cached_vector_is_a_miss_and_rewritten(self, tmp_path, vector):
+        cache = EmbeddingCache(tmp_path / "emb")
+        inner = _BasisProvider()
+        provider = CachedEmbeddingProvider(inner, cache)
+        units = self._units()
+        first = embed_units(provider, units)
+        entry = cache._path(inner.model, "unit 1")
+        intact = entry.read_bytes()
+        entry.write_text('{"vector": %s}' % vector, encoding="utf-8")
+        assert embed_units(provider, units).vectors == first.vectors
+        assert inner.calls == 2
+        assert entry.read_bytes() == intact
+
+    def test_cached_integer_vector_is_a_hit(self, tmp_path):
+        cache = EmbeddingCache(tmp_path / "emb")
+        inner = _BasisProvider()
+        provider = CachedEmbeddingProvider(inner, cache)
+        cache.put(inner.model, "unit 1", [0, 1, 0, 0])
+        assert provider.embed(["unit 1"]) == [[0.0, 1.0, 0.0, 0.0]]
+        assert inner.calls == 0
 
     def test_directory_at_entry_path(self, tmp_path):
         cache = EmbeddingCache(tmp_path / "emb")

@@ -474,12 +474,15 @@ def cmd_stats(args, config: RunConfig) -> int:
 def cmd_ablate(args, config: RunConfig) -> int:
     if not (config.corpus_dir and config.dataset):
         raise ConfigError("ablate needs corpus_dir and dataset")
+    if config.scheme == "dense":
+        raise ConfigError("ablate studies sparse retrieval only: use --scheme tfidf or bm25")
     reports = [corpus_mod.load_report(path)
                for path in sorted(Path(config.corpus_dir).glob("*.md"))]
     instances = corpus_mod.read_dataset(config.dataset)
     sizes = args.sizes or retrieval_mod.ABLATION_CHUNK_SIZES
     rows = retrieval_mod.ablate_chunks(reports, instances, sizes, args.k_values,
-                                       scheme=config.scheme if config.scheme != "dense" else "bm25")
+                                       scheme=config.scheme,
+                                       bm25_params=(config.bm25_k1, config.bm25_b))
     rendered = json.dumps(rows, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")

@@ -15,7 +15,6 @@ import re
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -23,13 +22,21 @@ from .errors import (
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
+    ReportEncodingError,
     SchemaError,
 )
 from .metrics import Difficulty, bucket_difficulty, normalize_answer
 
-# Delimiter lines look like "<!-- page: 12 -->"; the single capture group is
-# the page number. A pattern with zero groups numbers pages sequentially.
+# Delimiter lines look like "<!-- page: 12 -->"; the capture group is the page
+# number. parse_report tries only lines that begin with _DELIMITER_PREFIX, so
+# the pattern must begin with that literal.
 DEFAULT_PAGE_DELIMITER = r"<!--\s*[Pp]age[:=\s]\s*(\d+)\s*-->"
+_DELIMITER = re.compile(DEFAULT_PAGE_DELIMITER)
+_DELIMITER_PREFIX = "<!--"
+
+# The characters str.splitlines ends a line at ("\r\n" is one break).
+_LINE_BREAK_CHARS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{re.escape(_LINE_BREAK_CHARS)}]")
 
 QUESTION_TYPES = ("table", "text", "mixed")
 
@@ -201,44 +208,55 @@ def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def parse_report(markdown_text: str, delimiter_pattern: str = DEFAULT_PAGE_DELIMITER,
-                 *, report_id: str = "report", company: str = "", fiscal_year: int = 0) -> Report:
+def parse_report(markdown_text: str, *, report_id: str = "report", company: str = "",
+                 fiscal_year: int = 0) -> Report:
     """Split page-delimited Markdown into a Report.
 
-    The delimiter regex must have one capture group (the page number) or
-    zero groups (pages numbered sequentially from 1). A delimiter line
-    opens a page; content before the first delimiter is attached to the
-    first page unless it is blank. With no delimiter matches the whole
-    text becomes page 1.
+    A delimiter line opens a page; content before the first delimiter is
+    attached to the first page unless it is blank. With no delimiter line
+    the whole text becomes page 1.
+
+    A delimiter line is a line, as ``str.splitlines`` splits them, that
+    ``DEFAULT_PAGE_DELIMITER`` fullmatches without its ``\\n``, ``\\r`` or
+    ``\\r\\n`` break; a line ended by any other break is never one. Only a
+    line that begins with the literal ``<!--`` can match, so those are found
+    with ``str.find`` and each page is one slice of the input.
     """
-    pattern = re.compile(delimiter_pattern)
-    if pattern.groups > 1:
-        raise ValueError("delimiter pattern must have zero or one capture group")
     if not markdown_text.strip():
         raise EmptyDocumentError("document has no non-whitespace content")
 
-    # each line, without its line break, is matched against the delimiter;
-    # map and compress keep the scan over every line out of the interpreter
-    lines = markdown_text.splitlines(keepends=True)
-    matches = list(map(pattern.fullmatch, map(str.rstrip, lines, repeat("\r\n"))))
-    starts = list(compress(range(len(lines)), matches))
-    if not starts:
-        return Report(report_id, company, fiscal_year, (PageChunk(1, markdown_text),))
+    text = markdown_text
+    delimiters: list[tuple[int, int, int]] = []  # (line start, body start, page number)
+    hit = text.find(_DELIMITER_PREFIX)
+    while hit >= 0:
+        if hit and text[hit - 1] not in _LINE_BREAK_CHARS:
+            hit = text.find(_DELIMITER_PREFIX, hit + len(_DELIMITER_PREFIX))
+            continue
+        found = _LINE_BREAK.search(text, hit)
+        end = found.start() if found else len(text)
+        line_break = "\r\n" if text.startswith("\r\n", end) else text[end:end + 1]
+        if line_break in ("", "\n", "\r", "\r\n"):  # any other break never matches
+            match = _DELIMITER.fullmatch(text, hit, end)
+            if match:
+                delimiters.append((hit, end + len(line_break), int(match.group(1))))
+        hit = text.find(_DELIMITER_PREFIX, end)
 
-    texts = ["".join(lines[start + 1:end])
-             for start, end in zip(starts, starts[1:] + [len(lines)])]
-    preamble = "".join(lines[:starts[0]])
+    if not delimiters:
+        return Report(report_id, company, fiscal_year, (PageChunk(1, text),))
+
+    ends = [line_start for line_start, _, _ in delimiters[1:]] + [len(text)]
+    texts = [text[body_start:end] for (_, body_start, _), end in zip(delimiters, ends)]
+    preamble = text[:delimiters[0][0]]
     if preamble.strip():
         texts[0] = preamble + texts[0]
 
     pages: list[PageChunk] = []
     seen: set[int] = set()
-    for index, (start, text) in enumerate(zip(starts, texts), start=1):
-        page_number = int(matches[start].group(1)) if pattern.groups == 1 else index
+    for (_, _, page_number), page_text in zip(delimiters, texts):
         if page_number in seen:
             raise DuplicatePageNumberError(f"page {page_number} captured twice")
         seen.add(page_number)
-        pages.append(PageChunk(page_number, text))
+        pages.append(PageChunk(page_number, page_text))
 
     pages.sort(key=lambda p: p.page_number)
     return Report(report_id, company, fiscal_year, tuple(pages))
@@ -253,15 +271,18 @@ def render_markdown(report: Report) -> str:
     return "".join(parts)
 
 
-def load_report(path: str | Path, delimiter_pattern: str = DEFAULT_PAGE_DELIMITER) -> Report:
+def load_report(path: str | Path) -> Report:
     """Parse a report file; a {company}_{year} filename fills the metadata."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReportEncodingError(
+            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     company, _, year = path.stem.rpartition("_")
-    if company and year.isdigit():
-        return parse_report(text, delimiter_pattern, report_id=path.stem,
-                            company=company, fiscal_year=int(year))
-    return parse_report(text, delimiter_pattern, report_id=path.stem)
+    if company and year.isascii() and year.isdigit():
+        return parse_report(text, report_id=path.stem, company=company, fiscal_year=int(year))
+    return parse_report(text, report_id=path.stem)
 
 
 # --- QA dataset -------------------------------------------------------------

@@ -11,6 +11,10 @@ class EmptyDocumentError(FinReportQAError):
     """Report text contains no non-whitespace content."""
 
 
+class ReportEncodingError(FinReportQAError):
+    """A report file is not valid UTF-8."""
+
+
 class DuplicatePageNumberError(FinReportQAError):
     """The same page number was captured from two delimiter lines."""
 

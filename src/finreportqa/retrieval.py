@@ -335,7 +335,8 @@ def recall_at_k(retrieved_pages: Sequence[int], gold_pages: set[int] | frozenset
 
 
 def ablate_chunks(reports: Sequence[Report], instances: Sequence, sizes: Sequence[int] = ABLATION_CHUNK_SIZES,
-                  k_values: Sequence[int] = (5, 10, 30), scheme: str = "bm25") -> list[dict]:
+                  k_values: Sequence[int] = (5, 10, 30), scheme: str = "bm25",
+                  bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> list[dict]:
     """Macro-averaged page Recall@k per granularity ("page" plus each size).
 
     The query is each instance's question text; sub-page hits are mapped to
@@ -351,7 +352,7 @@ def ablate_chunks(reports: Sequence[Report], instances: Sequence, sizes: Sequenc
             report = by_id[instance.report_id]
             if report.report_id not in indices:
                 indices[report.report_id] = build_sparse_index(
-                    rechunk(report, granularity), scheme)
+                    rechunk(report, granularity), scheme, bm25_params)
             index = indices[report.report_id]
             hits = search(index, instance.question, k=max(max_k, index.n_units))
             pages = pages_from_hits(hits)

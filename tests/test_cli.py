@@ -245,6 +245,15 @@ class TestExitCodes:
                      "--corpus-dir", str(tmp_path)])
         assert code == 3
 
+    def test_report_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        (corpus_dir / "DemoCo_2002.md").write_bytes(b"<!-- page: 1 -->\nbad \xff byte\n")
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--pipeline", "no_context")))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "DemoCo_2002.md" in err and "not UTF-8" in err
+
     def test_provider_error_exit_code(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({"entries": []}))  # nothing matches
@@ -655,6 +664,29 @@ class TestOtherCommands:
         assert [row["granularity"] for row in rows] == ["page", "8"]
         for row in rows:
             assert row["recall@6"] == 1.0
+
+    def test_ablate_builds_indices_with_the_bm25_flags(self, tmp_path, capsys, monkeypatch):
+        corpus_dir, dataset, _ = write_dscr_workspace(tmp_path)
+        build = cli_mod.retrieval_mod.build_sparse_index
+        built = []
+
+        def recording_build(units, scheme="bm25", *args):
+            built.append((scheme, *args))
+            return build(units, scheme, *args)
+
+        monkeypatch.setattr(cli_mod.retrieval_mod, "build_sparse_index", recording_build)
+        code = main(["ablate", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                     "--sizes", "8", "--k-values", "1", "--bm25-k1", "2.0", "--bm25-b", "0.5"])
+        assert code == 0
+        assert built == [("bm25", (2.0, 0.5))] * 2
+
+    def test_ablate_with_dense_scheme_is_config_error(self, tmp_path, capsys, no_network):
+        corpus_dir, dataset, _ = write_dscr_workspace(tmp_path)
+        code = main(["ablate", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                     "--scheme", "dense", "--embedding-endpoint", "http://127.0.0.1:9/embed",
+                     "--embedding-model", "m", "--embedding-dimension", "4"])
+        assert code == 2
+        assert "ablate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--sizes", "abc"), ("--sizes", "256,x"), ("--sizes", "0"), ("--sizes", "-8"),

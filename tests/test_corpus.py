@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from finreportqa import corpus as corpus_mod
 from finreportqa.corpus import (
     DEFAULT_PAGE_DELIMITER,
     PageChunk,
@@ -14,6 +15,7 @@ from finreportqa.corpus import (
     count_tokens,
     detect_table_spans,
     instance_from_record,
+    load_report,
     make_report_id,
     parse_report,
     read_dataset,
@@ -24,6 +26,7 @@ from finreportqa.errors import (
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
+    ReportEncodingError,
     SchemaError,
 )
 
@@ -214,12 +217,6 @@ class TestParseReport:
         assert page.text[start:end] == "| a | b |\n| - | - |\n| 1 | 2 |"
         assert page.text[start] == "|"
 
-    def test_sequential_numbering_with_zero_groups(self):
-        text = "===\nfirst\n===\nsecond\n"
-        report = parse_report(text, delimiter_pattern=r"===")
-        assert report.page_numbers == [1, 2]
-        assert report.page(2).text == "second\n"
-
     def test_duplicate_page_numbers_rejected(self):
         text = "<!-- page: 3 -->\nA\n<!-- page: 3 -->\nB\n"
         with pytest.raises(DuplicatePageNumberError):
@@ -228,10 +225,6 @@ class TestParseReport:
     def test_empty_document_rejected(self):
         with pytest.raises(EmptyDocumentError):
             parse_report("   \n  \n")
-
-    def test_multi_group_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            parse_report("x", delimiter_pattern=r"(a)(b)")
 
     def test_preamble_attaches_to_first_page(self):
         text = "cover text\n<!-- page: 1 -->\nbody\n"
@@ -245,6 +238,15 @@ class TestParseReport:
         report = parse_report(text)
         assert report.page_numbers == [2, 9]
 
+    def test_delimiter_begins_with_the_literal_the_scan_finds(self):
+        # parse_report tries only lines that begin with "<!--"; a quantifier
+        # on its last "-" or a top-level alternative would let a delimiter
+        # line begin otherwise
+        assert corpus_mod._DELIMITER_PREFIX == "<!--"
+        assert DEFAULT_PAGE_DELIMITER.startswith("<!--")
+        assert DEFAULT_PAGE_DELIMITER[4] not in "*+?{"
+        assert "|" not in DEFAULT_PAGE_DELIMITER
+
 
 def _reference_parse(markdown_text, delimiter_pattern=DEFAULT_PAGE_DELIMITER):
     """The line-by-line parse that parse_report must match: (number, text) per page."""
@@ -253,8 +255,7 @@ def _reference_parse(markdown_text, delimiter_pattern=DEFAULT_PAGE_DELIMITER):
     for line in markdown_text.splitlines(keepends=True):
         match = pattern.fullmatch(line.rstrip("\r\n"))
         if match:
-            number = int(match.group(1)) if pattern.groups == 1 else None
-            segments.append((number, []))
+            segments.append((int(match.group(1)), []))
         elif segments:
             segments[-1][1].append(line)
         else:
@@ -264,8 +265,7 @@ def _reference_parse(markdown_text, delimiter_pattern=DEFAULT_PAGE_DELIMITER):
     if any(line.strip() for line in preamble):
         segments[0][1][:0] = preamble
     pages, seen = [], set()
-    for index, (number, lines) in enumerate(segments, start=1):
-        page_number = number if number is not None else index
+    for page_number, lines in segments:
         if page_number in seen:
             raise DuplicatePageNumberError(f"page {page_number} captured twice")
         seen.add(page_number)
@@ -276,7 +276,8 @@ def _reference_parse(markdown_text, delimiter_pattern=DEFAULT_PAGE_DELIMITER):
 _BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
            "\u2028", "\u2029")
 
-# (markdown, delimiter pattern) pairs with awkward line breaks and layouts
+# (markdown, delimiter pattern) pairs with awkward line breaks and layouts; the
+# pattern is the one the reference parse matches lines against
 _PARSE_CASES = [
     *(("<!-- page: 1 -->" + brk + "A" + brk + "<!-- page: 2 -->" + brk + "B" + brk,
        DEFAULT_PAGE_DELIMITER) for brk in _BREAKS),
@@ -286,16 +287,17 @@ _PARSE_CASES = [
     ("<!-- page: 1 -->\r\n\r\nA\n<!-- page: 2 -->\r\r\nB", DEFAULT_PAGE_DELIMITER),
     ("<!-- page: 1 -->\n\r\n", DEFAULT_PAGE_DELIMITER),
     ("<!-- page: 1 --> \nA\n<!--page=2-->\nB\n", DEFAULT_PAGE_DELIMITER),
+    ("<!--  Page  7  -->\nA\n<!-- page 8-->\nB\n<!--\tpage:\t9\t-->\r\nC", DEFAULT_PAGE_DELIMITER),
     ("\n \t\n\r\n<!-- page: 1 -->\nA\n", DEFAULT_PAGE_DELIMITER),
     ("\x0c\u2028<!-- page: 4 -->\nA\n", DEFAULT_PAGE_DELIMITER),
     ("cover\n\n<!-- page: 2 -->\nA\n<!-- page: 3 -->\nB", DEFAULT_PAGE_DELIMITER),
     ("cover\x85<!-- page: 2 -->\x85A", DEFAULT_PAGE_DELIMITER),
     ("  x  <!-- page: 1 -->\nbody\n", DEFAULT_PAGE_DELIMITER),
-    ("===\nfirst\n===\r\nsecond\n===\n", r"==="),
-    ("intro\n===\nfirst\n===\nsecond", r"==="),
-    ("\n\n===\n===\n===\n", r"==="),
+    ("===\nfirst\n===\r\nsecond\n===\n", DEFAULT_PAGE_DELIMITER),
+    ("intro\n===\nfirst\n===\nsecond", DEFAULT_PAGE_DELIMITER),
+    ("\n\n===\n===\n===\n", DEFAULT_PAGE_DELIMITER),
     ("just some body text\r\nwith two lines\n", DEFAULT_PAGE_DELIMITER),
-    ("no delimiter\x1cat all", r"==="),
+    ("no delimiter\x1cat all", DEFAULT_PAGE_DELIMITER),
     ("<!-- page: 3 -->\nA\n<!-- page: 3 -->\nB\n", DEFAULT_PAGE_DELIMITER),
     ("<!-- page: 9 -->\nlate\n<!-- page: 2 -->\nearly\n<!-- page: 5 -->\nmid",
      DEFAULT_PAGE_DELIMITER),
@@ -304,39 +306,62 @@ _PARSE_CASES = [
 ]
 
 
+# near misses: a delimiter or its "<!--" prefix where no delimiter line starts
+# or ends, or cut by a line break; and delimiter lines at the end of the text
+_NEAR_MISS_CASES = [
+    *(("A <!-- page: 1 -->" + brk + "B", DEFAULT_PAGE_DELIMITER) for brk in ("\n", "\r\n")),
+    ("<!-- page: 1 -->\nA <!-- page: 2 -->\nB <!-- page: 3 -->", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 1 --> text\nA\n<!-- page: 2 -->-->\nB", DEFAULT_PAGE_DELIMITER),
+    *(("<!-- page:" + brk + "1 -->\nA", DEFAULT_PAGE_DELIMITER) for brk in _BREAKS),
+    *(("<!-- page: 1 -->\nA\n<!-- page: 2 -->" + brk + "B", DEFAULT_PAGE_DELIMITER)
+      for brk in _BREAKS),
+    ("<!--\nA\n<!-- page: 2 -->\nB\n<!--", DEFAULT_PAGE_DELIMITER),
+    ("<!--", DEFAULT_PAGE_DELIMITER),
+    ("<!--<!-- page: 1 -->\nA", DEFAULT_PAGE_DELIMITER),
+    ("A\n<!-- page: 2 -->", DEFAULT_PAGE_DELIMITER),
+    ("<!-- page: 5 -->", DEFAULT_PAGE_DELIMITER),
+    ("A\r<!-- page: 2 -->\r\r\nB\r\n<!-- page: 3 -->\n\r", DEFAULT_PAGE_DELIMITER),
+]
+
+
 class TestParseMatchesReference:
-    @pytest.mark.parametrize("markdown, pattern", _PARSE_CASES)
+    @pytest.mark.parametrize("markdown, pattern", _PARSE_CASES + _NEAR_MISS_CASES)
     def test_same_pages_as_line_loop(self, markdown, pattern):
         try:
             expected = _reference_parse(markdown, pattern)
         except DuplicatePageNumberError:
             with pytest.raises(DuplicatePageNumberError):
-                parse_report(markdown, pattern)
+                parse_report(markdown)
             return
-        report = parse_report(markdown, pattern)
+        report = parse_report(markdown)
         assert [(p.page_number, p.text) for p in report.pages] == expected
 
     def test_random_documents(self):
         rng = random.Random(11)
-        pieces = ["<!-- page: {} -->", "===", "text", "| t |", " ", "", *_BREAKS]
-        for _ in range(2000):
-            numbers = rng.sample(range(1, 40), 12)
+        pieces = ["<!-- page: {} -->", "<!--Page={}-->", "text", "| t |", " ", "", *_BREAKS,
+                  # near misses: mid-line, followed by text, broken by a line
+                  # break, ended by each break, a lone "<!--"
+                  "x <!-- page: {} -->", "<!-- page: {} --> x", "<!-- page:", " {} -->",
+                  *("<!-- page:" + brk + "{} -->" for brk in _BREAKS),
+                  *("<!-- page: {} -->" + brk for brk in _BREAKS), "<!--", "-->"]
+        documents = 0
+        while documents < 2000:
+            numbers = rng.sample(range(1, 40), 12)  # distinct, so no duplicate pages
             markdown = "".join(rng.choice(pieces).format(numbers.pop())
                                for _ in range(rng.randrange(1, 12)))
+            if rng.random() < 0.1:
+                markdown += "<!-- page: {} -->".format(numbers.pop())  # no break after it
             if not markdown.strip():
                 continue
-            for pattern in (DEFAULT_PAGE_DELIMITER, r"==="):
-                try:
-                    expected = _reference_parse(markdown, pattern)
-                except DuplicatePageNumberError:
-                    continue
-                report = parse_report(markdown, pattern)
-                assert [(p.page_number, p.text) for p in report.pages] == expected, markdown
+            documents += 1
+            report = parse_report(markdown)
+            assert [(p.page_number, p.text) for p in report.pages] == _reference_parse(markdown), \
+                markdown
 
     @pytest.mark.parametrize("markdown, pattern",
                              _PARSE_CASES[-2:] + [(TABLE_PAGE_MD, DEFAULT_PAGE_DELIMITER)])
     def test_derived_fields_equal_detectors(self, markdown, pattern):
-        report = parse_report(markdown, pattern)
+        report = parse_report(markdown)
         for page in report.pages:
             assert "token_count" not in vars(page)
             assert "table_block_spans" not in vars(page)
@@ -506,8 +531,6 @@ def test_make_report_id_slug():
 
 
 def test_load_report_recovers_metadata_from_filename(tmp_path):
-    from finreportqa.corpus import load_report
-
     path = tmp_path / "DemoCo_2002.md"
     path.write_text(TWO_PAGE_MD, encoding="utf-8")
     report = load_report(path)
@@ -518,3 +541,20 @@ def test_load_report_recovers_metadata_from_filename(tmp_path):
     plain = tmp_path / "notes.md"
     plain.write_text(TWO_PAGE_MD, encoding="utf-8")
     assert load_report(plain).company == ""
+
+
+@pytest.mark.parametrize("stem", ["Acme_\u00b2\u2070\u00b2\u00b3", "Acme_\u0662\u0660\u0662\u0663",
+                                  "Acme_\uff12\uff10\uff12\uff13"])
+def test_load_report_ignores_a_year_of_non_ascii_digits(tmp_path, stem):
+    path = tmp_path / f"{stem}.md"
+    path.write_text(TWO_PAGE_MD, encoding="utf-8")
+    report = load_report(path)
+    assert (report.report_id, report.company, report.fiscal_year) == (stem, "", 0)
+    assert report.page_numbers == [1, 2]
+
+
+def test_load_report_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "DemoCo_2002.md"
+    path.write_bytes(b"<!-- page: 1 -->\nbad \xff byte\n")
+    with pytest.raises(ReportEncodingError, match="DemoCo_2002.md"):
+        load_report(path)

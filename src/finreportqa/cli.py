@@ -51,9 +51,9 @@ from .llm import (
     LLMClient,
     ProviderConfig,
     ResponseCache,
-    RetryPolicy,
     ScriptedBackend,
 )
+from .transport import RetryPolicy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,6 +131,9 @@ class RunConfig:
         self.unit_granularity()
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise ConfigError(
+                f"retry_backoff must be a finite number >= 0, got {self.retry_backoff}")
         for name in ("max_input_tokens", "max_output_tokens", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -183,9 +186,13 @@ class RunConfig:
             max_output_tokens=self.max_output_tokens,
             max_input_tokens=self.max_input_tokens,
             timeout=self.timeout,
-            retry=RetryPolicy(self.retry_attempts, self.retry_backoff),
+            retry=self.retry_policy(),
             api_key_env=self.api_key_env,
         )
+
+    def retry_policy(self) -> RetryPolicy:
+        """The attempts and backoff of every LLM, embedding and EDGAR request."""
+        return RetryPolicy(self.retry_attempts, self.retry_backoff)
 
 
 def read_json_object(path: str | Path) -> dict:
@@ -219,6 +226,7 @@ def build_embedding_provider(config: RunConfig):
         dimension=config.embedding_dimension,
         api_key_env=config.api_key_env,
         timeout=config.timeout,
+        retry=config.retry_policy(),
     )
     if config.cache_dir:
         provider = CachedEmbeddingProvider(
@@ -532,7 +540,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
 
 
 def cmd_ingest(args, config: RunConfig) -> int:
-    client = ingest_mod.EdgarClient(user_agent=args.user_agent)
+    client = ingest_mod.EdgarClient(user_agent=args.user_agent, retry=config.retry_policy())
     start, end = args.years
     refs = client.list_filings(args.issuer, form_type=args.form, year_range=(start, end))
     print(f"{len(refs)} filings for {args.issuer} ({args.form}, {start}-{end})")
@@ -573,8 +581,8 @@ _CONFIG_FLAGS: list[tuple[str, type, str]] = [
     ("max_input_tokens", int, "input context budget"),
     ("max_output_tokens", int, "completion token cap"),
     ("timeout", float, "request timeout seconds"),
-    ("retry_attempts", int, "transport retry attempts"),
-    ("retry_backoff", float, "retry backoff seconds"),
+    ("retry_attempts", int, "attempts per LLM, embedding or EDGAR request"),
+    ("retry_backoff", float, "retry backoff seconds, doubled per retry"),
     ("api_key_env", str, "environment variable holding the API key"),
     ("backend", str, "llm backend: http or scripted"),
     ("script_path", str, "scripted backend response file"),

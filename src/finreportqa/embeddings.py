@@ -15,6 +15,7 @@ import os
 import re
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -33,65 +34,65 @@ class EmbeddingProvider:
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
-    """Calls an embeddings endpoint over HTTP.
+    """Calls an embeddings endpoint over HTTP, with attempts per ``retry``.
 
-    transport(url, payload, headers, timeout) -> decoded JSON dict; the
-    default posts the payload as UTF-8 JSON through ``transport.request``.
-    Injectable for tests. Identical text embeds identically within a session
+    ``request`` has ``transport.request``'s signature and defaults to it;
+    injectable for tests. Identical text embeds identically within a session
     (in-memory memo). Concurrent requests are bounded only by the caller
     (``--workers``).
     """
 
     def __init__(self, endpoint: str, model: str, dimension: int,
                  api_key_env: str = "FINDOC_API_KEY", timeout: float = 60.0,
-                 transport: Optional[Callable] = None):
+                 retry: transport.RetryPolicy = transport.RetryPolicy(),
+                 request: Optional[Callable] = None, sleep: Callable[[float], None] = time.sleep):
         self.endpoint = endpoint
         self.model = model
         self.dimension = dimension
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self._transport = transport or self._default_transport
+        self.retry = retry
+        self._request = request or transport.request
+        self._sleep = sleep
         self._memo: dict[str, list[float]] = {}
-
-    @staticmethod
-    def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        try:
-            status, _, reply = transport.request("POST", url, headers=headers, body=body,
-                                                 timeout=timeout)
-        except TransportError as exc:
-            raise ProviderError(f"embedding request failed: {exc}") from exc
-        if status != 200:
-            raise ProviderError(f"embedding endpoint returned {status}")
-        return json.loads(reply)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         pending = [t for t in dict.fromkeys(texts) if t not in self._memo]
         if pending:
-            for text, vector in zip(pending, self._request(pending)):
+            for text, vector in zip(pending, self._embed_batch(pending)):
                 self._memo[text] = vector
         return [list(self._memo[t]) for t in texts]
 
-    def _request(self, texts: list[str]) -> list[list[float]]:
+    def _embed_batch(self, texts: list[str]) -> list[list[float]]:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        payload = {"model": self.model, "input": texts}
+        body = json.dumps({"model": self.model, "input": texts}, allow_nan=False).encode("utf-8")
         try:
-            body = self._transport(self.endpoint, payload, headers, self.timeout)
-            vectors = [item["embedding"] for item in body["data"]]
-        except ProviderError:
-            raise
-        except Exception as exc:
-            raise ProviderError(f"could not decode embedding response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ProviderError(f"expected {len(texts)} vectors, got {len(vectors)}")
-        for vector in vectors:
-            if len(vector) != self.dimension:
+            status, _, reply = transport.request_with_retry(
+                self._request, "POST", self.endpoint, headers=headers, body=body,
+                timeout=self.timeout, policy=self.retry, sleep=self._sleep)
+        except TransportError as exc:
+            raise ProviderError(f"embedding request failed: {exc}") from exc
+        if status != 200:
+            raise ProviderError(f"embedding endpoint returned {status}")
+        try:
+            values = [item["embedding"] for item in json.loads(reply)["data"]]
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
+            raise ProviderError(f"could not decode embedding response: {exc!r}") from exc
+        if len(values) != len(texts):
+            raise ProviderError(f"expected {len(texts)} vectors, got {len(values)}")
+        vectors = []
+        for index, value in enumerate(values):
+            if isinstance(value, list) and len(value) != self.dimension:
                 raise DimensionMismatchError(
-                    f"provider returned dimension {len(vector)}, expected {self.dimension}")
-        return [list(map(float, v)) for v in vectors]
+                    f"provider returned dimension {len(value)}, expected {self.dimension}")
+            vector = _as_vector(value, self.dimension)
+            if vector is None:
+                raise ProviderError(f"embedding {index} is not a list of finite numbers")
+            vectors.append(vector)
+        return vectors
 
 
 def text_sha256(text: str) -> str:

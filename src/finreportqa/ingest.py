@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import html
 import json
-import math
 import re
 import time
 from dataclasses import dataclass
@@ -42,6 +41,8 @@ class FilingRef:
     company: str
 
     def __post_init__(self) -> None:
+        if not all(isinstance(value, str) for value in vars(self).values()):
+            raise TypeError("filing fields must be strings")
         if not self.form_type:
             raise ValueError("form_type must be non-empty")
 
@@ -54,69 +55,48 @@ class FilingRef:
         )
 
 
-def _retry_after_seconds(value: Optional[str]) -> float:
-    """A ``Retry-After`` header as a delay: 1 s unless it is a finite number >= 0."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        return 1.0
-    return seconds if math.isfinite(seconds) and seconds >= 0 else 1.0
-
-
 class EdgarClient:
     """Metadata listing and document fetching with polite rate limiting.
 
-    transport(url, headers) -> (status_code, headers, body_bytes), where
-    headers is a mapping with ``get``; the default GETs through
-    ``transport.request``, which decodes a gzip or deflate body.
-    min_interval_s spaces successive calls.
+    ``request`` has ``transport.request``'s signature and defaults to it,
+    which decodes a gzip or deflate body. Attempts follow ``retry``, and
+    min_interval_s spaces every attempt from the one before.
     """
 
     def __init__(self, user_agent: str = DEFAULT_USER_AGENT,
-                 transport: Optional[Callable] = None,
+                 request: Optional[Callable] = None,
                  min_interval_s: float = 0.2,
-                 max_attempts: int = 3,
+                 retry: transport.RetryPolicy = transport.RetryPolicy(),
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
         self.user_agent = user_agent
-        self._transport = transport or self._default_transport
+        self._request = request or transport.request
         self.min_interval_s = min_interval_s
-        self.max_attempts = max_attempts
+        self.retry = retry
         self._sleep = sleep
         self._clock = clock
         self._last_request_at: Optional[float] = None
-        self.request_count = 0
 
-    def _default_transport(self, url: str, headers: dict):
-        return transport.request("GET", url, headers=headers, timeout=60)
+    def _spaced_request(self, method: str, url: str, **kwargs):
+        if self._last_request_at is not None:
+            elapsed = self._clock() - self._last_request_at
+            if elapsed < self.min_interval_s:
+                self._sleep(self.min_interval_s - elapsed)
+        self._last_request_at = self._clock()
+        return self._request(method, url, **kwargs)
 
     def _get(self, url: str) -> tuple[dict, bytes]:
         headers = {"User-Agent": self.user_agent, "Accept-Encoding": "gzip, deflate"}
-        for attempt in range(self.max_attempts):
-            if self._last_request_at is not None:
-                elapsed = self._clock() - self._last_request_at
-                if elapsed < self.min_interval_s:
-                    self._sleep(self.min_interval_s - elapsed)
-            self._last_request_at = self._clock()
-            self.request_count += 1
-            try:
-                status, resp_headers, body = self._transport(url, headers)
-            except Exception as exc:
-                if attempt == self.max_attempts - 1:
-                    raise TransportError(f"GET {url} failed: {exc}") from exc
-                continue
-            if status == 200:
-                return resp_headers, body
-            if status == 404:
-                raise NotFoundError(f"GET {url} returned 404")
-            if status in (429, 503):
-                retry_after = _retry_after_seconds(resp_headers.get("Retry-After"))
-                if attempt == self.max_attempts - 1:
-                    raise RateLimitedError(f"GET {url} rate limited after {self.max_attempts} attempts")
-                self._sleep(retry_after)
-                continue
-            raise TransportError(f"GET {url} returned {status}")
-        raise TransportError(f"GET {url}: retries exhausted")
+        status, resp_headers, body = transport.request_with_retry(
+            self._spaced_request, "GET", url, headers=headers, timeout=60,
+            policy=self.retry, sleep=self._sleep)
+        if status == 200:
+            return resp_headers, body
+        if status == 404:
+            raise NotFoundError(f"GET {url} returned 404")
+        if status in (429, 503):
+            raise RateLimitedError(f"GET {url} still rate limited on the last attempt")
+        raise TransportError(f"GET {url} returned {status}")
 
     def _get_json(self, url: str) -> dict:
         _, body = self._get(url)
@@ -132,9 +112,15 @@ class EdgarClient:
             return candidate.zfill(10)
         table = self._get_json(TICKER_MAP_URL)
         wanted = candidate.upper()
-        for entry in table.values():
-            if entry.get("ticker", "").upper() == wanted:
-                return str(entry["cik_str"]).zfill(10)
+        try:
+            for entry in table.values():
+                if entry.get("ticker", "").upper() == wanted:
+                    cik = str(entry["cik_str"])
+                    if not (cik.isascii() and cik.isdigit()):
+                        raise ValueError(f"cik_str {cik!r} is not a number")
+                    return cik.zfill(10)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TransportError(f"GET {TICKER_MAP_URL}: malformed ticker table: {exc!r}") from exc
         raise NotFoundError(f"unknown ticker: {cik_or_ticker!r}")
 
     def list_filings(self, cik_or_ticker: str, form_type: str = "10-K",
@@ -144,30 +130,34 @@ class EdgarClient:
         if start > end:
             return []
         cik = self.resolve_cik(cik_or_ticker)
-        payload = self._get_json(SUBMISSIONS_URL.format(cik=cik))
-        company = payload.get("name", "")
-        recent = payload.get("filings", {}).get("recent", {})
+        url = SUBMISSIONS_URL.format(cik=cik)
+        payload = self._get_json(url)
         refs: list[FilingRef] = []
-        rows = zip(
-            recent.get("accessionNumber", []),
-            recent.get("form", []),
-            recent.get("filingDate", []),
-            recent.get("primaryDocument", []),
-        )
-        for accession, form, date, document in rows:
-            if form != form_type:
-                continue
-            year = int(date[:4])
-            if not (start <= year <= end):
-                continue
-            refs.append(FilingRef(
-                cik=cik,
-                accession_number=accession,
-                form_type=form,
-                filing_date=date,
-                primary_document=document,
-                company=company,
-            ))
+        try:
+            company = payload.get("name", "")
+            recent = payload.get("filings", {}).get("recent", {})
+            rows = zip(
+                recent.get("accessionNumber", []),
+                recent.get("form", []),
+                recent.get("filingDate", []),
+                recent.get("primaryDocument", []),
+            )
+            for accession, form, date, document in rows:
+                if form != form_type:
+                    continue
+                year = int(date[:4])
+                if not (start <= year <= end):
+                    continue
+                refs.append(FilingRef(
+                    cik=cik,
+                    accession_number=accession,
+                    form_type=form,
+                    filing_date=date,
+                    primary_document=document,
+                    company=company,
+                ))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TransportError(f"GET {url}: malformed filing metadata: {exc!r}") from exc
         refs.sort(key=lambda ref: (ref.filing_date, ref.accession_number))
         return refs
 
@@ -176,7 +166,8 @@ class EdgarClient:
 
         Skips the download when the file already exists with a matching
         recorded hash. Byte count is checked against Content-Length; a
-        short read removes the partial file.
+        short read or a Content-Length that is not a byte count writes no file
+        and removes an earlier one.
         """
         dest = Path(dest_dir) / ref.cik / ref.accession_number / ref.primary_document
         sidecar = dest.with_suffix(dest.suffix + ".sha256")
@@ -187,12 +178,13 @@ class EdgarClient:
                 return dest
 
         headers, body = self._get(ref.url)
-        expected_length = headers.get("Content-Length")
-        if expected_length is not None and int(expected_length) != len(body):
+        declared = headers.get("Content-Length")
+        if declared is not None and not (declared.isascii() and declared.isdigit()
+                                         and int(declared) == len(body)):
             if dest.exists():
                 dest.unlink()
             raise ChecksumMismatchError(
-                f"expected {expected_length} bytes, received {len(body)}")
+                f"Content-Length {declared!r}, received {len(body)} bytes")
 
         dest.parent.mkdir(parents=True, exist_ok=True)
         dest.write_bytes(body)

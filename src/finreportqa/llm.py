@@ -33,6 +33,7 @@ from .errors import (
     TransportError,
     UnmatchedPromptError,
 )
+from .transport import RetryPolicy
 
 
 class Role(str, Enum):
@@ -60,12 +61,6 @@ def system(content: str) -> ChatMessage:
 
 def user(content: str) -> ChatMessage:
     return ChatMessage(Role.USER, content)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -140,22 +135,15 @@ class Backend:
 class HttpBackend(Backend):
     """POSTs the encoded request body and reads the first candidate.
 
-    transport(url, body, headers, timeout) -> (status_code, decoded JSON);
-    the default posts through ``transport.request`` and decodes only a 200
-    reply. Injectable for tests and call counting. Every attempt posts the
-    same body bytes.
+    ``request`` has ``transport.request``'s signature and defaults to it.
+    Every attempt posts the same body bytes. A last reply other than 200 is a
+    TransportError, a 200 that is not a completion a DecodeError.
     """
 
-    def __init__(self, transport: Optional[Callable] = None,
+    def __init__(self, request: Optional[Callable] = None,
                  sleep: Callable[[float], None] = time.sleep):
-        self._transport = transport or self._default_transport
+        self._request = request or transport.request
         self._sleep = sleep
-
-    @staticmethod
-    def _default_transport(url: str, body: bytes, headers: dict, timeout: float):
-        status, _, reply = transport.request("POST", url, headers=headers, body=body,
-                                             timeout=timeout)
-        return status, (json.loads(reply) if status == 200 else None)
 
     def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
                  body: bytes) -> str:
@@ -163,30 +151,18 @@ class HttpBackend(Backend):
         api_key = os.environ.get(config.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-
-        attempts = max(1, config.retry.max_attempts)
-        last_error: Optional[str] = None
-        for attempt in range(attempts):
-            try:
-                status, reply = self._transport(config.endpoint, body, headers, config.timeout)
-            except Exception as exc:  # transport-level failure is retryable
-                last_error = str(exc)
-                status, reply = None, None
-            if status == 200 and reply is not None:
-                try:
-                    content = reply["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as exc:
-                    raise DecodeError(f"malformed completion response: {exc}") from exc
-                if not isinstance(content, str):
-                    raise DecodeError("completion content is not a string")
-                return content
-            if status is not None and not (status == 429 or status >= 500):
-                raise TransportError(f"completion endpoint returned {status}")
-            if status is not None:
-                last_error = f"status {status}"
-            if attempt < attempts - 1:
-                self._sleep(config.retry.backoff_seconds * (2 ** attempt))
-        raise TransportError(f"completion failed after {attempts} attempts: {last_error}")
+        status, _, reply = transport.request_with_retry(
+            self._request, "POST", config.endpoint, headers=headers, body=body,
+            timeout=config.timeout, policy=config.retry, sleep=self._sleep)
+        if status != 200:
+            raise TransportError(f"completion endpoint returned {status}")
+        try:
+            content = json.loads(reply)["choices"][0]["message"]["content"]
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
+            raise DecodeError(f"malformed completion response: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise DecodeError("completion content is not a string")
+        return content
 
 
 class ConsumptionMode(str, Enum):

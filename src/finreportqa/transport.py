@@ -19,11 +19,13 @@ or port, so an API key is never sent to another origin.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .errors import TransportError
 
 _opener = None
+_MAX_RETRY_AFTER = 86400.0  # well below what time.sleep refuses; 1e300 raises OverflowError
 
 
 def _build_opener():
@@ -105,3 +107,45 @@ def request(method: str, url: str, *, headers: dict, body: Optional[bytes] = Non
     except (OSError, EOFError, ValueError, http.client.HTTPException, zlib.error) as exc:
         raise TransportError(f"{method} {url}: {exc}") from exc
     return status, reply_headers, raw
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Attempts per request; without a Retry-After, retry n waits ``backoff_seconds * 2**n``."""
+
+    max_attempts: int = 3
+    backoff_seconds: float = 0.5
+
+
+def _retry_wait(retry_after: Optional[str], backoff: float) -> float:
+    """``Retry-After`` in seconds if from 0 to one day, else 1 s; ``backoff`` if absent."""
+    if retry_after is None:
+        return backoff
+    try:
+        seconds = float(retry_after)
+    except ValueError:
+        return 1.0
+    return seconds if 0 <= seconds <= _MAX_RETRY_AFTER else 1.0
+
+
+def request_with_retry(request: Callable, method: str, url: str, *, headers: dict,
+                       body: Optional[bytes] = None, timeout: float, policy: RetryPolicy,
+                       sleep: Callable[[float], None]) -> tuple:
+    """``request``, shaped like this module's ``request``, tried up to
+    ``policy.max_attempts`` times: a raised TransportError, a 429 and any status
+    >= 500 are retried after ``_retry_wait``. The last reply is returned whatever
+    its status; a last attempt that raises is a TransportError naming the count."""
+    attempts = max(1, policy.max_attempts)
+    for attempt in range(attempts):
+        backoff = policy.backoff_seconds * 2 ** attempt
+        try:
+            reply = request(method, url, headers=headers, body=body, timeout=timeout)
+        except TransportError as exc:
+            if attempt == attempts - 1:
+                raise TransportError(f"{exc} (after {attempts} attempts)") from exc
+            sleep(backoff)
+            continue
+        status, reply_headers, _ = reply
+        if attempt == attempts - 1 or not (status == 429 or status >= 500):
+            return reply
+        sleep(_retry_wait(reply_headers.get("Retry-After"), backoff))

@@ -147,6 +147,37 @@ def no_network(monkeypatch):
     assert attempts == []
 
 
+class SentRequest(NamedTuple):
+    method: str
+    url: str
+    headers: dict
+    body: Optional[bytes]
+    timeout: float
+
+
+class FakeRequest:
+    """A stand-in for ``transport.request`` that records every call in
+    ``calls`` and answers from ``replies``.
+
+    ``replies`` is a list of (status, headers, body) replies, or exceptions
+    to raise, served in order with the last one repeated; or a dict holding
+    such a list, or one reply, per URL.
+    """
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.calls: list[SentRequest] = []
+
+    def __call__(self, method, url, *, headers, body=None, timeout):
+        self.calls.append(SentRequest(method, url, dict(headers), body, timeout))
+        replies = self.replies[url] if isinstance(self.replies, dict) else self.replies
+        if isinstance(replies, list):
+            replies = replies.pop(0) if len(replies) > 1 else replies[0]
+        if isinstance(replies, Exception):
+            raise replies
+        return replies
+
+
 class RecordedRequest(NamedTuple):
     method: str
     path: str

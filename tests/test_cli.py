@@ -16,6 +16,7 @@ from finreportqa.corpus import QAInstance, parse_report
 from finreportqa.embeddings import CachedEmbeddingProvider
 from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
+from finreportqa.transport import RetryPolicy
 
 
 def _hash(path: Path) -> str:
@@ -87,7 +88,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("flag, value", [
         ("--temperature", "-1"), ("--temperature", "nan"), ("--temperature", "inf"),
         ("--max-input-tokens", "0"), ("--max-output-tokens", "0"),
-        ("--timeout", "0"), ("--timeout", "-2.5"), ("--timeout", "nan")])
+        ("--timeout", "0"), ("--timeout", "-2.5"), ("--timeout", "nan"),
+        ("--retry-backoff", "-1"), ("--retry-backoff", "nan"), ("--retry-backoff", "inf")])
     def test_bad_provider_setting_is_config_error(self, tmp_path, capsys, flag, value):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(flag, value)))
@@ -101,6 +103,12 @@ class TestRunConfig:
         provider = build_embedding_provider(config)
         assert isinstance(provider, CachedEmbeddingProvider)
         assert provider.provider.timeout == 5.0
+
+    def test_retry_flags_bound_embedding_calls(self):
+        config = RunConfig(retry_attempts=5, retry_backoff=0.1, scheme="dense",
+                           embedding_endpoint="http://localhost:1", embedding_model="e",
+                           embedding_dimension=4)
+        assert build_embedding_provider(config).retry == RetryPolicy(5, 0.1)
 
     def test_scripted_without_script_is_config_error(self, tmp_path):
         code = main(["bench", "--backend", "scripted",
@@ -749,7 +757,8 @@ class TestOtherCommands:
 
     def test_ingest_is_wired(self, tmp_path, monkeypatch, capsys):
         # transport-level substitution; the CLI path itself stays intact
-        import finreportqa.ingest as ingest_mod
+        from conftest import FakeRequest
+        from finreportqa import transport
 
         fixture = {
             "name": "Demo", "filings": {"recent": {
@@ -758,14 +767,24 @@ class TestOtherCommands:
                 "primaryDocument": ["a.htm"],
             }}}
 
-        def fake_transport(self, url, headers):
-            body = json.dumps(fixture).encode()
-            return 200, {"Content-Length": str(len(body))}, body
-
-        monkeypatch.setattr(ingest_mod.EdgarClient, "_default_transport", fake_transport)
+        body = json.dumps(fixture).encode()
+        monkeypatch.setattr(transport, "request",
+                            FakeRequest([(200, {"Content-Length": str(len(body))}, body)]))
         code = main(["ingest", "--issuer", "123", "--years", "2024-2024"])
         assert code == 0
         assert "1 filings" in capsys.readouterr().out
+
+    def test_ingest_takes_the_retry_flags(self, monkeypatch, capsys):
+        from conftest import FakeRequest
+        from finreportqa import transport
+
+        fake = FakeRequest([(503, {"Retry-After": "0"}, b"")])
+        monkeypatch.setattr(transport, "request", fake)
+        code = main(["ingest", "--issuer", "123", "--retry-attempts", "2",
+                     "--retry-backoff", "0"])
+        assert code == 4
+        assert "rate limited" in capsys.readouterr().err
+        assert len(fake.calls) == 2
 
 
 @pytest.mark.parametrize("years", ["abc", "2022", "22-24", "2022-", "2022-2024-2026",

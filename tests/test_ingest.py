@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import FakeRequest
 from finreportqa.errors import (
     ChecksumMismatchError,
     NotFoundError,
@@ -9,6 +10,7 @@ from finreportqa.errors import (
     TransportError,
 )
 from finreportqa.ingest import DEFAULT_USER_AGENT, EdgarClient, FilingRef, html_to_pages
+from finreportqa.transport import RetryPolicy
 
 CIK = "0000320193"
 
@@ -38,33 +40,16 @@ TICKER_FIXTURE = {
 DOC_BYTES = b"<html><body>10-K filing body text</body></html>"
 
 
-class RecordedTransport:
-    """Replays canned (status, headers, body) responses keyed by URL."""
-
-    def __init__(self, responses):
-        self.responses = responses
-        self.calls = []
-
-    def __call__(self, url, headers):
-        self.calls.append((url, headers))
-        entry = self.responses[url]
-        if isinstance(entry, list):  # scripted sequence per URL
-            entry = entry.pop(0)
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
-
-
 def _json_response(payload):
     body = json.dumps(payload).encode()
     return 200, {"Content-Length": str(len(body))}, body
 
 
 def make_client(responses, **kwargs):
-    transport = RecordedTransport(responses)
-    client = EdgarClient(transport=transport, sleep=lambda s: None,
+    fake = FakeRequest(responses)
+    client = EdgarClient(request=fake, sleep=lambda s: None,
                          clock=lambda: 0.0, min_interval_s=0.0, **kwargs)
-    return client, transport
+    return client, fake
 
 
 SUBMISSIONS_URL = f"https://data.sec.gov/submissions/CIK{CIK}.json"
@@ -73,7 +58,7 @@ TICKER_URL = "https://www.sec.gov/files/company_tickers.json"
 
 class TestListFilings:
     def test_fixture_replay_three_annual_filings(self):
-        client, transport = make_client({SUBMISSIONS_URL: _json_response(SUBMISSIONS_FIXTURE)})
+        client, fake = make_client({SUBMISSIONS_URL: _json_response(SUBMISSIONS_FIXTURE)})
         refs = client.list_filings("320193", form_type="10-K", year_range=(2022, 2024))
         assert len(refs) == 3
         assert [r.filing_date for r in refs] == ["2022-02-04", "2023-02-03", "2024-02-01"]
@@ -82,7 +67,7 @@ class TestListFilings:
         assert refs[0].url.startswith("https://www.sec.gov/Archives/edgar/data/320193/")
 
     def test_ticker_resolution(self):
-        client, transport = make_client({
+        client, fake = make_client({
             TICKER_URL: _json_response(TICKER_FIXTURE),
             SUBMISSIONS_URL: _json_response(SUBMISSIONS_FIXTURE),
         })
@@ -96,15 +81,15 @@ class TestListFilings:
             client.list_filings("NOPE")
 
     def test_empty_year_range(self):
-        client, transport = make_client({})
+        client, fake = make_client({})
         assert client.list_filings("320193", year_range=(2024, 2022)) == []
-        assert transport.calls == []
+        assert fake.calls == []
 
     def test_user_agent_always_sent(self):
-        client, transport = make_client({SUBMISSIONS_URL: _json_response(SUBMISSIONS_FIXTURE)})
+        client, fake = make_client({SUBMISSIONS_URL: _json_response(SUBMISSIONS_FIXTURE)})
         client.list_filings("320193", year_range=(2024, 2024))
-        for _, headers in transport.calls:
-            assert headers["User-Agent"] == DEFAULT_USER_AGENT
+        for call in fake.calls:
+            assert (call.method, call.headers["User-Agent"]) == ("GET", DEFAULT_USER_AGENT)
 
     def test_missing_cik_is_not_found(self):
         client, _ = make_client({SUBMISSIONS_URL: (404, {}, b"")})
@@ -129,13 +114,13 @@ class TestFetchDocument:
 
     def test_refetch_is_idempotent_without_network(self, tmp_path):
         ref = _ref()
-        client, transport = make_client({
+        client, fake = make_client({
             ref.url: (200, {"Content-Length": str(len(DOC_BYTES))}, DOC_BYTES)})
         first = client.fetch_document(ref, tmp_path)
-        calls_after_first = len(transport.calls)
+        calls_after_first = len(fake.calls)
         second = client.fetch_document(ref, tmp_path)
         assert second == first
-        assert len(transport.calls) == calls_after_first
+        assert len(fake.calls) == calls_after_first
 
     def test_truncated_stream_raises_and_removes_partial(self, tmp_path):
         ref = _ref()
@@ -145,78 +130,106 @@ class TestFetchDocument:
             client.fetch_document(ref, tmp_path)
         assert not (tmp_path / CIK / ref.accession_number / ref.primary_document).exists()
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "²", ""])
+    def test_content_length_that_is_not_a_byte_count(self, tmp_path, length):
+        ref = _ref()
+        client, _ = make_client({ref.url: (200, {"Content-Length": length}, DOC_BYTES)})
+        with pytest.raises(ChecksumMismatchError, match="Content-Length"):
+            client.fetch_document(ref, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupted_local_file_refetched(self, tmp_path):
         ref = _ref()
-        client, transport = make_client({
+        client, fake = make_client({
             ref.url: (200, {"Content-Length": str(len(DOC_BYTES))}, DOC_BYTES)})
         path = client.fetch_document(ref, tmp_path)
         path.write_bytes(b"tampered")
         client.fetch_document(ref, tmp_path)
         assert path.read_bytes() == DOC_BYTES
-        assert len(transport.calls) == 2
+        assert len(fake.calls) == 2
 
 
 class TestRateLimiting:
-    def test_retry_after_honored(self):
-        url = SUBMISSIONS_URL
-        responses = {url: [(429, {"Retry-After": "7"},
-                            b""), _json_response(SUBMISSIONS_FIXTURE)]}
-        sleeps = []
-        transport = RecordedTransport(responses)
-        client = EdgarClient(transport=transport, sleep=sleeps.append,
-                             clock=lambda: 0.0, min_interval_s=0.0)
-        refs = client.list_filings("320193", year_range=(2024, 2024))
-        assert len(refs) == 1
-        assert 7.0 in sleeps
-
-    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "inf", "nan", "-5"])
-    def test_unusable_retry_after_waits_one_second(self, value):
-        responses = {SUBMISSIONS_URL: [(503, {"Retry-After": value}, b""),
-                                       _json_response(SUBMISSIONS_FIXTURE)]}
-        sleeps = []
-        client = EdgarClient(transport=RecordedTransport(responses), sleep=sleeps.append,
-                             clock=lambda: 0.0, min_interval_s=0.0)
-        assert len(client.list_filings("320193", year_range=(2024, 2024))) == 1
-        assert sleeps == [1.0]
-
-    def test_rate_limited_after_exhausting_attempts(self):
-        url = SUBMISSIONS_URL
-        responses = {url: [(429, {"Retry-After": "1"}, b"")] * 3}
-        transport = RecordedTransport(responses)
-        client = EdgarClient(transport=transport, sleep=lambda s: None,
-                             clock=lambda: 0.0, min_interval_s=0.0, max_attempts=3)
-        with pytest.raises(RateLimitedError):
-            client.list_filings("320193", year_range=(2024, 2024))
+    """EDGAR's own rules; the retry rules it shares are in test_retry.py."""
 
     def test_min_interval_spacing(self):
         url = SUBMISSIONS_URL
         ticks = iter([0.0, 0.05, 0.05, 0.05, 0.05])
         sleeps = []
-        transport = RecordedTransport({
+        fake = FakeRequest({
             url: _json_response(SUBMISSIONS_FIXTURE),
             TICKER_URL: _json_response(TICKER_FIXTURE),
         })
-        client = EdgarClient(transport=transport, sleep=sleeps.append,
+        client = EdgarClient(request=fake, sleep=sleeps.append,
                              clock=lambda: next(ticks), min_interval_s=0.2)
         client.list_filings("demo", year_range=(2024, 2024))
         assert sleeps and sleeps[0] == pytest.approx(0.15)
 
-    def test_transport_exception_retried(self):
-        url = SUBMISSIONS_URL
-        responses = {url: [ConnectionError("flaky"), _json_response(SUBMISSIONS_FIXTURE)]}
-        transport = RecordedTransport(responses)
-        client = EdgarClient(transport=transport, sleep=lambda s: None,
-                             clock=lambda: 0.0, min_interval_s=0.0)
-        assert client.list_filings("320193", year_range=(2024, 2024))
+    def test_min_interval_spacing_comes_before_a_retry_too(self):
+        fake = FakeRequest({SUBMISSIONS_URL: [(503, {"Retry-After": "2"}, b""),
+                                              _json_response(SUBMISSIONS_FIXTURE)]})
+        sleeps = []
+        client = EdgarClient(request=fake, sleep=sleeps.append, clock=lambda: 0.0,
+                             min_interval_s=0.2)
+        assert len(client.list_filings("320193", year_range=(2024, 2024))) == 1
+        assert sleeps == [2.0, 0.2]  # the retry wait, then the spacing before attempt 2
+        assert len(fake.calls) == 2
 
-    def test_transport_error_after_retries(self):
-        url = SUBMISSIONS_URL
-        responses = {url: [ConnectionError("down")] * 3}
-        transport = RecordedTransport(responses)
-        client = EdgarClient(transport=transport, sleep=lambda s: None,
-                             clock=lambda: 0.0, min_interval_s=0.0, max_attempts=3)
-        with pytest.raises(TransportError):
-            client.list_filings("320193", year_range=(2024, 2024))
+    @pytest.mark.parametrize("status, error", [(429, RateLimitedError),
+                                               (503, RateLimitedError),
+                                               (500, TransportError)])
+    def test_last_reply_names_the_error(self, status, error):
+        client, fake = make_client({SUBMISSIONS_URL: (status, {}, b"")},
+                                   retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0))
+        with pytest.raises(error, match=SUBMISSIONS_URL):
+            client.list_filings("320193")
+        assert len(fake.calls) == 2
+
+
+class TestMalformedMetadata:
+    """Untrusted EDGAR JSON ends in a TransportError naming its URL."""
+
+    @pytest.mark.parametrize("recent", [
+        {"accessionNumber": ["a-1"], "form": ["10-K"], "filingDate": ["abcd-01-01"],
+         "primaryDocument": ["d.htm"]},
+        {"accessionNumber": ["a-1"], "form": ["10-K"], "filingDate": [20240201],
+         "primaryDocument": ["d.htm"]},
+        {"accessionNumber": [7], "form": ["10-K"], "filingDate": ["2024-02-01"],
+         "primaryDocument": ["d.htm"]},
+        {"accessionNumber": 5, "form": ["10-K"]},
+        [],
+    ])
+    def test_filing_metadata(self, recent):
+        payload = {"name": "Demo", "filings": {"recent": recent}}
+        client, _ = make_client({SUBMISSIONS_URL: _json_response(payload)})
+        with pytest.raises(TransportError, match=f"{SUBMISSIONS_URL}: malformed"):
+            client.list_filings("320193")
+
+    @pytest.mark.parametrize("payload", [[], {"filings": []}, {"name": 5, "filings": {
+        "recent": SUBMISSIONS_FIXTURE["filings"]["recent"]}}])
+    def test_submissions_document(self, payload):
+        client, _ = make_client({SUBMISSIONS_URL: _json_response(payload)})
+        with pytest.raises(TransportError, match=f"{SUBMISSIONS_URL}: malformed"):
+            client.list_filings("320193")
+
+    def test_bad_date_in_another_form_is_skipped(self):
+        payload = {"name": "Demo", "filings": {"recent": {
+            "accessionNumber": ["a-1", "a-2"], "form": ["10-Q", "10-K"],
+            "filingDate": ["abcd", "2024-02-01"], "primaryDocument": ["q.htm", "k.htm"]}}}
+        client, _ = make_client({SUBMISSIONS_URL: _json_response(payload)})
+        assert [ref.primary_document for ref in client.list_filings("320193")] == ["k.htm"]
+
+    @pytest.mark.parametrize("table", [
+        [],
+        {"0": ["DEMO"]},
+        {"0": {"ticker": 5}},
+        {"0": {"ticker": "DEMO"}},
+        {"0": {"ticker": "DEMO", "cik_str": "abc"}},
+    ])
+    def test_ticker_table(self, table):
+        client, _ = make_client({TICKER_URL: _json_response(table)})
+        with pytest.raises(TransportError, match=f"{TICKER_URL}: malformed"):
+            client.resolve_cik("demo")
 
 
 class TestHtmlToPages:

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import FakeRequest
 from finreportqa import llm as llm_mod
 from finreportqa.corpus import count_tokens
 from finreportqa.errors import (
@@ -35,21 +36,8 @@ def _messages(text="What is the DSCR?"):
     return [system("You answer financial questions."), user(text)]
 
 
-class _CountingTransport:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = 0
-
-    def __call__(self, url, payload, headers, timeout):
-        self.calls += 1
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def _ok(content="fine"):
-    return 200, {"choices": [{"message": {"content": content}}]}
+    return 200, {}, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
 
 class TestChatMessage:
@@ -83,15 +71,15 @@ class TestCacheKey:
                 != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=65), _messages())))
 
     def test_output_cap_change_misses_cache(self, tmp_path):
-        transport = _CountingTransport([_ok("short"), _ok("long")])
+        fake = FakeRequest([_ok("short"), _ok("long")])
         cache = ResponseCache(tmp_path / "llm")
-        backend = HttpBackend(transport=transport)
+        backend = HttpBackend(request=fake)
         short = LLMClient(ProviderConfig(max_output_tokens=16), backend, cache)
         long = LLMClient(ProviderConfig(max_output_tokens=4096), backend, cache)
         assert short.complete(_messages()) == "short"
         assert long.complete(_messages()) == "long"
         assert short.complete(_messages()) == "short"
-        assert transport.calls == 2
+        assert len(fake.calls) == 2
         requests = sorted(json.loads(path.read_text())["request"]["max_tokens"]
                           for path in (tmp_path / "llm").glob("*.json"))
         assert requests == [16, 4096]
@@ -173,73 +161,68 @@ class TestScriptedBackend:
 
 class TestComplete:
     def test_context_overflow_before_network(self):
-        transport = _CountingTransport([_ok()])
+        fake = FakeRequest([_ok()])
         config = ProviderConfig(max_input_tokens=5)
-        client = LLMClient(config, HttpBackend(transport=transport))
+        client = LLMClient(config, HttpBackend(request=fake))
         with pytest.raises(ContextOverflowError):
             client.complete(_messages("far too many words in this prompt for the budget"))
-        assert transport.calls == 0
+        assert fake.calls == []
 
     def test_http_success(self):
-        transport = _CountingTransport([_ok("answer")])
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport))
+        fake = FakeRequest([_ok("answer")])
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
         assert client.complete(_messages()) == "answer"
-        assert transport.calls == 1
+        assert len(fake.calls) == 1
 
     def test_retry_then_success(self):
-        transport = _CountingTransport([ConnectionError("boom"), (500, {}), _ok("recovered")])
+        fake = FakeRequest([TransportError("boom"), (500, {}, b""), _ok("recovered")])
         config = ProviderConfig(retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0))
-        client = LLMClient(config, HttpBackend(transport=transport, sleep=lambda s: None))
+        client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         assert client.complete(_messages()) == "recovered"
-        assert transport.calls == 3
+        assert len(fake.calls) == 3
 
     def test_every_attempt_posts_the_request_body(self):
-        posted = []
-
-        def transport(url, body, headers, timeout):
-            posted.append(body)
-            return _ok("third time") if len(posted) == 3 else (503, {"error": "busy"})
-
+        fake = FakeRequest([(503, {}, b'{"error": "busy"}')] * 2 + [_ok("third time")])
         config = ProviderConfig(retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0))
-        client = LLMClient(config, HttpBackend(transport=transport, sleep=lambda s: None))
+        client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         assert client.complete(_messages()) == "third time"
-        assert posted == [request_body(config, _messages())] * 3
+        assert [call.body for call in fake.calls] == [request_body(config, _messages())] * 3
 
     def test_transport_error_after_retries(self):
-        transport = _CountingTransport([ConnectionError("a"), ConnectionError("b")])
+        fake = FakeRequest([TransportError("a"), TransportError("b")])
         config = ProviderConfig(retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0))
-        client = LLMClient(config, HttpBackend(transport=transport, sleep=lambda s: None))
+        client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         with pytest.raises(TransportError):
             client.complete(_messages())
-        assert transport.calls == 2
+        assert len(fake.calls) == 2
 
     def test_non_retryable_status(self):
-        transport = _CountingTransport([(401, {})])
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport))
+        fake = FakeRequest([(401, {}, b"")])
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
         with pytest.raises(TransportError):
             client.complete(_messages())
-        assert transport.calls == 1
+        assert len(fake.calls) == 1
 
     def test_decode_error(self):
-        transport = _CountingTransport([(200, {"unexpected": []})])
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport))
+        fake = FakeRequest([(200, {}, b'{"unexpected": []}')])
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
         with pytest.raises(DecodeError):
             client.complete(_messages())
 
     def test_cache_serves_second_call(self, tmp_path):
-        transport = _CountingTransport([_ok("cached answer")])
+        fake = FakeRequest([_ok("cached answer")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
         assert client.complete(_messages()) == "cached answer"
         assert client.complete(_messages()) == "cached answer"
-        assert transport.calls == 1
+        assert len(fake.calls) == 1
         assert client.cache_hits == 1
 
     def test_cache_entry_holds_the_hashed_body(self, tmp_path):
         import hashlib
 
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=_CountingTransport([_ok()])), cache)
+        client = LLMClient(ProviderConfig(), HttpBackend(request=FakeRequest([_ok()])), cache)
         client.complete(_messages('quote " and «non-ASCII»'))
         (path,) = (tmp_path / "llm").glob("*.json")
         entry = json.loads(path.read_text(encoding="utf-8"))
@@ -249,49 +232,49 @@ class TestComplete:
 
     def test_cache_survives_new_client(self, tmp_path):
         cache = ResponseCache(tmp_path / "llm")
-        first = LLMClient(ProviderConfig(), HttpBackend(transport=_CountingTransport([_ok("hit")])), cache)
+        first = LLMClient(ProviderConfig(), HttpBackend(request=FakeRequest([_ok("hit")])), cache)
         first.complete(_messages())
 
-        dead_transport = _CountingTransport([])
-        second = LLMClient(ProviderConfig(), HttpBackend(transport=dead_transport), cache)
+        dead = FakeRequest([])
+        second = LLMClient(ProviderConfig(), HttpBackend(request=dead), cache)
         assert second.complete(_messages()) == "hit"
-        assert dead_transport.calls == 0
+        assert dead.calls == []
 
     def test_bypass_cache_reaches_backend(self, tmp_path):
-        transport = _CountingTransport([_ok("one"), _ok("two")])
+        fake = FakeRequest([_ok("one"), _ok("two")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
         assert client.complete(_messages()) == "one"
         assert client.complete(_messages(), bypass_cache=True) == "two"
-        assert transport.calls == 2
+        assert len(fake.calls) == 2
 
     @pytest.mark.parametrize("damaged", [
         None, b"", b"[]", b"null", b'{"key": "k"}', b'{"response": 5}', b"\xff\xfe"])
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
-        transport = _CountingTransport([_ok("fresh"), _ok("fresh")])
+        fake = FakeRequest([_ok("fresh"), _ok("fresh")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
         client.complete(_messages())
         (entry,) = (tmp_path / "llm").glob("*.json")
         intact = entry.read_bytes()
         entry.write_bytes(intact[:20] if damaged is None else damaged)
         assert cache.get(entry.stem) is None
         assert client.complete(_messages()) == "fresh"
-        assert transport.calls == 2
+        assert len(fake.calls) == 2
         assert entry.read_bytes() == intact
         assert cache.get(entry.stem) == "fresh"
 
     def test_directory_at_entry_path(self, tmp_path):
-        transport = _CountingTransport([_ok("fresh")])
+        fake = FakeRequest([_ok("fresh")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(transport=transport), cache)
+        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
         key = llm_mod.cache_key(llm_mod.request_body(ProviderConfig(), _messages()))
         (tmp_path / "llm" / f"{key}.json").mkdir(parents=True)
         assert cache.get(key) is None
         with pytest.raises(ConfigError) as raised:
             client.complete(_messages())
         assert str(tmp_path / "llm") in str(raised.value)
-        assert transport.calls == 1
+        assert len(fake.calls) == 1
         assert [p.name for p in (tmp_path / "llm").iterdir()] == [f"{key}.json"]
 
     def test_audit_log_written(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import re
@@ -11,9 +12,15 @@ from dataclasses import dataclass
 import pytest
 
 from finreportqa.corpus import count_tokens, parse_report
-from finreportqa.embeddings import CachedEmbeddingProvider, EmbeddingCache, EmbeddingProvider
+from finreportqa.embeddings import (
+    CachedEmbeddingProvider,
+    EmbeddingCache,
+    EmbeddingProvider,
+    HttpEmbeddingProvider,
+)
 from finreportqa.errors import (
     ConfigError,
+    DimensionMismatchError,
     EmptyCorpusError,
     EmptyGoldError,
     EmptyQueryError,
@@ -35,6 +42,7 @@ from finreportqa.retrieval import (
     tokenize,
 )
 
+from conftest import FakeRequest
 from oracles import brute_force_ranking, brute_force_scores, random_corpus, random_query
 
 
@@ -516,20 +524,31 @@ class TestDense:
         assert retriever.search("q", 2)[0].unit_id == "u0"
 
     def test_http_provider_session_memo(self):
-        from finreportqa.embeddings import HttpEmbeddingProvider
-
-        calls = []
-
-        def transport(url, payload, headers, timeout):
-            calls.append(list(payload["input"]))
-            return {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
-
-        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2,
-                                         transport=transport)
+        fake = FakeRequest([(200, {}, json.dumps({"data": [
+            {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}).encode())])
+        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2, request=fake)
         first = provider.embed(["a", "b", "a"])
         second = provider.embed(["a"])
-        assert first[0] == first[2] == second[0]
-        assert calls == [["a", "b"]]  # deduped, then fully memoized
+        assert first[0] == first[2] == second[0] == [1.0, 0.0]
+        # deduped, then fully memoized
+        assert [json.loads(call.body)["input"] for call in fake.calls] == [["a", "b"]]
+
+    @pytest.mark.parametrize("vectors", [
+        [["a", "b"]], [5], [[float("nan"), 1.0]], [[1.0, True]], [None], [[10 ** 400, 1]]])
+    def test_http_provider_rejects_a_vector_that_is_not_finite_numbers(self, vectors):
+        reply = json.dumps({"data": [{"embedding": [0.0, 1.0]}]
+                            + [{"embedding": v} for v in vectors]}).encode()
+        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2,
+                                         request=FakeRequest([(200, {}, reply)]))
+        with pytest.raises(ProviderError, match="embedding 1 is not"):
+            provider.embed(["ok", "bad"])
+
+    def test_http_provider_vector_of_another_dimension(self):
+        reply = json.dumps({"data": [{"embedding": [0.0, 1.0, 2.0]}]}).encode()
+        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2,
+                                         request=FakeRequest([(200, {}, reply)]))
+        with pytest.raises(DimensionMismatchError):
+            provider.embed(["text"])
 
 
 class _HashProvider(EmbeddingProvider):

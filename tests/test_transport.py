@@ -17,7 +17,7 @@ from conftest import refused_url
 from finreportqa import ingest as ingest_mod
 from finreportqa import transport
 from finreportqa.embeddings import HttpEmbeddingProvider
-from finreportqa.errors import ProviderError, TransportError
+from finreportqa.errors import DecodeError, ProviderError, TransportError
 from finreportqa.ingest import EdgarClient, FilingRef
 from finreportqa.llm import HttpBackend, LLMClient, ProviderConfig, RetryPolicy, system, user
 
@@ -76,11 +76,11 @@ class TestWire:
 
 
 class TestRetries:
-    def test_429_then_200_after_the_fixed_backoff(self, local_server):
+    def test_429_then_200_after_its_retry_after(self, local_server):
         local_server.replies = [(429, {"Retry-After": "7"}, b"slow down"), (200, {}, COMPLETION)]
         sleeps = []
         assert _client(local_server, sleeps).complete(_messages()) == "ok"
-        assert sleeps == [0.5]
+        assert sleeps == [7.0]
         assert len(local_server.requests) == 2
 
     def test_503_is_retried(self, local_server):
@@ -98,12 +98,13 @@ class TestRetries:
         assert sleeps == []
         assert len(local_server.requests) == 1
 
-    def test_200_that_is_not_json_is_retried(self, local_server):
+    def test_200_that_is_not_json_is_a_decode_error(self, local_server):
         local_server.replies = [(200, {}, b"<html>not json</html>"), (200, {}, COMPLETION)]
         sleeps = []
-        assert _client(local_server, sleeps).complete(_messages()) == "ok"
-        assert sleeps == [0.5]
-        assert len(local_server.requests) == 2
+        with pytest.raises(DecodeError, match="malformed completion response"):
+            _client(local_server, sleeps).complete(_messages())
+        assert sleeps == []
+        assert len(local_server.requests) == 1
 
     def test_refused_connection_is_a_transport_error_after_max_attempts(self):
         sleeps = []
@@ -114,17 +115,22 @@ class TestRetries:
             client.complete(_messages())
         assert sleeps == [0.5, 1.0]
 
-    @pytest.mark.parametrize("status", [404, 500])
-    def test_embedding_status_other_than_200_is_a_provider_error(self, local_server, status):
+    @pytest.mark.parametrize("status, attempts", [(404, 1), (500, 3)])
+    def test_embedding_status_other_than_200_is_a_provider_error(self, local_server, status,
+                                                                 attempts):
         local_server.replies = [(status, {}, b'{"data": []}')]
-        provider = HttpEmbeddingProvider(local_server.url + "/v1/embeddings", "embedder", 2)
+        provider = HttpEmbeddingProvider(local_server.url + "/v1/embeddings", "embedder", 2,
+                                         sleep=lambda s: None)
         with pytest.raises(ProviderError, match=f"returned {status}"):
             provider.embed(["text"])
+        assert len(local_server.requests) == attempts
 
     def test_refused_embedding_connection_is_a_provider_error(self):
-        provider = HttpEmbeddingProvider(refused_url(), "embedder", 2)
-        with pytest.raises(ProviderError, match="request failed"):
+        sleeps = []
+        provider = HttpEmbeddingProvider(refused_url(), "embedder", 2, sleep=sleeps.append)
+        with pytest.raises(ProviderError, match="request failed.*after 3 attempts"):
             provider.embed(["text"])
+        assert sleeps == [0.5, 1.0]
 
 
 class TestRequest:
@@ -258,3 +264,21 @@ def test_importing_the_cli_loads_no_http_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(src)}, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_the_transport_module_imports_http_modules():
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "finreportqa"
+    banned = {"urllib", "http", "socket"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):  # nested ones too
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] in banned]
+    assert found and {module for module, _ in found} == {"transport.py"}, found

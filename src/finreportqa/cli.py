@@ -21,7 +21,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,54 +69,63 @@ PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_b
 _INDEXLESS_PIPELINES = ("no_context", "long_context")
 
 
-# The JSON values each RunConfig annotation takes; no field takes a bool.
-_JSON_TYPES = {
-    "str": str,
-    "int": int,
-    "float": (int, float),
-    "Optional[str]": (str, type(None)),
-    "str | int": (str, int),
+# Per RunConfig annotation: the JSON values a config file may give the field
+# (never a bool) and the type its flag parses to.
+_FIELD_TYPES = {
+    "str": (str, str),
+    "int": (int, int),
+    "float": ((int, float), float),
+    "Optional[str]": ((str, type(None)), str),
+    "str | int": ((str, int), str),
 }
+
+
+def _setting(default, help: str):
+    """A RunConfig field with its default and the help text of its flag."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; serialized verbatim into the manifest."""
+    """Everything a run needs; serialized verbatim into the manifest. Each
+    field is also a flag of every subcommand: ``--max-rounds`` sets ``max_rounds``."""
 
-    endpoint: str = "http://localhost:8000/v1/chat/completions"
-    model: str = "scripted"
-    temperature: float = 0.0
-    max_input_tokens: int = 128_000
-    max_output_tokens: int = 2048
-    timeout: float = 120.0
-    retry_attempts: int = 3
-    retry_backoff: float = 0.5
-    api_key_env: str = "FINDOC_API_KEY"
+    endpoint: str = _setting("http://localhost:8000/v1/chat/completions",
+                             "chat-completions endpoint URL")
+    model: str = _setting("scripted", "model identifier")
+    temperature: float = _setting(0.0, "sampling temperature")
+    max_input_tokens: int = _setting(128_000, "input context budget")
+    max_output_tokens: int = _setting(2048, "completion token cap")
+    timeout: float = _setting(120.0, "request timeout seconds")
+    retry_attempts: int = _setting(3, "attempts per LLM, embedding or EDGAR request")
+    retry_backoff: float = _setting(0.5, "retry backoff seconds, doubled per retry")
+    api_key_env: str = _setting("FINDOC_API_KEY", "environment variable holding the API key")
 
-    backend: str = "http"  # http | scripted
-    script_path: Optional[str] = None
+    backend: str = _setting("http", "llm backend: http or scripted")
+    script_path: Optional[str] = _setting(None, "scripted backend response file")
 
-    scheme: str = "bm25"  # tfidf | bm25 | dense
-    granularity: str | int = "page"  # "page" or a positive token count
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
-    embedding_endpoint: str = ""
-    embedding_model: str = ""
-    embedding_dimension: int = 0
+    scheme: str = _setting("bm25", "retrieval scheme: tfidf, bm25, dense")
+    granularity: str | int = _setting(
+        "page", "retrieval unit granularity: page or a positive token count")
+    bm25_k1: float = _setting(1.2, "BM25 k1")
+    bm25_b: float = _setting(0.75, "BM25 b")
+    embedding_endpoint: str = _setting("", "embeddings endpoint URL")
+    embedding_model: str = _setting("", "embedding model identifier")
+    embedding_dimension: int = _setting(0, "embedding vector dimension")
 
-    k_per_round: int = 15
-    max_rounds: int = 5
-    chunk_budget: int = 75
-    baseline_k: int = 30
-    fixed_budget_k: int = 75
+    k_per_round: int = _setting(15, "chunks retrieved per agent round")
+    max_rounds: int = _setting(5, "agent round limit")
+    chunk_budget: int = _setting(75, "cumulative retrieved chunk cap")
+    baseline_k: int = _setting(30, "single-round retrieval k")
+    fixed_budget_k: int = _setting(75, "fixed-budget retrieval k")
 
-    corpus_dir: Optional[str] = None
-    dataset: Optional[str] = None
-    output_dir: str = "runs"
-    cache_dir: Optional[str] = None
+    corpus_dir: Optional[str] = _setting(None, "directory of report .md files")
+    dataset: Optional[str] = _setting(None, "QA dataset JSON-lines path")
+    output_dir: str = _setting("runs", "run output directory")
+    cache_dir: Optional[str] = _setting(None, "cache directory for llm/embedding responses")
 
-    workers: int = 1
-    seed: int = 0
+    workers: int = _setting(1, "bench worker count")
+    seed: int = _setting(0, "random seed")
 
     def validate(self) -> None:
         if self.backend not in ("http", "scripted"):
@@ -129,19 +138,18 @@ class RunConfig:
                                            and self.embedding_dimension > 0):
             raise ConfigError("dense retrieval needs embedding endpoint, model, and dimension")
         self.unit_granularity()
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(f"temperature must be a finite number >= 0, got {self.temperature}")
-        if not 0 <= self.retry_backoff < math.inf:
-            raise ConfigError(
-                f"retry_backoff must be a finite number >= 0, got {self.retry_backoff}")
+        for name in ("temperature", "retry_backoff", "bm25_k1"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        if not 0 <= self.bm25_b <= 1:
+            raise ConfigError(f"bm25_b must be a number in [0, 1], got {self.bm25_b}")
         for name in ("max_input_tokens", "max_output_tokens", "timeout"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        for name in ("k_per_round", "max_rounds", "chunk_budget", "baseline_k", "fixed_budget_k"):
+        for name in ("retry_attempts", "workers", "k_per_round", "max_rounds", "chunk_budget",
+                     "baseline_k", "fixed_budget_k"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def unit_granularity(self) -> str | int:
         """"page", or the token count of each retrieval unit."""
@@ -160,13 +168,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = set(payload) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for name, value in payload.items():
-            annotation = cls.__dataclass_fields__[name].type
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation]):
+            annotation = annotations[name]
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[annotation][0]):
                 raise ConfigError(f"config field {name} must be {annotation}, got {value!r}")
         return cls(**payload)
 
@@ -198,9 +206,7 @@ class RunConfig:
 def read_json_object(path: str | Path) -> dict:
     """The JSON object in a config or manifest file; anything else is a ConfigError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
+        payload = json.loads(corpus_mod.read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -419,19 +425,11 @@ def cmd_score(args, config: RunConfig) -> int:
         raise ConfigError("score needs a gold dataset (--gold or config dataset)")
     instances = {i.id: i for i in corpus_mod.read_dataset(dataset_path)}
     rows = []
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{args.predictions}: invalid JSON: {exc}",
-                                  line_number) from None
-            if not (isinstance(row, dict) and isinstance(row.get("id"), str)):
-                raise SchemaError(f"{args.predictions}: a prediction must be a JSON object "
-                                  "with a string id", line_number)
-            rows.append(row)
+    for line_number, row in corpus_mod.read_json_lines(args.predictions):
+        if not isinstance(row.get("id"), str):
+            raise SchemaError(f"{args.predictions}: a prediction must be a JSON object "
+                              "with a string id", line_number)
+        rows.append(row)
     scores = _score_rows(rows, instances)
     out_dir = Path(args.out) if args.out else Path(args.predictions).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -574,44 +572,12 @@ def _make_run_dir(config: RunConfig, run_id: Optional[str]) -> Path:
 
 # --- argument parsing -----------------------------------------------------------
 
-_CONFIG_FLAGS: list[tuple[str, type, str]] = [
-    ("endpoint", str, "chat-completions endpoint URL"),
-    ("model", str, "model identifier"),
-    ("temperature", float, "sampling temperature"),
-    ("max_input_tokens", int, "input context budget"),
-    ("max_output_tokens", int, "completion token cap"),
-    ("timeout", float, "request timeout seconds"),
-    ("retry_attempts", int, "attempts per LLM, embedding or EDGAR request"),
-    ("retry_backoff", float, "retry backoff seconds, doubled per retry"),
-    ("api_key_env", str, "environment variable holding the API key"),
-    ("backend", str, "llm backend: http or scripted"),
-    ("script_path", str, "scripted backend response file"),
-    ("scheme", str, "retrieval scheme: tfidf, bm25, dense"),
-    ("granularity", str, "retrieval unit granularity: page or a positive token count"),
-    ("bm25_k1", float, "BM25 k1"),
-    ("bm25_b", float, "BM25 b"),
-    ("embedding_endpoint", str, "embeddings endpoint URL"),
-    ("embedding_model", str, "embedding model identifier"),
-    ("embedding_dimension", int, "embedding vector dimension"),
-    ("k_per_round", int, "chunks retrieved per agent round"),
-    ("max_rounds", int, "agent round limit"),
-    ("chunk_budget", int, "cumulative retrieved chunk cap"),
-    ("baseline_k", int, "single-round retrieval k"),
-    ("fixed_budget_k", int, "fixed-budget retrieval k"),
-    ("corpus_dir", str, "directory of report .md files"),
-    ("dataset", str, "QA dataset JSON-lines path"),
-    ("output_dir", str, "run output directory"),
-    ("cache_dir", str, "cache directory for llm/embedding responses"),
-    ("workers", int, "bench worker count"),
-    ("seed", int, "random seed"),
-]
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    for name, flag_type, help_text in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}",
-                            type=flag_type, default=None, help=help_text)
+    for setting in fields(RunConfig):
+        parser.add_argument(f"--{setting.name.replace('_', '-')}", dest=f"cfg_{setting.name}",
+                            type=_FIELD_TYPES[setting.type][1], default=None,
+                            help=setting.metadata["help"])
 
 
 def resolve_config(args) -> RunConfig:
@@ -629,13 +595,8 @@ def resolve_config(args) -> RunConfig:
         config = RunConfig.from_file(args.config)
     else:
         config = RunConfig()
-    overrides = {}
-    for name, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, f"cfg_{name}", None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
+    flags = {f.name: getattr(args, f"cfg_{f.name}", None) for f in fields(RunConfig)}
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
     config.validate()
     return config
 

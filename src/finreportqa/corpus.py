@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DanglingReferenceError,
@@ -271,14 +271,21 @@ def render_markdown(report: Report) -> str:
     return "".join(parts)
 
 
+def read_text(path: str | Path, error: type[Exception] = SchemaError) -> str:
+    """A file's text, read with one ``read_text`` call. A file that is missing,
+    a directory, unreadable or not UTF-8 raises ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def load_report(path: str | Path) -> Report:
     """Parse a report file; a {company}_{year} filename fills the metadata."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ReportEncodingError(
-            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    text = read_text(path, ReportEncodingError)
     company, _, year = path.stem.rpartition("_")
     if company and year.isascii() and year.isdigit():
         return parse_report(text, report_id=path.stem, company=company, fiscal_year=int(year))
@@ -394,20 +401,29 @@ def instance_to_record(instance: QAInstance) -> dict:
     return record
 
 
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    r"""(line number, object) for each non-blank line of a JSON-lines file.
+
+    Lines are counted as text-mode file iteration counts them: ``read_text``
+    turns ``\r\n`` and ``\r`` into ``\n``, and the text is split on ``\n``
+    only. A file that cannot be read raises SchemaError naming it; a line
+    that is not a JSON object raises one naming the file and the line.
+    """
+    for line_number, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON: {exc}", line_number) from None
+        if not isinstance(record, dict):
+            raise SchemaError(f"{path}: not a JSON object", line_number)
+        yield line_number, record
+
+
 def read_dataset(path: str | Path) -> list[QAInstance]:
-    instances: list[QAInstance] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}", line_number) from None
-            if not isinstance(record, dict):
-                raise SchemaError("record must be a JSON object", line_number)
-            instances.append(instance_from_record(record, line_number))
-    return instances
+    return [instance_from_record(record, line_number)
+            for line_number, record in read_json_lines(path)]
 
 
 def write_dataset(instances: Iterable[QAInstance], path: str | Path) -> None:

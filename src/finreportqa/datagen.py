@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional, Sequence
 
-from .corpus import QAInstance, Report, instance_to_record
-from .errors import ProgramError, SyntaxUnsupportedError
+from .corpus import QAInstance, Report, instance_to_record, read_json_lines
+from .errors import ProgramError, SchemaError, SyntaxUnsupportedError
 from .llm import LLMClient, system, user
 from .metrics import normalize_answer, tolerance_correct
 from .program import parse_program, run_source
@@ -399,9 +399,11 @@ def write_raw_batch(records: Sequence[RawQA], path) -> None:
 
 
 def read_raw_batch(path) -> list[RawQA]:
+    """The records of a raw batch file; a bad file or record raises SchemaError."""
     records: list[RawQA] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(RawQA.from_dict(json.loads(line)))
+    for line_number, record in read_json_lines(path):
+        try:
+            records.append(RawQA.from_dict(record))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {exc}", line_number) from None
     return records

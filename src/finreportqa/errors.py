@@ -12,7 +12,7 @@ class EmptyDocumentError(FinReportQAError):
 
 
 class ReportEncodingError(FinReportQAError):
-    """A report file is not valid UTF-8."""
+    """A report file cannot be read or is not valid UTF-8."""
 
 
 class DuplicatePageNumberError(FinReportQAError):

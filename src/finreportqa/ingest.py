@@ -45,6 +45,10 @@ class FilingRef:
             raise TypeError("filing fields must be strings")
         if not self.form_type:
             raise ValueError("form_type must be non-empty")
+        # each is one component of the download path under the destination
+        for part in (self.cik, self.accession_number, self.primary_document):
+            if part in ("", ".", "..") or any(c in part for c in "/\\\0"):
+                raise ValueError(f"{part!r} is not one plain path component")
 
     @property
     def url(self) -> str:
@@ -171,11 +175,12 @@ class EdgarClient:
         """
         dest = Path(dest_dir) / ref.cik / ref.accession_number / ref.primary_document
         sidecar = dest.with_suffix(dest.suffix + ".sha256")
-        if dest.exists() and sidecar.exists():
-            recorded = sidecar.read_text(encoding="utf-8").strip()
-            actual = hashlib.sha256(dest.read_bytes()).hexdigest()
-            if recorded == actual:
+        try:
+            recorded = sidecar.read_bytes().strip()
+            if recorded == hashlib.sha256(dest.read_bytes()).hexdigest().encode():
                 return dest
+        except OSError:  # a file or sidecar that cannot be read is unverified
+            pass
 
         headers, body = self._get(ref.url)
         declared = headers.get("Content-Length")

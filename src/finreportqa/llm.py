@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import transport
-from .corpus import count_tokens
+from .corpus import count_tokens, read_text
 from .embeddings import write_atomic
 from .errors import (
     ConfigError,
@@ -208,7 +208,7 @@ class ScriptedBackend(Backend):
         """Load {"mode": ..., "entries": [{"matcher": ..., "response": ...}]};
         a malformed file raises ConfigError."""
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(read_text(path, ConfigError))
             return cls(
                 [(e["matcher"], e["response"]) for e in payload["entries"]],
                 mode=payload.get("mode", "repeatable"),

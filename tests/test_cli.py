@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import weakref
+from dataclasses import fields
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -89,7 +90,10 @@ class TestRunConfig:
         ("--temperature", "-1"), ("--temperature", "nan"), ("--temperature", "inf"),
         ("--max-input-tokens", "0"), ("--max-output-tokens", "0"),
         ("--timeout", "0"), ("--timeout", "-2.5"), ("--timeout", "nan"),
-        ("--retry-backoff", "-1"), ("--retry-backoff", "nan"), ("--retry-backoff", "inf")])
+        ("--retry-backoff", "-1"), ("--retry-backoff", "nan"), ("--retry-backoff", "inf"),
+        ("--bm25-k1", "-1"), ("--bm25-k1", "nan"), ("--bm25-k1", "inf"),
+        ("--bm25-b", "-0.1"), ("--bm25-b", "1.5"), ("--bm25-b", "nan"),
+        ("--retry-attempts", "0"), ("--retry-attempts", "-4")])
     def test_bad_provider_setting_is_config_error(self, tmp_path, capsys, flag, value):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(flag, value)))
@@ -267,6 +271,55 @@ class TestExitCodes:
         script.write_text(json.dumps({"entries": []}))  # nothing matches
         code = main(_bench_args(tmp_path, corpus_dir, dataset, script))
         assert code == 4
+
+
+# What an input file holds for each fault; None leaves it missing.
+_FILE_FAULTS = {
+    "missing": None,
+    "directory": "mkdir",
+    "not UTF-8": b'{"id": "\xff"}\n',
+    "not JSON": b'{"id": "q-1"}\n\n{not json\n',
+    "not an object": b"[1, 2]\n",
+    "incomplete record": b'{"answer": "1"}\n',
+}
+# The exit code of each input file's faults: 2 for config files, 3 for data files.
+_FILE_INPUTS = {"--dataset": 3, "--predictions": 3, "--raw": 3,
+                "--config": 2, "--from-manifest": 2, "--script-path": 2}
+
+
+def _reading_command(option, path, tmp_path):
+    """A command whose ``option`` names ``path``; every other input is sound."""
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    scripted = ["--backend", "scripted", "--script-path", str(script)]
+    return {
+        "--dataset": ["bench", "--corpus-dir", str(corpus_dir), "--dataset", path,
+                      "--output-dir", str(tmp_path / "runs"), *scripted],
+        "--predictions": ["score", "--predictions", path, "--gold", str(dataset)],
+        "--raw": ["datagen", "--mode", "filter", "--raw", path, "--out", str(tmp_path / "dg"),
+                  "--corpus-dir", str(corpus_dir)],
+        "--config": ["stats", "--config", path],
+        "--from-manifest": ["bench", "--from-manifest", path],
+        "--script-path": _bench_args(tmp_path, corpus_dir, dataset, path),
+        "--report": ["ask", "--question", "What is the DSCR?", "--report", path, *scripted],
+    }[option]
+
+
+@pytest.mark.parametrize("option, fault, code", [
+    *((option, fault, code) for option, code in _FILE_INPUTS.items() for fault in _FILE_FAULTS),
+    *(("--report", fault, 3) for fault in ("missing", "directory", "not UTF-8")),
+])
+def test_unreadable_input_file_exits_with_its_code(tmp_path, capsys, option, fault, code):
+    path = tmp_path / "input" / "file.md"
+    path.parent.mkdir()
+    content = _FILE_FAULTS[fault]
+    if content == "mkdir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(_reading_command(option, str(path), tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith({2: "config error: ", 3: "data error: "}[code])
 
 
 class TestBench:
@@ -594,7 +647,7 @@ class TestScore:
 
     @pytest.mark.parametrize("line, message", [
         ("{not json", "invalid JSON"),
-        ("[1, 2]", "JSON object with a string id"),
+        ("[1, 2]", "not a JSON object"),
         ('{"answer": 1.0}', "JSON object with a string id"),
         ('{"id": ["q-dscr-1"], "answer": 1.0}', "JSON object with a string id"),
     ])
@@ -795,13 +848,12 @@ def test_ingest_rejects_malformed_years_as_usage_error(capsys, no_network, years
     assert "argument --years" in err and "YYYY-YYYY" in err
 
 
-def test_help_lists_every_config_flag(capsys):
-    from finreportqa.cli import _CONFIG_FLAGS
-
-    import finreportqa.cli as cli_mod
-
+@pytest.mark.parametrize("command", ["bench", "score", "ask", "stats", "ablate", "datagen",
+                                     "ingest"])
+def test_help_lists_every_config_flag(capsys, command):
     with pytest.raises(SystemExit):
-        cli_mod.build_parser().parse_args(["bench", "--help"])
-    help_text = capsys.readouterr().out
-    for name, _, _ in _CONFIG_FLAGS:
-        assert f"--{name.replace('_', '-')}" in help_text
+        cli_mod.build_parser().parse_args([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for setting in fields(RunConfig):
+        flag = f"--{setting.name.replace('_', '-')} CFG_{setting.name.upper()}"
+        assert f"{flag} {setting.metadata['help']}" in help_text

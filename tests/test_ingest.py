@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,14 +139,17 @@ class TestFetchDocument:
             client.fetch_document(ref, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_corrupted_local_file_refetched(self, tmp_path):
+    @pytest.mark.parametrize("suffix, content", [("", b"tampered"), (".sha256", b"\xff\xfe")])
+    def test_corrupted_local_file_refetched(self, tmp_path, suffix, content):
         ref = _ref()
         client, fake = make_client({
             ref.url: (200, {"Content-Length": str(len(DOC_BYTES))}, DOC_BYTES)})
         path = client.fetch_document(ref, tmp_path)
-        path.write_bytes(b"tampered")
+        path.with_name(path.name + suffix).write_bytes(content)
         client.fetch_document(ref, tmp_path)
         assert path.read_bytes() == DOC_BYTES
+        assert path.with_name(path.name + ".sha256").read_text() == \
+            hashlib.sha256(DOC_BYTES).hexdigest()
         assert len(fake.calls) == 2
 
 
@@ -211,6 +215,27 @@ class TestMalformedMetadata:
         client, _ = make_client({SUBMISSIONS_URL: _json_response(payload)})
         with pytest.raises(TransportError, match=f"{SUBMISSIONS_URL}: malformed"):
             client.list_filings("320193")
+
+    @pytest.mark.parametrize("field, value", [
+        ("primaryDocument", "../../../escaped.htm"), ("primaryDocument", "{tmp}/escaped.htm"),
+        ("primaryDocument", "..\\escaped.htm"), ("primaryDocument", ".."),
+        ("primaryDocument", ""), ("accessionNumber", "../a-1"), ("accessionNumber", "."),
+    ])
+    def test_path_that_leaves_the_destination(self, tmp_path, monkeypatch, field, value):
+        from finreportqa import transport
+        from finreportqa.cli import main
+
+        recent = {"accessionNumber": ["a-1"], "form": ["10-K"], "filingDate": ["2024-02-01"],
+                  "primaryDocument": ["k.htm"]}
+        value = value.replace("{tmp}", str(tmp_path))  # an absolute path
+        recent[field] = [value]
+        monkeypatch.setattr(transport, "request", FakeRequest([  # the listing, then the document
+            _json_response({"name": "Demo", "filings": {"recent": recent}}),
+            (200, {}, DOC_BYTES)]))
+        (tmp_path / "dest").mkdir()
+        assert main(["ingest", "--issuer", "320193", "--years", "2024-2024", "--fetch",
+                     "--dest", str(tmp_path / "dest")]) == 4
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "dest"]
 
     def test_bad_date_in_another_form_is_skipped(self):
         payload = {"name": "Demo", "filings": {"recent": {

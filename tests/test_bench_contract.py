@@ -5,30 +5,29 @@ corpus (``perfbench/gen.py``, read-only) with an in-process backend that
 answers from the benchmark's oracle (``perfbench/endpoint.py:Oracle``), and
 pins a sha256 over each run's canonical files: ``predictions.jsonl``,
 ``scores.jsonl``, ``eval_report.json`` and ``transcripts/*``. A refactor that
-keeps these digests keeps the behaviour of every pipeline.
+keeps these digests keeps the behaviour of every pipeline. A second sha256
+per run covers the answer files alone (all but the transcripts), so a change
+that moves only what a transcript records, such as prompt sizes, keeps it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from fault_oracle import Oracle, OracleBackend
 from finreportqa import cli
 from finreportqa import corpus as corpus_mod
-from finreportqa.llm import Backend
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import gen  # noqa: E402
-from endpoint import Oracle  # noqa: E402
+import gen  # noqa: E402  (on the path through fault_oracle)
 
 CANONICAL = ("predictions.jsonl", "scores.jsonl", "eval_report.json")
 
-# run name -> bench flags; DIGESTS holds each run's canonical digest
+# run name -> bench flags; DIGESTS holds each run's canonical digest and
+# ANSWER_DIGESTS its digest over CANONICAL alone
 RUNS = {
     "agent": ("--pipeline", "agent"),
     "long_context": ("--pipeline", "long_context"),
@@ -56,17 +55,24 @@ DIGESTS = {
 }
 
 
-class OracleBackend(Backend):
-    def __init__(self, oracle: Oracle):
-        self.oracle = oracle
+ANSWER_DIGESTS = {
+    "agent": "e65ef3e8a5bdeeadc65eef557e6c69d78ca6ef9699e207025776653f8473209b",
+    "long_context": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
+    "single_round_rag": "647e27d69dcfe515a5f12c5b20ec179b33cf95b8008b1cbc50a8709fd777f4c8",
+    "fixed_budget_rag": "36d634718078620cfd4ef948357b17944a069fd3189d9f506aa54f5be79ed5f4",
+    "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
+    "agent_granularity_256": "e252c740f0cf807d2e3fb52f40bed53ceff9f3d96310c804cdaf314263a3cedc",
+    "agent_workers_2": "e65ef3e8a5bdeeadc65eef557e6c69d78ca6ef9699e207025776653f8473209b",
+    "single_round_rag_granularity_256":
+        "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
+    "agent_tfidf": "430584d5aae7acbf76fa11d5c66c78b918d569e7bd393e7518744dca62eac028",
+}
 
-    def generate(self, config, messages, body) -> str:
-        return self.oracle.reply([m.to_dict() for m in messages])[1]
 
-
-def canonical_digest(run_dir: Path) -> str:
+def canonical_digest(run_dir: Path, transcripts: bool = True) -> str:
     paths = [run_dir / name for name in CANONICAL]
-    paths += sorted((run_dir / "transcripts").iterdir())
+    if transcripts:
+        paths += sorted((run_dir / "transcripts").iterdir())
     digest = hashlib.sha256()
     for path in paths:
         digest.update(str(path.relative_to(run_dir)).encode() + b"\0")
@@ -82,7 +88,7 @@ def data(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def runs(data):
-    """Every run of RUNS: name -> (canonical digest, eval report)."""
+    """Every run of RUNS: name -> (canonical digest, eval report, answer digest)."""
     gen.generate(data, seed=7, n_reports=2, pages=300, questions_per_report=25)
     oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
     patch = pytest.MonkeyPatch()
@@ -99,7 +105,8 @@ def runs(data):
             assert code == 0, name
             run_dir = data / "runs" / name
             report = json.loads((run_dir / "eval_report.json").read_text(encoding="utf-8"))
-            results[name] = (canonical_digest(run_dir), report)
+            results[name] = (canonical_digest(run_dir), report,
+                             canonical_digest(run_dir, transcripts=False))
     finally:
         patch.undo()
     return results
@@ -110,12 +117,17 @@ def test_canonical_outputs_are_pinned(runs, name):
     assert runs[name][0] == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_answer_files_are_pinned(runs, name):
+    assert runs[name][2] == ANSWER_DIGESTS[name]
+
+
 def test_workers_do_not_change_outputs(runs):
     assert runs["agent_workers_2"][0] == runs["agent"][0]
 
 
 def test_accuracy_orders_the_pipelines(runs):
-    accuracy = {name: report["tol_acc"] for name, (_, report) in runs.items()}
+    accuracy = {name: report["tol_acc"] for name, (_, report, _) in runs.items()}
     assert (accuracy["agent"] > accuracy["long_context"] > accuracy["single_round_rag"]
             >= accuracy["fixed_budget_rag"] > accuracy["no_context"]), accuracy
 

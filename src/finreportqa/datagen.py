@@ -57,7 +57,12 @@ class RawQA:
             raise ValueError(f"record missing fields: {missing}")
         if not isinstance(known["page_numbers"], list):
             raise ValueError("page_numbers must be a list")
+        page_numbers = [int(p) for p in known["page_numbers"]]
+        if any(p < 1 for p in page_numbers):
+            raise ValueError("page_numbers must be positive")
         extras = {k: v for k, v in record.items() if k not in known}
+        if not isinstance(extras.get("report_id", ""), str):
+            raise ValueError("report_id must be a string")
         return cls(
             id=str(known["id"]),
             company=str(known["company"]),
@@ -65,7 +70,7 @@ class RawQA:
             question=str(known["question"]),
             type=str(known["type"]),
             thoughts=str(known["thoughts"]),
-            page_numbers=[int(p) for p in known["page_numbers"]],
+            page_numbers=page_numbers,
             python_code=str(known["python_code"]),
             answer=str(known["answer"]),
             extras=extras,

@@ -4,8 +4,11 @@ single-round / fixed-budget retrieval).
 
 One agent run is strictly sequential; rounds accumulate retrieved units
 under a hard chunk budget and stop on a completeness verdict, the round
-limit, or budget exhaustion. The agent and the retrieval baselines take each
-hit's text from the retriever's units, and their prompts from ``prompts``.
+limit, or budget exhaustion. Each solve call reads this round's new hits and,
+of the units held from earlier rounds, those on pages an earlier solver reply
+cited plus the ``_REOFFER`` best of the rest by this round's ranking. The
+agent and the retrieval baselines take each hit's text from the retriever's
+units, and their prompts from ``prompts``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .retrieval import Retriever, ScoredHit, prepare_report
 
 _PAGE_REF_RE = re.compile(r"page_number\s*[:=]?\s*(\d+)")
 _BRACES_RE = re.compile(r"\{\{(.*?)\}\}", re.DOTALL)
+
+# Held units on no cited page that each later solve call is offered again
+_REOFFER = 5
 
 
 class Insufficient:
@@ -103,6 +109,7 @@ class RoundRecord:
     new_unit_ids: tuple[str, ...]
     new_pages: tuple[int, ...]
     cumulative_pages: tuple[int, ...]
+    solver_pages: tuple[int, ...]
     solver: SolverOutput
     verdict: EvaluatorVerdict
 
@@ -115,6 +122,7 @@ class RoundRecord:
             "new_unit_ids": list(self.new_unit_ids),
             "new_pages": list(self.new_pages),
             "cumulative_pages": list(self.cumulative_pages),
+            "solver_pages": list(self.solver_pages),
             "solver": self.solver.to_dict(),
             "verdict": self.verdict.to_dict(),
         }
@@ -310,8 +318,8 @@ class AgentPipeline:
         units = self.retriever.units
         transcript = Transcript(question_id=question_id, question=question)
 
-        held_units: set[str] = set()
-        context: list[tuple[int, str]] = []
+        held_units: list[str] = []  # in the order retrieved
+        cited_pages: set[int] = set()
         context_pages_seen: set[int] = set()
         feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None
 
@@ -320,20 +328,24 @@ class AgentPipeline:
             query = build_round_query(question, formula, list(feedback or ()))
 
             budget_left = config.chunk_budget - len(held_units)
-            new_hits = retrieve_round(
-                self.retriever, query, config.k_per_round, held_units, budget_left)
+            new_hits, ranked = retrieve_round(
+                self.retriever, query, config.k_per_round, set(held_units), budget_left)
+            solver_units = [units[unit_id] for unit_id in reread_units(
+                held_units, ranked, cited_pages, self.retriever)]
             new_pages: list[int] = []
             for hit in new_hits:
-                held_units.add(hit.unit_id)
+                held_units.append(hit.unit_id)
                 unit = units[hit.unit_id]
                 if unit.page_number not in context_pages_seen:
                     context_pages_seen.add(unit.page_number)
                     new_pages.append(unit.page_number)
                 # sub-page units of an already-held page still add text
-                context.append((unit.page_number, unit.text))
+                solver_units.append(unit)
 
+            context = [(unit.page_number, unit.text) for unit in solver_units]
             solver_output = self.solve(
                 question, formula, context if context else [(0, "(no pages retrieved)")])
+            cited_pages |= solver_output.cited_pages
             verdict = self.evaluate(question, solver_output)
 
             transcript.rounds.append(RoundRecord(
@@ -344,6 +356,7 @@ class AgentPipeline:
                 new_unit_ids=tuple(hit.unit_id for hit in new_hits),
                 new_pages=tuple(new_pages),
                 cumulative_pages=tuple(sorted(context_pages_seen)),
+                solver_pages=tuple(sorted({page for page, _ in context})),
                 solver=solver_output,
                 verdict=verdict,
             ))
@@ -392,13 +405,29 @@ def build_round_query(question: str, formula: str,
 
 
 def retrieve_round(retriever: Retriever, query: str, k_per_round: int,
-                   exclude: set[str], budget_left: int) -> list[ScoredHit]:
-    """Next k_per_round hits by rank, skipping held units, within budget."""
+                   exclude: set[str], budget_left: int
+                   ) -> tuple[list[ScoredHit], list[ScoredHit]]:
+    """Next k_per_round hits by rank, skipping held units, within budget; and
+    the ranked list they came from, which also ranks the held units."""
     if budget_left <= 0:
-        return []
+        return [], []
     hits = retriever.search(query, k=k_per_round + len(exclude))
     fresh = [hit for hit in hits if hit.unit_id not in exclude]
-    return fresh[:min(k_per_round, budget_left)]
+    return fresh[:min(k_per_round, budget_left)], hits
+
+
+def reread_units(held_units: Sequence[str], ranked: Sequence[ScoredHit],
+                 cited_pages: set[int], retriever: Retriever) -> list[str]:
+    """The held units a solve call reads again, in held order: each one on a
+    cited page, and the ``_REOFFER`` best of the rest by ``ranked``. Held
+    units that ``ranked`` lacks rank after it, in held order."""
+    page_of = {unit_id: retriever.units[unit_id].page_number for unit_id in held_units}
+    rank = {hit.unit_id: position for position, hit in enumerate(ranked)}
+    uncited = [unit_id for unit_id in held_units if page_of[unit_id] not in cited_pages]
+    # sorted() is stable, so unranked units keep their held order
+    reoffer = set(sorted(uncited, key=lambda unit_id: rank.get(unit_id, len(rank)))[:_REOFFER])
+    return [unit_id for unit_id in held_units
+            if page_of[unit_id] in cited_pages or unit_id in reoffer]
 
 
 # --- baselines ---------------------------------------------------------------

@@ -38,17 +38,18 @@ class OracleBackend(Backend):
         return self.oracle.reply([m.to_dict() for m in messages])[1]
 
 
-def rot_misses(row: str, user: str) -> bool:
-    """Whether the solver overlooks ``row`` in the prompt ``user``."""
+def _draw(row: str, user: str) -> float:
+    """A number in [0, 1) from a hash of the row and the prompt."""
     digest = hashlib.sha256(("rot" + row + user).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2 ** 64 < ROT_RATE * len(user.split()) / ROT_WINDOW
+    return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
 class RotOracle(Oracle):
     """The stock oracle, but its solver misses gold rows by context rot."""
 
     def solve(self, case: dict, user: str) -> str:
+        miss_rate = ROT_RATE * len(user.split()) / ROT_WINDOW
         # a missed row is one whose text the solver cannot find in the prompt
-        rows = [dict(row, row="\0") if row["row"] in user and rot_misses(row["row"], user)
+        rows = [dict(row, row="\0") if row["row"] in user and _draw(row["row"], user) < miss_rate
                 else row for row in case["rows"]]
         return super().solve(dict(case, rows=rows), user)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -42,16 +43,16 @@ RUNS = {
 }
 
 DIGESTS = {
-    "agent": "2bfc68cbfc70c2be23e7fc35088068a6cea56e0c28195a515c09f5427afeee4e",
+    "agent": "5b3dcbb2f10091238b4fe5993dbe2e63584e9df9f9494cde3f6ac0776e33491b",
     "long_context": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag": "647e27d69dcfe515a5f12c5b20ec179b33cf95b8008b1cbc50a8709fd777f4c8",
     "fixed_budget_rag": "36d634718078620cfd4ef948357b17944a069fd3189d9f506aa54f5be79ed5f4",
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
-    "agent_granularity_256": "e3e16963887f2d97ed77ec0b4a371d1c2c05bf5798880b803c8ea19785d4f23b",
-    "agent_workers_2": "2bfc68cbfc70c2be23e7fc35088068a6cea56e0c28195a515c09f5427afeee4e",
+    "agent_granularity_256": "35b58f156657b9603c138486b85adbb5e2b5c44ce5065113b7ceb38024bf9881",
+    "agent_workers_2": "5b3dcbb2f10091238b4fe5993dbe2e63584e9df9f9494cde3f6ac0776e33491b",
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
-    "agent_tfidf": "ea0920be31af543a5bee2441ddc2eae5c2fe5701f2823306280b8cc949b1ce44",
+    "agent_tfidf": "df33cdb2d141087b83f27aa4aa14c04e58b0b863b5de861a8002a74c1cfe28cc",
 }
 
 
@@ -80,6 +81,17 @@ def canonical_digest(run_dir: Path, transcripts: bool = True) -> str:
     return digest.hexdigest()
 
 
+class Run(NamedTuple):
+    digest: str
+    answer_digest: str
+    report: dict
+    llm_log: list[dict]
+
+
+def _jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     """The generated corpus and dataset; each run of RUNS writes runs/<name>."""
@@ -88,7 +100,7 @@ def data(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def runs(data):
-    """Every run of RUNS: name -> (canonical digest, eval report, answer digest)."""
+    """Every run of RUNS by name."""
     gen.generate(data, seed=7, n_reports=2, pages=300, questions_per_report=25)
     oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
     patch = pytest.MonkeyPatch()
@@ -105,8 +117,9 @@ def runs(data):
             assert code == 0, name
             run_dir = data / "runs" / name
             report = json.loads((run_dir / "eval_report.json").read_text(encoding="utf-8"))
-            results[name] = (canonical_digest(run_dir), report,
-                             canonical_digest(run_dir, transcripts=False))
+            results[name] = Run(canonical_digest(run_dir),
+                                canonical_digest(run_dir, transcripts=False), report,
+                                _jsonl(run_dir / "llm_log.jsonl"))
     finally:
         patch.undo()
     return results
@@ -114,26 +127,30 @@ def runs(data):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_canonical_outputs_are_pinned(runs, name):
-    assert runs[name][0] == DIGESTS[name]
+    assert runs[name].digest == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_answer_files_are_pinned(runs, name):
-    assert runs[name][2] == ANSWER_DIGESTS[name]
+    assert runs[name].answer_digest == ANSWER_DIGESTS[name]
 
 
 def test_workers_do_not_change_outputs(runs):
-    assert runs["agent_workers_2"][0] == runs["agent"][0]
+    assert runs["agent_workers_2"].digest == runs["agent"].digest
 
 
 def test_accuracy_orders_the_pipelines(runs):
-    accuracy = {name: report["tol_acc"] for name, (_, report, _) in runs.items()}
+    accuracy = {name: run.report["tol_acc"] for name, run in runs.items()}
     assert (accuracy["agent"] > accuracy["long_context"] > accuracy["single_round_rag"]
             >= accuracy["fixed_budget_rag"] > accuracy["no_context"]), accuracy
 
 
-def _jsonl(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+def test_agent_solver_reads_a_bounded_context(runs):
+    """Later solve calls re-read only cited pages and a five-unit re-offer;
+    re-sending every held unit cost 55.8k prompt tokens per question."""
+    run = runs["agent"]
+    prompt_tokens = sum(entry["prompt_tokens"] for entry in run.llm_log)
+    assert prompt_tokens / run.report["instances"] <= 35_000
 
 
 def test_long_context_lists_only_the_pages_in_its_prompt(runs, data):

@@ -786,6 +786,27 @@ class TestOtherCommands:
         filtered = (out_dir / "filtered.jsonl").read_text().splitlines()
         assert len(filtered) == 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("report_id", ["DemoCo_2002"], "report_id must be a string"),
+        ("page_numbers", [31, 0], "page_numbers must be positive"),
+        ("page_numbers", [-4, 50], "page_numbers must be positive"),
+    ])
+    def test_datagen_filter_rejects_a_bad_record(self, tmp_path, capsys, field, value, message):
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        record = {"id": "r1", "company": "DemoCo", "year": "2002", "question": "?",
+                  "type": "table", "thoughts": "t", "page_numbers": [31, 50],
+                  "python_code": "17/(11+0)", "answer": "1.55", "report_id": "DemoCo_2002"}
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, **{field: value})) + "\n")
+        out_dir = tmp_path / "dg"
+        code = main(["datagen", "--mode", "filter", "--raw", str(raw),
+                     "--out", str(out_dir), "--corpus-dir", str(corpus_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert "line 2" in err and message in err
+        assert not (out_dir / "filtered.jsonl").exists()
+
     def test_datagen_generate_scripted(self, tmp_path, capsys):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)
         generated = [{

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from finreportqa.llm import (
     system,
     user,
 )
-from finreportqa.prompts import SOLVING_SYSTEM
+from finreportqa.prompts import SOLVING_SYSTEM, SOLVING_USER, render_context
 from finreportqa.pipelines import (
     _PROMPT_MARGIN_TOKENS,
     INSUFFICIENT,
@@ -30,11 +31,13 @@ from finreportqa.pipelines import (
     extract_answer,
     parse_cited_pages,
     parse_verdict,
+    reread_units,
     retrieve_round,
     run_baseline,
 )
 from finreportqa.retrieval import (
     RetrievalUnit,
+    ScoredHit,
     SparseRetriever,
     build_sparse_index,
     rechunk,
@@ -153,24 +156,26 @@ class TestRetrieveRound:
 
     def test_empty_exclude_equals_plain_search(self):
         retriever = self._retriever()
-        hits = retrieve_round(retriever, "net income", 15, set(), budget_left=100)
-        assert hits == retriever.search("net income", 15)
+        hits, ranked = retrieve_round(retriever, "net income", 15, set(), budget_left=100)
+        assert hits == ranked == retriever.search("net income", 15)
 
     def test_excluding_top_k_yields_next_rank_band(self):
         retriever = self._retriever()
         top30 = retriever.search("net income interest", 30)
         exclude = {h.unit_id for h in top30[:15]}
-        hits = retrieve_round(retriever, "net income interest", 15, exclude, budget_left=100)
+        hits, ranked = retrieve_round(retriever, "net income interest", 15, exclude,
+                                      budget_left=100)
         assert [h.unit_id for h in hits] == [h.unit_id for h in top30[15:30]]
+        assert ranked == top30  # the held units ranked among the fresh ones
 
     def test_budget_truncation(self):
         retriever = self._retriever()
-        hits = retrieve_round(retriever, "net income", 15, set(), budget_left=3)
+        hits, _ = retrieve_round(retriever, "net income", 15, set(), budget_left=3)
         assert len(hits) == 3
 
     def test_zero_budget_returns_nothing(self):
         retriever = self._retriever()
-        assert retrieve_round(retriever, "net", 15, set(), budget_left=0) == []
+        assert retrieve_round(retriever, "net", 15, set(), budget_left=0) == ([], [])
 
 
 def _agent_for(report_md, script, config=None, question=DSCR_QUESTION):
@@ -307,6 +312,96 @@ class TestAgentRun:
             current = set(record.cumulative_pages)
             assert previous <= current
             previous = current
+
+
+# Pages 1-10 carry the question's terms, ranked 1 to 10 by length. Page 7
+# also carries the feedback's synonym, so round 2 ranks it above pages 3-6.
+# Pages 11-18 are found only through the feedback.
+REREAD_REPORT_MD = "".join(
+    f"<!-- page: {i} -->\nalpha metric{' delta' if i == 7 else ''}{' pad' * i}\n"
+    for i in range(1, 11)) + "".join(
+    f"<!-- page: {i} -->\nbeta delta figure{' pad' * (i - 10)}\n" for i in range(11, 19))
+REREAD_QUESTION = "What is the alpha metric?"
+REREAD_SCRIPT = [
+    ("Missing components to cover", "Alpha / Beta"),
+    ("financial text understanding", "Alpha / Beta"),
+    ("beta delta figure", "Alpha = 3 (page_number: 1). Beta = 2 (page_number: 11). {{1.5}}"),
+    ("annual report in Markdown form", "Alpha = 3 (page_number: 1). Missing: beta. {{0}}"),
+    ("{{1.5}}", "NONE"),
+    ("inspects a generated answer", "beta: delta figure"),
+]
+
+
+class TestSolverContext:
+    """Round r > 1 re-reads held units on cited pages and a re-offer of the rest."""
+
+    def _run(self, monkeypatch, script=REREAD_SCRIPT):
+        solver_prompts = []
+        searches = []
+
+        class Spy(ScriptedBackend):
+            def generate(self, config, messages, body):
+                if messages[0].content == SOLVING_SYSTEM:
+                    solver_prompts.append(messages[-1].content)
+                return super().generate(config, messages, body)
+
+        report = parse_report(REREAD_REPORT_MD, report_id="Demo_2002")
+        client = LLMClient(ProviderConfig(), Spy(script))
+        agent = AgentPipeline.from_report(client, report, AgentConfig(k_per_round=8))
+        search = type(agent.retriever).search
+
+        def counted(retriever, query, k):
+            searches.append(query)
+            return search(retriever, query, k)
+
+        monkeypatch.setattr(type(agent.retriever), "search", counted)
+        transcript = agent.run(REREAD_QUESTION)
+        return agent, transcript, solver_prompts, searches
+
+    def test_round_one_reads_the_stock_context(self, monkeypatch):
+        agent, transcript, solver_prompts, _ = self._run(monkeypatch)
+        first = transcript.rounds[0]
+        units = [agent.retriever.units[unit_id] for unit_id in first.new_unit_ids]
+        assert solver_prompts[0] == SOLVING_USER.format(
+            question=REREAD_QUESTION, formula=first.formula,
+            context=render_context([(unit.page_number, unit.text) for unit in units]))
+        assert first.new_pages == (1, 2, 3, 4, 5, 6, 7, 8)
+        assert first.solver_pages == first.new_pages
+
+    def test_later_round_reads_cited_then_reoffered_then_new(self, monkeypatch):
+        _, transcript, solver_prompts, _ = self._run(monkeypatch)
+        assert transcript.termination == "Complete" and len(transcript.rounds) == 2
+        second = transcript.rounds[1]
+        sent = [int(page) for page in re.findall(r"\[page_number: (\d+)\]", solver_prompts[1])]
+        # page 1 was cited; 2, 3, 4, 5 and 7 rank best of the other held pages
+        # this round, so 6 and 8 are left out; then the round's new hits
+        assert second.new_pages == (11, 12, 13, 14, 15, 16, 17, 18)
+        assert sent == [1, 2, 3, 4, 5, 7, *second.new_pages]
+        assert second.solver_pages == tuple(sorted(sent))
+        assert second.cumulative_pages == (*range(1, 9), *range(11, 19))
+        assert transcript.final_answer == 1.5
+
+    def test_each_round_searches_once(self, monkeypatch):
+        script = [("financial text understanding", "Alpha / Beta"),
+                  ("annual report in Markdown form", "nothing here {{0}}"),
+                  ("inspects a generated answer", "beta: delta figure")]
+        _, transcript, _, searches = self._run(monkeypatch, script)
+        assert transcript.termination == "RoundLimit"
+        assert searches == [record.query for record in transcript.rounds]
+        # nothing was cited, so each later round re-reads five held pages
+        assert [len(record.solver_pages) - len(record.new_pages)
+                for record in transcript.rounds] == [0, 5, 5, 5, 5]
+
+    def test_held_units_the_query_does_not_rank_are_still_reoffered(self):
+        units = [RetrievalUnit(f"u{i}", i, f"text {i}") for i in range(1, 9)]
+        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+        held = ["u3", "u1", "u8", "u2", "u5", "u4", "u7"]
+        unrelated = [ScoredHit("u6", 6, 1.0)]
+        assert reread_units(held, unrelated, set(), retriever) == ["u3", "u1", "u8", "u2", "u5"]
+        assert reread_units(held, [], {4}, retriever) == ["u3", "u1", "u8", "u2", "u5", "u4"]
+        # ranked units go first; the unranked fill the re-offer in held order
+        ranked = [ScoredHit("u7", 7, 2.0), ScoredHit("u5", 5, 1.0)]
+        assert reread_units(held, ranked, set(), retriever) == ["u3", "u1", "u8", "u5", "u7"]
 
 
 class TestBaselines:

@@ -360,6 +360,10 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError(f"field 'answer' is non-numeric: {values['answer']!r}",
                           line_number, "answer")
 
+    report_id = record.get("report_id", "")
+    if not isinstance(report_id, str):
+        raise SchemaError("field 'report_id' must be a string", line_number, "report_id")
+
     n_tables = record.get("n_evidence_tables", 0)
     if not isinstance(n_tables, int) or n_tables < 0:
         raise SchemaError("field 'n_evidence_tables' must be a non-negative integer",
@@ -378,7 +382,7 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         program_source=values["python_code"],
         reasoning_trace=values["thoughts"],
         n_evidence_tables=n_tables,
-        report_id=record.get("report_id", ""),
+        report_id=report_id,
         extras=extras,
     )
 

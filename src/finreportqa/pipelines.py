@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import prompts
 from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
 from .errors import AnswerExtractionError
 from .llm import ChatMessage, Completion, LLMClient, count_message_tokens, system, user
 from .metrics import normalize_answer
-from .retrieval import Retriever, ScoredHit, prepare_report
+from .retrieval import RetrievalUnit, Retriever, ScoredHit, prepare_report
 
 _PAGE_REF_RE = re.compile(r"page_number\s*[:=]?\s*(\d+)")
 _BRACES_RE = re.compile(r"\{\{(.*?)\}\}", re.DOTALL)
@@ -331,7 +331,7 @@ class AgentPipeline:
             new_hits, ranked = retrieve_round(
                 self.retriever, query, config.k_per_round, set(held_units), budget_left)
             solver_units = [units[unit_id] for unit_id in reread_units(
-                held_units, ranked, cited_pages, self.retriever)]
+                held_units, ranked, cited_pages, units)]
             new_pages: list[int] = []
             for hit in new_hits:
                 held_units.append(hit.unit_id)
@@ -417,11 +417,11 @@ def retrieve_round(retriever: Retriever, query: str, k_per_round: int,
 
 
 def reread_units(held_units: Sequence[str], ranked: Sequence[ScoredHit],
-                 cited_pages: set[int], retriever: Retriever) -> list[str]:
+                 cited_pages: set[int], units: Mapping[str, RetrievalUnit]) -> list[str]:
     """The held units a solve call reads again, in held order: each one on a
     cited page, and the ``_REOFFER`` best of the rest by ``ranked``. Held
     units that ``ranked`` lacks rank after it, in held order."""
-    page_of = {unit_id: retriever.units[unit_id].page_number for unit_id in held_units}
+    page_of = {unit_id: units[unit_id].page_number for unit_id in held_units}
     rank = {hit.unit_id: position for position, hit in enumerate(ranked)}
     uncited = [unit_id for unit_id in held_units if page_of[unit_id] not in cited_pages]
     # sorted() is stable, so unranked units keep their held order

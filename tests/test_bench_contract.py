@@ -23,7 +23,7 @@ from fault_oracle import Oracle, OracleBackend
 from finreportqa import cli
 from finreportqa import corpus as corpus_mod
 
-import gen  # noqa: E402  (on the path through fault_oracle)
+import gen  # perfbench/gen.py, on the path through fault_oracle
 
 CANONICAL = ("predictions.jsonl", "scores.jsonl", "eval_report.json")
 

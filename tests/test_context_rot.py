@@ -2,8 +2,10 @@
 
 Each seed generates a contract-sized corpus (``perfbench/gen.py``: 2 reports
 x 300 pages, 50 questions) and runs ``bench`` in-process against the oracle,
-with and without rot. The seeds and margins were fixed before the results
-were looked at; accuracies are pooled over the seeds, in percent.
+with and without rot. The seeds and the long-context margin were fixed
+before any result was seen; the agent's floor is its accuracy under rot
+before the solver's context was narrowed. Accuracies are pooled over the
+seeds, in percent.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from fault_oracle import Oracle, OracleBackend, RotOracle
 from finreportqa import cli
 
-import gen  # noqa: E402  (on the path through fault_oracle)
+import gen  # perfbench/gen.py, on the path through fault_oracle
 
 SEEDS = (7, 11, 13)
 # long_context reads about 128k words per prompt, so rot costs it dearly

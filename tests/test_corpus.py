@@ -459,6 +459,14 @@ class TestDataset:
         with pytest.raises(SchemaError):
             read_dataset(path)
 
+    def test_non_string_report_id_rejected(self, tmp_path):
+        path = tmp_path / "bad_report_id.jsonl"
+        path.write_text(json.dumps(self._record(report_id=["DemoCo_2023"])) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert (excinfo.value.line_number, excinfo.value.field) == (1, "report_id")
+
     def test_round_trip_identity(self, tmp_path):
         records = [
             self._record(),

@@ -393,15 +393,14 @@ class TestSolverContext:
                 for record in transcript.rounds] == [0, 5, 5, 5, 5]
 
     def test_held_units_the_query_does_not_rank_are_still_reoffered(self):
-        units = [RetrievalUnit(f"u{i}", i, f"text {i}") for i in range(1, 9)]
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+        units = {f"u{i}": RetrievalUnit(f"u{i}", i, f"text {i}") for i in range(1, 9)}
         held = ["u3", "u1", "u8", "u2", "u5", "u4", "u7"]
         unrelated = [ScoredHit("u6", 6, 1.0)]
-        assert reread_units(held, unrelated, set(), retriever) == ["u3", "u1", "u8", "u2", "u5"]
-        assert reread_units(held, [], {4}, retriever) == ["u3", "u1", "u8", "u2", "u5", "u4"]
+        assert reread_units(held, unrelated, set(), units) == ["u3", "u1", "u8", "u2", "u5"]
+        assert reread_units(held, [], {4}, units) == ["u3", "u1", "u8", "u2", "u5", "u4"]
         # ranked units go first; the unranked fill the re-offer in held order
         ranked = [ScoredHit("u7", 7, 2.0), ScoredHit("u5", 5, 1.0)]
-        assert reread_units(held, ranked, set(), retriever) == ["u3", "u1", "u8", "u5", "u7"]
+        assert reread_units(held, ranked, set(), units) == ["u3", "u1", "u8", "u5", "u7"]
 
 
 class TestBaselines:

@@ -12,31 +12,27 @@ Exit codes: 0 ok, 1 usage, 2 config, 3 data, 4 provider.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
 import sys
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from . import datagen as datagen_mod
 from . import ingest as ingest_mod
-from . import metrics as metrics_mod
 from . import pipelines as pipelines_mod
 from . import retrieval as retrieval_mod
+from . import rundir
 from .embeddings import CachedEmbeddingProvider, EmbeddingCache, HttpEmbeddingProvider
 from .errors import (
     ChecksumMismatchError,
     ConfigError,
-    DanglingReferenceError,
     ContextOverflowError,
     DecodeError,
     FinReportQAError,
@@ -240,10 +236,6 @@ def build_embedding_provider(config: RunConfig):
     return provider
 
 
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class _ReportRunner:
     """Per-report state and question answering for one pipeline.
 
@@ -321,51 +313,6 @@ class _ReportRunner:
         }
 
 
-def _score_rows(rows: list[dict], instances: dict[str, corpus_mod.QAInstance]
-                ) -> list[metrics_mod.InstanceScore]:
-    scores = []
-    for row in rows:
-        instance = instances.get(row["id"])
-        if instance is None:
-            raise DanglingReferenceError(
-                f"prediction {row['id']!r} matches no dataset instance")
-        prediction = row.get("answer")
-        pred_string = "" if prediction is None else json.dumps(prediction)
-        mode = instance.extras.get("percent_mode")
-        percent_mode = metrics_mod.PercentMode(mode) if mode else None
-        scores.append(metrics_mod.score_instance(
-            pred_string, instance.gold_answer,
-            instance_id=instance.id,
-            difficulty=instance.difficulty,
-            question_type=instance.question_type,
-            percent_mode=percent_mode,
-        ))
-    return scores
-
-
-def _write_scores(run_dir: Path, scores: list[metrics_mod.InstanceScore]) -> None:
-    metrics_mod.write_scores_jsonl(scores, run_dir / "scores.jsonl")
-    report = metrics_mod.aggregate(scores)
-    (run_dir / "eval_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-
-
-def _write_transcript(path: Path, transcript: dict) -> None:
-    path.write_text(json.dumps(transcript, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_manifest(out_dir: Path, command: str, config: RunConfig,
-                    inputs: dict, **extra) -> None:
-    manifest = {
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "config": config.to_dict(),
-        "inputs": inputs,
-        **extra,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 # --- commands ------------------------------------------------------------------
 
 def cmd_bench(args, config: RunConfig) -> int:
@@ -376,8 +323,8 @@ def cmd_bench(args, config: RunConfig) -> int:
     instances = corpus_mod.read_dataset(config.dataset)
     if args.limit:
         instances = instances[:args.limit]
-    run_dir = _make_run_dir(config, args.run_id)
-    client = build_client(config, log_path=run_dir / "llm_log.jsonl")
+    run = rundir.RunDir.create(config.output_dir, args.run_id)
+    client = build_client(config, log_path=run.path / "llm_log.jsonl")
     runner = _ReportRunner(config, client, args.pipeline)
 
     # per-report set-up is not thread-safe, so do it up front
@@ -387,34 +334,21 @@ def cmd_bench(args, config: RunConfig) -> int:
         runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"),
                      questions)
 
-    # the pool bounds how many LLM calls are in flight at once
+    # both maps yield rows in dataset order; the pool bounds how many LLM
+    # calls are in flight at once
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(runner.run_instance, instances))
+            rows = run.write_rows(pool.map(runner.run_instance, instances))
     else:
-        rows = [runner.run_instance(i) for i in instances]
+        rows = run.write_rows(map(runner.run_instance, instances))
 
-    with open(run_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            slim = {k: v for k, v in row.items() if k != "transcript"}
-            fh.write(json.dumps(slim, sort_keys=True) + "\n")
-    transcripts_dir = run_dir / "transcripts"
-    transcripts_dir.mkdir(exist_ok=True)
-    for row in rows:
-        if "transcript" in row:
-            _write_transcript(transcripts_dir / f"{row['id']}.json", row["transcript"])
-
-    scores = _score_rows(rows, {i.id: i for i in instances})
-    _write_scores(run_dir, scores)
-
-    _write_manifest(
-        run_dir, "bench", config,
-        inputs={"dataset_sha256": sha256_file(Path(config.dataset)),
+    report = run.write_scores(rundir.score_rows(rows, {i.id: i for i in instances}))
+    run.write_manifest(
+        "bench", config,
+        inputs={"dataset_sha256": rundir.sha256_file(config.dataset),
                 "instances": len(instances)},
         pipeline=args.pipeline, limit=args.limit)
-
-    report = metrics_mod.aggregate(scores)
-    print(f"bench: {len(rows)} instances -> {run_dir}")
+    print(f"bench: {len(rows)} instances -> {run.path}")
     print(report.to_json())
     return EXIT_OK
 
@@ -430,15 +364,14 @@ def cmd_score(args, config: RunConfig) -> int:
             raise SchemaError(f"{args.predictions}: a prediction must be a JSON object "
                               "with a string id", line_number)
         rows.append(row)
-    scores = _score_rows(rows, instances)
-    out_dir = Path(args.out) if args.out else Path(args.predictions).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_scores(out_dir, scores)
-    _write_manifest(out_dir, "score", config, inputs={
-        "predictions_sha256": sha256_file(Path(args.predictions)),
-        "dataset_sha256": sha256_file(Path(dataset_path)),
+    scores = rundir.score_rows(rows, instances)
+    run = rundir.RunDir(args.out or Path(args.predictions).parent)
+    report = run.write_scores(scores)
+    run.write_manifest("score", config, inputs={
+        "predictions_sha256": rundir.sha256_file(args.predictions),
+        "dataset_sha256": rundir.sha256_file(dataset_path),
     })
-    print(metrics_mod.aggregate(scores).to_json())
+    print(report.to_json())
     return EXIT_OK
 
 
@@ -449,13 +382,10 @@ def cmd_ask(args, config: RunConfig) -> int:
     row = runner.answer(report.report_id, args.question, "ask")
     print(f"answer: {row['answer']}")
     if "transcript" in row:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        transcript_path = out_dir / "ask_transcript.json"
-        _write_transcript(transcript_path, row["transcript"])
-        _write_manifest(out_dir, "ask", config,
-                        inputs={"report_sha256": sha256_file(Path(args.report))},
-                        pipeline=args.pipeline, question=args.question)
+        run = rundir.RunDir(config.output_dir)
+        transcript_path = run.write_json("ask_transcript.json", row["transcript"])
+        run.write_manifest("ask", config, inputs={"report_sha256": rundir.sha256_file(args.report)},
+                           pipeline=args.pipeline, question=args.question)
         print(f"termination: {row['termination']}")
         print(f"transcript: {transcript_path}")
     elif row["context_pages"]:
@@ -503,8 +433,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
                for path in sorted(Path(config.corpus_dir).glob("*.md"))]
     if not reports:
         raise FileNotFoundError(f"no reports under {config.corpus_dir}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = rundir.RunDir(args.out)
 
     raw_records: list[datagen_mod.RawQA] = []
     if args.mode in ("generate", "both"):
@@ -517,7 +446,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
                 record.extras.setdefault("report_id", report.report_id)
             raw_records.extend(batch.records)
             parse_errors += batch.parse_errors
-        datagen_mod.write_raw_batch(raw_records, out_dir / "raw.jsonl")
+        datagen_mod.write_raw_batch(raw_records, run.path / "raw.jsonl")
         print(f"generated {len(raw_records)} candidates ({parse_errors} parse errors)")
     else:
         if not args.raw:
@@ -527,13 +456,11 @@ def cmd_datagen(args, config: RunConfig) -> int:
     if args.mode in ("filter", "both"):
         kept, stats, _ = datagen_mod.filter_pipeline(
             raw_records, {r.report_id: r for r in reports})
-        corpus_mod.write_dataset(kept, out_dir / "filtered.jsonl")
-        (out_dir / "filter_report.json").write_text(
-            json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        corpus_mod.write_dataset(kept, run.path / "filtered.jsonl")
+        run.write_json("filter_report.json", stats.to_dict())
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
-    _write_manifest(out_dir, "datagen", config,
-                    inputs={"reports": [r.report_id for r in reports]},
-                    mode=args.mode)
+    run.write_manifest("datagen", config, inputs={"reports": [r.report_id for r in reports]},
+                       mode=args.mode)
     return EXIT_OK
 
 
@@ -557,17 +484,6 @@ def cmd_ingest(args, config: RunConfig) -> int:
                 md_path.write_text(corpus_mod.render_markdown(report), encoding="utf-8")
                 print(f"converted -> {md_path}")
     return EXIT_OK
-
-
-def _make_run_dir(config: RunConfig, run_id: Optional[str]) -> Path:
-    stamp = run_id or time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    run_dir = Path(config.output_dir) / stamp
-    counter = 0
-    while run_dir.exists():
-        counter += 1
-        run_dir = Path(config.output_dir) / f"{stamp}-{counter}"
-    run_dir.mkdir(parents=True)
-    return run_dir
 
 
 # --- argument parsing -----------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptyScoresError, NonNumericError
 
@@ -314,8 +314,3 @@ def aggregate(scores: Sequence[InstanceScore]) -> EvalReport:
         by_type=by_type,
     )
 
-
-def write_scores_jsonl(scores: Iterable[InstanceScore], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for score in scores:
-            fh.write(json.dumps(score.to_dict(), sort_keys=True) + "\n")

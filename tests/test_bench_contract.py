@@ -22,6 +22,7 @@ import pytest
 from fault_oracle import Oracle, OracleBackend
 from finreportqa import cli
 from finreportqa import corpus as corpus_mod
+from finreportqa.errors import TransportError
 
 import gen  # perfbench/gen.py, on the path through fault_oracle
 
@@ -189,3 +190,48 @@ def test_long_context_derives_no_page_fields(runs, data, monkeypatch):
     assert len(reports) == 2 and len(pages) == 600
     assert not [page.page_number for page in pages
                 if {"token_count", "table_block_spans"} & set(vars(page))]
+
+
+class FailingBackend(OracleBackend):
+    """The oracle, except that every call about one question fails."""
+
+    def __init__(self, oracle: Oracle, question: str):
+        super().__init__(oracle)
+        self.question = question
+
+    def generate(self, config, messages, body) -> str:
+        if any(self.question in m.content for m in messages):
+            raise TransportError("endpoint went away")
+        return super().generate(config, messages, body)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("pipeline", ["agent", "no_context"])
+def test_a_stopped_run_keeps_the_rows_before_it(runs, data, monkeypatch, pipeline, workers):
+    """A provider error at question N ends bench with exit 4; the rows before
+    N are on disk in dataset order, as a full run writes them, and there are
+    no scores and no manifest."""
+    failing = 4
+    instances = corpus_mod.read_dataset(data / "dataset.jsonl")
+    oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
+    backend = FailingBackend(oracle, instances[failing].question)
+    monkeypatch.setattr(cli, "HttpBackend", lambda: backend)
+    run_id = f"stopped_{pipeline}_{workers}"
+    assert cli.main([
+        "bench", "--pipeline", pipeline, "--workers", workers, "--backend", "http",
+        "--corpus-dir", str(data / "corpus"), "--dataset", str(data / "dataset.jsonl"),
+        "--output-dir", str(data / "runs"), "--run-id", run_id,
+    ]) == 4
+    run_dir, full_dir = data / "runs" / run_id, data / "runs" / pipeline
+    lines = (run_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [i.id for i in instances[:failing]]
+    assert lines == (full_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()[
+        :failing]
+    transcripts = sorted(path.name for path in (run_dir / "transcripts").iterdir())
+    assert transcripts == (sorted(f"{i.id}.json" for i in instances[:failing])
+                           if pipeline == "agent" else [])
+    for name in transcripts:
+        assert (run_dir / "transcripts" / name).read_bytes() == \
+               (full_dir / "transcripts" / name).read_bytes()
+    assert not [name for name in ("scores.jsonl", "eval_report.json", "manifest.json")
+                if (run_dir / name).exists()]

@@ -212,13 +212,13 @@ def read_json_object(path: str | Path) -> dict:
 
 # --- wiring helpers -----------------------------------------------------------
 
-def build_client(config: RunConfig, log_path: Optional[Path] = None) -> LLMClient:
+def build_client(config: RunConfig) -> LLMClient:
     if config.backend == "scripted":
         backend = ScriptedBackend.from_file(config.script_path)
     else:
         backend = HttpBackend()
     cache = ResponseCache(Path(config.cache_dir) / "llm") if config.cache_dir else None
-    return LLMClient(config.provider_config(), backend, cache, log_path=log_path)
+    return LLMClient(config.provider_config(), backend, cache)
 
 
 def build_embedding_provider(config: RunConfig):
@@ -323,8 +323,7 @@ def cmd_bench(args, config: RunConfig) -> int:
     instances = corpus_mod.read_dataset(config.dataset)
     if args.limit:
         instances = instances[:args.limit]
-    run = rundir.RunDir.create(config.output_dir, args.run_id)
-    client = build_client(config, log_path=run.path / "llm_log.jsonl")
+    client = build_client(config)
     runner = _ReportRunner(config, client, args.pipeline)
 
     # per-report set-up is not thread-safe, so do it up front
@@ -333,6 +332,9 @@ def cmd_bench(args, config: RunConfig) -> int:
             raise ConfigError("corpus_dir is not set")
         runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"),
                      questions)
+    # only now, so that a failed set-up leaves no run directory behind
+    run = rundir.RunDir.create(config.output_dir, args.run_id)
+    client.log_path = run.path / "llm_log.jsonl"
 
     # both maps yield rows in dataset order; the pool bounds how many LLM
     # calls are in flight at once
@@ -384,7 +386,8 @@ def cmd_ask(args, config: RunConfig) -> int:
     if "transcript" in row:
         run = rundir.RunDir(config.output_dir)
         transcript_path = run.write_json("ask_transcript.json", row["transcript"])
-        run.write_manifest("ask", config, inputs={"report_sha256": rundir.sha256_file(args.report)},
+        run.write_manifest("ask", config,
+                           inputs={"report_sha256": rundir.sha256_file(args.report)},
                            pipeline=args.pipeline, question=args.question)
         print(f"termination: {row['termination']}")
         print(f"transcript: {transcript_path}")
@@ -402,7 +405,7 @@ def cmd_stats(args, config: RunConfig) -> int:
     stats = corpus_mod.corpus_stats(reports, instances)
     rendered = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        rundir.write_text(args.out, rendered + "\n")
     print(rendered)
     return EXIT_OK
 
@@ -421,7 +424,7 @@ def cmd_ablate(args, config: RunConfig) -> int:
                                        bm25_params=(config.bm25_k1, config.bm25_b))
     rendered = json.dumps(rows, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        rundir.write_text(args.out, rendered + "\n")
     print(rendered)
     return EXIT_OK
 
@@ -429,13 +432,16 @@ def cmd_ablate(args, config: RunConfig) -> int:
 def cmd_datagen(args, config: RunConfig) -> int:
     if not config.corpus_dir:
         raise ConfigError("datagen needs corpus_dir")
+    if args.mode == "filter" and not args.raw:
+        raise ConfigError("datagen --mode filter needs --raw")
     reports = [corpus_mod.load_report(path)
                for path in sorted(Path(config.corpus_dir).glob("*.md"))]
     if not reports:
         raise FileNotFoundError(f"no reports under {config.corpus_dir}")
+    raw_records = datagen_mod.read_raw_batch(args.raw) if args.mode == "filter" else []
+    # only now, so that an unreadable input leaves no output directory behind
     run = rundir.RunDir(args.out)
 
-    raw_records: list[datagen_mod.RawQA] = []
     if args.mode in ("generate", "both"):
         client = build_client(config)
         parse_errors = 0
@@ -448,10 +454,6 @@ def cmd_datagen(args, config: RunConfig) -> int:
             parse_errors += batch.parse_errors
         datagen_mod.write_raw_batch(raw_records, run.path / "raw.jsonl")
         print(f"generated {len(raw_records)} candidates ({parse_errors} parse errors)")
-    else:
-        if not args.raw:
-            raise ConfigError("datagen --mode filter needs --raw")
-        raw_records = datagen_mod.read_raw_batch(args.raw)
 
     if args.mode in ("filter", "both"):
         kept, stats, _ = datagen_mod.filter_pipeline(

@@ -334,6 +334,11 @@ _REQUIRED_KEYS = ("id", "company", "year", "question", "type", "thoughts",
 _OPTIONAL_KEYS = ("report_id", "n_evidence_tables")
 
 
+def is_page_list(value) -> bool:
+    """A list of page numbers: ints >= 1, never a bool."""
+    return isinstance(value, list) and all(type(p) is int and p >= 1 for p in value)
+
+
 def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
     """Validate one dataset record and build a QAInstance."""
     values = {key: _require(record, key, line_number) for key in _REQUIRED_KEYS}
@@ -352,7 +357,7 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError(f"field 'type' must be one of {QUESTION_TYPES}", line_number, "type")
 
     raw_pages = values["page_numbers"]
-    if not isinstance(raw_pages, list) or not all(isinstance(p, int) and p >= 1 for p in raw_pages):
+    if not is_page_list(raw_pages):
         raise SchemaError("field 'page_numbers' must be a list of positive integers",
                           line_number, "page_numbers")
 

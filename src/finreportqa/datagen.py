@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional, Sequence
 
-from .corpus import QAInstance, Report, instance_to_record, read_json_lines
+from .corpus import QAInstance, Report, instance_to_record, is_page_list, read_json_lines
 from .errors import ProgramError, SchemaError, SyntaxUnsupportedError
 from .llm import LLMClient, system, user
 from .metrics import normalize_answer, tolerance_correct
@@ -55,11 +55,8 @@ class RawQA:
         if any(known[f] is None for f in known):
             missing = [f for f, v in known.items() if v is None]
             raise ValueError(f"record missing fields: {missing}")
-        if not isinstance(known["page_numbers"], list):
-            raise ValueError("page_numbers must be a list")
-        page_numbers = [int(p) for p in known["page_numbers"]]
-        if any(p < 1 for p in page_numbers):
-            raise ValueError("page_numbers must be positive")
+        if not is_page_list(known["page_numbers"]):
+            raise ValueError("page_numbers must be positive integers")
         extras = {k: v for k, v in record.items() if k not in known}
         if not isinstance(extras.get("report_id", ""), str):
             raise ValueError("report_id must be a string")
@@ -70,7 +67,7 @@ class RawQA:
             question=str(known["question"]),
             type=str(known["type"]),
             thoughts=str(known["thoughts"]),
-            page_numbers=page_numbers,
+            page_numbers=list(known["page_numbers"]),
             python_code=str(known["python_code"]),
             answer=str(known["answer"]),
             extras=extras,

@@ -33,8 +33,6 @@ ALLOWED_CALLS = ("round", "abs", "min", "max")
 
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
-TWO_PLACES = Decimal("0.01")
-
 
 @dataclass(frozen=True)
 class ProgramAST:

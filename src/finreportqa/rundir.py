@@ -4,7 +4,9 @@
 ``transcripts/<id>.json`` as the row arrives, in dataset order, and then
 ``scores.jsonl``, ``eval_report.json`` and ``manifest.json``. A run that
 stops early leaves a dataset-order prefix of the predictions and the
-transcripts, and no scores or manifest.
+transcripts, and no scores or manifest. ``score`` writes the score files
+and ``score_manifest.json``, beside a bench run's own manifest. A path that
+cannot be written is a ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,21 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import metrics as metrics_mod
-from .errors import DanglingReferenceError
+from .errors import ConfigError, DanglingReferenceError
 
 
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write an output file; a path that cannot be written is a ConfigError."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    return path
 
 
 def score_rows(rows: Iterable[dict], instances: dict) -> list[metrics_mod.InstanceScore]:
@@ -51,7 +63,10 @@ class RunDir:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot make a directory: {exc.strerror or exc}") from None
 
     @classmethod
     def create(cls, output_dir: str | Path, run_id: Optional[str] = None) -> "RunDir":
@@ -66,9 +81,7 @@ class RunDir:
         return cls(path)
 
     def write_json(self, name: str | Path, payload) -> Path:
-        path = self.path / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
+        return write_text(self.path / name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write_rows(self, rows: Iterable[dict]) -> list[dict]:
         """Write each row's predictions line and transcript as the row arrives;
@@ -87,16 +100,17 @@ class RunDir:
 
     def write_scores(self, scores: list[metrics_mod.InstanceScore]) -> metrics_mod.EvalReport:
         """Write ``scores.jsonl`` and ``eval_report.json``; the report."""
-        with open(self.path / "scores.jsonl", "w", encoding="utf-8") as fh:
-            for score in scores:
-                fh.write(json.dumps(score.to_dict(), sort_keys=True) + "\n")
+        write_text(self.path / "scores.jsonl",
+                   "".join(json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in scores))
         report = metrics_mod.aggregate(scores)
-        (self.path / "eval_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        write_text(self.path / "eval_report.json", report.to_json() + "\n")
         return report
 
     def write_manifest(self, command: str, config, inputs: dict, **extra) -> None:
         """The command, the time, the resolved config, the input hashes and ``extra``."""
-        self.write_json("manifest.json", {
+        # a score written into a bench run must not replace the manifest that reruns it
+        name = "score_manifest.json" if command == "score" else "manifest.json"
+        self.write_json(name, {
             "command": command,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "config": config.to_dict(),

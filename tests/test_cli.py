@@ -322,6 +322,47 @@ def test_unreadable_input_file_exits_with_its_code(tmp_path, capsys, option, fau
     assert err.startswith({2: "config error: ", 3: "data error: "}[code])
 
 
+def _writing_command(command, path, tmp_path):
+    """A ``command`` whose output option names ``path``; every input is sound."""
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"id": "q-dscr-1", "answer": 1.55}) + "\n")
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("")
+    return {
+        "bench": _bench_args(tmp_path, corpus_dir, dataset, script, extra=("--output-dir", path)),
+        "ask": ["ask", "--question", "What is the DSCR?", "--output-dir", path,
+                "--report", str(corpus_dir / "DemoCo_2002.md"),
+                "--backend", "scripted", "--script-path", str(script)],
+        "score": ["score", "--predictions", str(predictions), "--gold", str(dataset),
+                  "--out", path],
+        "datagen": ["datagen", "--mode", "filter", "--raw", str(raw), "--out", path,
+                    "--corpus-dir", str(corpus_dir)],
+        "stats": ["stats", "--corpus-dir", str(corpus_dir), "--out", path],
+        "ablate": ["ablate", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                   "--out", path],
+    }[command]
+
+
+# A command that writes a directory fails on a file in its place, and one that
+# writes a file fails on a directory.
+@pytest.mark.parametrize("command, taken_by", [
+    ("bench", "file"), ("ask", "file"), ("score", "file"), ("datagen", "file"),
+    ("stats", "directory"), ("ablate", "directory"),
+])
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, command, taken_by):
+    path = tmp_path / "output" / "taken"
+    path.parent.mkdir()
+    if taken_by == "directory":
+        path.mkdir()
+    else:
+        path.write_text("not a directory")
+    assert main(_writing_command(command, str(path), tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: {path}")
+
+
 class TestBench:
     def test_scripted_agent_run(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -367,6 +408,35 @@ class TestBench:
         first_t = tmp_path / "runs" / "run-a" / "transcripts" / "q-dscr-1.json"
         second_t = tmp_path / "runs" / "run-b" / "transcripts" / "q-dscr-1.json"
         assert _hash(first_t) == _hash(second_t)
+
+    def test_scoring_in_place_keeps_the_run_reproducible(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        run_a, run_b = tmp_path / "runs" / "run-a", tmp_path / "runs" / "run-b"
+        manifest = (run_a / "manifest.json").read_bytes()
+
+        assert main(["score", "--predictions", str(run_a / "predictions.jsonl"),
+                     "--gold", str(dataset)]) == 0
+        assert (run_a / "manifest.json").read_bytes() == manifest
+        assert json.loads((run_a / "score_manifest.json").read_text())["command"] == "score"
+
+        assert main(["bench", "--from-manifest", str(run_a / "manifest.json"),
+                     "--run-id", "run-b"]) == 0
+        for name in _CANONICAL:
+            assert _hash(run_a / name) == _hash(run_b / name), name
+
+    @pytest.mark.parametrize("fault, code", [("no corpus dir", 2), ("missing report", 3)])
+    def test_failed_setup_makes_no_run_directory(self, tmp_path, capsys, fault, code):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        args = _bench_args(tmp_path, corpus_dir, dataset, script)
+        if fault == "no corpus dir":
+            at = args.index("--corpus-dir")
+            del args[at:at + 2]
+        else:
+            (corpus_dir / "DemoCo_2002.md").unlink()
+        (tmp_path / "runs").mkdir()
+        assert main(args) == code
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_blank_expansion_keeps_the_round(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -790,6 +860,9 @@ class TestOtherCommands:
         ("report_id", ["DemoCo_2002"], "report_id must be a string"),
         ("page_numbers", [31, 0], "page_numbers must be positive"),
         ("page_numbers", [-4, 50], "page_numbers must be positive"),
+        ("page_numbers", [31.9, 50], "page_numbers must be positive integers"),
+        ("page_numbers", ["31", 50], "page_numbers must be positive integers"),
+        ("page_numbers", [True, 50], "page_numbers must be positive integers"),
     ])
     def test_datagen_filter_rejects_a_bad_record(self, tmp_path, capsys, field, value, message):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)
@@ -804,8 +877,8 @@ class TestOtherCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
-        assert "line 2" in err and message in err
-        assert not (out_dir / "filtered.jsonl").exists()
+        assert f"line 2: {raw}" in err and message in err
+        assert not out_dir.exists()
 
     def test_datagen_generate_scripted(self, tmp_path, capsys):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)

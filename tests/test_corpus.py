@@ -467,6 +467,14 @@ class TestDataset:
             read_dataset(path)
         assert (excinfo.value.line_number, excinfo.value.field) == (1, "report_id")
 
+    @pytest.mark.parametrize("pages", [[50, 31.9], [50, "51"], [50, True], [0, 50], 50])
+    def test_page_numbers_must_be_ints_of_at_least_one(self, tmp_path, pages):
+        path = tmp_path / "bad_pages.jsonl"
+        path.write_text(json.dumps(self._record(page_numbers=pages)) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert (excinfo.value.line_number, excinfo.value.field) == (1, "page_numbers")
+
     def test_round_trip_identity(self, tmp_path):
         records = [
             self._record(),

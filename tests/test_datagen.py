@@ -129,6 +129,16 @@ class TestGenerateQA:
         assert len(batch.records) == 2
         assert batch.parse_errors == 1
 
+    @pytest.mark.parametrize("bad_page", [31.9, "50", True])
+    def test_a_page_number_that_is_not_an_int_is_a_parse_error(self, bad_page):
+        payload = self._records()
+        payload[1]["page_numbers"] = [5, bad_page]
+        client = make_scripted_client([("annual report", json.dumps(payload))])
+        report = filter_report()
+        batch = generate_qa(report, sample_pages(report, n=3, seed=0), client)
+        assert [r.id for r in batch.records] == ["g1"]
+        assert batch.parse_errors == 1
+
     def test_prompt_contains_sampled_pages(self):
         captured = {}
 

@@ -8,6 +8,7 @@ second round find it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import ssl
@@ -18,6 +19,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from finreportqa.corpus import QAInstance, parse_report
+from finreportqa.embeddings import EmbeddingProvider
 from finreportqa.llm import LLMClient, ProviderConfig, ScriptedBackend
 
 DSCR_QUESTION = "What is the Debt Service Coverage Ratio (DSCR) of the company in 2002?"
@@ -130,6 +132,17 @@ def write_dscr_workspace(tmp_path):
         "entries": [{"matcher": m, "response": r} for m, r in DSCR_SCRIPT],
     }), encoding="utf-8")
     return corpus_dir, dataset, script
+
+
+class HashProvider(EmbeddingProvider):
+    """Toy in-process embedding provider: a fixed pseudo-random vector per
+    text (sha256 bytes 0-7, each minus 128)."""
+
+    model = "hash-toy"
+    dimension = 8
+
+    def embed(self, texts):
+        return [[b - 128.0 for b in hashlib.sha256(t.encode()).digest()[:8]] for t in texts]
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import pytest
 
+from conftest import HashProvider
 from fault_oracle import Oracle, OracleBackend
 from finreportqa import cli
 from finreportqa import corpus as corpus_mod
@@ -41,6 +42,10 @@ RUNS = {
     "single_round_rag_granularity_256": ("--pipeline", "single_round_rag",
                                          "--granularity", "256"),
     "agent_tfidf": ("--pipeline", "agent", "--scheme", "tfidf"),
+    # dense retrieval, with HashProvider standing in for the embedding endpoint
+    "agent_dense": ("--pipeline", "agent", "--scheme", "dense",
+                    "--embedding-endpoint", "http://embeddings.invalid/v1",
+                    "--embedding-model", "hash-toy", "--embedding-dimension", "8"),
 }
 
 DIGESTS = {
@@ -54,6 +59,7 @@ DIGESTS = {
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
     "agent_tfidf": "df33cdb2d141087b83f27aa4aa14c04e58b0b863b5de861a8002a74c1cfe28cc",
+    "agent_dense": "e5fb5f7e7625d68d15fd4e77813f7e8c91723c5f82ff7c698d57cfb9e7a9bd7e",
 }
 
 
@@ -68,6 +74,7 @@ ANSWER_DIGESTS = {
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
     "agent_tfidf": "430584d5aae7acbf76fa11d5c66c78b918d569e7bd393e7518744dca62eac028",
+    "agent_dense": "8019ad447ca10c34021056e826bf55e9cc80d99dc84dd1cedc5c6105a4ea9f90",
 }
 
 
@@ -106,6 +113,7 @@ def runs(data):
     oracle = Oracle(json.loads((data / "oracle.json").read_text(encoding="utf-8")))
     patch = pytest.MonkeyPatch()
     patch.setattr(cli, "HttpBackend", lambda: OracleBackend(oracle))
+    patch.setattr(cli, "build_embedding_provider", lambda config: HashProvider())
     results = {}
     try:
         for name, flags in RUNS.items():

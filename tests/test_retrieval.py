@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import random
@@ -42,7 +41,7 @@ from finreportqa.retrieval import (
     tokenize,
 )
 
-from conftest import FakeRequest
+from conftest import FakeRequest, HashProvider
 from oracles import brute_force_ranking, brute_force_scores, random_corpus, random_query
 
 
@@ -551,21 +550,11 @@ class TestDense:
             provider.embed(["text"])
 
 
-class _HashProvider(EmbeddingProvider):
-    """Toy provider: a fixed pseudo-random vector per text."""
-
-    model = "hash-toy"
-    dimension = 8
-
-    def embed(self, texts):
-        return [[b - 128.0 for b in hashlib.sha256(t.encode()).digest()[:8]] for t in texts]
-
-
 class TestDenseMatchesListReference:
     """Dense hits and scores equal a list-of-floats reference."""
 
     def test_hits_and_scores_equal_reference(self):
-        provider = _HashProvider()
+        provider = HashProvider()
         units = rechunk(_generated_report(seed=5, pages=30), 256)
         index = embed_units(provider, units)
 
@@ -597,7 +586,7 @@ class TestRetrieverUnits:
     def test_hits_key_their_units(self, report, granularity, scheme):
         expected = {unit.unit_id: unit for unit in rechunk(report, granularity)}
         retriever = prepare_report(report, scheme, granularity=granularity,
-                                   provider=_HashProvider())
+                                   provider=HashProvider())
         assert retriever.n_units == len(expected)
         # a query holding every term of the report reaches every unit with a term
         terms = sorted({t for unit in expected.values() for t in tokenize(unit.text)})

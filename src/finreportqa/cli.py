@@ -241,9 +241,10 @@ class _ReportRunner:
 
     Only the state the pipeline reads is built: the report always, the
     retriever (which holds the retrieval units) only for pipelines that
-    search. A report set up with a question count is dropped, with all it
-    holds, once ``run_instance`` has answered that many of its questions.
-    Set-up is not thread-safe; answering is.
+    search, and one embedding provider for the run only for those that
+    search densely. A report set up with a question count is dropped, with
+    all it holds, once ``run_instance`` has answered that many of its
+    questions. Set-up is not thread-safe; answering is.
     """
 
     def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
@@ -258,6 +259,9 @@ class _ReportRunner:
             k_per_round=config.k_per_round,
             chunk_budget=config.chunk_budget,
         )
+        self.provider = (build_embedding_provider(config)
+                         if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
+                         else None)
 
     def setup(self, report: corpus_mod.Report, questions: Optional[int] = None) -> None:
         config = self.config
@@ -266,10 +270,9 @@ class _ReportRunner:
         if self.pipeline in _INDEXLESS_PIPELINES:
             self._reports[report.report_id] = (report, None)
             return
-        provider = build_embedding_provider(config) if config.scheme == "dense" else None
-        self._reports[report.report_id] = (report, retrieval_mod.prepare_report(
+        self._reports[report.report_id] = (report, retrieval_mod.build_retriever(
             report, config.scheme, granularity=config.unit_granularity(),
-            provider=provider, bm25_params=(config.bm25_k1, config.bm25_b)))
+            provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b)))
 
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
         report_id = instance.report_id

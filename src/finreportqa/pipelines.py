@@ -23,7 +23,7 @@ from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
 from .errors import AnswerExtractionError
 from .llm import ChatMessage, Completion, LLMClient, count_message_tokens, system, user
 from .metrics import normalize_answer
-from .retrieval import RetrievalUnit, Retriever, ScoredHit, prepare_report
+from .retrieval import RetrievalUnit, Retriever, ScoredHit
 
 _PAGE_REF_RE = re.compile(r"page_number\s*[:=]?\s*(\d+)")
 _BRACES_RE = re.compile(r"\{\{(.*?)\}\}", re.DOTALL)
@@ -249,12 +249,6 @@ class AgentPipeline:
         self.retriever = retriever
         self.config = config or AgentConfig()
         self._tokens_used = 0
-
-    @classmethod
-    def from_report(cls, client: LLMClient, report: Report,
-                    config: Optional[AgentConfig] = None) -> "AgentPipeline":
-        """An agent over the report's page-level BM25 retriever."""
-        return cls(client, prepare_report(report, "bm25"), config)
 
     # -- individual agent steps ------------------------------------------
 

@@ -2,16 +2,17 @@
 top-k search, page-level recall, and the chunk-granularity ablation.
 
 All retrieval happens within one report; corpora are small enough that
-exact scoring over every unit is the right tool. Each retriever holds the
-units it indexes.
+exact scoring over every unit is the right tool. ``build_retriever`` is the
+one way to set up a report for search: it cuts the report into units and
+builds a ``Retriever``, which holds the units and a sparse or dense index
+over them. Each index holds the units it indexes, once, in build order.
 
-A sparse index numbers its units 0..n-1 in build order. Each term maps to
-one ``array('i')`` of interleaved (unit position, term frequency) pairs in
-unit order; unit ids, pages and lengths are lists indexed by position. On a
-300-page report of about 450 words a page, that is about 2.4 MB (by
-tracemalloc), where postings of ``(unit_id, tf)`` tuples in lists took about
-9.3 MB. ``bench`` builds every report's retriever before it answers and frees
-each one after that report's last question.
+A sparse index numbers its units 0..n-1 by position. Each term maps to one
+``array('i')`` of interleaved (unit position, term frequency) pairs in unit
+order. On a 300-page report of about 450 words a page, that is about 2.4 MB
+(by tracemalloc), where postings of ``(unit_id, tf)`` tuples in lists took
+about 9.3 MB. ``bench`` builds every report's retriever before it answers and
+frees each one after that report's last question.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .corpus import Report
 from .embeddings import EmbeddingProvider
@@ -103,19 +104,18 @@ def rechunk(report: Report, granularity: str | int = "page") -> list[RetrievalUn
 
 @dataclass
 class SparseIndex:
-    """Inverted index over units numbered 0..n-1 in build order; a term's
+    """Inverted index over ``units``, numbered 0..n-1 by position; a term's
     document frequency is half the length of its postings array."""
     scheme: str  # "tfidf" | "bm25"
     postings: dict[str, array]   # term -> [pos0, tf0, pos1, tf1, ...]
-    unit_ids: list[str]
-    unit_pages: list[int]
+    units: Sequence[RetrievalUnit]
     unit_lengths: list[int]      # term count per unit
     avg_unit_length: float
     bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS
 
     @property
     def n_units(self) -> int:
-        return len(self.unit_ids)
+        return len(self.units)
 
 
 def build_sparse_index(units: Sequence[RetrievalUnit], scheme: str = "bm25",
@@ -139,8 +139,7 @@ def build_sparse_index(units: Sequence[RetrievalUnit], scheme: str = "bm25",
     return SparseIndex(
         scheme=scheme,
         postings=postings,
-        unit_ids=[unit.unit_id for unit in units],
-        unit_pages=[unit.page_number for unit in units],
+        units=units,
         unit_lengths=unit_lengths,
         avg_unit_length=sum(unit_lengths) / len(unit_lengths),
         bm25_params=bm25_params,
@@ -186,9 +185,10 @@ def search(index: SparseIndex, query_text: str, k: int) -> list[ScoredHit]:
     if not query_terms:
         raise EmptyQueryError("query tokenized to nothing")
     scores = _sparse_scores(index, query_terms)
-    unit_ids, unit_pages = index.unit_ids, index.unit_pages
+    units = index.units
     hits = [
-        ScoredHit(unit_id=unit_ids[position], page_number=unit_pages[position], score=score)
+        ScoredHit(unit_id=units[position].unit_id, page_number=units[position].page_number,
+                  score=score)
         for position, score in scores.items()
         if score > 0.0
     ]
@@ -201,8 +201,8 @@ def search(index: SparseIndex, query_text: str, k: int) -> list[ScoredHit]:
 @dataclass
 class DenseIndex:
     dimension: int
-    vectors: dict[str, list[float]] = field(default_factory=dict)  # unit-norm
-    unit_pages: dict[str, int] = field(default_factory=dict)
+    units: Sequence[RetrievalUnit]
+    vectors: list[list[float]]  # unit-norm, in unit order
 
 
 def _normalize(vector: Sequence[float]) -> list[float]:
@@ -216,14 +216,11 @@ def embed_units(provider: EmbeddingProvider, units: Sequence[RetrievalUnit]) -> 
     if not units:
         raise EmptyCorpusError("cannot index zero units")
     vectors = provider.embed([unit.text for unit in units])
-    index = DenseIndex(dimension=provider.dimension)
     for unit, vector in zip(units, vectors):
         if len(vector) != provider.dimension:
             raise DimensionMismatchError(
                 f"unit {unit.unit_id}: got dimension {len(vector)}, expected {provider.dimension}")
-        index.vectors[unit.unit_id] = _normalize(vector)
-        index.unit_pages[unit.unit_id] = unit.page_number
-    return index
+    return DenseIndex(provider.dimension, units, [_normalize(vector) for vector in vectors])
 
 
 def dense_search(index: DenseIndex, provider: EmbeddingProvider, query: str, k: int) -> list[ScoredHit]:
@@ -238,84 +235,57 @@ def dense_search(index: DenseIndex, provider: EmbeddingProvider, query: str, k: 
             f"query dimension {len(query_vector)} != index dimension {index.dimension}")
     hits = [
         ScoredHit(
-            unit_id=uid,
-            page_number=index.unit_pages[uid],
+            unit_id=unit.unit_id,
+            page_number=unit.page_number,
             score=sum(q * v for q, v in zip(query_vector, vector)),
         )
-        for uid, vector in index.vectors.items()
+        for unit, vector in zip(index.units, index.vectors)
     ]
     hits.sort(key=_hit_sort_key)
     return hits[:k]
 
 
-# --- retriever facade --------------------------------------------------------
+# --- retriever ---------------------------------------------------------------
 
 class Retriever:
-    """Uniform search interface over a sparse or dense index and its units."""
+    """A sparse or dense index over units, searched by query text.
 
-    def __init__(self, units: Sequence[RetrievalUnit]):
+    ``units`` maps each unit id to its unit, for reading a hit's text.
+    """
+
+    def __init__(self, units: Sequence[RetrievalUnit], scheme: str = "bm25", *,
+                 provider: Optional[EmbeddingProvider] = None,
+                 bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS):
+        if scheme in ("tfidf", "bm25"):
+            self.index = build_sparse_index(units, scheme, bm25_params)
+        elif scheme == "dense":
+            if provider is None:
+                raise ValueError("dense retrieval needs an embedding provider")
+            self.index = embed_units(provider, units)
+        else:
+            raise ValueError(f"unknown retrieval scheme: {scheme!r}")
+        self.provider = provider
         self.units = {unit.unit_id: unit for unit in units}
 
     def search(self, query: str, k: int) -> list[ScoredHit]:
-        raise NotImplementedError
+        if isinstance(self.index, DenseIndex):
+            return dense_search(self.index, self.provider, query, k)
+        return search(self.index, query, k)
 
     @property
     def n_units(self) -> int:
         return len(self.units)
 
 
-class SparseRetriever(Retriever):
-    def __init__(self, index: SparseIndex, units: Sequence[RetrievalUnit]):
-        super().__init__(units)
-        self.index = index
-
-    def search(self, query: str, k: int) -> list[ScoredHit]:
-        return search(self.index, query, k)
-
-
-class DenseRetriever(Retriever):
-    def __init__(self, index: DenseIndex, provider: EmbeddingProvider,
-                 units: Sequence[RetrievalUnit]):
-        super().__init__(units)
-        self.index = index
-        self.provider = provider
-
-    def search(self, query: str, k: int) -> list[ScoredHit]:
-        return dense_search(self.index, self.provider, query, k)
-
-
-def build_retriever(units: Sequence[RetrievalUnit], scheme: str, *,
+def build_retriever(report: Report, scheme: str, *, granularity: str | int = "page",
                     provider: Optional[EmbeddingProvider] = None,
                     bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> Retriever:
-    if scheme in ("tfidf", "bm25"):
-        return SparseRetriever(build_sparse_index(units, scheme, bm25_params), units)
-    if scheme == "dense":
-        if provider is None:
-            raise ValueError("dense retrieval needs an embedding provider")
-        return DenseRetriever(embed_units(provider, units), provider, units)
-    raise ValueError(f"unknown retrieval scheme: {scheme!r}")
-
-
-def prepare_report(report: Report, scheme: str, *, granularity: str | int = "page",
-                   provider: Optional[EmbeddingProvider] = None,
-                   bm25_params: tuple[float, float] = DEFAULT_BM25_PARAMS) -> Retriever:
     """The report's retriever over its units at the given granularity."""
-    return build_retriever(rechunk(report, granularity), scheme,
-                           provider=provider, bm25_params=bm25_params)
+    return Retriever(rechunk(report, granularity), scheme,
+                     provider=provider, bm25_params=bm25_params)
 
 
 # --- evaluation ----------------------------------------------------------------
-
-def pages_from_hits(hits: Iterable[ScoredHit]) -> list[int]:
-    """Hit pages in rank order, first occurrence only."""
-    seen: set[int] = set()
-    pages: list[int] = []
-    for hit in hits:
-        if hit.page_number not in seen:
-            seen.add(hit.page_number)
-            pages.append(hit.page_number)
-    return pages
-
 
 def recall_at_k(retrieved_pages: Sequence[int], gold_pages: set[int] | frozenset[int], k: int) -> float:
     """Fraction of gold pages among the first k distinct retrieved pages."""
@@ -346,16 +316,14 @@ def ablate_chunks(reports: Sequence[Report], instances: Sequence, sizes: Sequenc
     rows: list[dict] = []
     max_k = max(k_values)
     for granularity in ["page", *sizes]:
-        indices: dict[str, SparseIndex] = {}
+        retrievers = {report_id: build_retriever(by_id[report_id], scheme, granularity=granularity,
+                                                 bm25_params=bm25_params)
+                      for report_id in dict.fromkeys(i.report_id for i in instances)}
         recalls: dict[int, list[float]] = {k: [] for k in k_values}
         for instance in instances:
-            report = by_id[instance.report_id]
-            if report.report_id not in indices:
-                indices[report.report_id] = build_sparse_index(
-                    rechunk(report, granularity), scheme, bm25_params)
-            index = indices[report.report_id]
-            hits = search(index, instance.question, k=max(max_k, index.n_units))
-            pages = pages_from_hits(hits)
+            retriever = retrievers[instance.report_id]
+            hits = retriever.search(instance.question, k=max(max_k, retriever.n_units))
+            pages = [hit.page_number for hit in hits]
             for k in k_values:
                 recalls[k].append(recall_at_k(pages, instance.evidence_pages, k))
         row: dict = {"granularity": str(granularity)}

@@ -36,7 +36,8 @@ from finreportqa.pipelines import AgentPipeline, run_baseline
 from finreportqa.program import run_source
 from finreportqa.retrieval import (
     RetrievalUnit,
-    SparseRetriever,
+    Retriever,
+    build_retriever,
     build_sparse_index,
     rechunk,
     recall_at_k,
@@ -168,7 +169,7 @@ def test_criterion_6_orchestrator_contract(dscr_report, no_network):
     started = time.monotonic()
 
     # (a) two-round scenario: Complete, correct answer, EM=1 end to end
-    agent = AgentPipeline.from_report(make_scripted_client(DSCR_SCRIPT), dscr_report)
+    agent = AgentPipeline(make_scripted_client(DSCR_SCRIPT), build_retriever(dscr_report, "bm25"))
     transcript = agent.run(DSCR_QUESTION, question_id="q-dscr-1")
     assert transcript.termination == "Complete"
     assert len(transcript.rounds) == 2
@@ -179,15 +180,15 @@ def test_criterion_6_orchestrator_contract(dscr_report, no_network):
     assert score.em == 1
 
     # (b) always-Missing evaluator: exactly 5 rounds, RoundLimit
-    agent = AgentPipeline.from_report(
-        make_scripted_client(ALWAYS_MISSING_SCRIPT), dscr_report)
+    agent = AgentPipeline(
+        make_scripted_client(ALWAYS_MISSING_SCRIPT), build_retriever(dscr_report, "bm25"))
     transcript = agent.run(DSCR_QUESTION)
     assert transcript.termination == "RoundLimit"
     assert len(transcript.rounds) == 5
 
     # (c) 200-unit corpus with default config: cumulative units <= 75
-    agent = AgentPipeline.from_report(
-        make_scripted_client(ALWAYS_MISSING_SCRIPT), _massive_report(200))
+    agent = AgentPipeline(
+        make_scripted_client(ALWAYS_MISSING_SCRIPT), build_retriever(_massive_report(200), "bm25"))
     transcript = agent.run("what is the shared metric value?")
     total = sum(len(r.new_unit_ids) for r in transcript.rounds)
     assert total <= 75
@@ -195,7 +196,8 @@ def test_criterion_6_orchestrator_contract(dscr_report, no_network):
     # (d) byte-identical transcripts across two runs
     serialized = []
     for _ in range(2):
-        agent = AgentPipeline.from_report(make_scripted_client(DSCR_SCRIPT), dscr_report)
+        agent = AgentPipeline(make_scripted_client(DSCR_SCRIPT),
+                              build_retriever(dscr_report, "bm25"))
         serialized.append(agent.run(DSCR_QUESTION, question_id="q1").to_json().encode())
     assert serialized[0] == serialized[1]
 
@@ -217,7 +219,7 @@ def test_criterion_7_baseline_contracts(dscr_report):
     # single-round RAG context equals the oracle top-30 pages
     report = _massive_report(40)
     units = rechunk(report, "page")
-    retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+    retriever = Retriever(units)
     client = make_scripted_client([("Question", "{{2.0}}")])
     result = run_baseline("single_round_rag", "shared metric value", client,
                           report=report, retriever=retriever, k=30)
@@ -232,7 +234,7 @@ def test_criterion_7_baseline_contracts(dscr_report):
     for n_pages in (40, 75, 120):
         report = _massive_report(n_pages)
         units = rechunk(report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+        retriever = Retriever(units)
         client = make_scripted_client([("Question", "{{2.0}}")])
         result = run_baseline(
             "fixed_budget_rag", "shared metric value", client, report=report,

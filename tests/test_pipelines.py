@@ -38,7 +38,8 @@ from finreportqa.pipelines import (
 from finreportqa.retrieval import (
     RetrievalUnit,
     ScoredHit,
-    SparseRetriever,
+    Retriever,
+    build_retriever,
     build_sparse_index,
     rechunk,
     search,
@@ -152,7 +153,7 @@ class TestRetrieveRound:
                           " ".join(rng.choices(vocab, k=rng.randint(3, 12))))
             for i in range(n)
         ]
-        return SparseRetriever(build_sparse_index(units, "bm25"), units)
+        return Retriever(units)
 
     def test_empty_exclude_equals_plain_search(self):
         retriever = self._retriever()
@@ -181,20 +182,20 @@ class TestRetrieveRound:
 def _agent_for(report_md, script, config=None, question=DSCR_QUESTION):
     report = parse_report(report_md, report_id="DemoCo_2002")
     client = make_scripted_client(script)
-    agent = AgentPipeline.from_report(client, report, config)
+    agent = AgentPipeline(client, build_retriever(report, "bm25"), config)
     return agent, client
 
 
 class TestSolverAndEvaluator:
     def test_solver_parses_pages_and_answer(self, dscr_report, dscr_client):
-        agent = AgentPipeline.from_report(dscr_client, dscr_report)
+        agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         pages = [(31, dscr_report.page(31).text), (50, dscr_report.page(50).text)]
         output = agent.solve(DSCR_QUESTION, ROUND2_FORMULA, pages)
         assert output.answer == 1.55
         assert output.cited_pages == frozenset({31, 34, 50})
 
     def test_solver_insufficient_on_zero(self, dscr_report, dscr_client):
-        agent = AgentPipeline.from_report(dscr_client, dscr_report)
+        agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         pages = [(10, dscr_report.page(10).text)]
         output = agent.solve(DSCR_QUESTION, "X / Y", pages)
         assert isinstance(output.answer, Insufficient)
@@ -206,7 +207,7 @@ class TestSolverAndEvaluator:
              ("annual report in Markdown form", "still no braces")],
             mode="consume-once")
         client = LLMClient(ProviderConfig(), backend)
-        agent = AgentPipeline.from_report(client, dscr_report)
+        agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         output = agent.solve("q", "f", [(1, "text")])
         assert isinstance(output.answer, Insufficient)
         assert output.extraction_failed
@@ -218,7 +219,7 @@ class TestSolverAndEvaluator:
              ("annual report in Markdown form", "fixed {{2.5}}")],
             mode="consume-once")
         client = LLMClient(ProviderConfig(), backend)
-        agent = AgentPipeline.from_report(client, dscr_report)
+        agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         output = agent.solve("q", "f", [(1, "text")])
         assert output.answer == 2.5
         assert not output.extraction_failed
@@ -232,7 +233,7 @@ class TestSolverAndEvaluator:
                 return super().generate(config, messages, body)
 
         client = LLMClient(ProviderConfig(), Spy(DSCR_SCRIPT))
-        agent = AgentPipeline.from_report(client, dscr_report)
+        agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         formula, _ = agent.expand(
             DSCR_QUESTION, [("interest expense", ["interest and other expense"])])
         assert "interest expense" in captured["prompt"]
@@ -242,7 +243,7 @@ class TestSolverAndEvaluator:
 
 class TestAgentRun:
     def test_two_round_scenario_completes(self, dscr_report, dscr_client):
-        agent = AgentPipeline.from_report(dscr_client, dscr_report)
+        agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         transcript = agent.run(DSCR_QUESTION, question_id="q-dscr-1")
 
         assert transcript.termination == "Complete"
@@ -257,14 +258,14 @@ class TestAgentRun:
         assert round2.verdict.complete
 
     def test_round_queries_gain_feedback_terms(self, dscr_report, dscr_client):
-        agent = AgentPipeline.from_report(dscr_client, dscr_report)
+        agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         transcript = agent.run(DSCR_QUESTION)
         assert "interest and other expense" in transcript.rounds[1].query
         assert "interest and other expense" not in transcript.rounds[0].query
 
     def test_always_missing_hits_round_limit(self, dscr_report):
         client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
-        agent = AgentPipeline.from_report(client, dscr_report)
+        agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         transcript = agent.run(DSCR_QUESTION)
         assert transcript.termination == "RoundLimit"
         assert len(transcript.rounds) == 5
@@ -276,7 +277,7 @@ class TestAgentRun:
         report = parse_report(pages, report_id="Big_2002")
         client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
         config = AgentConfig(max_rounds=5, k_per_round=5, chunk_budget=6)
-        agent = AgentPipeline.from_report(client, report, config)
+        agent = AgentPipeline(client, build_retriever(report, "bm25"), config)
         transcript = agent.run("what is the shared metric value?")
         assert transcript.termination == "Budget"
         total_units = sum(len(r.new_unit_ids) for r in transcript.rounds)
@@ -287,7 +288,7 @@ class TestAgentRun:
             f"<!-- page: {i} -->\nshared metric value item{i}\n" for i in range(1, 201))
         report = parse_report(pages, report_id="Big_2002")
         client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
-        agent = AgentPipeline.from_report(client, report)  # defaults: 15 x 5, cap 75
+        agent = AgentPipeline(client, build_retriever(report, "bm25"))  # defaults: 15 x 5, cap 75
         transcript = agent.run("what is the shared metric value?")
         total_units = sum(len(r.new_unit_ids) for r in transcript.rounds)
         assert total_units <= 75
@@ -300,12 +301,12 @@ class TestAgentRun:
         runs = []
         for _ in range(2):
             client = make_scripted_client(DSCR_SCRIPT)
-            agent = AgentPipeline.from_report(client, dscr_report)
+            agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
             runs.append(agent.run(DSCR_QUESTION, question_id="q1").to_json())
         assert runs[0].encode() == runs[1].encode()
 
     def test_context_is_monotone(self, dscr_report, dscr_client):
-        agent = AgentPipeline.from_report(dscr_client, dscr_report)
+        agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         transcript = agent.run(DSCR_QUESTION)
         previous: set[int] = set()
         for record in transcript.rounds:
@@ -347,7 +348,7 @@ class TestSolverContext:
 
         report = parse_report(REREAD_REPORT_MD, report_id="Demo_2002")
         client = LLMClient(ProviderConfig(), Spy(script))
-        agent = AgentPipeline.from_report(client, report, AgentConfig(k_per_round=8))
+        agent = AgentPipeline(client, build_retriever(report, "bm25"), AgentConfig(k_per_round=8))
         search = type(agent.retriever).search
 
         def counted(retriever, query, k):
@@ -436,7 +437,7 @@ class TestBaselines:
     def test_single_round_rag_context_matches_oracle_top_k(self, dscr_report):
         units = rechunk(dscr_report, "page")
         index = build_sparse_index(units, "bm25")
-        retriever = SparseRetriever(index, units)
+        retriever = Retriever(units)
 
         captured = {}
 
@@ -458,7 +459,7 @@ class TestBaselines:
             f"<!-- page: {i} -->\nshared metric value item{i}\n" for i in range(1, 41))
         report = parse_report(pages, report_id="Mid_2002")
         units = rechunk(report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+        retriever = Retriever(units)
         client = make_scripted_client([("Question", "{{5.0}}")])
         result = run_baseline("fixed_budget_rag", "shared metric value", client,
                               report=report, retriever=retriever)
@@ -482,7 +483,7 @@ class TestTokenAccounting:
     @pytest.mark.parametrize("script, usage", [(DSCR_SCRIPT, 957),
                                                (ALWAYS_MISSING_SCRIPT, 2241)])
     def test_agent_token_usage(self, dscr_report, script, usage):
-        agent = AgentPipeline.from_report(make_scripted_client(script), dscr_report)
+        agent = AgentPipeline(make_scripted_client(script), build_retriever(dscr_report, "bm25"))
         assert agent.run(DSCR_QUESTION, question_id="q1").token_usage == usage
 
     def test_solver_retry_counts_both_calls(self, dscr_report):
@@ -490,7 +491,8 @@ class TestTokenAccounting:
             [("annual report in Markdown form", "garbled"),
              ("annual report in Markdown form", "fixed {{2.5}}")],
             mode="consume-once")
-        agent = AgentPipeline.from_report(LLMClient(ProviderConfig(), backend), dscr_report)
+        agent = AgentPipeline(LLMClient(ProviderConfig(), backend),
+                              build_retriever(dscr_report, "bm25"))
         agent.solve("q", "f", [(1, "text")])
         assert agent._tokens_used == 229
 
@@ -533,7 +535,7 @@ class TestTokenAccounting:
     ])
     def test_baseline_prompt_tokens(self, dscr_report, kind, budget, tokens):
         units = rechunk(dscr_report, "page")
-        retriever = SparseRetriever(build_sparse_index(units, "bm25"), units)
+        retriever = Retriever(units)
         client = make_scripted_client([("Question", "{{1.55}}")], max_input_tokens=budget)
         result = run_baseline(kind, DSCR_QUESTION, client, report=dscr_report,
                               retriever=retriever)

@@ -26,15 +26,14 @@ from finreportqa.errors import (
     ProviderError,
 )
 from finreportqa.retrieval import (
-    DenseRetriever,
     RetrievalUnit,
+    Retriever,
     SparseIndex,
     ablate_chunks,
+    build_retriever,
     build_sparse_index,
     dense_search,
     embed_units,
-    pages_from_hits,
-    prepare_report,
     rechunk,
     recall_at_k,
     search,
@@ -80,30 +79,33 @@ class DecodedIndex:
     postings: dict    # term -> [(unit_id, tf)] in unit order
     unit_lengths: dict
     unit_pages: dict
+    unit_texts: dict
     n_units: int
 
 
 def reference_build_sparse_index(units):
-    vocabulary, postings, unit_lengths, unit_pages = {}, {}, {}, {}
+    vocabulary, postings, unit_lengths, unit_pages, unit_texts = {}, {}, {}, {}, {}
     for unit in units:
         terms = reference_tokenize(unit.text)
         unit_lengths[unit.unit_id] = len(terms)
         unit_pages[unit.unit_id] = unit.page_number
+        unit_texts[unit.unit_id] = unit.text
         for term, tf in sorted(Counter(terms).items()):
             vocabulary[term] = vocabulary.get(term, 0) + 1
             postings.setdefault(term, []).append((unit.unit_id, tf))
-    return DecodedIndex(vocabulary, postings, unit_lengths, unit_pages, len(units))
+    return DecodedIndex(vocabulary, postings, unit_lengths, unit_pages, unit_texts, len(units))
 
 
 def decode(index):
     """Read a SparseIndex back as unit ids and (unit_id, tf) postings."""
-    ids = index.unit_ids
+    ids = [unit.unit_id for unit in index.units]
     return DecodedIndex(
         vocabulary={term: len(p) // 2 for term, p in index.postings.items()},
         postings={term: [(ids[position], tf) for position, tf in zip(p[::2], p[1::2])]
                   for term, p in index.postings.items()},
         unit_lengths=dict(zip(ids, index.unit_lengths)),
-        unit_pages=dict(zip(ids, index.unit_pages)),
+        unit_pages={unit.unit_id: unit.page_number for unit in index.units},
+        unit_texts={unit.unit_id: unit.text for unit in index.units},
         n_units=index.n_units,
     )
 
@@ -117,8 +119,8 @@ def encode(reference, scheme):
         scheme=scheme,
         postings={term: array("i", [x for uid, tf in posting for x in (position[uid], tf)])
                   for term, posting in reference.postings.items()},
-        unit_ids=ids,
-        unit_pages=[reference.unit_pages[uid] for uid in ids],
+        units=[RetrievalUnit(uid, reference.unit_pages[uid], reference.unit_texts[uid])
+               for uid in ids],
         unit_lengths=lengths,
         avg_unit_length=sum(lengths) / len(lengths),
     )
@@ -431,7 +433,7 @@ class TestDense:
                 return [[3.0, 4.0] for _ in texts]
 
         index = embed_units(Scaled(), self._units(2))
-        for vector in index.vectors.values():
+        for vector in index.vectors:
             norm = sum(x * x for x in vector) ** 0.5
             assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -518,7 +520,7 @@ class TestDense:
     def test_dense_retriever_facade(self):
         provider = _BasisProvider(query_axis=0)
         units = self._units()
-        retriever = DenseRetriever(embed_units(provider, units), provider, units)
+        retriever = Retriever(units, "dense", provider=provider)
         assert retriever.n_units == 4
         assert retriever.search("q", 2)[0].unit_id == "u0"
 
@@ -585,8 +587,8 @@ class TestRetrieverUnits:
     @pytest.mark.parametrize("scheme", ["bm25", "dense"])
     def test_hits_key_their_units(self, report, granularity, scheme):
         expected = {unit.unit_id: unit for unit in rechunk(report, granularity)}
-        retriever = prepare_report(report, scheme, granularity=granularity,
-                                   provider=HashProvider())
+        retriever = build_retriever(report, scheme, granularity=granularity,
+                                    provider=HashProvider())
         assert retriever.n_units == len(expected)
         # a query holding every term of the report reaches every unit with a term
         terms = sorted({t for unit in expected.values() for t in tokenize(unit.text)})
@@ -665,12 +667,3 @@ class TestAblation:
         rows = ablate_chunks([report], [instance], sizes=[4, 8], k_values=[1, 2])
         assert [row["granularity"] for row in rows] == ["page", "4", "8"]
         assert all("recall@1" in row and "recall@2" in row for row in rows)
-
-
-def test_pages_from_hits_dedupes_in_rank_order():
-    hits = [
-        type("H", (), {"unit_id": "a", "page_number": 4})(),
-        type("H", (), {"unit_id": "b", "page_number": 2})(),
-        type("H", (), {"unit_id": "c", "page_number": 4})(),
-    ]
-    assert pages_from_hits(hits) == [4, 2]

@@ -400,10 +400,7 @@ def cmd_ask(args, config: RunConfig) -> int:
 
 
 def cmd_stats(args, config: RunConfig) -> int:
-    reports = []
-    if config.corpus_dir:
-        for path in sorted(Path(config.corpus_dir).glob("*.md")):
-            reports.append(corpus_mod.load_report(path))
+    reports = corpus_mod.load_corpus(config.corpus_dir) if config.corpus_dir else []
     instances = corpus_mod.read_dataset(config.dataset) if config.dataset else []
     stats = corpus_mod.corpus_stats(reports, instances)
     rendered = json.dumps(stats.to_dict(), indent=2, sort_keys=True)
@@ -418,8 +415,7 @@ def cmd_ablate(args, config: RunConfig) -> int:
         raise ConfigError("ablate needs corpus_dir and dataset")
     if config.scheme == "dense":
         raise ConfigError("ablate studies sparse retrieval only: use --scheme tfidf or bm25")
-    reports = [corpus_mod.load_report(path)
-               for path in sorted(Path(config.corpus_dir).glob("*.md"))]
+    reports = corpus_mod.load_corpus(config.corpus_dir)
     instances = corpus_mod.read_dataset(config.dataset)
     sizes = args.sizes or retrieval_mod.ABLATION_CHUNK_SIZES
     rows = retrieval_mod.ablate_chunks(reports, instances, sizes, args.k_values,
@@ -437,8 +433,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
         raise ConfigError("datagen needs corpus_dir")
     if args.mode == "filter" and not args.raw:
         raise ConfigError("datagen --mode filter needs --raw")
-    reports = [corpus_mod.load_report(path)
-               for path in sorted(Path(config.corpus_dir).glob("*.md"))]
+    reports = corpus_mod.load_corpus(config.corpus_dir)
     if not reports:
         raise FileNotFoundError(f"no reports under {config.corpus_dir}")
     raw_records = datagen_mod.read_raw_batch(args.raw) if args.mode == "filter" else []

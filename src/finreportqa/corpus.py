@@ -25,7 +25,7 @@ from .errors import (
     ReportEncodingError,
     SchemaError,
 )
-from .metrics import Difficulty, bucket_difficulty, normalize_answer
+from .metrics import Difficulty, PercentMode, bucket_difficulty, normalize_answer
 
 # Delimiter lines look like "<!-- page: 12 -->"; the capture group is the page
 # number. parse_report tries only lines that begin with _DELIMITER_PREFIX, so
@@ -292,6 +292,22 @@ def load_report(path: str | Path) -> Report:
     return parse_report(text, report_id=path.stem)
 
 
+def load_corpus(directory: str | Path) -> list[Report]:
+    """Every ``*.md`` report directly under ``directory``, in file-name order."""
+    return [load_report(path) for path in sorted(Path(directory).glob("*.md"))]
+
+
+def reports_by_id(reports: Sequence[Report], instances: Iterable[QAInstance]) -> dict[str, Report]:
+    """Each report by id; a DanglingReferenceError when an instance names
+    a report that is not among ``reports``."""
+    by_id = {report.report_id: report for report in reports}
+    for instance in instances:
+        if instance.report_id not in by_id:
+            raise DanglingReferenceError(
+                f"instance {instance.id!r} references unknown report {instance.report_id!r}")
+    return by_id
+
+
 # --- QA dataset -------------------------------------------------------------
 
 @dataclass
@@ -334,6 +350,15 @@ _REQUIRED_KEYS = ("id", "company", "year", "question", "type", "thoughts",
 _OPTIONAL_KEYS = ("report_id", "n_evidence_tables")
 
 
+def is_file_name(value: str) -> bool:
+    """One plain path component: not empty, ``.`` or ``..``, and no ``/``,
+    ``\\`` or NUL."""
+    return value not in ("", ".", "..") and not any(c in value for c in "/\\\0")
+
+
+_PERCENT_MODES = (None, "", *(mode.value for mode in PercentMode))
+
+
 def is_page_list(value) -> bool:
     """A list of page numbers: ints >= 1, never a bool."""
     return isinstance(value, list) and all(type(p) is int and p >= 1 for p in value)
@@ -346,6 +371,9 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
     for key in ("id", "company", "question", "thoughts", "python_code", "answer"):
         if not isinstance(values[key], str):
             raise SchemaError(f"field {key!r} must be a string", line_number, key)
+    if not is_file_name(values["id"]):
+        raise SchemaError(f"field 'id' must be one plain file name, got {values['id']!r}",
+                          line_number, "id")
 
     try:
         year = int(values["year"])
@@ -373,6 +401,10 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
     if not isinstance(n_tables, int) or n_tables < 0:
         raise SchemaError("field 'n_evidence_tables' must be a non-negative integer",
                           line_number, "n_evidence_tables")
+
+    if record.get("percent_mode") not in _PERCENT_MODES:
+        raise SchemaError(f"field 'percent_mode' must be one of {_PERCENT_MODES[2:]}",
+                          line_number, "percent_mode")
 
     extras = {k: v for k, v in record.items() if k not in _REQUIRED_KEYS + _OPTIONAL_KEYS}
 
@@ -484,11 +516,7 @@ def _bucket_label(page: int, width: int = PAGE_BUCKET_WIDTH) -> str:
 
 
 def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> CorpusStats:
-    known = {r.report_id for r in reports}
-    for instance in instances:
-        if instance.report_id not in known:
-            raise DanglingReferenceError(
-                f"instance {instance.id!r} references unknown report {instance.report_id!r}")
+    reports_by_id(reports, instances)
 
     token_totals = [r.total_tokens() for r in reports]
     evidence_counts = [len(i.evidence_pages) for i in instances]

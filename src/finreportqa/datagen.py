@@ -21,7 +21,7 @@ from .errors import ProgramError, SchemaError, SyntaxUnsupportedError
 from .llm import LLMClient, system, user
 from .metrics import normalize_answer, tolerance_correct
 from .program import parse_program, run_source
-from .prompts import QA_GENERATION_TEMPLATE
+from .prompts import QA_GENERATION_TEMPLATE, render_context
 
 GENERATION_SYSTEM = "You are a seasoned financial analyst."
 
@@ -170,8 +170,7 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
                 max_pairs: int = 10) -> GenerationBatch:
     """Prompt for QA candidates over the sampled pages and decode the reply."""
     sampled = [report.page(p) for p in plan.pages]
-    rendered_pages = "\n\n".join(
-        f"[page_number: {page.page_number}]\n{page.text.strip()}" for page in sampled)
+    rendered_pages = render_context([(page.page_number, page.text) for page in sampled])
     content = QA_GENERATION_TEMPLATE.format(max_pairs=max_pairs, report=rendered_pages)
     reply = client.complete([system(GENERATION_SYSTEM), user(content)])
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import transport
-from .corpus import PageChunk, Report
+from .corpus import PageChunk, Report, is_file_name
 from .errors import ChecksumMismatchError, NotFoundError, RateLimitedError, TransportError
 
 SUBMISSIONS_URL = "https://data.sec.gov/submissions/CIK{cik}.json"
@@ -47,7 +47,7 @@ class FilingRef:
             raise ValueError("form_type must be non-empty")
         # each is one component of the download path under the destination
         for part in (self.cik, self.accession_number, self.primary_document):
-            if part in ("", ".", "..") or any(c in part for c in "/\\\0"):
+            if not is_file_name(part):
                 raise ValueError(f"{part!r} is not one plain path component")
 
     @property

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .corpus import Report
+from .corpus import Report, reports_by_id
 from .embeddings import EmbeddingProvider
 from .errors import (
     DimensionMismatchError,
@@ -310,9 +310,10 @@ def ablate_chunks(reports: Sequence[Report], instances: Sequence, sizes: Sequenc
     """Macro-averaged page Recall@k per granularity ("page" plus each size).
 
     The query is each instance's question text; sub-page hits are mapped to
-    their source page before recall.
+    their source page before recall. An instance whose report is not among
+    ``reports`` is a DanglingReferenceError.
     """
-    by_id = {report.report_id: report for report in reports}
+    by_id = reports_by_id(reports, instances)
     rows: list[dict] = []
     max_k = max(k_values)
     for granularity in ["page", *sizes]:

@@ -38,6 +38,12 @@ def _bench_args(tmp_path, corpus_dir, dataset, script, run_id="run-a", extra=())
     ]
 
 
+def _change_record(dataset, **changes):
+    """Rewrite the one-record dataset with ``changes`` applied."""
+    record = json.loads(dataset.read_text(encoding="utf-8"))
+    dataset.write_text(json.dumps(dict(record, **changes)) + "\n", encoding="utf-8")
+
+
 def _instance(question_id, report_id):
     return QAInstance(id=question_id, company="DemoCo", fiscal_year=2002, question="Question?",
                       gold_answer="1.55", question_type="text", evidence_pages=frozenset({1}),
@@ -438,6 +444,22 @@ class TestBench:
         assert main(args) == code
         assert list((tmp_path / "runs").iterdir()) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus")])
+    def test_bad_dataset_field_ends_bench_before_it_writes(self, tmp_path, capsys, monkeypatch,
+                                                           field, value):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        _change_record(dataset, **{field: value})
+
+        def no_call(*args):
+            raise AssertionError("no LLM call expected")
+
+        monkeypatch.setattr(ScriptedBackend, "generate", no_call)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 3
+        assert f"line 1: field {field!r}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "corpus", "dataset.jsonl", "script.json"]
+
     def test_blank_expansion_keeps_the_round(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         entries = [("financial text understanding", " \n "), *DSCR_SCRIPT[2:]]
@@ -715,6 +737,16 @@ class TestScore:
         assert main(["score", "--predictions", str(predictions),
                      "--gold", str(dataset)]) == 3
 
+    def test_unknown_percent_mode_is_data_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        _change_record(dataset, percent_mode="bogus")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(json.dumps({"id": "q-dscr-1", "answer": 1.55}) + "\n")
+        assert main(["score", "--predictions", str(predictions), "--gold", str(dataset),
+                     "--out", str(tmp_path / "scored")]) == 3
+        assert "line 1: field 'percent_mode'" in capsys.readouterr().err
+        assert not (tmp_path / "scored").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("{not json", "invalid JSON"),
         ("[1, 2]", "not a JSON object"),
@@ -810,6 +842,13 @@ class TestOtherCommands:
                      "--sizes", "8", "--k-values", "1", "--bm25-k1", "2.0", "--bm25-b", "0.5"])
         assert code == 0
         assert built == [("bm25", (2.0, 0.5))] * 2
+
+    def test_ablate_over_a_report_missing_from_the_corpus_is_data_error(self, tmp_path, capsys):
+        _, dataset, _ = write_dscr_workspace(tmp_path)
+        (tmp_path / "empty").mkdir()
+        code = main(["ablate", "--corpus-dir", str(tmp_path / "empty"), "--dataset", str(dataset)])
+        assert code == 3
+        assert "unknown report 'DemoCo_2002'" in capsys.readouterr().err
 
     def test_ablate_with_dense_scheme_is_config_error(self, tmp_path, capsys, no_network):
         corpus_dir, dataset, _ = write_dscr_workspace(tmp_path)

@@ -15,6 +15,7 @@ from finreportqa.corpus import (
     count_tokens,
     detect_table_spans,
     instance_from_record,
+    load_corpus,
     load_report,
     make_report_id,
     parse_report,
@@ -475,6 +476,34 @@ class TestDataset:
             read_dataset(path)
         assert (excinfo.value.line_number, excinfo.value.field) == (1, "page_numbers")
 
+    @pytest.mark.parametrize("question_id", ["", ".", "..", "../../escaped", "a/b", "a\\b",
+                                             "a\0b"])
+    def test_id_must_be_one_plain_file_name(self, tmp_path, question_id):
+        path = tmp_path / "bad_id.jsonl"
+        path.write_text(json.dumps(self._record(id=question_id)) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert (excinfo.value.line_number, excinfo.value.field) == (1, "id")
+
+    @pytest.mark.parametrize("mode", ["bogus", "Percent", 1, True, ["percent"]])
+    def test_percent_mode_must_be_a_known_mode(self, tmp_path, mode):
+        path = tmp_path / "bad_mode.jsonl"
+        path.write_text(json.dumps(self._record(id="q0"))
+                        + "\n" + json.dumps(self._record(percent_mode=mode)) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert (excinfo.value.line_number, excinfo.value.field) == (2, "percent_mode")
+
+    @pytest.mark.parametrize("mode", [{}, {"percent_mode": None}, {"percent_mode": ""},
+                                      {"percent_mode": "as_given"}, {"percent_mode": "fraction"},
+                                      {"percent_mode": "percent"}])
+    def test_percent_mode_may_be_absent_or_a_known_mode(self, tmp_path, mode):
+        path = tmp_path / "mode.jsonl"
+        path.write_text(json.dumps(self._record(**mode)) + "\n", encoding="utf-8")
+        (instance,) = read_dataset(path)
+        assert instance.extras == mode
+
     def test_round_trip_identity(self, tmp_path):
         records = [
             self._record(),
@@ -567,6 +596,14 @@ def test_load_report_ignores_a_year_of_non_ascii_digits(tmp_path, stem):
     report = load_report(path)
     assert (report.report_id, report.company, report.fiscal_year) == (stem, "", 0)
     assert report.page_numbers == [1, 2]
+
+
+def test_load_corpus_reads_each_report_file_in_name_order(tmp_path):
+    for name in ("Zeta_2002.md", "Acme_2003.md", "notes.txt"):
+        (tmp_path / name).write_text(TWO_PAGE_MD, encoding="utf-8")
+    (tmp_path / "nested").mkdir()
+    (tmp_path / "nested" / "Beta_2001.md").write_text(TWO_PAGE_MD, encoding="utf-8")
+    assert [report.report_id for report in load_corpus(tmp_path)] == ["Acme_2003", "Zeta_2002"]
 
 
 def test_load_report_rejects_a_file_that_is_not_utf8(tmp_path):

@@ -153,9 +153,13 @@ class TestGenerateQA:
 
         client = LLMClient(ProviderConfig(), Spy())
         report = filter_report()
-        generate_qa(report, sample_pages(report, n=3, seed=0), client, max_pairs=4)
+        plan = sample_pages(report, n=3, seed=0)
+        generate_qa(report, plan, client, max_pairs=4)
         assert "[page_number: 5]" in captured["prompt"]
         assert "Generate **4** new QA pairs" in captured["prompt"]
+        pages = "\n\n".join(f"[page_number: {number}]\n{report.page(number).text.strip()}"
+                            for number in plan.pages)
+        assert captured["prompt"].endswith("### Report (sampled pages)\n" + pages + "\n")
 
     def test_strip_fences_plain_text_untouched(self):
         assert strip_fences("[1, 2]") == "[1, 2]"

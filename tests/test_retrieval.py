@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,18 @@ from finreportqa.retrieval import (
 
 from conftest import FakeRequest, HashProvider
 from oracles import brute_force_ranking, brute_force_scores, random_corpus, random_query
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "finreportqa"
+
+_UNIT_AND_INDEX_BUILDS = re.compile(r"\b(?:rechunk|build_sparse_index|embed_units)\(")
+
+
+def test_only_the_retrieval_module_cuts_units_or_builds_indices():
+    """Every other module sets a report up through build_retriever."""
+    calling = {path.name for path in SRC.glob("*.py")
+               if _UNIT_AND_INDEX_BUILDS.search(path.read_text(encoding="utf-8"))}
+    assert calling == {"retrieval.py"}
 
 
 def units_from_texts(texts, pages=None):

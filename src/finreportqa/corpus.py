@@ -356,7 +356,8 @@ def is_file_name(value: str) -> bool:
     return value not in ("", ".", "..") and not any(c in value for c in "/\\\0")
 
 
-_PERCENT_MODES = (None, "", *(mode.value for mode in PercentMode))
+# a record's percent_mode: absent (None or "") or a PercentMode value
+PERCENT_MODES = (None, "", *(mode.value for mode in PercentMode))
 
 
 def is_page_list(value) -> bool:
@@ -402,8 +403,8 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError("field 'n_evidence_tables' must be a non-negative integer",
                           line_number, "n_evidence_tables")
 
-    if record.get("percent_mode") not in _PERCENT_MODES:
-        raise SchemaError(f"field 'percent_mode' must be one of {_PERCENT_MODES[2:]}",
+    if record.get("percent_mode") not in PERCENT_MODES:
+        raise SchemaError(f"field 'percent_mode' must be one of {PERCENT_MODES[2:]}",
                           line_number, "percent_mode")
 
     extras = {k: v for k, v in record.items() if k not in _REQUIRED_KEYS + _OPTIONAL_KEYS}

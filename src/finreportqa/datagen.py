@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional, Sequence
 
-from .corpus import QAInstance, Report, instance_to_record, is_page_list, read_json_lines
+from .corpus import (
+    PERCENT_MODES,
+    QAInstance,
+    Report,
+    instance_to_record,
+    is_file_name,
+    is_page_list,
+    read_json_lines,
+)
 from .errors import ProgramError, SchemaError, SyntaxUnsupportedError
 from .llm import LLMClient, system, user
 from .metrics import normalize_answer, tolerance_correct
@@ -57,9 +65,13 @@ class RawQA:
             raise ValueError(f"record missing fields: {missing}")
         if not is_page_list(known["page_numbers"]):
             raise ValueError("page_numbers must be positive integers")
+        if not is_file_name(str(known["id"])):
+            raise ValueError("id must be one plain file name")
         extras = {k: v for k, v in record.items() if k not in known}
         if not isinstance(extras.get("report_id", ""), str):
             raise ValueError("report_id must be a string")
+        if extras.get("percent_mode") not in PERCENT_MODES:
+            raise ValueError(f"percent_mode must be one of {PERCENT_MODES[2:]}")
         return cls(
             id=str(known["id"]),
             company=str(known["company"]),

@@ -902,6 +902,8 @@ class TestOtherCommands:
         ("page_numbers", [31.9, 50], "page_numbers must be positive integers"),
         ("page_numbers", ["31", 50], "page_numbers must be positive integers"),
         ("page_numbers", [True, 50], "page_numbers must be positive integers"),
+        ("id", "../escaped", "id must be one plain file name"),
+        ("percent_mode", "bogus", "percent_mode must be one of"),
     ])
     def test_datagen_filter_rejects_a_bad_record(self, tmp_path, capsys, field, value, message):
         corpus_dir, _, _ = write_dscr_workspace(tmp_path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DSCR_SCRIPT, write_dscr_workspace
+from conftest import DSCR_SCRIPT, HashProvider, write_dscr_workspace
 from finreportqa import cli as cli_mod
 from finreportqa.cli import RunConfig, build_embedding_provider, main
 from finreportqa.corpus import QAInstance, parse_report
@@ -677,6 +677,31 @@ class TestReportSetup:
         both, gone = [True, True], [False, False]
         assert states == [{"A": both, "B": both}, {"A": both, "B": both},
                           {"A": gone, "B": both}, {"A": gone, "B": gone}]
+
+    @pytest.mark.parametrize("pipeline, searches", [
+        ("agent", True), ("single_round_rag", True), ("long_context", False),
+        ("no_context", False)])
+    def test_embedding_provider_is_built_once_per_run(self, tmp_path, monkeypatch,
+                                                      pipeline, searches):
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        built = []
+
+        def counting_build(config):
+            built.append(HashProvider())
+            return built[-1]
+
+        monkeypatch.setattr(cli_mod, "build_embedding_provider", counting_build)
+        config = RunConfig(backend="scripted", script_path=str(script), scheme="dense",
+                           embedding_endpoint="http://embeddings.invalid/v1",
+                           embedding_model="hash-toy", embedding_dimension=8)
+        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), pipeline)
+        text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
+        for report_id in ("A", "B"):
+            runner.setup(parse_report(text, report_id=report_id))
+        assert len(built) == (1 if searches else 0)
+        if searches:
+            assert all(retriever.provider is built[0]
+                       for _, retriever in runner._reports.values())
 
     def test_question_counts_survive_many_workers(self, tmp_path):
         script = tmp_path / "script.json"

@@ -168,11 +168,20 @@ class RunConfig:
         unknown = set(payload) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        values = {}
         for name, value in payload.items():
             annotation = annotations[name]
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[annotation][0]):
+            accepted, flag_type = _FIELD_TYPES[annotation]
+            if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"config field {name} must be {annotation}, got {value!r}")
-        return cls(**payload)
+            # a float field holds a float, as its flag gives it: the request body
+            # and so the cache key read "temperature": 0.0, never 0
+            try:
+                values[name] = flag_type(value) if flag_type is float else value
+            except OverflowError:
+                raise ConfigError(f"config field {name} must be a finite number, "
+                                  f"got {value!r}") from None
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

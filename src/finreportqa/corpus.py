@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
+    ConfigError,
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
@@ -47,6 +48,10 @@ PAGE_BUCKET_WIDTH = 50
 # The ten ASCII whitespace code points are \t \n \v \f \r, \x1c-\x1f and space.
 _ASCII_WORD_MARKS = bytes(
     ord(" ") if c < 128 and chr(c).isspace() else ord("x") for c in range(256))
+
+# The bytes json.dumps (ensure_ascii) copies into a string literal unescaped:
+# printable ASCII but the quote and the backslash.
+_JSON_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def count_tokens(text: str) -> int:
@@ -92,12 +97,14 @@ class _FlatText(NamedTuple):
     """A report's whitespace-normalised text and where each page starts in it.
 
     ``cumulative_tokens[i]`` is the token count of the pages before page
-    index ``i``; its last entry is the report's total.
+    index ``i``; its last entry is the report's total. ``json_plain`` tells
+    whether the text holds only bytes JSON copies unescaped.
     """
 
     text: str
     page_starts: tuple[int, ...]
     cumulative_tokens: tuple[int, ...]
+    json_plain: bool
 
 
 class ReportPrefix(NamedTuple):
@@ -164,6 +171,13 @@ class Report:
         words = self.pages[index].text.split()[:n - cumulative[index]]
         return ReportPrefix(flat.text[:flat.page_starts[index] + len(" ".join(words))], n, pages)
 
+    @property
+    def json_plain(self) -> bool:
+        """Whether the normalised text, and so every ``prefix`` text, is
+        printable ASCII with no ``"`` or ``\\``: its JSON string literal is
+        the text itself between quotes."""
+        return self._flat.json_plain
+
     @cached_property
     def _flat(self) -> _FlatText:
         # Built on the first prefix() call, not at parse time: only the
@@ -179,7 +193,10 @@ class Report:
             if words:
                 parts.append(" ".join(words))
                 offset += len(parts[-1]) + 1
-        return _FlatText(" ".join(parts), tuple(starts), tuple(cumulative))
+        text = " ".join(parts)
+        # one byte scan per report, so that no question's prompt has to be escaped
+        json_plain = text.isascii() and not text.encode("ascii").translate(None, _JSON_PLAIN_BYTES)
+        return _FlatText(text, tuple(starts), tuple(cumulative), json_plain)
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
@@ -293,7 +310,10 @@ def load_report(path: str | Path) -> Report:
 
 
 def load_corpus(directory: str | Path) -> list[Report]:
-    """Every ``*.md`` report directly under ``directory``, in file-name order."""
+    """Every ``*.md`` report directly under ``directory``, in file-name order;
+    a ConfigError when ``directory`` is not a directory."""
+    if not Path(directory).is_dir():
+        raise ConfigError(f"corpus_dir {directory}: not a directory")
     return [load_report(path) for path in sorted(Path(directory).glob("*.md"))]
 
 

@@ -8,6 +8,8 @@ Each request's prompt is tokenized at most once, or not at all when the
 caller supplies its count; the counts travel with the reply as a
 ``Completion``. Each request is also serialized once: the same JSON
 body is hashed for the cache key, posted, and stored in the cache entry.
+A message may carry its content's JSON encoding, which the body then uses
+instead of escaping the content again.
 """
 
 from __future__ import annotations
@@ -44,8 +46,13 @@ class Role(str, Enum):
 
 @dataclass(frozen=True)
 class ChatMessage:
+    """One chat message. ``content_json``, when given, must be pieces whose
+    join equals ``json.dumps(content)``: a caller that already has the
+    encoding spares ``request_body`` an escape pass over the content."""
+
     role: Role
     content: str
+    content_json: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role in (Role.SYSTEM, Role.USER) and not self.content:
@@ -59,8 +66,8 @@ def system(content: str) -> ChatMessage:
     return ChatMessage(Role.SYSTEM, content)
 
 
-def user(content: str) -> ChatMessage:
-    return ChatMessage(Role.USER, content)
+def user(content: str, content_json: Optional[tuple[str, ...]] = None) -> ChatMessage:
+    return ChatMessage(Role.USER, content, content_json)
 
 
 @dataclass(frozen=True)
@@ -92,13 +99,21 @@ def count_message_tokens(messages: Sequence[ChatMessage]) -> int:
 
 
 def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> bytes:
-    """The chat-completions request as posted: UTF-8 JSON in the wire's key order."""
-    return json.dumps({
-        "model": config.model,
-        "messages": [m.to_dict() for m in messages],
-        "temperature": config.temperature,
-        "max_tokens": config.max_output_tokens,
-    }, allow_nan=False).encode("utf-8")
+    """The chat-completions request as posted: UTF-8 JSON in the wire's key order.
+
+    The bytes are ``json.dumps`` of ``{"model", "messages", "temperature",
+    "max_tokens"}`` (default separators, ASCII-only, ``allow_nan=False``),
+    assembled from pieces so that each message's ``content_json`` is used as
+    is and a long content is copied only by the final join and encode.
+    """
+    parts = ['{"model": ', json.dumps(config.model), ', "messages": [']
+    for index, message in enumerate(messages):
+        parts.append(f'{", " if index else ""}{{"role": "{message.role.value}", "content": ')
+        parts.extend(message.content_json or (json.dumps(message.content),))
+        parts.append("}")
+    parts.append(f'], "temperature": {json.dumps(config.temperature, allow_nan=False)}, '
+                 f'"max_tokens": {json.dumps(config.max_output_tokens, allow_nan=False)}}}')
+    return "".join(parts).encode("utf-8")
 
 
 def cache_key(body: bytes) -> str:

@@ -8,6 +8,9 @@ pins a sha256 over each run's canonical files: ``predictions.jsonl``,
 keeps these digests keeps the behaviour of every pipeline. A second sha256
 per run covers the answer files alone (all but the transcripts), so a change
 that moves only what a transcript records, such as prompt sizes, keeps it.
+A third sha256 per run covers the cache keys in ``llm_log.jsonl``, each the
+sha256 of one posted request body, so the bytes sent to the endpoint are
+pinned too.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ RUNS = {
     "no_context": ("--pipeline", "no_context"),
     "agent_granularity_256": ("--pipeline", "agent", "--granularity", "256"),
     "agent_workers_2": ("--pipeline", "agent", "--workers", "2"),
+    "long_context_workers_2": ("--pipeline", "long_context", "--workers", "2"),
     "single_round_rag_granularity_256": ("--pipeline", "single_round_rag",
                                          "--granularity", "256"),
     "agent_tfidf": ("--pipeline", "agent", "--scheme", "tfidf"),
@@ -56,6 +60,7 @@ DIGESTS = {
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
     "agent_granularity_256": "35b58f156657b9603c138486b85adbb5e2b5c44ce5065113b7ceb38024bf9881",
     "agent_workers_2": "5b3dcbb2f10091238b4fe5993dbe2e63584e9df9f9494cde3f6ac0776e33491b",
+    "long_context_workers_2": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
     "agent_tfidf": "df33cdb2d141087b83f27aa4aa14c04e58b0b863b5de861a8002a74c1cfe28cc",
@@ -71,10 +76,18 @@ ANSWER_DIGESTS = {
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
     "agent_granularity_256": "e252c740f0cf807d2e3fb52f40bed53ceff9f3d96310c804cdaf314263a3cedc",
     "agent_workers_2": "e65ef3e8a5bdeeadc65eef557e6c69d78ca6ef9699e207025776653f8473209b",
+    "long_context_workers_2": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
     "agent_tfidf": "430584d5aae7acbf76fa11d5c66c78b918d569e7bd393e7518744dca62eac028",
     "agent_dense": "8019ad447ca10c34021056e826bf55e9cc80d99dc84dd1cedc5c6105a4ea9f90",
+}
+
+# sha256 over the sorted request keys of a run's llm_log.jsonl: the order of
+# log lines varies with --workers, the set of posted bodies does not
+REQUEST_KEY_DIGESTS = {
+    "agent": "8aca04c6c7636319a48d1137367a9c31fe8d493cc55790270ca61797fd8f11c5",
+    "long_context": "5532a16840e3755fc413bbfe5f10e5c326c617d20def7bcca3043ea4ab3d4e39",
 }
 
 
@@ -144,8 +157,20 @@ def test_answer_files_are_pinned(runs, name):
     assert runs[name].answer_digest == ANSWER_DIGESTS[name]
 
 
+def request_key_digest(llm_log: list[dict]) -> str:
+    return hashlib.sha256("\n".join(sorted(e["key"] for e in llm_log)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["agent", "agent_workers_2",
+                                  "long_context", "long_context_workers_2"])
+def test_posted_request_bodies_are_pinned(runs, name):
+    assert request_key_digest(runs[name].llm_log) == \
+        REQUEST_KEY_DIGESTS[name.removesuffix("_workers_2")]
+
+
 def test_workers_do_not_change_outputs(runs):
     assert runs["agent_workers_2"].digest == runs["agent"].digest
+    assert runs["long_context_workers_2"].digest == runs["long_context"].digest
 
 
 def test_accuracy_orders_the_pipelines(runs):

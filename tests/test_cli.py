@@ -12,6 +12,7 @@ import pytest
 
 from conftest import DSCR_SCRIPT, HashProvider, write_dscr_workspace
 from finreportqa import cli as cli_mod
+from finreportqa import llm as llm_mod
 from finreportqa.cli import RunConfig, build_embedding_provider, main
 from finreportqa.corpus import QAInstance, parse_report
 from finreportqa.embeddings import CachedEmbeddingProvider
@@ -164,6 +165,34 @@ class TestConfigFiles:
         assert (config.timeout, config.unit_granularity(), config.workers) == (5, 256, 2)
         # every field, as a manifest writes it
         assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+
+    @pytest.mark.parametrize("field_name", ["temperature", "timeout", "retry_backoff",
+                                            "bm25_k1", "bm25_b"])
+    def test_an_integer_config_value_of_a_float_field_is_a_float(self, field_name):
+        value = getattr(RunConfig.from_dict({field_name: 1}), field_name)
+        assert type(value) is float and value == 1.0
+
+    def test_config_file_and_flag_give_one_cache_key(self, tmp_path):
+        """A config file's "temperature": 0 posts the body of --temperature 0
+        and of the default, so the runs share their cached replies."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"temperature": 0}))
+        parser = cli_mod.build_parser()
+        from_file = cli_mod.resolve_config(parser.parse_args(["stats", "--config",
+                                                              str(config_path)]))
+        from_flag = cli_mod.resolve_config(parser.parse_args(["stats", "--temperature", "0"]))
+        messages = [llm_mod.system("s"), llm_mod.user("u")]
+        keys = {llm_mod.cache_key(llm_mod.request_body(config.provider_config(), messages))
+                for config in (from_file, from_flag, RunConfig())}
+        assert len(keys) == 1
+        assert b'"temperature": 0.0,' in llm_mod.request_body(from_file.provider_config(),
+                                                              messages)
+
+    def test_a_float_field_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"temperature": 1' + "0" * 400 + "}")
+        assert main(["stats", "--config", str(config_path)]) == 2
+        assert "temperature" in capsys.readouterr().err
 
     def test_config_with_index_dir_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -800,6 +829,22 @@ class TestOtherCommands:
         assert stats["reports"] == 1
         assert stats["qa_count"] == 1
         assert stats["tables"] == 3
+
+    @pytest.mark.parametrize("command", ["stats", "ablate"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_a_corpus_dir_that_is_not_a_directory_is_config_error(self, tmp_path, capsys,
+                                                                   command, kind):
+        """Not an empty corpus: stats would print zeros and exit 0, and ablate
+        would blame the first question."""
+        _, dataset, _ = write_dscr_workspace(tmp_path)
+        corpus_dir = tmp_path / "no_such_dir"
+        if kind == "file":
+            corpus_dir.write_text("not a directory\n")
+        code = main([command, "--corpus-dir", str(corpus_dir), "--dataset", str(dataset)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"corpus_dir {corpus_dir}: not a directory" in captured.err
+        assert not captured.out
 
     def test_ask_agent(self, tmp_path, capsys):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)

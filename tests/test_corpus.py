@@ -24,6 +24,7 @@ from finreportqa.corpus import (
     write_dataset,
 )
 from finreportqa.errors import (
+    ConfigError,
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
@@ -129,6 +130,30 @@ class TestReportPrefix:
     def test_blank_report_has_empty_prefix(self):
         report = _report_of(("", " \n", "\t"))
         assert [report.prefix(n) for n in range(3)] == [("", 0, ())] * 3
+
+    @pytest.mark.parametrize("texts, plain", [
+        (("Revenue | 1,200 |", "  net\tincome\n{4} ~x' ",), True),
+        (("a", "", " \r\n\x1c "), True),  # whitespace is normalised away
+        (("", " \n"), True),
+        (('said "so"',), False), (("C:\\x",), False), (("nul\x00",), False),
+        (("del\x7f",), False), (("caf\u00e9",), False), (("\U0001f600",), False),
+        (("a\xa0b",), True),  # no-break space is whitespace to str.split
+    ])
+    def test_json_plain_when_json_copies_the_text_as_is(self, texts, plain):
+        report = _report_of(texts)
+        assert report.json_plain is plain
+        text = report.prefix(report.total_tokens()).text
+        assert (json.dumps(text) == f'"{text}"') is plain
+
+    def test_json_plain_agrees_with_json_dumps_on_random_pages(self):
+        rng = random.Random(20261019)
+        alphabet = [chr(c) for c in range(0x20, 0x7F)] + ["\x00", "\x7f", "\u00e9", "\n", "\t"]
+        for case in range(3000):
+            pages = ["".join(rng.choice(alphabet) if rng.random() < 0.05 else rng.choice("ab |1")
+                             for _ in range(rng.randrange(12))) for _ in range(rng.randint(1, 3))]
+            report = _report_of(pages)
+            text = report.prefix(report.total_tokens()).text
+            assert report.json_plain is (json.dumps(text) == f'"{text}"'), (case, pages)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -596,6 +621,15 @@ def test_load_report_ignores_a_year_of_non_ascii_digits(tmp_path, stem):
     report = load_report(path)
     assert (report.report_id, report.company, report.fiscal_year) == (stem, "", 0)
     assert report.page_numbers == [1, 2]
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_load_corpus_of_a_path_that_is_not_a_directory_is_config_error(tmp_path, kind):
+    path = tmp_path / "corpus"
+    if kind == "file":
+        path.write_text("<!-- page: 1 -->\ntext\n")
+    with pytest.raises(ConfigError, match=f"corpus_dir {path}: not a directory"):
+        load_corpus(path)
 
 
 def test_load_corpus_reads_each_report_file_in_name_order(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import FakeRequest
 from finreportqa import llm as llm_mod
-from finreportqa.corpus import count_tokens
+from finreportqa.corpus import PageChunk, Report, count_tokens
 from finreportqa.errors import (
     ConfigError,
     ContextOverflowError,
@@ -30,6 +31,7 @@ from finreportqa.llm import (
     system,
     user,
 )
+from finreportqa.pipelines import run_baseline
 
 
 def _messages(text="What is the DSCR?"):
@@ -103,6 +105,86 @@ class TestWire:
         headers = {name.lower(): value for name, value in request.headers.items()}
         assert headers["content-type"] == "application/json"
         assert headers["content-length"] == "245"
+
+
+def _reference_body(config: ProviderConfig, messages) -> bytes:
+    """The request body as one json.dumps of the request dict writes it."""
+    return json.dumps({
+        "model": config.model,
+        "messages": [{"role": m.role.value, "content": m.content} for m in messages],
+        "temperature": config.temperature,
+        "max_tokens": config.max_output_tokens,
+    }, allow_nan=False).encode("utf-8")
+
+
+# characters JSON escapes or that take more than one UTF-8 byte, and plain ones
+_AWKWARD_CHARS = ('"', "\\", "\x00", "\x1f", "\t", "\n", "\x7f", "\x80", "\u00e9", "\u20ac",
+                  "\u2028", "\ufeff", "\ud800", "\U0001f600", "\U0010ffff")
+_PLAIN_CHARS = "abc XYZ 019|.,:;-_{}[]/'#$%&*+<=>?@^`~!"
+
+
+def _random_text(rng, min_length=0) -> str:
+    return "".join(rng.choice(_AWKWARD_CHARS) if rng.random() < 0.2 else rng.choice(_PLAIN_CHARS)
+                   for _ in range(rng.randint(min_length, 40)))
+
+
+def _split(rng, text: str) -> tuple[str, ...]:
+    """``text`` cut into pieces at random places."""
+    cuts = sorted(rng.sample(range(len(text) + 1), rng.randint(0, min(3, len(text) + 1))))
+    return tuple(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
+
+
+class TestRequestBodyBytes:
+    """``request_body`` is byte for byte one ``json.dumps`` of the request."""
+
+    def test_seeded_requests_match_json_dumps(self):
+        rng = random.Random(20261019)
+        models = ("scripted", "gpt-4o-mini", 'm"odel\\', "mod\u00e8le", "\U0001f600")
+        temperatures = (0.0, 1e-7, 2.5, 1e20, 0)
+        for case in range(2000):
+            config = ProviderConfig(model=rng.choice(models),
+                                    temperature=rng.choice(temperatures),
+                                    max_output_tokens=rng.choice((1, 2048, 10 ** 6)))
+            messages = []
+            for _ in range(rng.randint(0, 4)):
+                role = rng.choice(list(Role))
+                content = _random_text(rng, min_length=0 if role is Role.ASSISTANT else 1)
+                # half the messages carry their encoding, cut into pieces
+                content_json = _split(rng, json.dumps(content)) if rng.random() < 0.5 else None
+                messages.append(ChatMessage(role, content, content_json))
+            assert request_body(config, messages) == _reference_body(config, messages), case
+
+    def test_nan_temperature_is_refused_like_json_dumps(self):
+        config = ProviderConfig()
+        object.__setattr__(config, "temperature", float("nan"))
+        with pytest.raises(ValueError):
+            request_body(config, _messages())
+
+    @pytest.mark.parametrize("pages, plain", [
+        (("Revenue | 1,200 | up 5%", "Net income: $300m {note 4}"), True),
+        (('He said "record year"', "C:\\reports\\2002", "caf\u00e9 \u20ac1.2bn",
+          "\U0001f600 del\x7f nul\x00"), False),
+    ])
+    def test_long_context_requests_match_json_dumps(self, pages, plain):
+        report = Report("r", "", 0, tuple(PageChunk(n, f"page {n}:\n{text}\n")
+                                          for n, text in enumerate(pages * 20, start=1)))
+        assert report.json_plain is plain
+        sent = []
+
+        class Spy(ScriptedBackend):
+            def generate(self, config, messages, body):
+                sent.append((config, messages, body))
+                return super().generate(config, messages, body)
+
+        for question in ("What is the DSCR?", 'Is "net" \u00e9lev\u00e9e?\tC:\\x'):
+            for budget in (200, 10_000):  # a cut prefix and the whole report
+                client = LLMClient(ProviderConfig(max_input_tokens=budget),
+                                   Spy([("Question", "{{1.0}}")]))
+                run_baseline("long_context", question, client, report=report)
+                config, messages, body = sent[-1]
+                assert body == _reference_body(config, messages), (question, budget)
+                # a plain report's prompt carries its encoding; any other is escaped
+                assert (messages[-1].content_json is not None) is plain
 
 
 class TestScriptedBackend:

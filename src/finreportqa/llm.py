@@ -58,9 +58,6 @@ class ChatMessage:
         if self.role in (Role.SYSTEM, Role.USER) and not self.content:
             raise ValueError(f"{self.role.value} message must have content")
 
-    def to_dict(self) -> dict:
-        return {"role": self.role.value, "content": self.content}
-
 
 def system(content: str) -> ChatMessage:
     return ChatMessage(Role.SYSTEM, content)
@@ -113,7 +110,9 @@ def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> byt
         parts.append("}")
     parts.append(f'], "temperature": {json.dumps(config.temperature, allow_nan=False)}, '
                  f'"max_tokens": {json.dumps(config.max_output_tokens, allow_nan=False)}}}')
-    return "".join(parts).encode("utf-8")
+    body = "".join(parts)
+    del parts  # frees each escaped content before the body is copied into bytes
+    return body.encode("utf-8")
 
 
 def cache_key(body: bytes) -> str:

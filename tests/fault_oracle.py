@@ -35,7 +35,8 @@ class OracleBackend(Backend):
         self.oracle = oracle
 
     def generate(self, config, messages, body) -> str:
-        return self.oracle.reply([m.to_dict() for m in messages])[1]
+        return self.oracle.reply([{"role": m.role.value, "content": m.content}
+                                  for m in messages])[1]
 
 
 def _draw(row: str, user: str) -> float:

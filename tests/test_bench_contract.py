@@ -8,9 +8,9 @@ pins a sha256 over each run's canonical files: ``predictions.jsonl``,
 keeps these digests keeps the behaviour of every pipeline. A second sha256
 per run covers the answer files alone (all but the transcripts), so a change
 that moves only what a transcript records, such as prompt sizes, keeps it.
-A third sha256 per run covers the cache keys in ``llm_log.jsonl``, each the
-sha256 of one posted request body, so the bytes sent to the endpoint are
-pinned too.
+For the agent and long_context runs a third sha256 covers the cache keys in
+``llm_log.jsonl``, each the sha256 of one posted request body, so the bytes
+sent to the endpoint are pinned too.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -159,6 +160,20 @@ class TestRequestBodyBytes:
         object.__setattr__(config, "temperature", float("nan"))
         with pytest.raises(ValueError):
             request_body(config, _messages())
+
+    @pytest.mark.parametrize("carries_encoding", [False, True])
+    def test_a_long_content_is_copied_twice_at_most(self, carries_encoding):
+        """The join and the encode each copy a content once: its escaped copy
+        is freed before the encode, and a carried encoding is not copied."""
+        content = "Revenue | 1,200 | up 5% " * 20_000
+        message = user(content, ('"', content, '"') if carries_encoding else None)
+        tracemalloc.start()
+        try:
+            request_body(ProviderConfig(), [message])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(content)
 
     @pytest.mark.parametrize("pages, plain", [
         (("Revenue | 1,200 | up 5%", "Net income: $300m {note 4}"), True),

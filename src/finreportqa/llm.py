@@ -101,7 +101,7 @@ def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> byt
     The bytes are ``json.dumps`` of ``{"model", "messages", "temperature",
     "max_tokens"}`` (default separators, ASCII-only, ``allow_nan=False``),
     assembled from pieces so that each message's ``content_json`` is used as
-    is and a long content is copied only by the final join and encode.
+    is. A long content is copied twice at most, as ``json.dumps`` copies it.
     """
     parts = ['{"model": ', json.dumps(config.model), ', "messages": [']
     for index, message in enumerate(messages):

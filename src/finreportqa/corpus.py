@@ -49,10 +49,6 @@ PAGE_BUCKET_WIDTH = 50
 _ASCII_WORD_MARKS = bytes(
     ord(" ") if c < 128 and chr(c).isspace() else ord("x") for c in range(256))
 
-# The bytes json.dumps (ensure_ascii) copies into a string literal unescaped:
-# printable ASCII but the quote and the backslash.
-_JSON_PLAIN_BYTES = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
 
 def count_tokens(text: str) -> int:
     r"""Approximate token count: the number of maximal non-whitespace runs,
@@ -97,14 +93,16 @@ class _FlatText(NamedTuple):
     """A report's whitespace-normalised text and where each page starts in it.
 
     ``cumulative_tokens[i]`` is the token count of the pages before page
-    index ``i``; its last entry is the report's total. ``json_plain`` tells
-    whether the text holds only bytes JSON copies unescaped.
+    index ``i``; its last entry is the report's total. ``escaped`` is the
+    text as a JSON string holds it (``json.dumps`` without the quotes), and
+    ``escaped_starts`` says where each page starts in that.
     """
 
     text: str
     page_starts: tuple[int, ...]
     cumulative_tokens: tuple[int, ...]
-    json_plain: bool
+    escaped: str
+    escaped_starts: tuple[int, ...]
 
 
 class ReportPrefix(NamedTuple):
@@ -171,32 +169,47 @@ class Report:
         words = self.pages[index].text.split()[:n - cumulative[index]]
         return ReportPrefix(flat.text[:flat.page_starts[index] + len(" ".join(words))], n, pages)
 
-    @property
-    def json_plain(self) -> bool:
-        """Whether the normalised text, and so every ``prefix`` text, is
-        printable ASCII with no ``"`` or ``\\``: its JSON string literal is
-        the text itself between quotes."""
-        return self._flat.json_plain
+    def escaped_prefix(self, text: str) -> tuple[str, ...]:
+        """``text``, a head of the normalised text such as ``prefix(n).text``,
+        escaped as in a JSON string (``json.dumps`` without the quotes), in
+        pieces: the whole pages before the one ``text`` ends in, cut from the
+        text escaped once per report, then the rest, escaped now. A report
+        whose text escapes to itself gives ``text`` back, uncopied."""
+        flat = self._flat
+        if not flat.text.startswith(text):
+            raise ValueError("text must be a head of the report's normalised text")
+        if flat.escaped is flat.text:
+            return (text,)
+        index = bisect.bisect_right(flat.page_starts, len(text)) - 1
+        return (flat.escaped[:flat.escaped_starts[index]],
+                json.dumps(text[flat.page_starts[index]:])[1:-1])
 
     @cached_property
     def _flat(self) -> _FlatText:
         # Built on the first prefix() call, not at parse time: only the
-        # long-context baseline reads it, and it holds one more copy of the text.
+        # long-context baseline reads it, and it holds one more copy of the
+        # text, two when the text has characters JSON escapes.
         parts: list[str] = []
+        escaped_parts: list[str] = []
         starts: list[int] = []
+        escaped_starts: list[int] = []
         cumulative = [0]
-        offset = 0
+        offset = escaped_offset = 0
         for page in self.pages:
             words = page.text.split()
             starts.append(offset)
+            escaped_starts.append(escaped_offset)
             cumulative.append(cumulative[-1] + len(words))
             if words:
                 parts.append(" ".join(words))
+                escaped_parts.append(json.dumps(parts[-1])[1:-1])
                 offset += len(parts[-1]) + 1
+                escaped_offset += len(escaped_parts[-1]) + 1
         text = " ".join(parts)
-        # one byte scan per report, so that no question's prompt has to be escaped
-        json_plain = text.isascii() and not text.encode("ascii").translate(None, _JSON_PLAIN_BYTES)
-        return _FlatText(text, tuple(starts), tuple(cumulative), json_plain)
+        # escaping never shortens a character, so equal lengths mean the text
+        # escapes to itself: the two then share one string
+        escaped = text if escaped_offset == offset else " ".join(escaped_parts)
+        return _FlatText(text, tuple(starts), tuple(cumulative), escaped, tuple(escaped_starts))
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:

@@ -8,8 +8,8 @@ Each request's prompt is tokenized at most once, or not at all when the
 caller supplies its count; the counts travel with the reply as a
 ``Completion``. Each request is also serialized once: the same JSON
 body is hashed for the cache key, posted, and stored in the cache entry.
-A message may carry its content's JSON encoding, which the body then uses
-instead of escaping the content again.
+A message may carry its content already escaped for a JSON string, which
+the body then uses instead of escaping the content again.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ class Role(str, Enum):
 
 @dataclass(frozen=True)
 class ChatMessage:
-    """One chat message. ``content_json``, when given, must be pieces whose
-    join equals ``json.dumps(content)``: a caller that already has the
-    encoding spares ``request_body`` an escape pass over the content."""
+    """One chat message. ``escaped_content``, when given, holds pieces whose
+    join is ``json.dumps(content)[1:-1]``, the content escaped as in a JSON
+    string; ``user`` builds it from a tail the caller has already escaped."""
 
     role: Role
     content: str
-    content_json: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    escaped_content: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role in (Role.SYSTEM, Role.USER) and not self.content:
@@ -63,8 +63,13 @@ def system(content: str) -> ChatMessage:
     return ChatMessage(Role.SYSTEM, content)
 
 
-def user(content: str, content_json: Optional[tuple[str, ...]] = None) -> ChatMessage:
-    return ChatMessage(Role.USER, content, content_json)
+def user(content: str, tail: str = "", escaped_tail: Optional[Sequence[str]] = None) -> ChatMessage:
+    """A user message of ``content + tail``. ``escaped_tail``, when given, is
+    the tail escaped as in a JSON string, in pieces whose join is
+    ``json.dumps(tail)[1:-1]``: the request body then escapes only ``content``."""
+    if escaped_tail is None:
+        return ChatMessage(Role.USER, content + tail)
+    return ChatMessage(Role.USER, content + tail, (json.dumps(content)[1:-1], *escaped_tail))
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,16 @@ def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> byt
 
     The bytes are ``json.dumps`` of ``{"model", "messages", "temperature",
     "max_tokens"}`` (default separators, ASCII-only, ``allow_nan=False``),
-    assembled from pieces so that each message's ``content_json`` is used as
-    is. A long content is copied twice at most, as ``json.dumps`` copies it.
+    assembled from pieces so that each message's ``escaped_content`` is used
+    as is. A long content is copied twice at most, as ``json.dumps`` copies it.
     """
     parts = ['{"model": ', json.dumps(config.model), ', "messages": [']
     for index, message in enumerate(messages):
         parts.append(f'{", " if index else ""}{{"role": "{message.role.value}", "content": ')
-        parts.extend(message.content_json or (json.dumps(message.content),))
+        if message.escaped_content is None:
+            parts.append(json.dumps(message.content))
+        else:
+            parts.extend(('"', *message.escaped_content, '"'))
         parts.append("}")
     parts.append(f'], "temperature": {json.dumps(config.temperature, allow_nan=False)}, '
                  f'"max_tokens": {json.dumps(config.max_output_tokens, allow_nan=False)}}}')

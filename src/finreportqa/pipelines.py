@@ -475,10 +475,10 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         header_tokens = count_message_tokens([system(prompts.SOLVING_SYSTEM), user(header)])
         budget = client.config.max_input_tokens - header_tokens - _PROMPT_MARGIN_TOKENS
         prefix = report.prefix(max(0, budget))
-        # a plain prefix needs no escaping: the content's JSON literal is the
-        # header's, left open, then the prefix and a closing quote
-        content_json = (json.dumps(header)[:-1], prefix.text, '"') if report.json_plain else None
-        messages = [system(prompts.SOLVING_SYSTEM), user(header + prefix.text, content_json)]
+        # the report's text is escaped once per report: a question escapes
+        # only its header and the page its prefix ends in
+        messages = [system(prompts.SOLVING_SYSTEM),
+                    user(header, prefix.text, report.escaped_prefix(prefix.text))]
         # the header ends in whitespace, so the prefix's tokens add up exactly
         prompt_tokens = header_tokens + prefix.tokens
         context_pages = prefix.page_numbers

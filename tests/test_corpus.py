@@ -131,29 +131,44 @@ class TestReportPrefix:
         report = _report_of(("", " \n", "\t"))
         assert [report.prefix(n) for n in range(3)] == [("", 0, ())] * 3
 
-    @pytest.mark.parametrize("texts, plain", [
-        (("Revenue | 1,200 |", "  net\tincome\n{4} ~x' ",), True),
-        (("a", "", " \r\n\x1c "), True),  # whitespace is normalised away
-        (("", " \n"), True),
-        (('said "so"',), False), (("C:\\x",), False), (("nul\x00",), False),
-        (("del\x7f",), False), (("caf\u00e9",), False), (("\U0001f600",), False),
-        (("a\xa0b",), True),  # no-break space is whitespace to str.split
+    @pytest.mark.parametrize("texts", [
+        ("Revenue | 1,200 |", "  net\tincome\n{4} ~x' "),
+        ('said "so"', "", "C:\\x", "nul\x00 del\x7f"),
+        ("caf\u00e9 \u20ac1.2bn", "\U0001f600 \u2028 \ud800", " \r\n\x1c "),
+        ("", " \n"),
     ])
-    def test_json_plain_when_json_copies_the_text_as_is(self, texts, plain):
+    def test_escaped_prefix_is_json_dumps_of_every_head(self, texts):
         report = _report_of(texts)
-        assert report.json_plain is plain
         text = report.prefix(report.total_tokens()).text
-        assert (json.dumps(text) == f'"{text}"') is plain
+        for end in range(len(text) + 1):
+            assert "".join(report.escaped_prefix(text[:end])) == json.dumps(text[:end])[1:-1], end
 
-    def test_json_plain_agrees_with_json_dumps_on_random_pages(self):
+    def test_escaped_prefix_is_json_dumps_of_random_prefixes(self):
         rng = random.Random(20261019)
-        alphabet = [chr(c) for c in range(0x20, 0x7F)] + ["\x00", "\x7f", "\u00e9", "\n", "\t"]
-        for case in range(3000):
-            pages = ["".join(rng.choice(alphabet) if rng.random() < 0.05 else rng.choice("ab |1")
-                             for _ in range(rng.randrange(12))) for _ in range(rng.randint(1, 3))]
+        alphabet = ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600", "\n", "\t"]
+        for case in range(1000):
+            pages = ["".join(rng.choice(alphabet) if rng.random() < 0.1 else rng.choice("ab |1")
+                             for _ in range(rng.randrange(12))) for _ in range(rng.randint(1, 4))]
             report = _report_of(pages)
-            text = report.prefix(report.total_tokens()).text
-            assert report.json_plain is (json.dumps(text) == f'"{text}"'), (case, pages)
+            for n in range(report.total_tokens() + 1):
+                text = report.prefix(n).text
+                assert "".join(report.escaped_prefix(text)) == json.dumps(text)[1:-1], \
+                    (case, pages, n)
+
+    def test_a_report_that_escapes_to_itself_makes_no_copy(self):
+        """Its escaped text is the normalised text itself, and a prefix's
+        escaping is the prefix."""
+        plain = _report_of(("Revenue | 1,200 |", "net {4} ~x'"))
+        assert plain._flat.escaped is plain._flat.text
+        text = plain.prefix(4).text
+        assert plain.escaped_prefix(text)[0] is text
+        quoted = _report_of(("Revenue | 1,200 |", 'net "4"'))
+        assert quoted._flat.escaped == json.dumps(quoted._flat.text)[1:-1]
+
+    @pytest.mark.parametrize("text", ["a b c", "b", "a  b", "a\nb"])
+    def test_escaped_prefix_of_a_text_not_at_the_report_start_rejected(self, text):
+        with pytest.raises(ValueError):
+            _report_of(("a b",)).escaped_prefix(text)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):

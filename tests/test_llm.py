@@ -150,10 +150,19 @@ class TestRequestBodyBytes:
             for _ in range(rng.randint(0, 4)):
                 role = rng.choice(list(Role))
                 content = _random_text(rng, min_length=0 if role is Role.ASSISTANT else 1)
-                # half the messages carry their encoding, cut into pieces
-                content_json = _split(rng, json.dumps(content)) if rng.random() < 0.5 else None
-                messages.append(ChatMessage(role, content, content_json))
+                if role is Role.USER and rng.random() < 0.5:
+                    # the tail arrives escaped, cut into pieces
+                    cut = rng.randint(1, len(content))
+                    tail = content[cut:]
+                    messages.append(user(content[:cut], tail, _split(rng, json.dumps(tail)[1:-1])))
+                else:
+                    messages.append(ChatMessage(role, content))
             assert request_body(config, messages) == _reference_body(config, messages), case
+
+    def test_a_tail_without_its_escaping_is_escaped_with_the_rest(self):
+        message = user('Question: "x"\n', "caf\u00e9")
+        assert message == ChatMessage(Role.USER, 'Question: "x"\ncaf\u00e9')
+        assert message.escaped_content is None
 
     def test_nan_temperature_is_refused_like_json_dumps(self):
         config = ProviderConfig()
@@ -161,12 +170,12 @@ class TestRequestBodyBytes:
         with pytest.raises(ValueError):
             request_body(config, _messages())
 
-    @pytest.mark.parametrize("carries_encoding", [False, True])
-    def test_a_long_content_is_copied_twice_at_most(self, carries_encoding):
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_a_long_content_is_copied_twice_at_most(self, escaped):
         """The join and the encode each copy a content once: its escaped copy
-        is freed before the encode, and a carried encoding is not copied."""
+        is freed before the encode, and a carried escaping is not copied."""
         content = "Revenue | 1,200 | up 5% " * 20_000
-        message = user(content, ('"', content, '"') if carries_encoding else None)
+        message = user("Q: ", content, (content,) if escaped else None)
         tracemalloc.start()
         try:
             request_body(ProviderConfig(), [message])
@@ -175,15 +184,14 @@ class TestRequestBodyBytes:
             tracemalloc.stop()
         assert peak < 2.5 * len(content)
 
-    @pytest.mark.parametrize("pages, plain", [
-        (("Revenue | 1,200 | up 5%", "Net income: $300m {note 4}"), True),
-        (('He said "record year"', "C:\\reports\\2002", "caf\u00e9 \u20ac1.2bn",
-          "\U0001f600 del\x7f nul\x00"), False),
+    @pytest.mark.parametrize("pages", [
+        ("Revenue | 1,200 | up 5%", "Net income: $300m {note 4}"),
+        ('He said "record year"', "C:\\reports\\2002", "caf\u00e9 \u20ac1.2bn",
+         "\U0001f600 del\x7f nul\x00"),
     ])
-    def test_long_context_requests_match_json_dumps(self, pages, plain):
+    def test_long_context_requests_match_json_dumps(self, pages):
         report = Report("r", "", 0, tuple(PageChunk(n, f"page {n}:\n{text}\n")
                                           for n, text in enumerate(pages * 20, start=1)))
-        assert report.json_plain is plain
         sent = []
 
         class Spy(ScriptedBackend):
@@ -198,8 +206,8 @@ class TestRequestBodyBytes:
                 run_baseline("long_context", question, client, report=report)
                 config, messages, body = sent[-1]
                 assert body == _reference_body(config, messages), (question, budget)
-                # a plain report's prompt carries its encoding; any other is escaped
-                assert (messages[-1].content_json is not None) is plain
+                # every report's prompt carries its escaping, plain or not
+                assert messages[-1].escaped_content is not None
 
 
 class TestScriptedBackend:

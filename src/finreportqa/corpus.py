@@ -201,13 +201,15 @@ class Report:
             escaped_starts.append(escaped_offset)
             cumulative.append(cumulative[-1] + len(words))
             if words:
-                parts.append(" ".join(words))
-                escaped_parts.append(json.dumps(parts[-1])[1:-1])
-                offset += len(parts[-1]) + 1
-                escaped_offset += len(escaped_parts[-1]) + 1
+                part = " ".join(words)
+                escaped = json.dumps(part)[1:-1]
+                # escaping never shortens a character, so equal lengths mean
+                # the page escapes to itself and is kept once
+                parts.append(part)
+                escaped_parts.append(part if len(escaped) == len(part) else escaped)
+                offset += len(part) + 1
+                escaped_offset += len(escaped) + 1
         text = " ".join(parts)
-        # escaping never shortens a character, so equal lengths mean the text
-        # escapes to itself: the two then share one string
         escaped = text if escaped_offset == offset else " ".join(escaped_parts)
         return _FlatText(text, tuple(starts), tuple(cumulative), escaped, tuple(escaped_starts))
 

@@ -210,17 +210,19 @@ class TestReportPrefix:
             assert report.prefix(n).text == " ".join(words[:n]), n
 
     def test_concurrent_first_use(self):
-        report = _report_of(_AWKWARD_PAGES * 40)
+        report = _report_of((*_AWKWARD_PAGES, 'say "so" C:\\x caf\u00e9') * 40)
         total = report.total_tokens()
         ns = (0, 1, 7, total // 2, total - 1, total, total + 1)
-        expected = {n: _reference_prefix(report, n) for n in ns}
+        expected = {n: (_reference_prefix(report, n), json.dumps(_reference_prefix(report, n)))
+                    for n in ns}
         start = threading.Barrier(8)
-        results: list[list[str]] = [[] for _ in range(8)]
+        results: list[list[tuple[str, str]]] = [[] for _ in range(8)]
 
         def work(slot: int) -> None:
             start.wait(timeout=10)
             for n in ns:
-                results[slot].append(report.prefix(n).text)
+                text = report.prefix(n).text
+                results[slot].append((text, '"' + "".join(report.escaped_prefix(text)) + '"'))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -202,13 +202,13 @@ class Report:
             cumulative.append(cumulative[-1] + len(words))
             if words:
                 part = " ".join(words)
-                escaped = json.dumps(part)[1:-1]
+                escaped_part = json.dumps(part)[1:-1]
                 # escaping never shortens a character, so equal lengths mean
                 # the page escapes to itself and is kept once
                 parts.append(part)
-                escaped_parts.append(part if len(escaped) == len(part) else escaped)
+                escaped_parts.append(part if len(escaped_part) == len(part) else escaped_part)
                 offset += len(part) + 1
-                escaped_offset += len(escaped) + 1
+                escaped_offset += len(escaped_part) + 1
         text = " ".join(parts)
         escaped = text if escaped_offset == offset else " ".join(escaped_parts)
         return _FlatText(text, tuple(starts), tuple(cumulative), escaped, tuple(escaped_starts))

@@ -489,8 +489,8 @@ def cmd_ingest(args, config: RunConfig) -> int:
                 report = ingest_mod.html_to_pages(
                     path.read_text(encoding="utf-8", errors="replace"),
                     report_id=f"{ref.cik}_{ref.accession_number}")
-                md_path = path.with_suffix(".md")
-                md_path.write_text(corpus_mod.render_markdown(report), encoding="utf-8")
+                md_path = rundir.write_text(path.with_suffix(".md"),
+                                            corpus_mod.render_markdown(report))
                 print(f"converted -> {md_path}")
     return EXIT_OK
 

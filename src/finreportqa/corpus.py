@@ -1,15 +1,15 @@
 """Document model: page-delimited Markdown reports and the QA dataset.
 
 A report is an ordered sequence of page chunks split on standalone
-delimiter lines. A page holds only its number and text: its token count and
-its Markdown table blocks (as character spans) are derived from the text the
-first time they are read, so loading a report does no per-page work that no
-caller reads. The QA dataset is JSON-lines, one instance per line.
+delimiter lines. A page holds only its number and text: its token count,
+its Markdown table blocks (as character spans) and its whitespace-normalised
+text are derived from the text the first time each is read, so loading a
+report does no per-page work that no caller reads. The QA dataset is
+JSON-lines, one instance per line.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import re
 import statistics
@@ -65,10 +65,27 @@ def count_tokens(text: str) -> int:
     return marked.count(b" x") + marked.startswith(b"x")
 
 
+class FlatPage(NamedTuple):
+    """A page's words joined by single spaces, that text as a JSON string
+    holds it (``json.dumps`` without the quotes), and its word count."""
+
+    text: str
+    escaped: str
+    tokens: int
+
+
+def _flatten(words: list[str]) -> FlatPage:
+    text = " ".join(words)
+    escaped = json.dumps(text)[1:-1]
+    # escaping never shortens a character, so equal lengths mean the text
+    # escapes to itself and is held once
+    return FlatPage(text, text if len(escaped) == len(text) else escaped, len(words))
+
+
 @dataclass(frozen=True)
 class PageChunk:
-    """One page's text; its token count and table spans are worked out from
-    the text the first time each is read."""
+    """One page's text; its token count, table spans and flat text are worked
+    out from the text the first time each is read."""
 
     page_number: int
     text: str
@@ -85,32 +102,25 @@ class PageChunk:
     def table_block_spans(self) -> tuple[tuple[int, int], ...]:
         return detect_table_spans(self.text)
 
+    @cached_property
+    def flat(self) -> FlatPage:
+        return _flatten(self.text.split())
+
     def table_blocks(self) -> list[str]:
         return [self.text[s:e] for s, e in self.table_block_spans]
 
 
-class _FlatText(NamedTuple):
-    """A report's whitespace-normalised text and where each page starts in it.
-
-    ``cumulative_tokens[i]`` is the token count of the pages before page
-    index ``i``; its last entry is the report's total. ``escaped`` is the
-    text as a JSON string holds it (``json.dumps`` without the quotes), and
-    ``escaped_starts`` says where each page starts in that.
-    """
-
-    text: str
-    page_starts: tuple[int, ...]
-    cumulative_tokens: tuple[int, ...]
-    escaped: str
-    escaped_starts: tuple[int, ...]
-
-
 class ReportPrefix(NamedTuple):
-    """The start of a report's normalised text, as ``Report.prefix`` returns it."""
+    """The start of a report's normalised text, as ``Report.prefix`` returns it.
+
+    ``escaped`` is ``text`` as a JSON string holds it, in pieces: each page's
+    escaped flat text, with ``" "`` between pages.
+    """
 
     text: str
     tokens: int
     page_numbers: tuple[int, ...]
+    escaped: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -150,68 +160,33 @@ class Report:
     def prefix(self, n: int) -> ReportPrefix:
         r"""The report's first ``n`` whitespace tokens, joined by single spaces.
 
-        The text equals ``" ".join("\n".join(p.text for p in pages).split()[:n])``,
-        but only the page holding token ``n`` is split on each call. ``tokens``
-        is its token count, ``min(n, total)``; ``page_numbers`` lists the pages
-        with at least one token in it.
+        The text equals ``" ".join("\n".join(p.text for p in pages).split()[:n])``.
+        It is built from each page's ``flat`` text, so no page past the one
+        holding token ``n`` is flattened, and only that page is cut on each
+        call. ``tokens`` is its token count, ``min(n, total)``;
+        ``page_numbers`` lists the pages with at least one token in it.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        flat = self._flat
-        cumulative = flat.cumulative_tokens
-        index = bisect.bisect_left(cumulative, n) - 1
-        if index < 0:
-            return ReportPrefix("", 0, ())
-        pages = tuple(page.page_number for page, start, end
-                      in zip(self.pages[:index + 1], cumulative, cumulative[1:]) if end > start)
-        if index == len(self.pages):
-            return ReportPrefix(flat.text, cumulative[-1], pages)
-        words = self.pages[index].text.split()[:n - cumulative[index]]
-        return ReportPrefix(flat.text[:flat.page_starts[index] + len(" ".join(words))], n, pages)
-
-    def escaped_prefix(self, text: str) -> tuple[str, ...]:
-        """``text``, a head of the normalised text such as ``prefix(n).text``,
-        escaped as in a JSON string (``json.dumps`` without the quotes), in
-        pieces: the whole pages before the one ``text`` ends in, cut from the
-        text escaped once per report, then the rest, escaped now. A report
-        whose text escapes to itself gives ``text`` back, uncopied."""
-        flat = self._flat
-        if not flat.text.startswith(text):
-            raise ValueError("text must be a head of the report's normalised text")
-        if flat.escaped is flat.text:
-            return (text,)
-        index = bisect.bisect_right(flat.page_starts, len(text)) - 1
-        return (flat.escaped[:flat.escaped_starts[index]],
-                json.dumps(text[flat.page_starts[index]:])[1:-1])
-
-    @cached_property
-    def _flat(self) -> _FlatText:
-        # Built on the first prefix() call, not at parse time: only the
-        # long-context baseline reads it, and it holds one more copy of the
-        # text, two when the text has characters JSON escapes.
-        parts: list[str] = []
-        escaped_parts: list[str] = []
-        starts: list[int] = []
-        escaped_starts: list[int] = []
-        cumulative = [0]
-        offset = escaped_offset = 0
+        texts: list[str] = []
+        escaped: list[str] = []
+        page_numbers: list[int] = []
+        tokens = 0
         for page in self.pages:
-            words = page.text.split()
-            starts.append(offset)
-            escaped_starts.append(escaped_offset)
-            cumulative.append(cumulative[-1] + len(words))
-            if words:
-                part = " ".join(words)
-                escaped_part = json.dumps(part)[1:-1]
-                # escaping never shortens a character, so equal lengths mean
-                # the page escapes to itself and is kept once
-                parts.append(part)
-                escaped_parts.append(part if len(escaped_part) == len(part) else escaped_part)
-                offset += len(part) + 1
-                escaped_offset += len(escaped_part) + 1
-        text = " ".join(parts)
-        escaped = text if escaped_offset == offset else " ".join(escaped_parts)
-        return _FlatText(text, tuple(starts), tuple(cumulative), escaped, tuple(escaped_starts))
+            if tokens >= n:
+                break
+            flat = page.flat
+            if not flat.tokens:
+                continue
+            if tokens + flat.tokens > n:
+                flat = _flatten(flat.text.split()[:n - tokens])
+            if texts:
+                escaped.append(" ")
+            texts.append(flat.text)
+            escaped.append(flat.escaped)
+            page_numbers.append(page.page_number)
+            tokens += flat.tokens
+        return ReportPrefix(" ".join(texts), tokens, tuple(page_numbers), tuple(escaped))
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
@@ -413,8 +388,10 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
 
     try:
         year = int(values["year"])
-    except (TypeError, ValueError):
-        raise SchemaError("field 'year' must be an integer", line_number, "year") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+        year = None
+    if year is None or isinstance(values["year"], bool):
+        raise SchemaError("field 'year' must be an integer", line_number, "year")
 
     qtype = values["type"]
     if qtype not in QUESTION_TYPES:
@@ -434,7 +411,7 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError("field 'report_id' must be a string", line_number, "report_id")
 
     n_tables = record.get("n_evidence_tables", 0)
-    if not isinstance(n_tables, int) or n_tables < 0:
+    if type(n_tables) is not int or n_tables < 0:
         raise SchemaError("field 'n_evidence_tables' must be a non-negative integer",
                           line_number, "n_evidence_tables")
 

@@ -20,7 +20,13 @@ from typing import Callable, Optional
 
 from . import transport
 from .corpus import PageChunk, Report, is_file_name
-from .errors import ChecksumMismatchError, NotFoundError, RateLimitedError, TransportError
+from .errors import (
+    ChecksumMismatchError,
+    ConfigError,
+    NotFoundError,
+    RateLimitedError,
+    TransportError,
+)
 
 SUBMISSIONS_URL = "https://data.sec.gov/submissions/CIK{cik}.json"
 TICKER_MAP_URL = "https://www.sec.gov/files/company_tickers.json"
@@ -171,7 +177,8 @@ class EdgarClient:
         Skips the download when the file already exists with a matching
         recorded hash. Byte count is checked against Content-Length; a
         short read or a Content-Length that is not a byte count writes no file
-        and removes an earlier one.
+        and removes an earlier one. A destination that cannot be written is a
+        ConfigError naming it.
         """
         dest = Path(dest_dir) / ref.cik / ref.accession_number / ref.primary_document
         sidecar = dest.with_suffix(dest.suffix + ".sha256")
@@ -191,9 +198,12 @@ class EdgarClient:
             raise ChecksumMismatchError(
                 f"Content-Length {declared!r}, received {len(body)} bytes")
 
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_bytes(body)
-        sidecar.write_text(hashlib.sha256(body).hexdigest(), encoding="utf-8")
+        try:
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_bytes(body)
+            sidecar.write_text(hashlib.sha256(body).hexdigest(), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{dest}: cannot write: {exc.strerror or exc}") from None
         return dest
 
 

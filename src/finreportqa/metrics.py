@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -70,7 +70,13 @@ class NormalizedAnswer:
 
 
 def _canonical_decimal_string(value: Decimal) -> str:
-    """Shortest plain-notation string for the value (no trailing zeros)."""
+    """Shortest plain-notation string for the value (no trailing zeros).
+
+    A value that is not finite, or has more integer digits than the decimal
+    context's precision, raises a DecimalException.
+    """
+    if not value.is_finite():
+        raise InvalidOperation(f"not a finite number: {value}")
     if value == 0:
         return "0"
     normalized = value.normalize()
@@ -86,8 +92,9 @@ def normalize_answer(raw: str, percent_mode: PercentMode = PercentMode.AS_GIVEN)
     Removes comma grouping, currency symbols, and whitespace; converts
     parentheses negatives ("(1,234)" -> -1234); strips a trailing percent
     sign, dividing by 100 in fraction mode and keeping the face value
-    otherwise. Non-numeric input yields numeric_value=None with the cleaned
-    string kept for string-level comparison.
+    otherwise. Non-numeric input, including a value that is not finite or
+    that the canonical form cannot hold, yields numeric_value=None with the
+    cleaned string kept for string-level comparison.
     """
     cleaned = raw.strip()
     for symbol in CURRENCY_SYMBOLS:
@@ -105,15 +112,11 @@ def normalize_answer(raw: str, percent_mode: PercentMode = PercentMode.AS_GIVEN)
 
     try:
         value: Optional[Decimal] = Decimal(cleaned)
-    except (InvalidOperation, ValueError):
-        value = None
-
-    if value is not None:
         if had_percent and percent_mode is PercentMode.FRACTION:
             value = value / Decimal(100)
         canonical = _canonical_decimal_string(value)
-    else:
-        canonical = cleaned
+    except (DecimalException, ValueError):
+        value, canonical = None, cleaned
 
     return NormalizedAnswer(canonical_string=canonical, numeric_value=value, percent_mode=percent_mode)
 

@@ -475,10 +475,9 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         header_tokens = count_message_tokens([system(prompts.SOLVING_SYSTEM), user(header)])
         budget = client.config.max_input_tokens - header_tokens - _PROMPT_MARGIN_TOKENS
         prefix = report.prefix(max(0, budget))
-        # the report's text is escaped once per report: a question escapes
-        # only its header and the page its prefix ends in
-        messages = [system(prompts.SOLVING_SYSTEM),
-                    user(header, prefix.text, report.escaped_prefix(prefix.text))]
+        # each page is escaped once per report: a question escapes only its
+        # header and the page its prefix ends in
+        messages = [system(prompts.SOLVING_SYSTEM), user(header, prefix.text, prefix.escaped)]
         # the header ends in whitespace, so the prefix's tokens add up exactly
         prompt_tokens = header_tokens + prefix.tokens
         context_pages = prefix.page_numbers

@@ -1,6 +1,7 @@
-"""Independent brute-force oracles used to check the retrieval ranking.
+"""Independent brute-force oracles used to check the retrieval ranking,
+and seeded generators of the inputs the checks run over.
 
-These recompute the scoring formulas directly over raw token lists,
+The oracles recompute the scoring formulas directly over raw token lists,
 sharing no code with the index implementation.
 """
 
@@ -73,3 +74,19 @@ def random_query(rng) -> str:
     vocabulary = ["revenue", "assets", "net", "income", "2023", "interest",
                   "w1", "w2", "w3", "w17"]
     return " ".join(rng.choices(vocabulary, k=rng.randint(1, 6)))
+
+
+# Pieces of model replies: answer braces, number syntax Decimal accepts
+# (signs, exponents, underscores, non-ASCII digits, NaN and infinities) and
+# the formatting normalize_answer strips, plus verdict syntax.
+_REPLY_PIECES = (
+    "{{", "}}", "{", "}", "0", "1", "7", "42", "3.14", ".", "-", "+", "e", "E", "e9", "e-9",
+    "e999999", "e-999999", "e28", "_", "NaN", "nan", "sNaN", "Inf", "Infinity", "-inf",
+    "%", "(", ")", "$", "€", "£", ",", " ", "\t", "\n", "\u0663", "\u00bd", "x", "NONE",
+    ":", "'", '"', "page_number: 3", "revenue",
+)
+
+
+def random_reply(rng) -> str:
+    """A reply of up to 12 random pieces."""
+    return "".join(rng.choices(_REPLY_PIECES, k=rng.randint(0, 12)))

@@ -301,6 +301,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "DemoCo_2002.md" in err and "not UTF-8" in err
 
+    def test_non_finite_reply_is_no_answer(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        script.write_text(json.dumps({"entries": [{"matcher": "", "response": "{{NaN}}"}]}))
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--pipeline", "no_context"))) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        row = json.loads((tmp_path / "runs" / "run-a" / "predictions.jsonl").read_text())
+        assert row["insufficient"] is True
+
+    @pytest.mark.parametrize("field, value", [("answer", "NaN"), ("year", float("inf"))])
+    def test_non_finite_dataset_field_is_data_error(self, tmp_path, capsys, field, value):
+        corpus_dir, dataset, _ = write_dscr_workspace(tmp_path)
+        _change_record(dataset, **{field: value})
+        assert main(["stats", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset)]) == 3
+        err = capsys.readouterr().err
+        assert f"line 1: field {field!r}" in err and "Traceback" not in err
+
     def test_provider_error_exit_code(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({"entries": []}))  # nothing matches
@@ -474,7 +491,10 @@ class TestBench:
         assert list((tmp_path / "runs").iterdir()) == []
 
     @pytest.mark.parametrize("field, value", [
-        ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus")])
+        ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus"),
+        ("year", float("inf")), ("year", float("nan")), ("year", True),
+        ("n_evidence_tables", True), ("n_evidence_tables", float("inf")),
+        ("answer", "NaN"), ("answer", "Infinity")])
     def test_bad_dataset_field_ends_bench_before_it_writes(self, tmp_path, capsys, monkeypatch,
                                                            field, value):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -783,6 +803,17 @@ class TestScore:
         main(["score", "--predictions", str(predictions), "--gold", str(dataset)])
         report = json.loads(capsys.readouterr().out)
         assert report["em"] == 0.0
+
+    @pytest.mark.parametrize("answer", ["NaN", "Infinity", "-Infinity", "1e999999"])
+    def test_non_finite_prediction_scores_zero(self, tmp_path, capsys, answer):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(f'{{"id": "q-dscr-1", "answer": {answer}}}\n')
+        assert main(["score", "--predictions", str(predictions), "--gold", str(dataset),
+                     "--out", str(tmp_path / "scored")]) == 0
+        assert json.loads(capsys.readouterr().out)["tol_acc"] == 0.0
+        row = json.loads((tmp_path / "scored" / "scores.jsonl").read_text())
+        assert row["reason"] == "non_numeric_prediction"
 
     def test_unknown_prediction_id_is_data_error(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)

@@ -129,21 +129,25 @@ class TestReportPrefix:
 
     def test_blank_report_has_empty_prefix(self):
         report = _report_of(("", " \n", "\t"))
-        assert [report.prefix(n) for n in range(3)] == [("", 0, ())] * 3
+        assert [report.prefix(n) for n in range(3)] == [("", 0, (), ())] * 3
 
     @pytest.mark.parametrize("texts", [
+        _AWKWARD_PAGES,
         ("Revenue | 1,200 |", "  net\tincome\n{4} ~x' "),
         ('said "so"', "", "C:\\x", "nul\x00 del\x7f"),
         ("caf\u00e9 \u20ac1.2bn", "\U0001f600 \u2028 \ud800", " \r\n\x1c "),
         ("", " \n"),
     ])
-    def test_escaped_prefix_is_json_dumps_of_every_head(self, texts):
+    def test_escaped_is_json_dumps_of_every_prefix(self, texts):
         report = _report_of(texts)
-        text = report.prefix(report.total_tokens()).text
-        for end in range(len(text) + 1):
-            assert "".join(report.escaped_prefix(text[:end])) == json.dumps(text[:end])[1:-1], end
+        for page in report.pages:
+            text = " ".join(page.text.split())
+            assert page.flat == (text, json.dumps(text)[1:-1], count_tokens(page.text))
+        for n in range(report.total_tokens() + 2):
+            prefix = report.prefix(n)
+            assert "".join(prefix.escaped) == json.dumps(prefix.text)[1:-1], n
 
-    def test_escaped_prefix_is_json_dumps_of_random_prefixes(self):
+    def test_escaped_is_json_dumps_of_random_prefixes(self):
         rng = random.Random(20261019)
         alphabet = ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600", "\n", "\t"]
         for case in range(1000):
@@ -151,34 +155,36 @@ class TestReportPrefix:
                              for _ in range(rng.randrange(12))) for _ in range(rng.randint(1, 4))]
             report = _report_of(pages)
             for n in range(report.total_tokens() + 1):
-                text = report.prefix(n).text
-                assert "".join(report.escaped_prefix(text)) == json.dumps(text)[1:-1], \
+                prefix = report.prefix(n)
+                assert prefix.text == _reference_prefix(report, n), (case, pages, n)
+                assert "".join(prefix.escaped) == json.dumps(prefix.text)[1:-1], \
                     (case, pages, n)
 
-    def test_a_report_that_escapes_to_itself_makes_no_copy(self):
-        """Its escaped text is the normalised text itself, and a prefix's
-        escaping is the prefix."""
-        plain = _report_of(("Revenue | 1,200 |", "net {4} ~x'"))
-        assert plain._flat.escaped is plain._flat.text
-        text = plain.prefix(4).text
-        assert plain.escaped_prefix(text)[0] is text
-        quoted = _report_of(("Revenue | 1,200 |", 'net "4"'))
-        assert quoted._flat.escaped == json.dumps(quoted._flat.text)[1:-1]
-
-    @pytest.mark.parametrize("text", ["a b c", "b", "a  b", "a\nb"])
-    def test_escaped_prefix_of_a_text_not_at_the_report_start_rejected(self, text):
-        with pytest.raises(ValueError):
-            _report_of(("a b",)).escaped_prefix(text)
+    def test_a_page_that_escapes_to_itself_is_held_once(self):
+        """Its escaped text is its flat text, and a prefix's piece for it is
+        that same string; a page with a quote holds its own escaping."""
+        report = _report_of(("Revenue | 1,200 |", 'net "4"', "  net {4} ~x'", "a b"))
+        plain, quoted, spaced, _ = (page.flat for page in report.pages)
+        assert plain.escaped is plain.text and spaced.escaped is spaced.text
+        assert quoted.escaped == json.dumps(quoted.text)[1:-1] != quoted.text
+        escaped = report.prefix(report.total_tokens() - 1).escaped
+        assert escaped[0] is plain.text and escaped[2] is quoted.escaped
+        assert escaped[4] is spaced.text and escaped[6] == "a"
+        assert escaped[1::2] == (" ",) * 3
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             _report_of(("a b",)).prefix(-1)
 
-    def test_flattened_on_first_call_not_at_parse(self):
-        report = parse_report(TABLE_PAGE_MD)
-        assert "_flat" not in vars(report)
-        assert report.prefix(3).text == _reference_prefix(report, 3)
-        assert "_flat" in vars(report)
+    def test_no_page_flattened_at_parse_or_past_the_cut(self):
+        report = parse_report("".join(f"<!-- page: {number} -->\nw{number} x\n"
+                                      for number in range(1, 7)))
+        assert not [page for page in report.pages if "flat" in vars(page)]
+        assert report.prefix(5).text == _reference_prefix(report, 5)
+        assert ["flat" in vars(page) for page in report.pages] == [True] * 3 + [False] * 3
+        # a prefix that ends with a page reads no page after it
+        assert report.prefix(8).text == _reference_prefix(report, 8)
+        assert ["flat" in vars(page) for page in report.pages] == [True] * 4 + [False] * 2
 
     def test_long_report_at_page_boundaries_and_random_n(self):
         rng = random.Random(5)
@@ -221,8 +227,8 @@ class TestReportPrefix:
         def work(slot: int) -> None:
             start.wait(timeout=10)
             for n in ns:
-                text = report.prefix(n).text
-                results[slot].append((text, '"' + "".join(report.escaped_prefix(text)) + '"'))
+                prefix = report.prefix(n)
+                results[slot].append((prefix.text, '"' + "".join(prefix.escaped) + '"'))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -484,6 +490,21 @@ class TestDataset:
             read_dataset(path)
         assert excinfo.value.line_number == 1
         assert excinfo.value.field == "answer"
+
+    @pytest.mark.parametrize("field, value", [
+        *(("answer", answer) for answer in ("NaN", "nan", "sNaN", "Infinity", "-inf", "1e999999")),
+        ("year", float("inf")), ("year", float("-inf")), ("year", float("nan")), ("year", True),
+        ("year", "Infinity"), ("n_evidence_tables", True), ("n_evidence_tables", float("inf")),
+        ("n_evidence_tables", float("nan")),
+    ])
+    def test_non_finite_or_bool_number_field_rejected(self, field, value):
+        with pytest.raises(SchemaError) as excinfo:
+            instance_from_record(self._record(**{field: value}), 7)
+        assert (excinfo.value.line_number, excinfo.value.field) == (7, field)
+
+    @pytest.mark.parametrize("year", [2023, 2023.0, "2023"])
+    def test_year_may_be_an_integral_number_or_string(self, year):
+        assert instance_from_record(self._record(year=year)).fiscal_year == 2023
 
     def test_missing_field_reports_name_and_line(self, tmp_path):
         record = self._record()

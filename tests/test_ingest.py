@@ -237,6 +237,31 @@ class TestMalformedMetadata:
                      "--dest", str(tmp_path / "dest")]) == 4
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "dest"]
 
+    @pytest.mark.parametrize("blocked", ["dest", "md"])
+    def test_destination_that_cannot_be_written_is_a_config_error(
+            self, tmp_path, monkeypatch, capsys, blocked):
+        """A --dest that is a file, or a .md path that is a directory, exits 2
+        naming the path."""
+        from finreportqa import transport
+        from finreportqa.cli import main
+
+        recent = {"accessionNumber": ["a-1"], "form": ["10-K"], "filingDate": ["2024-02-01"],
+                  "primaryDocument": ["k.htm"]}
+        monkeypatch.setattr(transport, "request", FakeRequest([
+            _json_response({"name": "Demo", "filings": {"recent": recent}}),
+            (200, {}, DOC_BYTES)]))
+        dest = tmp_path / "dest"
+        if blocked == "dest":
+            dest.write_text("a file", encoding="utf-8")
+            named = dest / CIK / "a-1" / "k.htm"
+        else:
+            named = dest / CIK / "a-1" / "k.md"
+            named.mkdir(parents=True)
+        assert main(["ingest", "--issuer", "320193", "--years", "2024-2024", "--fetch",
+                     "--convert", "--dest", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {named}: cannot write" in err and "Traceback" not in err
+
     def test_bad_date_in_another_form_is_skipped(self):
         payload = {"name": "Demo", "filings": {"recent": {
             "accessionNumber": ["a-1", "a-2"], "form": ["10-Q", "10-K"],

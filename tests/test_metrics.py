@@ -42,6 +42,9 @@ NORMALIZATION_GOLDEN = [
     ("147.8200", PercentMode.AS_GIVEN, "147.82", 147.82),
 ]
 
+# values Decimal parses that are not finite, or past the context's exponent range
+NON_FINITE = ("NaN", "nan", "sNaN", "Infinity", "-inf", "1e999999")
+
 
 class TestNormalizeAnswer:
     @pytest.mark.parametrize("raw,mode,canonical,numeric", NORMALIZATION_GOLDEN)
@@ -58,6 +61,21 @@ class TestNormalizeAnswer:
 
     def test_parens_negative_example(self):
         assert float(normalize_answer("(1,234)").numeric_value) == -1234.0
+
+    @pytest.mark.parametrize("raw, cleaned", [
+        *((value, value) for value in NON_FINITE),
+        ("1e28", "1e28"), ("9" * 29, "9" * 29), ("(sNaN)", "-sNaN"), ("$ Infinity%", "Infinity"),
+    ])
+    @pytest.mark.parametrize("mode", list(PercentMode))
+    def test_non_finite_or_too_long_is_non_numeric(self, raw, cleaned, mode):
+        """The canonical form holds at most the context's 28 integer digits."""
+        result = normalize_answer(raw, mode)
+        assert not result.is_numeric
+        assert result.canonical_string == cleaned
+
+    def test_longest_integer_the_canonical_form_holds(self):
+        assert normalize_answer("1e27").canonical_string == "1" + "0" * 27
+        assert normalize_answer("9" * 28).canonical_string == "9" * 28
 
 
 class TestExactMatch:
@@ -183,6 +201,12 @@ class TestScoreInstance:
         score = score_instance("no idea", "352")
         assert score.em == 0 and score.tol_correct == 0
         assert score.reason == "non_numeric_prediction"
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_prediction_or_gold(self, value):
+        assert score_instance(value, "352").reason == "non_numeric_prediction"
+        assert score_instance("352", value).reason == "non_numeric_gold"
+        assert score_instance(value, value).tol_correct == 0
 
 
 class TestAggregate:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -10,8 +11,10 @@ from conftest import (
     ROUND2_FORMULA,
     make_scripted_client,
 )
+from oracles import random_reply
 from finreportqa.corpus import PageChunk, Report, parse_report
 from finreportqa.errors import AnswerExtractionError
+from finreportqa.metrics import score_instance
 from finreportqa.llm import (
     LLMClient,
     ProviderConfig,
@@ -26,6 +29,7 @@ from finreportqa.pipelines import (
     INSUFFICIENT,
     AgentConfig,
     AgentPipeline,
+    EvaluatorVerdict,
     Insufficient,
     build_round_query,
     extract_answer,
@@ -71,6 +75,30 @@ class TestExtractAnswer:
 
     def test_insufficient_is_singleton(self):
         assert extract_answer("{{0}}") is INSUFFICIENT
+
+    @pytest.mark.parametrize("value", ["NaN", "nan", "sNaN", "Infinity", "-inf", "1e999999"])
+    def test_non_finite_group_is_not_an_answer(self, value):
+        with pytest.raises(AnswerExtractionError):
+            extract_answer("{{" + value + "}}")
+        assert extract_answer("{{2.5}} then {{" + value + "}}") == 2.5
+
+
+class TestReplyFuzz:
+    def test_every_reply_is_an_answer_a_verdict_and_a_score(self):
+        """Braces around NaN, infinities and exponents past the decimal
+        context are among the replies: each is no answer, not an exception."""
+        rng = random.Random(20261019)
+        for _ in range(5000):
+            reply = random_reply(rng)
+            try:
+                answer = extract_answer(reply)
+            except AnswerExtractionError:
+                pass
+            else:
+                assert answer is INSUFFICIENT or math.isfinite(answer), reply
+            assert isinstance(parse_verdict(reply), EvaluatorVerdict), reply
+            for pred, gold in ((reply, "1.55"), ("1.55", reply), (reply, reply)):
+                assert score_instance(pred, gold).tol_correct in (0, 1), reply
 
 
 class TestParseCitedPages:

@@ -21,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import corpus as corpus_mod
 from . import datagen as datagen_mod
@@ -38,6 +38,7 @@ from .errors import (
     FinReportQAError,
     ProviderError,
     RateLimitedError,
+    ReportEncodingError,
     SchemaError,
     TransportError,
     UnmatchedPromptError,
@@ -248,21 +249,26 @@ def build_embedding_provider(config: RunConfig):
 class _ReportRunner:
     """Per-report state and question answering for one pipeline.
 
-    Only the state the pipeline reads is built: the report always, the
-    retriever (which holds the retrieval units) only for pipelines that
-    search, and one embedding provider for the run only for those that
-    search densely. A report set up with a question count is dropped, with
-    all it holds, once ``run_instance`` has answered that many of its
-    questions. Set-up is not thread-safe; answering is.
+    ``paths`` maps each report id to its file. A report is set up by the
+    first question that needs it, on that question's worker, under one
+    set-up lock. Only the state the pipeline reads is built: the report
+    always, the retriever (which holds the retrieval units) only for
+    pipelines that search, and one embedding provider for the run only for
+    those that search densely. With ``questions``, each report's question
+    count, a report is dropped, with all it holds, once ``run_instance`` has
+    answered that many of its questions. Answering is thread-safe.
     """
 
-    def __init__(self, config: RunConfig, client: LLMClient, pipeline: str):
+    def __init__(self, config: RunConfig, client: LLMClient, pipeline: str,
+                 paths: Mapping[str, Path], questions: Optional[Mapping[str, int]] = None):
         self.config = config
         self.client = client
         self.pipeline = pipeline
+        self._paths = dict(paths)
         self._reports: dict[str, tuple] = {}
-        self._questions_left: dict[str, int] = {}
-        self._lock = threading.Lock()
+        self._questions_left = dict(questions or {})
+        self._setup_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the question counts
         self.agent_config = pipelines_mod.AgentConfig(
             max_rounds=config.max_rounds,
             k_per_round=config.k_per_round,
@@ -272,16 +278,25 @@ class _ReportRunner:
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
                          else None)
 
-    def setup(self, report: corpus_mod.Report, questions: Optional[int] = None) -> None:
-        config = self.config
-        if questions is not None:
-            self._questions_left[report.report_id] = questions
+    def report(self, report_id: str) -> tuple:
+        """The report and its retriever (None for a pipeline that does not
+        search), set up on first use."""
+        entry = self._reports.get(report_id)
+        if entry is None:
+            with self._setup_lock:
+                entry = self._reports.get(report_id)
+                if entry is None:
+                    entry = self._reports[report_id] = self._setup(report_id)
+        return entry
+
+    def _setup(self, report_id: str) -> tuple:
+        report = corpus_mod.load_report(self._paths[report_id])
         if self.pipeline in _INDEXLESS_PIPELINES:
-            self._reports[report.report_id] = (report, None)
-            return
-        self._reports[report.report_id] = (report, retrieval_mod.build_retriever(
+            return report, None
+        config = self.config
+        return report, retrieval_mod.build_retriever(
             report, config.scheme, granularity=config.unit_granularity(),
-            provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b)))
+            provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b))
 
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
         report_id = instance.report_id
@@ -295,7 +310,7 @@ class _ReportRunner:
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
         """One prediction row; an agent row also carries its transcript."""
         pipeline = self.pipeline
-        report, retriever = self._reports[report_id]
+        report, retriever = self.report(report_id)
         if pipeline == "agent":
             agent = pipelines_mod.AgentPipeline(self.client, retriever, self.agent_config)
             transcript = agent.run(question, question_id=question_id)
@@ -336,15 +351,16 @@ def cmd_bench(args, config: RunConfig) -> int:
     if args.limit:
         instances = instances[:args.limit]
     client = build_client(config)
-    runner = _ReportRunner(config, client, args.pipeline)
-
-    # per-report set-up is not thread-safe, so do it up front
-    for report_id, questions in Counter(i.report_id for i in instances).items():
-        if not config.corpus_dir:
-            raise ConfigError("corpus_dir is not set")
-        runner.setup(corpus_mod.load_report(Path(config.corpus_dir) / f"{report_id}.md"),
-                     questions)
-    # only now, so that a failed set-up leaves no run directory behind
+    questions = Counter(i.report_id for i in instances)
+    if questions and not config.corpus_dir:
+        raise ConfigError("corpus_dir is not set")
+    paths = {report_id: Path(config.corpus_dir) / f"{report_id}.md" for report_id in questions}
+    runner = _ReportRunner(config, client, args.pipeline, paths, questions)
+    # each report is set up by its first question; until the run directory
+    # exists, only check that every report opens, so that a missing one
+    # leaves no run directory behind
+    for path in paths.values():
+        corpus_mod.check_opens(path, ReportEncodingError)
     run = rundir.RunDir.create(config.output_dir, args.run_id)
     client.log_path = run.path / "llm_log.jsonl"
 
@@ -390,10 +406,10 @@ def cmd_score(args, config: RunConfig) -> int:
 
 
 def cmd_ask(args, config: RunConfig) -> int:
-    runner = _ReportRunner(config, build_client(config), args.pipeline)
-    report = corpus_mod.load_report(args.report)
-    runner.setup(report)
-    row = runner.answer(report.report_id, args.question, "ask")
+    report_id = Path(args.report).stem
+    runner = _ReportRunner(config, build_client(config), args.pipeline,
+                           {report_id: Path(args.report)})
+    row = runner.answer(report_id, args.question, "ask")
     print(f"answer: {row['answer']}")
     if "transcript" in row:
         run = rundir.RunDir(config.output_dir)

@@ -3,9 +3,9 @@
 A report is an ordered sequence of page chunks split on standalone
 delimiter lines. A page holds only its number and text: its token count,
 its Markdown table blocks (as character spans) and its whitespace-normalised
-text are derived from the text the first time each is read, so loading a
-report does no per-page work that no caller reads. The QA dataset is
-JSON-lines, one instance per line.
+text, escaped for a JSON string, are derived from the text the first time
+each is read, so loading a report does no per-page work that no caller
+reads. The QA dataset is JSON-lines, one instance per line.
 """
 
 from __future__ import annotations
@@ -66,20 +66,17 @@ def count_tokens(text: str) -> int:
 
 
 class FlatPage(NamedTuple):
-    """A page's words joined by single spaces, that text as a JSON string
-    holds it (``json.dumps`` without the quotes), and its word count."""
+    """A page's words joined by single spaces and escaped as a JSON string
+    holds them (``json.dumps`` without the quotes, so ASCII), as bytes, and
+    the word count."""
 
-    text: str
-    escaped: str
+    escaped: bytes
     tokens: int
 
 
-def _flatten(words: list[str]) -> FlatPage:
-    text = " ".join(words)
-    escaped = json.dumps(text)[1:-1]
-    # escaping never shortens a character, so equal lengths mean the text
-    # escapes to itself and is held once
-    return FlatPage(text, text if len(escaped) == len(text) else escaped, len(words))
+def decode_escaped(pieces: Sequence[bytes]) -> str:
+    """The text whose JSON-string escaping is the join of ``pieces``."""
+    return json.loads(b"".join((b'"', *pieces, b'"')))
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,8 @@ class PageChunk:
 
     @cached_property
     def flat(self) -> FlatPage:
-        return _flatten(self.text.split())
+        words = self.text.split()
+        return FlatPage(json.dumps(" ".join(words))[1:-1].encode("ascii"), len(words))
 
     def table_blocks(self) -> list[str]:
         return [self.text[s:e] for s, e in self.table_block_spans]
@@ -113,14 +111,17 @@ class PageChunk:
 class ReportPrefix(NamedTuple):
     """The start of a report's normalised text, as ``Report.prefix`` returns it.
 
-    ``escaped`` is ``text`` as a JSON string holds it, in pieces: each page's
-    escaped flat text, with ``" "`` between pages.
+    ``escaped`` is that text as a JSON string holds it, in byte pieces: each
+    page's escaped flat text, with ``b" "`` between pages. ``text`` decodes it.
     """
 
-    text: str
     tokens: int
     page_numbers: tuple[int, ...]
-    escaped: tuple[str, ...]
+    escaped: tuple[bytes, ...]
+
+    @property
+    def text(self) -> str:
+        return decode_escaped(self.escaped)
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,7 @@ class Report:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        texts: list[str] = []
-        escaped: list[str] = []
+        escaped: list[bytes] = []
         page_numbers: list[int] = []
         tokens = 0
         for page in self.pages:
@@ -179,14 +179,16 @@ class Report:
             if not flat.tokens:
                 continue
             if tokens + flat.tokens > n:
-                flat = _flatten(flat.text.split()[:n - tokens])
-            if texts:
-                escaped.append(" ")
-            texts.append(flat.text)
+                # escaping turns no character into a space, so the escaped
+                # words are split by single spaces, as the words are
+                kept = n - tokens
+                flat = FlatPage(b" ".join(flat.escaped.split(b" ", kept)[:kept]), kept)
+            if escaped:
+                escaped.append(b" ")
             escaped.append(flat.escaped)
             page_numbers.append(page.page_number)
             tokens += flat.tokens
-        return ReportPrefix(" ".join(texts), tokens, tuple(page_numbers), tuple(escaped))
+        return ReportPrefix(tokens, tuple(page_numbers), tuple(escaped))
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
@@ -289,6 +291,16 @@ def read_text(path: str | Path, error: type[Exception] = SchemaError) -> str:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+def check_opens(path: str | Path, error: type[Exception] = SchemaError) -> None:
+    """Open a file and close it unread; a file ``read_text`` cannot open
+    (missing, a directory or unreadable) raises the same ``error``."""
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def load_report(path: str | Path) -> Report:
     """Parse a report file; a {company}_{year} filename fills the metadata."""
     path = Path(path)
@@ -386,11 +398,14 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError(f"field 'id' must be one plain file name, got {values['id']!r}",
                           line_number, "id")
 
+    raw_year = values["year"]
     try:
-        year = int(values["year"])
+        year = int(raw_year)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
         year = None
-    if year is None or isinstance(values["year"], bool):
+    # int() accepts a bool and truncates a float: 2023.5 is no year
+    if (year is None or isinstance(raw_year, bool)
+            or isinstance(raw_year, float) and not raw_year.is_integer()):
         raise SchemaError("field 'year' must be an integer", line_number, "year")
 
     qtype = values["type"]

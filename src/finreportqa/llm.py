@@ -8,8 +8,9 @@ Each request's prompt is tokenized at most once, or not at all when the
 caller supplies its count; the counts travel with the reply as a
 ``Completion``. Each request is also serialized once: the same JSON
 body is hashed for the cache key, posted, and stored in the cache entry.
-A message may carry its content already escaped for a JSON string, which
-the body then uses instead of escaping the content again.
+A message may carry its content already escaped for a JSON string, as byte
+pieces that the body joins as they are; such a message decodes its content
+only when something reads it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import transport
-from .corpus import count_tokens, read_text
+from .corpus import count_tokens, decode_escaped, read_text
 from .embeddings import write_atomic
 from .errors import (
     ConfigError,
@@ -44,32 +46,62 @@ class Role(str, Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
 class ChatMessage:
-    """One chat message. ``escaped_content``, when given, holds pieces whose
-    join is ``json.dumps(content)[1:-1]``, the content escaped as in a JSON
-    string; ``user`` builds it from a tail the caller has already escaped."""
+    """One chat message: a role and its content.
 
-    role: Role
-    content: str
-    escaped_content: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    A message made from ``escaped_content`` holds only that: byte pieces
+    whose join is ``json.dumps(content)[1:-1]``, the content escaped as in a
+    JSON string. Its content is decoded from them the first time it is read,
+    so a long prompt is held once, escaped, until something reads its text.
+    Messages compare and hash by role and content.
+    """
 
-    def __post_init__(self) -> None:
-        if self.role in (Role.SYSTEM, Role.USER) and not self.content:
-            raise ValueError(f"{self.role.value} message must have content")
+    def __init__(self, role: Role, content: Optional[str] = None,
+                 escaped_content: Optional[tuple[bytes, ...]] = None):
+        if (content is None) == (escaped_content is None):
+            raise ValueError("a message is made from its content or its escaped content")
+        self.role = role
+        self.escaped_content = escaped_content
+        if content is not None:
+            self.content = content
+        empty = not content if escaped_content is None else not any(escaped_content)
+        if role in (Role.SYSTEM, Role.USER) and empty:
+            raise ValueError(f"{role.value} message must have content")
+
+    @cached_property
+    def content(self) -> str:
+        return decode_escaped(self.escaped_content)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChatMessage):
+            return NotImplemented
+        return (self.role, self.content) == (other.role, other.content)
+
+    def __hash__(self) -> int:
+        return hash((self.role, self.content))
+
+    def __repr__(self) -> str:
+        return f"ChatMessage(role={self.role!r}, content={self.content!r})"
 
 
 def system(content: str) -> ChatMessage:
     return ChatMessage(Role.SYSTEM, content)
 
 
-def user(content: str, tail: str = "", escaped_tail: Optional[Sequence[str]] = None) -> ChatMessage:
-    """A user message of ``content + tail``. ``escaped_tail``, when given, is
-    the tail escaped as in a JSON string, in pieces whose join is
-    ``json.dumps(tail)[1:-1]``: the request body then escapes only ``content``."""
+def user(content: str, tail: str = "",
+         escaped_tail: Optional[Sequence[str | bytes]] = None) -> ChatMessage:
+    """A user message of ``content + tail``.
+
+    ``escaped_tail``, when given, stands for the tail, escaped as in a JSON
+    string: pieces, str or ASCII bytes, whose join is ``json.dumps(tail)[1:-1]``.
+    ``tail`` is then not read. The message holds ``content`` escaped and the
+    pieces as bytes, so the request body escapes only ``content``.
+    """
     if escaped_tail is None:
         return ChatMessage(Role.USER, content + tail)
-    return ChatMessage(Role.USER, content + tail, (json.dumps(content)[1:-1], *escaped_tail))
+    return ChatMessage(Role.USER, escaped_content=(
+        json.dumps(content)[1:-1].encode("ascii"),
+        *(piece if isinstance(piece, bytes) else piece.encode("ascii") for piece in escaped_tail)))
 
 
 @dataclass(frozen=True)
@@ -105,22 +137,22 @@ def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> byt
 
     The bytes are ``json.dumps`` of ``{"model", "messages", "temperature",
     "max_tokens"}`` (default separators, ASCII-only, ``allow_nan=False``),
-    assembled from pieces so that each message's ``escaped_content`` is used
-    as is. A long content is copied twice at most, as ``json.dumps`` copies it.
+    joined once from byte pieces. A message's ``escaped_content`` pieces go in
+    as they are, so the body is the one copy of them; a content without them
+    is escaped here, so no more than two copies of it are held at once.
     """
-    parts = ['{"model": ', json.dumps(config.model), ', "messages": [']
+    parts = [b'{"model": ', json.dumps(config.model).encode("ascii"), b', "messages": [']
     for index, message in enumerate(messages):
-        parts.append(f'{", " if index else ""}{{"role": "{message.role.value}", "content": ')
         if message.escaped_content is None:
-            parts.append(json.dumps(message.content))
+            content = (json.dumps(message.content).encode("ascii"),)
         else:
-            parts.extend(('"', *message.escaped_content, '"'))
-        parts.append("}")
+            content = (b'"', *message.escaped_content, b'"')
+        parts += (f'{", " if index else ""}{{"role": "{message.role.value}", "content": '
+                  .encode("ascii"), *content, b"}")
     parts.append(f'], "temperature": {json.dumps(config.temperature, allow_nan=False)}, '
-                 f'"max_tokens": {json.dumps(config.max_output_tokens, allow_nan=False)}}}')
-    body = "".join(parts)
-    del parts  # frees each escaped content before the body is copied into bytes
-    return body.encode("utf-8")
+                 f'"max_tokens": {json.dumps(config.max_output_tokens, allow_nan=False)}}}'
+                 .encode("ascii"))
+    return b"".join(parts)
 
 
 def cache_key(body: bytes) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, DecimalException, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation, getcontext
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -72,13 +72,17 @@ class NormalizedAnswer:
 def _canonical_decimal_string(value: Decimal) -> str:
     """Shortest plain-notation string for the value (no trailing zeros).
 
-    A value that is not finite, or has more integer digits than the decimal
-    context's precision, raises a DecimalException.
+    A value that is not finite, that has more integer digits than the decimal
+    context's precision, or whose first significant digit lies more places
+    than that after the point, raises a DecimalException: written out, its
+    zeros would make the string unboundedly longer than the input.
     """
     if not value.is_finite():
         raise InvalidOperation(f"not a finite number: {value}")
     if value == 0:
         return "0"
+    if value.adjusted() < -getcontext().prec:
+        raise InvalidOperation(f"too small to write out: {value}")
     normalized = value.normalize()
     # normalize() may switch to scientific notation for multiples of ten.
     if normalized.as_tuple().exponent > 0:

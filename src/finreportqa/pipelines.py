@@ -476,8 +476,8 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         budget = client.config.max_input_tokens - header_tokens - _PROMPT_MARGIN_TOKENS
         prefix = report.prefix(max(0, budget))
         # each page is escaped once per report: a question escapes only its
-        # header and the page its prefix ends in
-        messages = [system(prompts.SOLVING_SYSTEM), user(header, prefix.text, prefix.escaped)]
+        # header, and the request body is its one copy of the prefix
+        messages = [system(prompts.SOLVING_SYSTEM), user(header, escaped_tail=prefix.escaped)]
         # the header ends in whitespace, so the prefix's tokens add up exactly
         prompt_tokens = header_tokens + prefix.tokens
         context_pages = prefix.page_numbers

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+import time
 import weakref
 from dataclasses import fields
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +15,7 @@ from conftest import DSCR_SCRIPT, HashProvider, write_dscr_workspace
 from finreportqa import cli as cli_mod
 from finreportqa import llm as llm_mod
 from finreportqa.cli import RunConfig, build_embedding_provider, main
-from finreportqa.corpus import QAInstance, parse_report
+from finreportqa.corpus import QAInstance
 from finreportqa.embeddings import CachedEmbeddingProvider
 from finreportqa.errors import ConfigError
 from finreportqa.llm import ScriptedBackend
@@ -49,6 +50,53 @@ def _instance(question_id, report_id):
     return QAInstance(id=question_id, company="DemoCo", fiscal_year=2002, question="Question?",
                       gold_answer="1.55", question_type="text", evidence_pages=frozenset({1}),
                       program_source="1.55", reasoning_trace="", report_id=report_id)
+
+
+def _report_files(directory, report_ids, text):
+    """Each report id's file, holding ``text``."""
+    paths = {report_id: directory / f"{report_id}.md" for report_id in report_ids}
+    for path in paths.values():
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
+def _track_setup(monkeypatch):
+    """Weak references to each report ``load_report`` returns, by report id,
+    followed by one to its retriever once one is built."""
+    refs = {}
+    load_report = cli_mod.corpus_mod.load_report
+    build_retriever = cli_mod.retrieval_mod.build_retriever
+
+    def tracked_load_report(path, *args):
+        report = load_report(path, *args)
+        refs[report.report_id] = [weakref.ref(report)]
+        return report
+
+    def tracked_build_retriever(report, *args, **kwargs):
+        retriever = build_retriever(report, *args, **kwargs)
+        refs[report.report_id].append(weakref.ref(retriever))
+        return retriever
+
+    monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
+    monkeypatch.setattr(cli_mod.retrieval_mod, "build_retriever", tracked_build_retriever)
+    return refs
+
+
+def _grouped_workspace(tmp_path, years, questions_per_report):
+    """The DSCR workspace with one copy of its report per year and a dataset
+    of ``questions_per_report`` questions per report, grouped by report, all
+    answered by the script."""
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
+    _report_files(corpus_dir, [f"DemoCo_{year}" for year in years], text)
+    record = json.loads(dataset.read_text())
+    dataset.write_text("".join(
+        json.dumps({**record, "id": f"q-{year}-{n}", "year": year}) + "\n"
+        for year in years for n in range(questions_per_report)))
+    script.write_text(json.dumps({
+        "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
+    }))
+    return corpus_dir, dataset, script
 
 
 class TestRunConfig:
@@ -705,16 +753,16 @@ class TestReportSetup:
             "--pipeline", pipeline, "--workers", workers))) == 0
         assert alive == {"2002": False}
 
-    def test_report_freed_with_its_retriever(self, tmp_path):
+    def test_report_freed_with_its_retriever(self, tmp_path, monkeypatch):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)
         config = RunConfig(backend="scripted", script_path=str(script))
-        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "single_round_rag")
+        text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
+        paths = _report_files(corpus_dir, ("A", "B"), text)
+        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "single_round_rag",
+                                       paths, {"A": 2, "B": 2})
         instances = [_instance("a1", "A"), _instance("b1", "B"), _instance("a2", "A"),
                      _instance("b2", "B")]
-        text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
-        for report_id in ("A", "B"):
-            runner.setup(parse_report(text, report_id=report_id), questions=2)
-        refs = {rid: [weakref.ref(obj) for obj in runner._reports[rid]] for rid in ("A", "B")}
+        refs = _track_setup(monkeypatch)
 
         def alive():
             return {rid: [ref() is not None for ref in pair] for rid, pair in refs.items()}
@@ -724,7 +772,8 @@ class TestReportSetup:
             runner.run_instance(instance)
             states.append(alive())
         both, gone = [True, True], [False, False]
-        assert states == [{"A": both, "B": both}, {"A": both, "B": both},
+        # B is set up by its first question, b1
+        assert states == [{"A": both}, {"A": both, "B": both},
                           {"A": gone, "B": both}, {"A": gone, "B": gone}]
 
     @pytest.mark.parametrize("pipeline, searches", [
@@ -743,26 +792,34 @@ class TestReportSetup:
         config = RunConfig(backend="scripted", script_path=str(script), scheme="dense",
                            embedding_endpoint="http://embeddings.invalid/v1",
                            embedding_model="hash-toy", embedding_dimension=8)
-        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), pipeline)
         text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
-        for report_id in ("A", "B"):
-            runner.setup(parse_report(text, report_id=report_id))
+        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), pipeline,
+                                       _report_files(corpus_dir, ("A", "B"), text))
+        entries = [runner.report(report_id) for report_id in ("A", "B")]
         assert len(built) == (1 if searches else 0)
         if searches:
-            assert all(retriever.provider is built[0]
-                       for _, retriever in runner._reports.values())
+            assert all(retriever.provider is built[0] for _, retriever in entries)
 
-    def test_question_counts_survive_many_workers(self, tmp_path):
+    def test_question_counts_survive_many_workers(self, tmp_path, monkeypatch):
         script = tmp_path / "script.json"
         script.write_text(json.dumps({
             "mode": "repeatable", "entries": [{"matcher": "Question", "response": "{{1}}"}]}))
         config = RunConfig(backend="scripted", script_path=str(script))
-        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "no_context")
         report_ids = [f"R{i}" for i in range(6)]
-        for report_id in report_ids:
-            runner.setup(parse_report("<!-- page: 1 -->\nbody\n", report_id=report_id),
-                         questions=40)
+        runner = cli_mod._ReportRunner(
+            config, cli_mod.build_client(config), "no_context",
+            _report_files(tmp_path, report_ids, "<!-- page: 1 -->\nbody\n"),
+            dict.fromkeys(report_ids, 40))
         instances = [_instance(f"{rid}-{n}", rid) for n in range(40) for rid in report_ids]
+        loads = []
+        load_report = cli_mod.corpus_mod.load_report
+
+        def counting_load_report(path):
+            loads.append(path.stem)
+            time.sleep(0.01)  # a slow load, so that workers needing the report overlap it
+            return load_report(path)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", counting_load_report)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -773,6 +830,55 @@ class TestReportSetup:
         assert len(rows) == len(instances)
         assert runner._reports == {}
         assert runner._questions_left == dict.fromkeys(report_ids, 0)
+        # the reports interleave, so each is set up once, by one worker
+        assert sorted(loads) == report_ids
+
+    @pytest.mark.parametrize("pipeline", ["long_context", "single_round_rag"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_more_than_workers_plus_one_reports_are_held(self, tmp_path, capsys,
+                                                            monkeypatch, pipeline, workers):
+        years = (2002, 2003, 2004, 2005)
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, years, 3)
+        refs = _track_setup(monkeypatch)
+        held, lock = [], threading.Lock()
+        run_baseline = cli_mod.pipelines_mod.run_baseline
+
+        def counting_run_baseline(*args, **kwargs):
+            with lock:
+                held.append(sum(pair[0]() is not None for pair in refs.values()))
+            return run_baseline(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.pipelines_mod, "run_baseline", counting_run_baseline)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", pipeline, "--workers", str(workers)))) == 0
+        assert sorted(refs) == [f"DemoCo_{year}" for year in years]
+        assert len(held) == 12 and 1 <= max(held) <= workers + 1, held
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_bad_report_mid_run_keeps_the_rows_before_it(self, tmp_path, capsys, workers):
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
+        (corpus_dir / "DemoCo_2003.md").write_text(" \n\n", encoding="utf-8")
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", "no_context", "--workers", workers))) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: document has no non-whitespace content")
+        assert "Traceback" not in err
+        rows = (tmp_path / "runs" / "run-a" / "predictions.jsonl").read_text().splitlines()
+        assert [json.loads(row)["id"] for row in rows] == ["q-2002-0", "q-2002-1"]
+
+    def test_a_missing_last_report_makes_no_run_directory(self, tmp_path, capsys, monkeypatch):
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
+        (corpus_dir / "DemoCo_2004.md").unlink()
+
+        def no_load(*args):
+            raise AssertionError("no report is loaded before the run directory exists")
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", no_load)
+        (tmp_path / "runs").mkdir()
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "DemoCo_2004.md" in err
+        assert list((tmp_path / "runs").iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["index", "--corpus-dir", "corpus"],

@@ -129,7 +129,8 @@ class TestReportPrefix:
 
     def test_blank_report_has_empty_prefix(self):
         report = _report_of(("", " \n", "\t"))
-        assert [report.prefix(n) for n in range(3)] == [("", 0, (), ())] * 3
+        assert [report.prefix(n) for n in range(3)] == [(0, (), ())] * 3
+        assert report.prefix(2).text == ""
 
     @pytest.mark.parametrize("texts", [
         _AWKWARD_PAGES,
@@ -142,10 +143,11 @@ class TestReportPrefix:
         report = _report_of(texts)
         for page in report.pages:
             text = " ".join(page.text.split())
-            assert page.flat == (text, json.dumps(text)[1:-1], count_tokens(page.text))
+            assert page.flat == (json.dumps(text)[1:-1].encode(), count_tokens(page.text))
         for n in range(report.total_tokens() + 2):
             prefix = report.prefix(n)
-            assert "".join(prefix.escaped) == json.dumps(prefix.text)[1:-1], n
+            assert b"".join(prefix.escaped) == \
+                json.dumps(_reference_prefix(report, n))[1:-1].encode(), n
 
     def test_escaped_is_json_dumps_of_random_prefixes(self):
         rng = random.Random(20261019)
@@ -157,20 +159,20 @@ class TestReportPrefix:
             for n in range(report.total_tokens() + 1):
                 prefix = report.prefix(n)
                 assert prefix.text == _reference_prefix(report, n), (case, pages, n)
-                assert "".join(prefix.escaped) == json.dumps(prefix.text)[1:-1], \
+                assert b"".join(prefix.escaped) == json.dumps(prefix.text)[1:-1].encode(), \
                     (case, pages, n)
 
-    def test_a_page_that_escapes_to_itself_is_held_once(self):
-        """Its escaped text is its flat text, and a prefix's piece for it is
-        that same string; a page with a quote holds its own escaping."""
+    def test_a_page_holds_only_its_escaped_bytes(self):
+        """A flattened page keeps its escaped flat text, as bytes, and its
+        word count, and a prefix's piece for a whole page is that same object."""
         report = _report_of(("Revenue | 1,200 |", 'net "4"', "  net {4} ~x'", "a b"))
         plain, quoted, spaced, _ = (page.flat for page in report.pages)
-        assert plain.escaped is plain.text and spaced.escaped is spaced.text
-        assert quoted.escaped == json.dumps(quoted.text)[1:-1] != quoted.text
+        assert plain == (b"Revenue | 1,200 |", 4) and spaced == (b"net {4} ~x'", 3)
+        assert quoted == (b'net \\"4\\"', 2)
         escaped = report.prefix(report.total_tokens() - 1).escaped
-        assert escaped[0] is plain.text and escaped[2] is quoted.escaped
-        assert escaped[4] is spaced.text and escaped[6] == "a"
-        assert escaped[1::2] == (" ",) * 3
+        assert escaped[0] is plain.escaped and escaped[2] is quoted.escaped
+        assert escaped[4] is spaced.escaped and escaped[6] == b"a"
+        assert escaped[1::2] == (b" ",) * 3
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -219,16 +221,16 @@ class TestReportPrefix:
         report = _report_of((*_AWKWARD_PAGES, 'say "so" C:\\x caf\u00e9') * 40)
         total = report.total_tokens()
         ns = (0, 1, 7, total // 2, total - 1, total, total + 1)
-        expected = {n: (_reference_prefix(report, n), json.dumps(_reference_prefix(report, n)))
-                    for n in ns}
+        expected = {n: (_reference_prefix(report, n),
+                        json.dumps(_reference_prefix(report, n)).encode()) for n in ns}
         start = threading.Barrier(8)
-        results: list[list[tuple[str, str]]] = [[] for _ in range(8)]
+        results: list[list[tuple[str, bytes]]] = [[] for _ in range(8)]
 
         def work(slot: int) -> None:
             start.wait(timeout=10)
             for n in ns:
                 prefix = report.prefix(n)
-                results[slot].append((prefix.text, '"' + "".join(prefix.escaped) + '"'))
+                results[slot].append((prefix.text, b'"' + b"".join(prefix.escaped) + b'"'))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -505,6 +507,13 @@ class TestDataset:
     @pytest.mark.parametrize("year", [2023, 2023.0, "2023"])
     def test_year_may_be_an_integral_number_or_string(self, year):
         assert instance_from_record(self._record(year=year)).fiscal_year == 2023
+
+    @pytest.mark.parametrize("year", [2023.5, 2022.999, -0.5])
+    def test_fractional_year_rejected(self, year):
+        """int() would truncate it to some other report's year."""
+        with pytest.raises(SchemaError) as excinfo:
+            instance_from_record(self._record(year=year), 7)
+        assert (excinfo.value.line_number, excinfo.value.field) == (7, "year")
 
     def test_missing_field_reports_name_and_line(self, tmp_path):
         record = self._record()

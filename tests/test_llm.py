@@ -17,6 +17,7 @@ from finreportqa.errors import (
     UnmatchedPromptError,
 )
 from finreportqa.llm import (
+    Backend,
     ChatMessage,
     Completion,
     HttpBackend,
@@ -208,6 +209,40 @@ class TestRequestBodyBytes:
                 assert body == _reference_body(config, messages), (question, budget)
                 # every report's prompt carries its escaping, plain or not
                 assert messages[-1].escaped_content is not None
+
+
+# the characters ingest.html_to_pages decodes from &#8217;, &#8220;, &#8221;,
+# &#8212; and &nbsp;
+_INGESTED_WORDS = "Acme\u2019s \u201cnet\u201d income \u2014\u00a0rose"
+
+
+class TestLongContextBody:
+    @pytest.mark.parametrize("words", ["Acme's net income - rose", _INGESTED_WORDS])
+    def test_a_request_over_flattened_pages_peaks_below_one_fifth_past_its_body(self, words):
+        """The request body is the one report-sized buffer a long-context
+        question allocates once the report's pages are flattened."""
+        report = Report("r", "", 0, tuple(
+            PageChunk(n, f"Page {n}\n" + "".join(f"| {words} | {n},{row:03} |\n"
+                                                  for row in range(150)))
+            for n in range(1, 301)))
+        bodies = []
+
+        class BodyLength(Backend):
+            def generate(self, config, messages, body):
+                bodies.append(len(body))
+                return "{{1.0}}"
+
+        # a budget that cuts the report inside a page
+        client = LLMClient(ProviderConfig(max_input_tokens=100_003), BodyLength())
+        run_baseline("long_context", "What is the DSCR?", client, report=report)
+        tracemalloc.start()
+        try:
+            run_baseline("long_context", "What is the DSCR?", client, report=report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bodies[0] == bodies[1] > 400_000
+        assert peak < 1.2 * bodies[1]
 
 
 class TestScriptedBackend:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -65,10 +66,12 @@ class TestNormalizeAnswer:
     @pytest.mark.parametrize("raw, cleaned", [
         *((value, value) for value in NON_FINITE),
         ("1e28", "1e28"), ("9" * 29, "9" * 29), ("(sNaN)", "-sNaN"), ("$ Infinity%", "Infinity"),
+        ("1e-999999", "1e-999999"), ("1e-29", "1e-29"), ("-0.9e-28", "-0.9e-28"),
     ])
     @pytest.mark.parametrize("mode", list(PercentMode))
     def test_non_finite_or_too_long_is_non_numeric(self, raw, cleaned, mode):
-        """The canonical form holds at most the context's 28 integer digits."""
+        """The canonical form holds at most the context's 28 integer digits,
+        and a first significant digit at most 28 places after the point."""
         result = normalize_answer(raw, mode)
         assert not result.is_numeric
         assert result.canonical_string == cleaned
@@ -76,6 +79,12 @@ class TestNormalizeAnswer:
     def test_longest_integer_the_canonical_form_holds(self):
         assert normalize_answer("1e27").canonical_string == "1" + "0" * 27
         assert normalize_answer("9" * 28).canonical_string == "9" * 28
+
+    def test_smallest_fractions_the_canonical_form_holds(self):
+        assert normalize_answer("1e-28").canonical_string == "0." + "0" * 27 + "1"
+        assert normalize_answer("0.0001").canonical_string == "0.0001"
+        third = normalize_answer(f"{Decimal(100) / 3}%", PercentMode.FRACTION)
+        assert third.canonical_string == "0." + "3" * 28
 
 
 class TestExactMatch:

@@ -5,11 +5,16 @@ delimiter lines. A page holds only its number and text: its token count,
 its Markdown table blocks (as character spans) and its whitespace-normalised
 text, escaped for a JSON string, are derived from the text the first time
 each is read, so loading a report does no per-page work that no caller
-reads. The QA dataset is JSON-lines, one instance per line.
+reads. ``load_report`` streams the file into the same delimiter scan that
+``parse_report`` runs, a piece at a time, so it holds one copy of the
+report's text, its pages; each of its errors names the file. The QA
+dataset is JSON-lines, one instance per line.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import re
 import statistics
@@ -34,6 +39,10 @@ from .metrics import Difficulty, PercentMode, bucket_difficulty, normalize_answe
 DEFAULT_PAGE_DELIMITER = r"<!--\s*[Pp]age[:=\s]\s*(\d+)\s*-->"
 _DELIMITER = re.compile(DEFAULT_PAGE_DELIMITER)
 _DELIMITER_PREFIX = "<!--"
+
+# Bytes load_report reads from a report file at a time.
+_READ_SIZE = 1 << 16
+_UTF8_DECODER = codecs.getincrementaldecoder("utf-8")
 
 # The characters str.splitlines ends a line at ("\r\n" is one break).
 _LINE_BREAK_CHARS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -217,6 +226,71 @@ def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
+class _PageScan:
+    """The delimiter scan behind ``parse_report`` and ``load_report``, fed the
+    text in pieces.
+
+    Every piece but the last must end with ``"\\n"``, so that a line that
+    begins with ``<!--`` lies, with its line break, in one piece, and a piece
+    starts a line. Each page's text is joined from the slices of the pieces
+    it spans.
+    """
+
+    def __init__(self) -> None:
+        self.page_numbers: list[int] = []  # one per delimiter line, in text order
+        self.texts: list[str] = []  # the closed pages' texts, in the same order
+        self.open: list[str] = []  # the slices of the open page, or of the preamble
+
+    def feed(self, text: str) -> None:
+        start = 0  # where the open page's text in this piece begins
+        hit = text.find(_DELIMITER_PREFIX)
+        while hit >= 0:
+            if hit and text[hit - 1] not in _LINE_BREAK_CHARS:
+                hit = text.find(_DELIMITER_PREFIX, hit + len(_DELIMITER_PREFIX))
+                continue
+            found = _LINE_BREAK.search(text, hit)
+            end = found.start() if found else len(text)
+            line_break = "\r\n" if text.startswith("\r\n", end) else text[end:end + 1]
+            if line_break in ("", "\n", "\r", "\r\n"):  # any other break never matches
+                match = _DELIMITER.fullmatch(text, hit, end)
+                if match:
+                    self._close(text[start:hit])
+                    self.page_numbers.append(int(match.group(1)))
+                    start = end + len(line_break)
+            hit = text.find(_DELIMITER_PREFIX, end)
+        if start < len(text):
+            self.open.append(text[start:])
+
+    def _close(self, last: str) -> None:
+        """End the open text at a delimiter line; ``last`` is its final slice."""
+        if last:
+            self.open.append(last)
+        if self.page_numbers:
+            self.texts.append("".join(self.open))
+            self.open = []
+        elif all(part.isspace() for part in self.open):
+            self.open = []  # a blank preamble is dropped; any other opens the first page
+
+    def report(self, report_id: str, company: str, fiscal_year: int) -> Report:
+        """The pages of all the text fed."""
+        text = "".join(self.open)
+        if not self.page_numbers:
+            if not text or text.isspace():
+                raise EmptyDocumentError("document has no non-whitespace content")
+            return Report(report_id, company, fiscal_year, (PageChunk(1, text),))
+
+        pages: list[PageChunk] = []
+        seen: set[int] = set()
+        for page_number, page_text in zip(self.page_numbers, [*self.texts, text]):
+            if page_number in seen:
+                raise DuplicatePageNumberError(f"page {page_number} captured twice")
+            seen.add(page_number)
+            pages.append(PageChunk(page_number, page_text))
+
+        pages.sort(key=lambda p: p.page_number)
+        return Report(report_id, company, fiscal_year, tuple(pages))
+
+
 def parse_report(markdown_text: str, *, report_id: str = "report", company: str = "",
                  fiscal_year: int = 0) -> Report:
     """Split page-delimited Markdown into a Report.
@@ -231,44 +305,9 @@ def parse_report(markdown_text: str, *, report_id: str = "report", company: str 
     line that begins with the literal ``<!--`` can match, so those are found
     with ``str.find`` and each page is one slice of the input.
     """
-    if not markdown_text.strip():
-        raise EmptyDocumentError("document has no non-whitespace content")
-
-    text = markdown_text
-    delimiters: list[tuple[int, int, int]] = []  # (line start, body start, page number)
-    hit = text.find(_DELIMITER_PREFIX)
-    while hit >= 0:
-        if hit and text[hit - 1] not in _LINE_BREAK_CHARS:
-            hit = text.find(_DELIMITER_PREFIX, hit + len(_DELIMITER_PREFIX))
-            continue
-        found = _LINE_BREAK.search(text, hit)
-        end = found.start() if found else len(text)
-        line_break = "\r\n" if text.startswith("\r\n", end) else text[end:end + 1]
-        if line_break in ("", "\n", "\r", "\r\n"):  # any other break never matches
-            match = _DELIMITER.fullmatch(text, hit, end)
-            if match:
-                delimiters.append((hit, end + len(line_break), int(match.group(1))))
-        hit = text.find(_DELIMITER_PREFIX, end)
-
-    if not delimiters:
-        return Report(report_id, company, fiscal_year, (PageChunk(1, text),))
-
-    ends = [line_start for line_start, _, _ in delimiters[1:]] + [len(text)]
-    texts = [text[body_start:end] for (_, body_start, _), end in zip(delimiters, ends)]
-    preamble = text[:delimiters[0][0]]
-    if preamble.strip():
-        texts[0] = preamble + texts[0]
-
-    pages: list[PageChunk] = []
-    seen: set[int] = set()
-    for (_, _, page_number), page_text in zip(delimiters, texts):
-        if page_number in seen:
-            raise DuplicatePageNumberError(f"page {page_number} captured twice")
-        seen.add(page_number)
-        pages.append(PageChunk(page_number, page_text))
-
-    pages.sort(key=lambda p: p.page_number)
-    return Report(report_id, company, fiscal_year, tuple(pages))
+    scan = _PageScan()
+    scan.feed(markdown_text)
+    return scan.report(report_id, company, fiscal_year)
 
 
 def render_markdown(report: Report) -> str:
@@ -280,15 +319,22 @@ def render_markdown(report: Report) -> str:
     return "".join(parts)
 
 
+def _read_error(path: str | Path, error: type[Exception],
+                exc: OSError | UnicodeDecodeError, at: int = 0) -> Exception:
+    """``error`` naming ``path``, for a file that cannot be read or is not
+    UTF-8; ``at`` is the file offset of the input the decoder failed on."""
+    if isinstance(exc, UnicodeDecodeError):
+        return error(f"{path}: not UTF-8 ({exc.reason} at byte {at + exc.start})")
+    return error(f"{path}: cannot read: {exc.strerror or exc}")
+
+
 def read_text(path: str | Path, error: type[Exception] = SchemaError) -> str:
     """A file's text, read with one ``read_text`` call. A file that is missing,
     a directory, unreadable or not UTF-8 raises ``error`` naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_error(path, error, exc) from None
 
 
 def check_opens(path: str | Path, error: type[Exception] = SchemaError) -> None:
@@ -298,17 +344,52 @@ def check_opens(path: str | Path, error: type[Exception] = SchemaError) -> None:
         with open(path, "rb"):
             pass
     except OSError as exc:
-        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+        raise _read_error(path, error, exc) from None
 
 
 def load_report(path: str | Path) -> Report:
-    """Parse a report file; a {company}_{year} filename fills the metadata."""
+    """Parse a report file; a {company}_{year} filename fills the metadata.
+
+    The pages are those ``parse_report`` makes of the file's ``read_text``
+    text (UTF-8, with ``\\r\\n`` and ``\\r`` read as ``\\n``), but the file is
+    read ``_READ_SIZE`` bytes at a time and the scan is fed the text up to
+    each read's last ``\\n``, so the whole text is never held beside the
+    pages. Every error, ReportEncodingError or the scan's, names the file.
+    """
     path = Path(path)
-    text = read_text(path, ReportEncodingError)
+    scan = _PageScan()
+    decoder = io.IncrementalNewlineDecoder(_UTF8_DECODER(), translate=True)
+    tail: list[str] = []  # the text decoded since its last "\n"
+    read = 0  # bytes read so far
+    try:
+        with open(path, "rb") as fh:
+            while True:
+                data = fh.read(_READ_SIZE)
+                read += len(data)
+                text = decoder.decode(data, final=not data)
+                cut = text.rfind("\n") + 1
+                if cut:
+                    tail.append(text[:cut])
+                    scan.feed("".join(tail))
+                    tail = [text[cut:]]
+                else:
+                    tail.append(text)
+                if not data:
+                    break
+    except UnicodeDecodeError as exc:
+        # the decoder's input was the bytes it held back from before, then data
+        raise _read_error(path, ReportEncodingError, exc, read - len(exc.object)) from None
+    except OSError as exc:
+        raise _read_error(path, ReportEncodingError, exc) from None
+    scan.feed("".join(tail))
+
     company, _, year = path.stem.rpartition("_")
-    if company and year.isascii() and year.isdigit():
-        return parse_report(text, report_id=path.stem, company=company, fiscal_year=int(year))
-    return parse_report(text, report_id=path.stem)
+    if not (company and year.isascii() and year.isdigit()):
+        company, year = "", "0"
+    try:
+        return scan.report(path.stem, company, int(year))
+    except (EmptyDocumentError, DuplicatePageNumberError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_corpus(directory: str | Path) -> list[Report]:

@@ -861,7 +861,8 @@ class TestReportSetup:
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
             "--pipeline", "no_context", "--workers", workers))) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: document has no non-whitespace content")
+        assert err.startswith(
+            f"data error: {corpus_dir / 'DemoCo_2003.md'}: document has no non-whitespace content")
         assert "Traceback" not in err
         rows = (tmp_path / "runs" / "run-a" / "predictions.jsonl").read_text().splitlines()
         assert [json.loads(row)["id"] for row in rows] == ["q-2002-0", "q-2002-1"]

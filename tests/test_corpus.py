@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -375,6 +376,38 @@ _NEAR_MISS_CASES = [
 ]
 
 
+_BLANK_DOCUMENTS = ("", " ", "\n", " \r\n\t\x0b\x0c\u2028 \r", "\u3000\x85\n" * 5)
+
+
+def _random_documents(count=2000, seed=11):
+    """Seeded random non-blank documents of delimiter lines, near misses,
+    text and every line break; no page number repeats in one."""
+    rng = random.Random(seed)
+    pieces = ["<!-- page: {} -->", "<!--Page={}-->", "text", "| t |", " ", "", *_BREAKS,
+              # near misses: mid-line, followed by text, broken by a line
+              # break, ended by each break, a lone "<!--"
+              "x <!-- page: {} -->", "<!-- page: {} --> x", "<!-- page:", " {} -->",
+              *("<!-- page:" + brk + "{} -->" for brk in _BREAKS),
+              *("<!-- page: {} -->" + brk for brk in _BREAKS), "<!--", "-->"]
+    documents = 0
+    while documents < count:
+        numbers = rng.sample(range(1, 40), 12)  # distinct, so no duplicate pages
+        markdown = "".join(rng.choice(pieces).format(numbers.pop())
+                           for _ in range(rng.randrange(1, 12)))
+        if rng.random() < 0.1:
+            markdown += "<!-- page: {} -->".format(numbers.pop())  # no break after it
+        if not markdown.strip():
+            continue
+        documents += 1
+        yield markdown
+
+
+def _as_read(markdown):
+    r"""The text a text-mode read of ``markdown``'s file gives: "\r\n" and
+    "\r" read as "\n"."""
+    return markdown.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class TestParseMatchesReference:
     @pytest.mark.parametrize("markdown, pattern", _PARSE_CASES + _NEAR_MISS_CASES)
     def test_same_pages_as_line_loop(self, markdown, pattern):
@@ -388,26 +421,33 @@ class TestParseMatchesReference:
         assert [(p.page_number, p.text) for p in report.pages] == expected
 
     def test_random_documents(self):
-        rng = random.Random(11)
-        pieces = ["<!-- page: {} -->", "<!--Page={}-->", "text", "| t |", " ", "", *_BREAKS,
-                  # near misses: mid-line, followed by text, broken by a line
-                  # break, ended by each break, a lone "<!--"
-                  "x <!-- page: {} -->", "<!-- page: {} --> x", "<!-- page:", " {} -->",
-                  *("<!-- page:" + brk + "{} -->" for brk in _BREAKS),
-                  *("<!-- page: {} -->" + brk for brk in _BREAKS), "<!--", "-->"]
-        documents = 0
-        while documents < 2000:
-            numbers = rng.sample(range(1, 40), 12)  # distinct, so no duplicate pages
-            markdown = "".join(rng.choice(pieces).format(numbers.pop())
-                               for _ in range(rng.randrange(1, 12)))
-            if rng.random() < 0.1:
-                markdown += "<!-- page: {} -->".format(numbers.pop())  # no break after it
-            if not markdown.strip():
-                continue
-            documents += 1
+        for markdown in _random_documents():
             report = parse_report(markdown)
             assert [(p.page_number, p.text) for p in report.pages] == _reference_parse(markdown), \
                 markdown
+
+    @pytest.mark.parametrize("read_size", [1, 2, 3, 7, corpus_mod._READ_SIZE])
+    def test_load_report_at_every_read_size(self, tmp_path, monkeypatch, read_size):
+        # each document is cut into pieces at every read boundary the size
+        # allows, including inside a multi-byte character, a "\r\n" and a
+        # delimiter line
+        monkeypatch.setattr(corpus_mod, "_READ_SIZE", read_size)
+        path = tmp_path / "Doc_2001.md"
+        documents = [markdown for markdown, _ in _PARSE_CASES + _NEAR_MISS_CASES]
+        for markdown in documents + list(_BLANK_DOCUMENTS) + list(_random_documents()):
+            path.write_bytes(markdown.encode("utf-8"))
+            try:
+                expected = _reference_parse(_as_read(markdown))
+            except DuplicatePageNumberError:
+                with pytest.raises(DuplicatePageNumberError, match="captured twice"):
+                    load_report(path)
+                continue
+            if not markdown.strip():
+                with pytest.raises(EmptyDocumentError):
+                    load_report(path)
+                continue
+            report = load_report(path)
+            assert [(p.page_number, p.text) for p in report.pages] == expected, markdown
 
     @pytest.mark.parametrize("markdown, pattern",
                              _PARSE_CASES[-2:] + [(TABLE_PAGE_MD, DEFAULT_PAGE_DELIMITER)])
@@ -692,3 +732,79 @@ def test_load_report_rejects_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(b"<!-- page: 1 -->\nbad \xff byte\n")
     with pytest.raises(ReportEncodingError, match="DemoCo_2002.md"):
         load_report(path)
+
+
+def test_load_report_names_the_byte_offset_of_a_bad_byte_past_the_first_read(tmp_path):
+    path = tmp_path / "DemoCo_2002.md"
+    path.write_bytes(b"<!-- page: 1 -->\n" + b"x" * (70000 - 17) + b"\xff tail\n")
+    with pytest.raises(ReportEncodingError,
+                       match=re.escape(f"{path}: not UTF-8 (invalid start byte at byte 70000)")):
+        load_report(path)
+
+
+@pytest.mark.parametrize("read_size", [1, 2, 3, 7, corpus_mod._READ_SIZE])
+@pytest.mark.parametrize("at, bad", [(0, b"\xff"), (65535, b"\xe2\x80A"), (65535, b"\xe2\x80"),
+                                     (65534, b"\xf0\x9f\x98"), (70000, b"\xed\xa0\x80")])
+def test_load_report_not_utf8_message_equals_read_texts(tmp_path, monkeypatch, read_size, at, bad):
+    # a multi-byte sequence cut by the end of a read, or by the end of the
+    # file, is reported at the byte it starts at, as one whole read reports it
+    monkeypatch.setattr(corpus_mod, "_READ_SIZE", read_size)
+    path = tmp_path / "DemoCo_2002.md"
+    path.write_bytes(b"x" * at + bad)
+    with pytest.raises(ReportEncodingError) as whole:
+        corpus_mod.read_text(path, ReportEncodingError)
+    assert f"at byte {at})" in str(whole.value)
+    with pytest.raises(ReportEncodingError) as loaded:
+        load_report(path)
+    assert str(loaded.value) == str(whole.value)
+
+
+def test_load_report_read_byte_by_byte_equals_parse_report_of_its_text(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_mod, "_READ_SIZE", 1)
+    path = tmp_path / "DemoCo_2002.md"
+    path.write_bytes("cover \u2019\r\n<!-- page: 2 -->\r\nit\u2019s\x85<!-- page: 3 -->\x85"
+                     "A\u2028<!-- page: 4 -->\r\n| \u00e9 |\r\r\n<!-- page: 5 -->\r"
+                     "\U0001F600 end".encode("utf-8"))
+    expected = parse_report(path.read_text(encoding="utf-8"))
+    report = load_report(path)
+    assert [(p.page_number, p.text) for p in report.pages] == \
+        [(p.page_number, p.text) for p in expected.pages]
+    assert report.page_numbers == [2, 4, 5]
+    assert "\r" not in report.page(2).text and "\u2028" in report.page(2).text
+
+
+@pytest.mark.parametrize("content, error, message", [
+    (" \n\n", EmptyDocumentError, "document has no non-whitespace content"),
+    ("<!-- page: 3 -->\nA\n<!-- page: 3 -->\nB\n", DuplicatePageNumberError,
+     "page 3 captured twice"),
+])
+def test_load_report_names_the_file_in_a_parse_error(tmp_path, content, error, message):
+    path = tmp_path / "Blank_2003.md"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(error) as caught:
+        load_report(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_load_report_holds_one_copy_of_the_text(tmp_path):
+    # a 300-page report of about 1 MB: the load's allocation peak is the
+    # pages' text and little more, not the file's text beside them
+    rng = random.Random(5)
+    words = ["revenue", "net", "income", "cash", "flow", "1,234.5", "2023", "the", "of", "and"]
+    parts = []
+    for page_number in range(1, 301):
+        parts.append(f"<!-- page: {page_number} -->\n")
+        parts.extend(" ".join(rng.choices(words, k=10)) + "\n" for _ in range(60))
+        parts.append("| segment | 12.5 |\n| total | 40.1 |\n")
+    path = tmp_path / "DemoCo_2002.md"
+    path.write_text("".join(parts), encoding="ascii")
+    assert 0.9e6 < path.stat().st_size < 1.2e6
+    tracemalloc.start()
+    try:
+        report = load_report(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text_length = sum(len(page.text) for page in report.pages)
+    assert len(report.pages) == 300
+    assert peak < 1.4 * text_length, peak / text_length

@@ -2,7 +2,10 @@
 
 Subcommands: ingest, ask, bench, score, datagen, stats, ablate. ``bench``
 and ``ask`` set up each report and answer each question through one runner;
-``ask`` is a one-question ``bench`` over a report file.
+``ask`` is a one-question ``bench`` over a report file. ``main`` builds the
+flags of the invoked subcommand only, and ``datagen``, ``ingest`` and
+``stats`` import the modules only they use (``datagen``, ``ingest``,
+``statistics``) when they run, so the other commands never load them.
 Configuration comes from an optional JSON file or run manifest plus flags
 (flags win); every run writes a manifest sufficient to reproduce it.
 
@@ -24,8 +27,6 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import corpus as corpus_mod
-from . import datagen as datagen_mod
-from . import ingest as ingest_mod
 from . import pipelines as pipelines_mod
 from . import retrieval as retrieval_mod
 from . import rundir
@@ -454,6 +455,8 @@ def cmd_ablate(args, config: RunConfig) -> int:
 
 
 def cmd_datagen(args, config: RunConfig) -> int:
+    from . import datagen as datagen_mod
+
     if not config.corpus_dir:
         raise ConfigError("datagen needs corpus_dir")
     if args.mode == "filter" and not args.raw:
@@ -490,6 +493,8 @@ def cmd_datagen(args, config: RunConfig) -> int:
 
 
 def cmd_ingest(args, config: RunConfig) -> int:
+    from . import ingest as ingest_mod
+
     client = ingest_mod.EdgarClient(user_agent=args.user_agent, retry=config.retry_policy())
     start, end = args.years
     refs = client.list_filings(args.issuer, form_type=args.form, year_range=(start, end))
@@ -560,85 +565,96 @@ def _year_range(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _bench_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pipeline", choices=PIPELINES, default="agent")
+    parser.add_argument("--limit", type=int, default=0, help="run only the first N instances")
+    parser.add_argument("--run-id", help="run directory name (default: timestamp)")
+    parser.add_argument("--from-manifest", help="re-run a manifest's config; flags override it")
+
+
+def _score_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--predictions", required=True)
+    parser.add_argument("--gold", help="gold dataset (defaults to config dataset)")
+    parser.add_argument("--out", help="output directory for score files")
+
+
+def _ask_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--question", required=True)
+    parser.add_argument("--report", required=True, help="report .md path")
+    parser.add_argument("--pipeline", choices=PIPELINES, default="agent")
+
+
+def _stats_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", help="write JSON here as well as stdout")
+
+
+def _ablate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sizes", type=_positive_ints,
+                        help="comma-separated token sizes (default 256,512,800,1200)")
+    parser.add_argument("--k-values", type=_positive_ints, default="5,10,30")
+    parser.add_argument("--out", help="write JSON table here")
+
+
+def _datagen_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=("generate", "filter", "both"), default="both")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--raw", help="raw batch JSONL (filter mode)")
+    parser.add_argument("--max-pairs", type=int, default=10)
+    parser.add_argument("--sample-pages", type=int, default=40)
+
+
+def _ingest_flags(parser: argparse.ArgumentParser) -> None:
+    from .ingest import DEFAULT_USER_AGENT
+
+    parser.add_argument("--issuer", required=True, help="ticker or CIK")
+    parser.add_argument("--form", default="10-K")
+    parser.add_argument("--years", type=_year_range, default="2022-2024",
+                        help="inclusive range YYYY-YYYY, e.g. 2022-2024")
+    parser.add_argument("--fetch", action="store_true")
+    parser.add_argument("--convert", action="store_true", help="also convert HTML to .md pages")
+    parser.add_argument("--dest", help="download directory")
+    parser.add_argument("--user-agent", default=DEFAULT_USER_AGENT)
+
+
+# name -> (the command, its help line, the function that adds its own flags)
+_COMMANDS = {
+    "bench": (cmd_bench, "run a dataset through a pipeline", _bench_flags),
+    "score": (cmd_score, "score a predictions file against gold", _score_flags),
+    "ask": (cmd_ask, "answer one question over one report", _ask_flags),
+    "stats": (cmd_stats, "corpus and dataset statistics", _stats_flags),
+    "ablate": (cmd_ablate, "chunk-granularity recall study", _ablate_flags),
+    "datagen": (cmd_datagen, "generate and/or filter QA candidates", _datagen_flags),
+    "ingest": (cmd_ingest, "list and fetch EDGAR filings", _ingest_flags),
+}
+
+
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser, with the flags of ``command`` only. Every subcommand is
+    listed by name and help line, which is all that the top-level help and
+    the usage error of an unknown or missing command show."""
     parser = argparse.ArgumentParser(
         prog="finreportqa",
         description="Numerical QA over long financial reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bench = sub.add_parser("bench", help="run a dataset through a pipeline")
-    p_bench.add_argument("--pipeline", choices=PIPELINES, default="agent")
-    p_bench.add_argument("--limit", type=int, default=0, help="run only the first N instances")
-    p_bench.add_argument("--run-id", help="run directory name (default: timestamp)")
-    p_bench.add_argument("--from-manifest", help="re-run a manifest's config; flags override it")
-    _add_config_flags(p_bench)
-
-    p_score = sub.add_parser("score", help="score a predictions file against gold")
-    p_score.add_argument("--predictions", required=True)
-    p_score.add_argument("--gold", help="gold dataset (defaults to config dataset)")
-    p_score.add_argument("--out", help="output directory for score files")
-    _add_config_flags(p_score)
-
-    p_ask = sub.add_parser("ask", help="answer one question over one report")
-    p_ask.add_argument("--question", required=True)
-    p_ask.add_argument("--report", required=True, help="report .md path")
-    p_ask.add_argument("--pipeline", choices=PIPELINES, default="agent")
-    _add_config_flags(p_ask)
-
-    p_stats = sub.add_parser("stats", help="corpus and dataset statistics")
-    p_stats.add_argument("--out", help="write JSON here as well as stdout")
-    _add_config_flags(p_stats)
-
-    p_ablate = sub.add_parser("ablate", help="chunk-granularity recall study")
-    p_ablate.add_argument("--sizes", type=_positive_ints,
-                          help="comma-separated token sizes (default 256,512,800,1200)")
-    p_ablate.add_argument("--k-values", type=_positive_ints, default="5,10,30")
-    p_ablate.add_argument("--out", help="write JSON table here")
-    _add_config_flags(p_ablate)
-
-    p_datagen = sub.add_parser("datagen", help="generate and/or filter QA candidates")
-    p_datagen.add_argument("--mode", choices=("generate", "filter", "both"), default="both")
-    p_datagen.add_argument("--out", required=True, help="output directory")
-    p_datagen.add_argument("--raw", help="raw batch JSONL (filter mode)")
-    p_datagen.add_argument("--max-pairs", type=int, default=10)
-    p_datagen.add_argument("--sample-pages", type=int, default=40)
-    _add_config_flags(p_datagen)
-
-    p_ingest = sub.add_parser("ingest", help="list and fetch EDGAR filings")
-    p_ingest.add_argument("--issuer", required=True, help="ticker or CIK")
-    p_ingest.add_argument("--form", default="10-K")
-    p_ingest.add_argument("--years", type=_year_range, default="2022-2024",
-                          help="inclusive range YYYY-YYYY, e.g. 2022-2024")
-    p_ingest.add_argument("--fetch", action="store_true")
-    p_ingest.add_argument("--convert", action="store_true", help="also convert HTML to .md pages")
-    p_ingest.add_argument("--dest", help="download directory")
-    p_ingest.add_argument("--user-agent", default=ingest_mod.DEFAULT_USER_AGENT)
-    _add_config_flags(p_ingest)
-
+    for name, (_, help_line, add_flags) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_flags(subparser)
+            _add_config_flags(subparser)
     return parser
 
 
-_COMMANDS = {
-    "bench": cmd_bench,
-    "score": cmd_score,
-    "ask": cmd_ask,
-    "stats": cmd_stats,
-    "ablate": cmd_ablate,
-    "datagen": cmd_datagen,
-    "ingest": cmd_ingest,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        return _COMMANDS[args.command](args, resolve_config(args))
+        return _COMMANDS[args.command][0](args, resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,6 @@ import codecs
 import io
 import json
 import re
-import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -625,6 +624,8 @@ def _bucket_label(page: int, width: int = PAGE_BUCKET_WIDTH) -> str:
 
 
 def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> CorpusStats:
+    import statistics  # only the stats command reads these figures
+
     reports_by_id(reports, instances)
 
     token_totals = [r.total_tokens() for r in reports]

@@ -225,7 +225,7 @@ class TestConfigFiles:
         and of the default, so the runs share their cached replies."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"temperature": 0}))
-        parser = cli_mod.build_parser()
+        parser = cli_mod.build_parser("stats")
         from_file = cli_mod.resolve_config(parser.parse_args(["stats", "--config",
                                                               str(config_path)]))
         from_flag = cli_mod.resolve_config(parser.parse_args(["stats", "--temperature", "0"]))
@@ -1194,9 +1194,64 @@ def test_ingest_rejects_malformed_years_as_usage_error(capsys, no_network, years
 @pytest.mark.parametrize("command", ["bench", "score", "ask", "stats", "ablate", "datagen",
                                      "ingest"])
 def test_help_lists_every_config_flag(capsys, command):
-    with pytest.raises(SystemExit):
-        cli_mod.build_parser().parse_args([command, "--help"])
+    assert main([command, "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
     for setting in fields(RunConfig):
         flag = f"--{setting.name.replace('_', '-')} CFG_{setting.name.upper()}"
         assert f"{flag} {setting.metadata['help']}" in help_text
+
+
+# sha256 of stdout plus stderr at 80 columns, as the parser printed them when
+# it built every subcommand's flags on every start
+_USAGE_SHA256 = {
+    ("--help",): "32be2340708bb558b81d4b54c7d409429aed0c45c713c34b985b4ffbd2b3c06f",
+    ("bench", "--help"): "43d812adf8f7bb2cdd7f66685789d769d29ba4cbbda6a814f0f88eb6bf3ae26a",
+    ("score", "--help"): "36574dba535ebfcd789442aaf145cc4756d031679a171e9e7592a9f0a68b3aec",
+    ("ask", "--help"): "be21e42dd14f1edb0a3f60c7e1e2643a7fd212b5fd1b3a15bc9a76d1fad7956a",
+    ("stats", "--help"): "d1b4f8586edd81eebd9a9d50ef003204e143b7c50ba29c04b09623420d569bc9",
+    ("ablate", "--help"): "2c8502974e949d3b1f4b54e179de40b32a5d0196afed6c60cc82f593e27a9f0f",
+    ("datagen", "--help"): "2da41e2c4760b669bdbde7639d88a66d4de6fcda0d03f5f595271db494a463e4",
+    ("ingest", "--help"): "ef2a1d4aded811a59647267cf7e56cd6759daf24c4f3d927284197f6e30c5506",
+    ("nope",): "7a3fc8ccede1a709ea6b5d2905273aa408cb564c8db85bfde75956a7fb74b8d7",
+    (): "45dd2667ab084252828b023f36f29813718beff286db12c7f3024eb34d3edcfe",
+}
+
+
+@pytest.mark.parametrize("argv", list(_USAGE_SHA256), ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(argv)) == (0 if "--help" in argv else 1)
+    printed = capsys.readouterr()
+    digest = hashlib.sha256((printed.out + printed.err).encode("utf-8")).hexdigest()
+    assert digest == _USAGE_SHA256[argv]
+
+
+_COMMAND_ONLY_MODULES = ("finreportqa.datagen", "finreportqa.ingest", "finreportqa.program",
+                         "html.parser", "statistics")
+
+
+def test_bench_loads_no_module_of_another_command(tmp_path):
+    """datagen, ingest and stats load their own modules when they run; a
+    bench run loads none of them. The other commands still work after it."""
+    import subprocess
+
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    bench = _bench_args(tmp_path, corpus_dir, dataset, script)
+    stats = ["stats", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset)]
+    code = (
+        "import json, sys\n"
+        "from finreportqa import cli\n"
+        f"assert cli.main({bench!r}) == 0\n"
+        f"loaded = sorted(m for m in {_COMMAND_ONLY_MODULES!r} if m in sys.modules)\n"
+        f"codes = [cli.main(argv) for argv in ({stats!r}, ['datagen', '--help'],"
+        " ['ingest', '--help'])]\n"
+        "print(json.dumps([loaded, codes]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60, check=True).stdout
+    loaded, codes = json.loads(out.splitlines()[-1])
+    assert loaded == []
+    assert codes == [0, 0, 0]
+    assert '"reports": 1,' in out and '"qa_count": 1,' in out
+    assert "--sample-pages" in out and "--user-agent" in out

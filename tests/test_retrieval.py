@@ -191,6 +191,7 @@ class TestBuildMatchesReference:
         index = build_sparse_index(units, scheme)
         expected = reference_build_sparse_index(units)
         decoded = decode(index)
+        assert {posting.typecode for posting in index.postings.values()} == {"H"}
         assert decoded.vocabulary == expected.vocabulary
         assert set(index.postings) == set(expected.postings)
         for term, posting in expected.postings.items():
@@ -210,8 +211,9 @@ class TestBuildMatchesReference:
 
 
 class TestIndexFootprint:
-    # half of the 4.60 MB that postings of (unit_id, tf) tuples in lists take here
-    BOUND_BYTES = 2_300_000
+    # the 887 kB this index takes in 16-bit cells, plus 10% (1.16 MB in 32-bit
+    # cells; 4.60 MB as postings of (unit_id, tf) tuples in lists)
+    BOUND_BYTES = 976_000
 
     def test_bm25_index_of_seeded_report_fits_bound(self):
         units = rechunk(_generated_report(), "page")
@@ -227,6 +229,45 @@ class TestIndexFootprint:
                 tracemalloc.stop()
         assert index.n_units == 300
         assert retained < self.BOUND_BYTES, retained
+
+
+class TestPostingsCells:
+    """Postings take 16-bit cells when every position and term frequency
+    fits in them, and 32-bit cells otherwise; both score as the reference."""
+
+    def _assert_matches_reference(self, units, query):
+        expected = reference_build_sparse_index(units)
+        for scheme in ("tfidf", "bm25"):
+            index = build_sparse_index(units, scheme)
+            assert decode(index) == expected
+            reference = encode(expected, scheme)
+            assert search(index, query, k=10) == search(reference, query, k=10)
+        return {posting.typecode for posting in index.postings.values()}
+
+    def test_a_term_frequency_past_16_bits_takes_32_bit_cells(self):
+        units = units_from_texts(["x " * 70_000, "x y", "y z"])
+        assert self._assert_matches_reference(units, "x y") == {"i"}
+
+    def test_the_longest_16_bit_unit_of_a_lengthening_character(self):
+        # "İ" lowercases to "i" and a combining dot: 65,535 terms "i"
+        units = units_from_texts(["\u0130" * 0xFFFF, "i j"])
+        assert self._assert_matches_reference(units, "i j") == {"H"}
+        assert decode(build_sparse_index(units)).postings["i"][0] == ("u000", 0xFFFF)
+        longer = units_from_texts(["\u0130" * 0x10000, "i j"])
+        assert self._assert_matches_reference(longer, "i j") == {"i"}
+
+    @pytest.mark.parametrize("n_units, typecode", [(0x10000, "H"), (0x10001, "i")])
+    def test_positions_past_16_bits_take_32_bit_cells(self, n_units, typecode):
+        units = [RetrievalUnit(f"u{i}", 1, "a") for i in range(n_units - 1)]
+        units.append(RetrievalUnit("last", 1, "b"))
+        index = build_sparse_index(units)
+        assert {posting.typecode for posting in index.postings.values()} == {typecode}
+        assert list(index.postings["b"]) == [n_units - 1, 1]
+        assert [hit.unit_id for hit in search(index, "b", k=5)] == ["last"]
+
+    def test_no_character_lowercases_to_more_than_two(self):
+        """The bound on a unit's term frequency rests on this."""
+        assert max(len(chr(c).lower()) for c in range(sys.maxunicode + 1)) == 2
 
 
 class TestRechunk:

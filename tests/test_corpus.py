@@ -408,6 +408,22 @@ def _as_read(markdown):
     return markdown.replace("\r\n", "\n").replace("\r", "\n")
 
 
+@pytest.fixture(scope="module")
+def document_files(tmp_path_factory):
+    """Every parse case, blank document and random document, each written
+    once to its own file: rewriting one file in place can cost a flush per
+    write, where a new file costs almost nothing."""
+    root = tmp_path_factory.mktemp("documents")
+    documents = [markdown for markdown, _ in _PARSE_CASES + _NEAR_MISS_CASES]
+    files = []
+    for index, markdown in enumerate(documents + list(_BLANK_DOCUMENTS)
+                                     + list(_random_documents())):
+        path = root / f"Doc{index}_2001.md"
+        path.write_bytes(markdown.encode("utf-8"))
+        files.append((markdown, path))
+    return files
+
+
 class TestParseMatchesReference:
     @pytest.mark.parametrize("markdown, pattern", _PARSE_CASES + _NEAR_MISS_CASES)
     def test_same_pages_as_line_loop(self, markdown, pattern):
@@ -427,15 +443,12 @@ class TestParseMatchesReference:
                 markdown
 
     @pytest.mark.parametrize("read_size", [1, 2, 3, 7, corpus_mod._READ_SIZE])
-    def test_load_report_at_every_read_size(self, tmp_path, monkeypatch, read_size):
+    def test_load_report_at_every_read_size(self, document_files, monkeypatch, read_size):
         # each document is cut into pieces at every read boundary the size
         # allows, including inside a multi-byte character, a "\r\n" and a
         # delimiter line
         monkeypatch.setattr(corpus_mod, "_READ_SIZE", read_size)
-        path = tmp_path / "Doc_2001.md"
-        documents = [markdown for markdown, _ in _PARSE_CASES + _NEAR_MISS_CASES]
-        for markdown in documents + list(_BLANK_DOCUMENTS) + list(_random_documents()):
-            path.write_bytes(markdown.encode("utf-8"))
+        for markdown, path in document_files:
             try:
                 expected = _reference_parse(_as_read(markdown))
             except DuplicatePageNumberError:

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DSCR_SCRIPT, HashProvider, write_dscr_workspace
+from conftest import (
+    ALWAYS_MISSING_SCRIPT,
+    DSCR_QUESTION,
+    DSCR_SCRIPT,
+    HashProvider,
+    write_dscr_workspace,
+)
 from finreportqa import cli as cli_mod
 from finreportqa import llm as llm_mod
 from finreportqa.cli import RunConfig, build_embedding_provider, main
@@ -1181,6 +1187,58 @@ class TestOtherCommands:
         assert code == 4
         assert "rate limited" in capsys.readouterr().err
         assert len(fake.calls) == 2
+
+
+# flag -> the pipeline it sets, and what a run's outputs show of it: the
+# agent's rounds, its most new units in one round, or its units held; a
+# baseline's retrieval depth
+_PIPELINE_FLAGS = {
+    "--max-rounds": ("agent", lambda rounds, ks: len(rounds)),
+    "--k-per-round": ("agent", lambda rounds, ks: max(len(r["new_unit_ids"]) for r in rounds)),
+    "--chunk-budget": ("agent", lambda rounds, ks: sum(len(r["new_unit_ids"]) for r in rounds)),
+    "--baseline-k": ("single_round_rag", lambda rounds, ks: max(ks)),
+    "--fixed-budget-k": ("fixed_budget_rag", lambda rounds, ks: max(ks)),
+}
+
+
+@pytest.mark.parametrize("command", ["bench", "ask"])
+@pytest.mark.parametrize("flag", list(_PIPELINE_FLAGS))
+def test_agent_and_baseline_flags_reach_the_pipeline(tmp_path, capsys, monkeypatch,
+                                                     command, flag):
+    """Each flag, set to 2, bounds what it names; at its default the same run
+    goes past 2, so the bound is the flag's doing."""
+    import finreportqa.retrieval as retrieval_mod
+
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    script.write_text(json.dumps({"entries": [{"matcher": m, "response": r}
+                                              for m, r in ALWAYS_MISSING_SCRIPT]}))
+    pipeline, observe = _PIPELINE_FLAGS[flag]
+    search = retrieval_mod.search
+    ks = []
+
+    def recording_search(index, query_text, k):
+        ks.append(k)
+        return search(index, query_text, k)
+
+    monkeypatch.setattr(retrieval_mod, "search", recording_search)
+
+    def observed(run_id, extra):
+        ks.clear()
+        if command == "bench":
+            assert main(_bench_args(tmp_path, corpus_dir, dataset, script, run_id=run_id,
+                                    extra=("--pipeline", pipeline, *extra))) == 0
+            transcript = tmp_path / "runs" / run_id / "transcripts" / "q-dscr-1.json"
+        else:
+            assert main(["ask", "--question", DSCR_QUESTION,
+                         "--report", str(corpus_dir / "DemoCo_2002.md"),
+                         "--pipeline", pipeline, "--backend", "scripted",
+                         "--script-path", str(script), "--output-dir", str(tmp_path / run_id),
+                         *extra]) == 0
+            transcript = tmp_path / run_id / "ask_transcript.json"
+        rounds = json.loads(transcript.read_text())["rounds"] if pipeline == "agent" else []
+        return observe(rounds, ks)
+
+    assert observed("flag", (flag, "2")) <= 2 < observed("default", ())
 
 
 @pytest.mark.parametrize("years", ["abc", "2022", "22-24", "2022-", "2022-2024-2026",

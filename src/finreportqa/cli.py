@@ -495,7 +495,8 @@ def cmd_datagen(args, config: RunConfig) -> int:
 def cmd_ingest(args, config: RunConfig) -> int:
     from . import ingest as ingest_mod
 
-    client = ingest_mod.EdgarClient(user_agent=args.user_agent, retry=config.retry_policy())
+    client = ingest_mod.EdgarClient(user_agent=args.user_agent, timeout=config.timeout,
+                                    retry=config.retry_policy())
     start, end = args.years
     refs = client.list_filings(args.issuer, form_type=args.form, year_range=(start, end))
     print(f"{len(refs)} filings for {args.issuer} ({args.form}, {start}-{end})")

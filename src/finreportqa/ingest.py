@@ -69,17 +69,19 @@ class EdgarClient:
     """Metadata listing and document fetching with polite rate limiting.
 
     ``request`` has ``transport.request``'s signature and defaults to it,
-    which decodes a gzip or deflate body. Attempts follow ``retry``, and
-    min_interval_s spaces every attempt from the one before.
+    which decodes a gzip or deflate body. Each attempt waits up to ``timeout``
+    seconds, attempts follow ``retry``, and min_interval_s spaces every
+    attempt from the one before.
     """
 
-    def __init__(self, user_agent: str = DEFAULT_USER_AGENT,
+    def __init__(self, user_agent: str = DEFAULT_USER_AGENT, *, timeout: float,
                  request: Optional[Callable] = None,
                  min_interval_s: float = 0.2,
                  retry: transport.RetryPolicy = transport.RetryPolicy(),
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic):
         self.user_agent = user_agent
+        self.timeout = timeout
         self._request = request or transport.request
         self.min_interval_s = min_interval_s
         self.retry = retry
@@ -98,7 +100,7 @@ class EdgarClient:
     def _get(self, url: str) -> tuple[dict, bytes]:
         headers = {"User-Agent": self.user_agent, "Accept-Encoding": "gzip, deflate"}
         status, resp_headers, body = transport.request_with_retry(
-            self._spaced_request, "GET", url, headers=headers, timeout=60,
+            self._spaced_request, "GET", url, headers=headers, timeout=self.timeout,
             policy=self.retry, sleep=self._sleep)
         if status == 200:
             return resp_headers, body

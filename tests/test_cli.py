@@ -1188,6 +1188,16 @@ class TestOtherCommands:
         assert "rate limited" in capsys.readouterr().err
         assert len(fake.calls) == 2
 
+    @pytest.mark.parametrize("flags, timeout", [((), 120.0), (("--timeout", "7.5"), 7.5)])
+    def test_ingest_takes_the_timeout_flag(self, monkeypatch, capsys, flags, timeout):
+        from conftest import FakeRequest
+        from finreportqa import transport
+
+        fake = FakeRequest([(404, {}, b"")])
+        monkeypatch.setattr(transport, "request", fake)
+        assert main(["ingest", "--issuer", "123", *flags]) == 3
+        assert [call.timeout for call in fake.calls] == [timeout]
+
 
 # flag -> the pipeline it sets, and what a run's outputs show of it: the
 # agent's rounds, its most new units in one round, or its units held; a

@@ -48,7 +48,7 @@ def _json_response(payload):
 
 def make_client(responses, **kwargs):
     fake = FakeRequest(responses)
-    client = EdgarClient(request=fake, sleep=lambda s: None,
+    client = EdgarClient(timeout=60.0, request=fake, sleep=lambda s: None,
                          clock=lambda: 0.0, min_interval_s=0.0, **kwargs)
     return client, fake
 
@@ -164,7 +164,7 @@ class TestRateLimiting:
             url: _json_response(SUBMISSIONS_FIXTURE),
             TICKER_URL: _json_response(TICKER_FIXTURE),
         })
-        client = EdgarClient(request=fake, sleep=sleeps.append,
+        client = EdgarClient(timeout=60.0, request=fake, sleep=sleeps.append,
                              clock=lambda: next(ticks), min_interval_s=0.2)
         client.list_filings("demo", year_range=(2024, 2024))
         assert sleeps and sleeps[0] == pytest.approx(0.15)
@@ -173,8 +173,8 @@ class TestRateLimiting:
         fake = FakeRequest({SUBMISSIONS_URL: [(503, {"Retry-After": "2"}, b""),
                                               _json_response(SUBMISSIONS_FIXTURE)]})
         sleeps = []
-        client = EdgarClient(request=fake, sleep=sleeps.append, clock=lambda: 0.0,
-                             min_interval_s=0.2)
+        client = EdgarClient(timeout=60.0, request=fake, sleep=sleeps.append,
+                             clock=lambda: 0.0, min_interval_s=0.2)
         assert len(client.list_filings("320193", year_range=(2024, 2024))) == 1
         assert sleeps == [2.0, 0.2]  # the retry wait, then the spacing before attempt 2
         assert len(fake.calls) == 2

@@ -30,7 +30,7 @@ def _embeddings(fake, sleeps, policy):
 
 
 def _edgar(fake, sleeps, policy):
-    client = EdgarClient(request=fake, retry=policy, sleep=sleeps.append,
+    client = EdgarClient(timeout=60.0, request=fake, retry=policy, sleep=sleeps.append,
                          clock=lambda: 0.0, min_interval_s=0.0)
     return lambda: client.list_filings("320193")
 

@@ -66,7 +66,7 @@ class TestWire:
                         form_type="10-K", filing_date="2024-02-01",
                         primary_document="demo-2024.htm", company="Demo")
         client = EdgarClient(user_agent="finreportqa-test admin@example.com",
-                             min_interval_s=0.0)
+                             timeout=10.0, min_interval_s=0.0)
         path = client.fetch_document(ref, tmp_path)
         assert path.read_bytes() == document
         (request,) = local_server.requests

@@ -6,8 +6,9 @@ and ``ask`` set up each report and answer each question through one runner;
 flags of the invoked subcommand only, and ``datagen``, ``ingest`` and
 ``stats`` import the modules only they use (``datagen``, ``ingest``,
 ``statistics``) when they run, so the other commands never load them.
-Configuration comes from an optional JSON file or run manifest plus flags
-(flags win); every run writes a manifest sufficient to reproduce it.
+Configuration, a ``config.RunConfig``, comes from an optional JSON file or
+run manifest plus flags (flags win); every run writes a manifest sufficient
+to reproduce it.
 
 Exit codes: 0 ok, 1 usage, 2 config, 3 data, 4 provider.
 """
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -30,6 +30,7 @@ from . import corpus as corpus_mod
 from . import pipelines as pipelines_mod
 from . import retrieval as retrieval_mod
 from . import rundir
+from .config import _FIELD_TYPES, RunConfig, read_json_object
 from .embeddings import CachedEmbeddingProvider, EmbeddingCache, HttpEmbeddingProvider
 from .errors import (
     ChecksumMismatchError,
@@ -44,14 +45,7 @@ from .errors import (
     TransportError,
     UnmatchedPromptError,
 )
-from .llm import (
-    HttpBackend,
-    LLMClient,
-    ProviderConfig,
-    ResponseCache,
-    ScriptedBackend,
-)
-from .transport import RetryPolicy
+from .llm import HttpBackend, LLMClient, ResponseCache, ScriptedBackend
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,160 +61,6 @@ PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_b
 _INDEXLESS_PIPELINES = ("no_context", "long_context")
 
 
-# Per RunConfig annotation: the JSON values a config file may give the field
-# (never a bool) and the type its flag parses to.
-_FIELD_TYPES = {
-    "str": (str, str),
-    "int": (int, int),
-    "float": ((int, float), float),
-    "Optional[str]": ((str, type(None)), str),
-    "str | int": ((str, int), str),
-}
-
-
-def _setting(default, help: str):
-    """A RunConfig field with its default and the help text of its flag."""
-    return field(default=default, metadata={"help": help})
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs; serialized verbatim into the manifest. Each
-    field is also a flag of every subcommand: ``--max-rounds`` sets ``max_rounds``."""
-
-    endpoint: str = _setting("http://localhost:8000/v1/chat/completions",
-                             "chat-completions endpoint URL")
-    model: str = _setting("scripted", "model identifier")
-    temperature: float = _setting(0.0, "sampling temperature")
-    max_input_tokens: int = _setting(128_000, "input context budget")
-    max_output_tokens: int = _setting(2048, "completion token cap")
-    timeout: float = _setting(120.0, "request timeout seconds")
-    retry_attempts: int = _setting(3, "attempts per LLM, embedding or EDGAR request")
-    retry_backoff: float = _setting(0.5, "retry backoff seconds, doubled per retry")
-    api_key_env: str = _setting("FINDOC_API_KEY", "environment variable holding the API key")
-
-    backend: str = _setting("http", "llm backend: http or scripted")
-    script_path: Optional[str] = _setting(None, "scripted backend response file")
-
-    scheme: str = _setting("bm25", "retrieval scheme: tfidf, bm25, dense")
-    granularity: str | int = _setting(
-        "page", "retrieval unit granularity: page or a positive token count")
-    bm25_k1: float = _setting(1.2, "BM25 k1")
-    bm25_b: float = _setting(0.75, "BM25 b")
-    embedding_endpoint: str = _setting("", "embeddings endpoint URL")
-    embedding_model: str = _setting("", "embedding model identifier")
-    embedding_dimension: int = _setting(0, "embedding vector dimension")
-
-    k_per_round: int = _setting(15, "chunks retrieved per agent round")
-    max_rounds: int = _setting(5, "agent round limit")
-    chunk_budget: int = _setting(75, "cumulative retrieved chunk cap")
-    baseline_k: int = _setting(30, "single-round retrieval k")
-    fixed_budget_k: int = _setting(75, "fixed-budget retrieval k")
-
-    corpus_dir: Optional[str] = _setting(None, "directory of report .md files")
-    dataset: Optional[str] = _setting(None, "QA dataset JSON-lines path")
-    output_dir: str = _setting("runs", "run output directory")
-    cache_dir: Optional[str] = _setting(None, "cache directory for llm/embedding responses")
-
-    workers: int = _setting(1, "bench worker count")
-    seed: int = _setting(0, "random seed")
-
-    def validate(self) -> None:
-        if self.backend not in ("http", "scripted"):
-            raise ConfigError(f"backend must be http or scripted, got {self.backend!r}")
-        if self.backend == "scripted" and not self.script_path:
-            raise ConfigError("scripted backend needs --script-path")
-        if self.scheme not in ("tfidf", "bm25", "dense"):
-            raise ConfigError(f"unknown retrieval scheme {self.scheme!r}")
-        if self.scheme == "dense" and not (self.embedding_endpoint and self.embedding_model
-                                           and self.embedding_dimension > 0):
-            raise ConfigError("dense retrieval needs embedding endpoint, model, and dimension")
-        self.unit_granularity()
-        for name in ("temperature", "retry_backoff", "bm25_k1"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
-        if not 0 <= self.bm25_b <= 1:
-            raise ConfigError(f"bm25_b must be a number in [0, 1], got {self.bm25_b}")
-        for name in ("max_input_tokens", "max_output_tokens", "timeout"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("retry_attempts", "workers", "k_per_round", "max_rounds", "chunk_budget",
-                     "baseline_k", "fixed_budget_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def unit_granularity(self) -> str | int:
-        """"page", or the token count of each retrieval unit."""
-        value = self.granularity
-        if value == "page":
-            return value
-        if isinstance(value, str) and value.isascii() and value.isdigit():
-            value = int(value)
-        if type(value) is not int or value < 1:
-            raise ConfigError(
-                f"granularity must be 'page' or a positive integer, got {self.granularity!r}")
-        return value
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        annotations = {f.name: f.type for f in fields(cls)}
-        unknown = set(payload) - set(annotations)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        values = {}
-        for name, value in payload.items():
-            annotation = annotations[name]
-            accepted, flag_type = _FIELD_TYPES[annotation]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"config field {name} must be {annotation}, got {value!r}")
-            # a float field holds a float, as its flag gives it: the request body
-            # and so the cache key read "temperature": 0.0, never 0
-            try:
-                values[name] = flag_type(value) if flag_type is float else value
-            except OverflowError:
-                raise ConfigError(f"config field {name} must be a finite number, "
-                                  f"got {value!r}") from None
-        return cls(**values)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        """A JSON config file, or the config of a run manifest."""
-        payload = read_json_object(path)
-        if "config" in payload and isinstance(payload["config"], dict):
-            payload = payload["config"]  # accept a manifest as a config source
-        return cls.from_dict(payload)
-
-    def provider_config(self) -> ProviderConfig:
-        return ProviderConfig(
-            endpoint=self.endpoint,
-            model=self.model,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-            max_input_tokens=self.max_input_tokens,
-            timeout=self.timeout,
-            retry=self.retry_policy(),
-            api_key_env=self.api_key_env,
-        )
-
-    def retry_policy(self) -> RetryPolicy:
-        """The attempts and backoff of every LLM, embedding and EDGAR request."""
-        return RetryPolicy(self.retry_attempts, self.retry_backoff)
-
-
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object in a config or manifest file; anything else is a ConfigError."""
-    try:
-        payload = json.loads(corpus_mod.read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path} does not hold a JSON object")
-    return payload
-
-
 # --- wiring helpers -----------------------------------------------------------
 
 def build_client(config: RunConfig) -> LLMClient:
@@ -229,18 +69,11 @@ def build_client(config: RunConfig) -> LLMClient:
     else:
         backend = HttpBackend()
     cache = ResponseCache(Path(config.cache_dir) / "llm") if config.cache_dir else None
-    return LLMClient(config.provider_config(), backend, cache)
+    return LLMClient(config, backend, cache)
 
 
 def build_embedding_provider(config: RunConfig):
-    provider = HttpEmbeddingProvider(
-        endpoint=config.embedding_endpoint,
-        model=config.embedding_model,
-        dimension=config.embedding_dimension,
-        api_key_env=config.api_key_env,
-        timeout=config.timeout,
-        retry=config.retry_policy(),
-    )
+    provider = HttpEmbeddingProvider(config)
     if config.cache_dir:
         provider = CachedEmbeddingProvider(
             provider, EmbeddingCache(Path(config.cache_dir) / "embeddings"))
@@ -260,9 +93,9 @@ class _ReportRunner:
     answered that many of its questions. Answering is thread-safe.
     """
 
-    def __init__(self, config: RunConfig, client: LLMClient, pipeline: str,
-                 paths: Mapping[str, Path], questions: Optional[Mapping[str, int]] = None):
-        self.config = config
+    def __init__(self, client: LLMClient, pipeline: str, paths: Mapping[str, Path],
+                 questions: Optional[Mapping[str, int]] = None):
+        config = client.config
         self.client = client
         self.pipeline = pipeline
         self._paths = dict(paths)
@@ -270,11 +103,6 @@ class _ReportRunner:
         self._questions_left = dict(questions or {})
         self._setup_lock = threading.Lock()
         self._lock = threading.Lock()  # guards the question counts
-        self.agent_config = pipelines_mod.AgentConfig(
-            max_rounds=config.max_rounds,
-            k_per_round=config.k_per_round,
-            chunk_budget=config.chunk_budget,
-        )
         self.provider = (build_embedding_provider(config)
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
                          else None)
@@ -294,7 +122,7 @@ class _ReportRunner:
         report = corpus_mod.load_report(self._paths[report_id])
         if self.pipeline in _INDEXLESS_PIPELINES:
             return report, None
-        config = self.config
+        config = self.client.config
         return report, retrieval_mod.build_retriever(
             report, config.scheme, granularity=config.unit_granularity(),
             provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b))
@@ -313,7 +141,7 @@ class _ReportRunner:
         pipeline = self.pipeline
         report, retriever = self.report(report_id)
         if pipeline == "agent":
-            agent = pipelines_mod.AgentPipeline(self.client, retriever, self.agent_config)
+            agent = pipelines_mod.AgentPipeline(self.client, retriever)
             transcript = agent.run(question, question_id=question_id)
             return {
                 "id": question_id,
@@ -323,14 +151,8 @@ class _ReportRunner:
                 "rounds": len(transcript.rounds),
                 "transcript": transcript.to_dict(),
             }
-        k = None
-        if pipeline == "single_round_rag":
-            k = self.config.baseline_k
-        elif pipeline == "fixed_budget_rag":
-            k = self.config.fixed_budget_k
         result = pipelines_mod.run_baseline(
-            pipeline, question, self.client,
-            report=report, retriever=retriever, k=k)
+            pipeline, question, self.client, report=report, retriever=retriever)
         return {
             "id": question_id,
             "pipeline": pipeline,
@@ -356,7 +178,7 @@ def cmd_bench(args, config: RunConfig) -> int:
     if questions and not config.corpus_dir:
         raise ConfigError("corpus_dir is not set")
     paths = {report_id: Path(config.corpus_dir) / f"{report_id}.md" for report_id in questions}
-    runner = _ReportRunner(config, client, args.pipeline, paths, questions)
+    runner = _ReportRunner(client, args.pipeline, paths, questions)
     # each report is set up by its first question; until the run directory
     # exists, only check that every report opens, so that a missing one
     # leaves no run directory behind
@@ -408,8 +230,7 @@ def cmd_score(args, config: RunConfig) -> int:
 
 def cmd_ask(args, config: RunConfig) -> int:
     report_id = Path(args.report).stem
-    runner = _ReportRunner(config, build_client(config), args.pipeline,
-                           {report_id: Path(args.report)})
+    runner = _ReportRunner(build_client(config), args.pipeline, {report_id: Path(args.report)})
     row = runner.answer(report_id, args.question, "ask")
     print(f"answer: {row['answer']}")
     if "transcript" in row:

@@ -122,8 +122,8 @@ class PageSamplingPlan:
         return tuple(sorted(self.early + self.middle + self.late))
 
 
-def sample_pages(report: Report, n: int = 40, seed: int = 0) -> PageSamplingPlan:
-    """Pick n pages from the early/middle/late thirds, deterministically.
+def sample_pages(report: Report, n: int = 40, *, seed: int) -> PageSamplingPlan:
+    """Pick n pages from the early/middle/late thirds, deterministically by ``seed``.
 
     Quotas are proportional to region sizes with remainders assigned to
     earlier regions; n is capped at the page count.

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import transport
+from .config import RunConfig
 from .errors import ConfigError, DimensionMismatchError, ProviderError, TransportError
 
 
@@ -34,7 +35,8 @@ class EmbeddingProvider:
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
-    """Calls an embeddings endpoint over HTTP, with attempts per ``retry``.
+    """Calls the run's embeddings endpoint over HTTP, with its model,
+    dimension, API key variable, timeout and retry policy.
 
     ``request`` has ``transport.request``'s signature and defaults to it;
     injectable for tests. Identical text embeds identically within a session
@@ -42,16 +44,11 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     (``--workers``).
     """
 
-    def __init__(self, endpoint: str, model: str, dimension: int,
-                 api_key_env: str = "FINDOC_API_KEY", timeout: float = 60.0,
-                 retry: transport.RetryPolicy = transport.RetryPolicy(),
-                 request: Optional[Callable] = None, sleep: Callable[[float], None] = time.sleep):
-        self.endpoint = endpoint
-        self.model = model
-        self.dimension = dimension
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.retry = retry
+    def __init__(self, config: RunConfig, request: Optional[Callable] = None,
+                 sleep: Callable[[float], None] = time.sleep):
+        self.config = config
+        self.model = config.embedding_model
+        self.dimension = config.embedding_dimension
         self._request = request or transport.request
         self._sleep = sleep
         self._memo: dict[str, list[float]] = {}
@@ -65,14 +62,15 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
     def _embed_batch(self, texts: list[str]) -> list[list[float]]:
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        config = self.config
+        api_key = os.environ.get(config.api_key_env)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = json.dumps({"model": self.model, "input": texts}, allow_nan=False).encode("utf-8")
         try:
             status, _, reply = transport.request_with_retry(
-                self._request, "POST", self.endpoint, headers=headers, body=body,
-                timeout=self.timeout, policy=self.retry, sleep=self._sleep)
+                self._request, "POST", config.embedding_endpoint, headers=headers, body=body,
+                timeout=config.timeout, policy=config.retry_policy(), sleep=self._sleep)
         except TransportError as exc:
             raise ProviderError(f"embedding request failed: {exc}") from exc
         if status != 200:

@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import transport
+from .config import RunConfig
 from .corpus import count_tokens, decode_escaped, read_text
 from .embeddings import write_atomic
 from .errors import (
@@ -37,7 +37,6 @@ from .errors import (
     TransportError,
     UnmatchedPromptError,
 )
-from .transport import RetryPolicy
 
 
 class Role(str, Enum):
@@ -104,24 +103,6 @@ def user(content: str, tail: str = "",
         *(piece if isinstance(piece, bytes) else piece.encode("ascii") for piece in escaped_tail)))
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    endpoint: str = "http://localhost:8000/v1/chat/completions"
-    model: str = "scripted"
-    temperature: float = 0.0
-    max_output_tokens: int = 2048
-    max_input_tokens: int = 128_000
-    timeout: float = 120.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    api_key_env: str = "FINDOC_API_KEY"
-
-    def __post_init__(self) -> None:
-        if self.max_input_tokens <= 0:
-            raise ValueError("max_input_tokens must be positive")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError("temperature must be a finite number >= 0")
-
-
 def render_messages(messages: Sequence[ChatMessage]) -> str:
     """Canonical prompt text used for matching, hashing, and token counting."""
     return "\n\n".join(f"{m.role.value}:\n{m.content}" for m in messages)
@@ -132,7 +113,7 @@ def count_message_tokens(messages: Sequence[ChatMessage]) -> int:
     return sum(count_tokens(m.content) + 1 for m in messages)
 
 
-def request_body(config: ProviderConfig, messages: Sequence[ChatMessage]) -> bytes:
+def request_body(config: RunConfig, messages: Sequence[ChatMessage]) -> bytes:
     """The chat-completions request as posted: UTF-8 JSON in the wire's key order.
 
     The bytes are ``json.dumps`` of ``{"model", "messages", "temperature",
@@ -181,7 +162,7 @@ class Backend:
     """Produces assistant text for a request, given as messages and as its
     encoded ``request_body``."""
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+    def generate(self, config: RunConfig, messages: Sequence[ChatMessage],
                  body: bytes) -> str:
         raise NotImplementedError
 
@@ -199,7 +180,7 @@ class HttpBackend(Backend):
         self._request = request or transport.request
         self._sleep = sleep
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+    def generate(self, config: RunConfig, messages: Sequence[ChatMessage],
                  body: bytes) -> str:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(config.api_key_env)
@@ -207,7 +188,7 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {api_key}"
         status, _, reply = transport.request_with_retry(
             self._request, "POST", config.endpoint, headers=headers, body=body,
-            timeout=config.timeout, policy=config.retry, sleep=self._sleep)
+            timeout=config.timeout, policy=config.retry_policy(), sleep=self._sleep)
         if status != 200:
             raise TransportError(f"completion endpoint returned {status}")
         try:
@@ -272,7 +253,7 @@ class ScriptedBackend(Backend):
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"script file {path}: {exc}") from None
 
-    def generate(self, config: ProviderConfig, messages: Sequence[ChatMessage],
+    def generate(self, config: RunConfig, messages: Sequence[ChatMessage],
                  body: bytes) -> str:
         rendered = render_messages(messages)
         with self._lock:
@@ -319,7 +300,7 @@ class LLMClient:
     Safe to share across threads; concurrency is bounded by the caller.
     """
 
-    def __init__(self, config: ProviderConfig, backend: Backend,
+    def __init__(self, config: RunConfig, backend: Backend,
                  cache: Optional[ResponseCache] = None,
                  log_path: Optional[str | Path] = None):
         self.config = config

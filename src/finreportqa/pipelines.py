@@ -50,17 +50,6 @@ INSUFFICIENT = Insufficient()
 
 
 @dataclass
-class AgentConfig:
-    max_rounds: int = 5
-    k_per_round: int = 15
-    chunk_budget: int = 75
-
-    def __post_init__(self) -> None:
-        if self.max_rounds < 1 or self.k_per_round < 1 or self.chunk_budget < 1:
-            raise ValueError("agent parameters must be positive")
-
-
-@dataclass
 class SolverOutput:
     raw_text: str
     answer: float | Insufficient
@@ -241,13 +230,12 @@ def parse_verdict(reply: str) -> EvaluatorVerdict:
 
 
 class AgentPipeline:
-    """Drives the three agent roles over retrieval rounds."""
+    """Drives the three agent roles over retrieval rounds, within the
+    client's run settings ``max_rounds``, ``k_per_round`` and ``chunk_budget``."""
 
-    def __init__(self, client: LLMClient, retriever: Retriever,
-                 config: Optional[AgentConfig] = None):
+    def __init__(self, client: LLMClient, retriever: Retriever):
         self.client = client
         self.retriever = retriever
-        self.config = config or AgentConfig()
         self._tokens_used = 0
 
     # -- individual agent steps ------------------------------------------
@@ -308,7 +296,7 @@ class AgentPipeline:
     # -- the round loop ----------------------------------------------------
 
     def run(self, question: str, question_id: str = "") -> Transcript:
-        config = self.config
+        config = self.client.config
         units = self.retriever.units
         transcript = Transcript(question_id=question_id, question=question)
 
@@ -436,9 +424,6 @@ class BaselineResult:
 
 BASELINE_KINDS = ("no_context", "long_context", "single_round_rag", "fixed_budget_rag")
 
-DEFAULT_RAG_K = 30
-FIXED_BUDGET_K = 75
-
 # Reserved room for the answer-format instructions around the report prefix.
 _PROMPT_MARGIN_TOKENS = 16
 
@@ -455,11 +440,11 @@ def _extract(reply: str) -> tuple[float, bool]:
 
 def run_baseline(kind: str, question: str, client: LLMClient, *,
                  report: Optional[Report] = None,
-                 retriever: Optional[Retriever] = None,
-                 k: Optional[int] = None) -> BaselineResult:
+                 retriever: Optional[Retriever] = None) -> BaselineResult:
     """Run one of the non-agentic pipelines; answers extracted identically.
 
-    long_context reads the report; the retrieval kinds read the retriever.
+    long_context reads the report; the retrieval kinds read the retriever,
+    to the client's ``baseline_k`` or ``fixed_budget_k`` hits.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind!r}")
@@ -484,8 +469,9 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
     else:
         if retriever is None:
             raise ValueError(f"{kind} needs a retriever")
-        top_k = k if k is not None else (FIXED_BUDGET_K if kind == "fixed_budget_rag" else DEFAULT_RAG_K)
-        hits = retriever.search(question, k=top_k)
+        config = client.config
+        k = config.fixed_budget_k if kind == "fixed_budget_rag" else config.baseline_k
+        hits = retriever.search(question, k=k)
         units = [retriever.units[hit.unit_id] for hit in hits]
         blocks = [(unit.page_number, unit.text) for unit in units]
         context_pages = tuple(dict.fromkeys(page for page, _ in blocks))

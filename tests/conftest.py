@@ -18,9 +18,10 @@ from typing import NamedTuple, Optional
 
 import pytest
 
+from finreportqa.config import RunConfig
 from finreportqa.corpus import QAInstance, parse_report
 from finreportqa.embeddings import EmbeddingProvider
-from finreportqa.llm import LLMClient, ProviderConfig, ScriptedBackend
+from finreportqa.llm import LLMClient, ScriptedBackend
 
 DSCR_QUESTION = "What is the Debt Service Coverage Ratio (DSCR) of the company in 2002?"
 
@@ -73,8 +74,7 @@ ALWAYS_MISSING_SCRIPT = [
 
 
 def make_scripted_client(entries, **config_overrides) -> LLMClient:
-    config = ProviderConfig(model="scripted", **config_overrides)
-    return LLMClient(config, ScriptedBackend(entries))
+    return LLMClient(RunConfig(**config_overrides), ScriptedBackend(entries))
 
 
 def dscr_instance(**overrides) -> QAInstance:

@@ -220,9 +220,9 @@ def test_criterion_7_baseline_contracts(dscr_report):
     report = _massive_report(40)
     units = rechunk(report, "page")
     retriever = Retriever(units)
-    client = make_scripted_client([("Question", "{{2.0}}")])
+    client = make_scripted_client([("Question", "{{2.0}}")], baseline_k=30)
     result = run_baseline("single_round_rag", "shared metric value", client,
-                          report=report, retriever=retriever, k=30)
+                          report=report, retriever=retriever)
     oracle = brute_force_ranking({u.unit_id: u.text for u in units},
                                  {u.unit_id: u.page_number for u in units},
                                  "shared metric value", "bm25", k=30)

@@ -15,17 +15,18 @@ from conftest import (
     ALWAYS_MISSING_SCRIPT,
     DSCR_QUESTION,
     DSCR_SCRIPT,
+    FakeRequest,
     HashProvider,
     write_dscr_workspace,
 )
 from finreportqa import cli as cli_mod
 from finreportqa import llm as llm_mod
+from finreportqa import transport
 from finreportqa.cli import RunConfig, build_embedding_provider, main
 from finreportqa.corpus import QAInstance
 from finreportqa.embeddings import CachedEmbeddingProvider
-from finreportqa.errors import ConfigError
+from finreportqa.errors import ConfigError, ProviderError
 from finreportqa.llm import ScriptedBackend
-from finreportqa.transport import RetryPolicy
 
 
 def _hash(path: Path) -> str:
@@ -161,19 +162,26 @@ class TestRunConfig:
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
-    def test_timeout_bounds_embedding_calls(self, tmp_path):
+    def test_timeout_bounds_embedding_calls(self, tmp_path, monkeypatch):
+        fake = FakeRequest([(200, {}, b'{"data": [{"embedding": [1, 2, 3, 4]}]}')])
+        monkeypatch.setattr(transport, "request", fake)
         config = RunConfig(timeout=5.0, scheme="dense", embedding_endpoint="http://localhost:1",
                            embedding_model="e", embedding_dimension=4,
                            cache_dir=str(tmp_path / "cache"))
         provider = build_embedding_provider(config)
         assert isinstance(provider, CachedEmbeddingProvider)
-        assert provider.provider.timeout == 5.0
+        assert provider.embed(["text"]) == [[1.0, 2.0, 3.0, 4.0]]
+        assert [(call.url, call.timeout) for call in fake.calls] == [("http://localhost:1", 5.0)]
 
-    def test_retry_flags_bound_embedding_calls(self):
+    def test_retry_flags_bound_embedding_calls(self, monkeypatch):
+        fake = FakeRequest([(503, {"Retry-After": "0"}, b"")])
+        monkeypatch.setattr(transport, "request", fake)
         config = RunConfig(retry_attempts=5, retry_backoff=0.1, scheme="dense",
                            embedding_endpoint="http://localhost:1", embedding_model="e",
                            embedding_dimension=4)
-        assert build_embedding_provider(config).retry == RetryPolicy(5, 0.1)
+        with pytest.raises(ProviderError, match="returned 503"):
+            build_embedding_provider(config).embed(["text"])
+        assert len(fake.calls) == 5
 
     def test_scripted_without_script_is_config_error(self, tmp_path):
         code = main(["bench", "--backend", "scripted",
@@ -236,11 +244,10 @@ class TestConfigFiles:
                                                               str(config_path)]))
         from_flag = cli_mod.resolve_config(parser.parse_args(["stats", "--temperature", "0"]))
         messages = [llm_mod.system("s"), llm_mod.user("u")]
-        keys = {llm_mod.cache_key(llm_mod.request_body(config.provider_config(), messages))
+        keys = {llm_mod.cache_key(llm_mod.request_body(config, messages))
                 for config in (from_file, from_flag, RunConfig())}
         assert len(keys) == 1
-        assert b'"temperature": 0.0,' in llm_mod.request_body(from_file.provider_config(),
-                                                              messages)
+        assert b'"temperature": 0.0,' in llm_mod.request_body(from_file, messages)
 
     def test_a_float_field_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -764,7 +771,7 @@ class TestReportSetup:
         config = RunConfig(backend="scripted", script_path=str(script))
         text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
         paths = _report_files(corpus_dir, ("A", "B"), text)
-        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), "single_round_rag",
+        runner = cli_mod._ReportRunner(cli_mod.build_client(config), "single_round_rag",
                                        paths, {"A": 2, "B": 2})
         instances = [_instance("a1", "A"), _instance("b1", "B"), _instance("a2", "A"),
                      _instance("b2", "B")]
@@ -799,7 +806,7 @@ class TestReportSetup:
                            embedding_endpoint="http://embeddings.invalid/v1",
                            embedding_model="hash-toy", embedding_dimension=8)
         text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
-        runner = cli_mod._ReportRunner(config, cli_mod.build_client(config), pipeline,
+        runner = cli_mod._ReportRunner(cli_mod.build_client(config), pipeline,
                                        _report_files(corpus_dir, ("A", "B"), text))
         entries = [runner.report(report_id) for report_id in ("A", "B")]
         assert len(built) == (1 if searches else 0)
@@ -813,7 +820,7 @@ class TestReportSetup:
         config = RunConfig(backend="scripted", script_path=str(script))
         report_ids = [f"R{i}" for i in range(6)]
         runner = cli_mod._ReportRunner(
-            config, cli_mod.build_client(config), "no_context",
+            cli_mod.build_client(config), "no_context",
             _report_files(tmp_path, report_ids, "<!-- page: 1 -->\nbody\n"),
             dict.fromkeys(report_ids, 40))
         instances = [_instance(f"{rid}-{n}", rid) for n in range(40) for rid in report_ids]
@@ -1159,9 +1166,6 @@ class TestOtherCommands:
 
     def test_ingest_is_wired(self, tmp_path, monkeypatch, capsys):
         # transport-level substitution; the CLI path itself stays intact
-        from conftest import FakeRequest
-        from finreportqa import transport
-
         fixture = {
             "name": "Demo", "filings": {"recent": {
                 "accessionNumber": ["0000000001-24-000001"],
@@ -1177,9 +1181,6 @@ class TestOtherCommands:
         assert "1 filings" in capsys.readouterr().out
 
     def test_ingest_takes_the_retry_flags(self, monkeypatch, capsys):
-        from conftest import FakeRequest
-        from finreportqa import transport
-
         fake = FakeRequest([(503, {"Retry-After": "0"}, b"")])
         monkeypatch.setattr(transport, "request", fake)
         code = main(["ingest", "--issuer", "123", "--retry-attempts", "2",
@@ -1190,9 +1191,6 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("flags, timeout", [((), 120.0), (("--timeout", "7.5"), 7.5)])
     def test_ingest_takes_the_timeout_flag(self, monkeypatch, capsys, flags, timeout):
-        from conftest import FakeRequest
-        from finreportqa import transport
-
         fake = FakeRequest([(404, {}, b"")])
         monkeypatch.setattr(transport, "request", fake)
         assert main(["ingest", "--issuer", "123", *flags]) == 3

@@ -83,7 +83,7 @@ class TestSamplePages:
 
     def test_tiny_report_rejected(self):
         with pytest.raises(ValueError):
-            sample_pages(self._report(2))
+            sample_pages(self._report(2), seed=0)
 
 
 class TestGenerateQA:
@@ -149,9 +149,10 @@ class TestGenerateQA:
                 captured["prompt"] = messages[-1].content
                 return json.dumps([])
 
-        from finreportqa.llm import LLMClient, ProviderConfig
+        from finreportqa.config import RunConfig
+        from finreportqa.llm import LLMClient
 
-        client = LLMClient(ProviderConfig(), Spy())
+        client = LLMClient(RunConfig(), Spy())
         report = filter_report()
         plan = sample_pages(report, n=3, seed=0)
         generate_qa(report, plan, client, max_pairs=4)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FakeRequest
 from finreportqa import llm as llm_mod
+from finreportqa.config import RunConfig
 from finreportqa.corpus import PageChunk, Report, count_tokens
 from finreportqa.errors import (
     ConfigError,
@@ -22,9 +23,7 @@ from finreportqa.llm import (
     Completion,
     HttpBackend,
     LLMClient,
-    ProviderConfig,
     ResponseCache,
-    RetryPolicy,
     Role,
     ScriptedBackend,
     cache_key,
@@ -55,31 +54,31 @@ class TestChatMessage:
 
 class TestCacheKey:
     def test_stable(self):
-        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages()))
-                == cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages())))
+        assert (cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages()))
+                == cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages())))
 
     def test_one_char_difference(self):
-        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("abc")))
-                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("abd"))))
+        assert (cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages("abc")))
+                != cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages("abd"))))
 
     def test_model_sensitivity(self):
-        assert (cache_key(request_body(ProviderConfig(model="m1", max_output_tokens=64), _messages()))
-                != cache_key(request_body(ProviderConfig(model="m2", max_output_tokens=64), _messages())))
+        assert (cache_key(request_body(RunConfig(model="m1", max_output_tokens=64), _messages()))
+                != cache_key(request_body(RunConfig(model="m2", max_output_tokens=64), _messages())))
 
     def test_whitespace_sensitivity(self):
-        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("a b")))
-                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages("a  b"))))
+        assert (cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages("a b")))
+                != cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages("a  b"))))
 
     def test_max_output_tokens_sensitivity(self):
-        assert (cache_key(request_body(ProviderConfig(model="m", max_output_tokens=64), _messages()))
-                != cache_key(request_body(ProviderConfig(model="m", max_output_tokens=65), _messages())))
+        assert (cache_key(request_body(RunConfig(model="m", max_output_tokens=64), _messages()))
+                != cache_key(request_body(RunConfig(model="m", max_output_tokens=65), _messages())))
 
     def test_output_cap_change_misses_cache(self, tmp_path):
         fake = FakeRequest([_ok("short"), _ok("long")])
         cache = ResponseCache(tmp_path / "llm")
         backend = HttpBackend(request=fake)
-        short = LLMClient(ProviderConfig(max_output_tokens=16), backend, cache)
-        long = LLMClient(ProviderConfig(max_output_tokens=4096), backend, cache)
+        short = LLMClient(RunConfig(max_output_tokens=16), backend, cache)
+        long = LLMClient(RunConfig(max_output_tokens=4096), backend, cache)
         assert short.complete(_messages()) == "short"
         assert long.complete(_messages()) == "long"
         assert short.complete(_messages()) == "short"
@@ -97,7 +96,7 @@ class TestWire:
                                  b'{"choices": [{"message": {"content": "ok"}}]}')]
         monkeypatch.delenv("FINDOC_API_KEY", raising=False)
         text = 'Net «revenue» — "quoted", a back\\slash,\ta tab\nand a new line: €1.2 bn'
-        config = ProviderConfig(endpoint=local_server.url + "/v1/chat/completions", model="m")
+        config = RunConfig(endpoint=local_server.url + "/v1/chat/completions", model="m")
         client = LLMClient(config, HttpBackend())
         assert client.complete([system("Answer in JSON."), user(text)]) == "ok"
         (request,) = local_server.requests
@@ -109,7 +108,7 @@ class TestWire:
         assert headers["content-length"] == "245"
 
 
-def _reference_body(config: ProviderConfig, messages) -> bytes:
+def _reference_body(config: RunConfig, messages) -> bytes:
     """The request body as one json.dumps of the request dict writes it."""
     return json.dumps({
         "model": config.model,
@@ -144,7 +143,7 @@ class TestRequestBodyBytes:
         models = ("scripted", "gpt-4o-mini", 'm"odel\\', "mod\u00e8le", "\U0001f600")
         temperatures = (0.0, 1e-7, 2.5, 1e20, 0)
         for case in range(2000):
-            config = ProviderConfig(model=rng.choice(models),
+            config = RunConfig(model=rng.choice(models),
                                     temperature=rng.choice(temperatures),
                                     max_output_tokens=rng.choice((1, 2048, 10 ** 6)))
             messages = []
@@ -166,10 +165,8 @@ class TestRequestBodyBytes:
         assert message.escaped_content is None
 
     def test_nan_temperature_is_refused_like_json_dumps(self):
-        config = ProviderConfig()
-        object.__setattr__(config, "temperature", float("nan"))
         with pytest.raises(ValueError):
-            request_body(config, _messages())
+            request_body(RunConfig(temperature=float("nan")), _messages())
 
     @pytest.mark.parametrize("escaped", [False, True])
     def test_a_long_content_is_copied_twice_at_most(self, escaped):
@@ -179,7 +176,7 @@ class TestRequestBodyBytes:
         message = user("Q: ", content, (content,) if escaped else None)
         tracemalloc.start()
         try:
-            request_body(ProviderConfig(), [message])
+            request_body(RunConfig(), [message])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -202,7 +199,7 @@ class TestRequestBodyBytes:
 
         for question in ("What is the DSCR?", 'Is "net" \u00e9lev\u00e9e?\tC:\\x'):
             for budget in (200, 10_000):  # a cut prefix and the whole report
-                client = LLMClient(ProviderConfig(max_input_tokens=budget),
+                client = LLMClient(RunConfig(max_input_tokens=budget),
                                    Spy([("Question", "{{1.0}}")]))
                 run_baseline("long_context", question, client, report=report)
                 config, messages, body = sent[-1]
@@ -233,7 +230,7 @@ class TestLongContextBody:
                 return "{{1.0}}"
 
         # a budget that cuts the report inside a page
-        client = LLMClient(ProviderConfig(max_input_tokens=100_003), BodyLength())
+        client = LLMClient(RunConfig(max_input_tokens=100_003), BodyLength())
         run_baseline("long_context", "What is the DSCR?", client, report=report)
         tracemalloc.start()
         try:
@@ -248,25 +245,25 @@ class TestLongContextBody:
 class TestScriptedBackend:
     def test_substring_match(self):
         backend = ScriptedBackend([("DSCR", "EBITDA / debt service")])
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         assert client.complete(_messages()) == "EBITDA / debt service"
 
     def test_first_match_wins(self):
         backend = ScriptedBackend([("DSCR", "specific"), ("financial", "generic")])
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         assert client.complete(_messages("What is the DSCR?")) == "specific"
         assert client.complete(_messages("other question")) == "generic"
 
     def test_unmatched_prompt_fails_loudly(self):
         backend = ScriptedBackend([("nothing relevant", "x")])
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         with pytest.raises(UnmatchedPromptError):
             client.complete(_messages())
 
     def test_consume_once(self):
         backend = ScriptedBackend(
             [("DSCR", "first"), ("DSCR", "second")], mode="consume-once")
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         assert client.complete(_messages()) == "first"
         assert client.complete(_messages()) == "second"
         with pytest.raises(UnmatchedPromptError):
@@ -278,12 +275,12 @@ class TestScriptedBackend:
 
         digest = hashlib.sha256(render_messages(_messages()).encode()).hexdigest()
         backend = ScriptedBackend([(f"sha256:{digest}", "exact")])
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         assert client.complete(_messages()) == "exact"
 
     def test_zero_network_activity(self, no_network):
         backend = ScriptedBackend([("DSCR", "scripted")])
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         client.complete(_messages())
         assert no_network == []
 
@@ -296,13 +293,13 @@ class TestScriptedBackend:
             "entries": [{"matcher": "DSCR", "response": "ok"}],
         }))
         backend = ScriptedBackend.from_file(path)
-        assert LLMClient(ProviderConfig(), backend).complete(_messages()) == "ok"
+        assert LLMClient(RunConfig(), backend).complete(_messages()) == "ok"
 
 
 class TestComplete:
     def test_context_overflow_before_network(self):
         fake = FakeRequest([_ok()])
-        config = ProviderConfig(max_input_tokens=5)
+        config = RunConfig(max_input_tokens=5)
         client = LLMClient(config, HttpBackend(request=fake))
         with pytest.raises(ContextOverflowError):
             client.complete(_messages("far too many words in this prompt for the budget"))
@@ -310,27 +307,27 @@ class TestComplete:
 
     def test_http_success(self):
         fake = FakeRequest([_ok("answer")])
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
+        client = LLMClient(RunConfig(), HttpBackend(request=fake))
         assert client.complete(_messages()) == "answer"
         assert len(fake.calls) == 1
 
     def test_retry_then_success(self):
         fake = FakeRequest([TransportError("boom"), (500, {}, b""), _ok("recovered")])
-        config = ProviderConfig(retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0))
+        config = RunConfig(retry_attempts=3, retry_backoff=0.0)
         client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         assert client.complete(_messages()) == "recovered"
         assert len(fake.calls) == 3
 
     def test_every_attempt_posts_the_request_body(self):
         fake = FakeRequest([(503, {}, b'{"error": "busy"}')] * 2 + [_ok("third time")])
-        config = ProviderConfig(retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0))
+        config = RunConfig(retry_attempts=3, retry_backoff=0.0)
         client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         assert client.complete(_messages()) == "third time"
         assert [call.body for call in fake.calls] == [request_body(config, _messages())] * 3
 
     def test_transport_error_after_retries(self):
         fake = FakeRequest([TransportError("a"), TransportError("b")])
-        config = ProviderConfig(retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0))
+        config = RunConfig(retry_attempts=2, retry_backoff=0.0)
         client = LLMClient(config, HttpBackend(request=fake, sleep=lambda s: None))
         with pytest.raises(TransportError):
             client.complete(_messages())
@@ -338,21 +335,21 @@ class TestComplete:
 
     def test_non_retryable_status(self):
         fake = FakeRequest([(401, {}, b"")])
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
+        client = LLMClient(RunConfig(), HttpBackend(request=fake))
         with pytest.raises(TransportError):
             client.complete(_messages())
         assert len(fake.calls) == 1
 
     def test_decode_error(self):
         fake = FakeRequest([(200, {}, b'{"unexpected": []}')])
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake))
+        client = LLMClient(RunConfig(), HttpBackend(request=fake))
         with pytest.raises(DecodeError):
             client.complete(_messages())
 
     def test_cache_serves_second_call(self, tmp_path):
         fake = FakeRequest([_ok("cached answer")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
+        client = LLMClient(RunConfig(), HttpBackend(request=fake), cache)
         assert client.complete(_messages()) == "cached answer"
         assert client.complete(_messages()) == "cached answer"
         assert len(fake.calls) == 1
@@ -362,7 +359,7 @@ class TestComplete:
         import hashlib
 
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(request=FakeRequest([_ok()])), cache)
+        client = LLMClient(RunConfig(), HttpBackend(request=FakeRequest([_ok()])), cache)
         client.complete(_messages('quote " and «non-ASCII»'))
         (path,) = (tmp_path / "llm").glob("*.json")
         entry = json.loads(path.read_text(encoding="utf-8"))
@@ -372,18 +369,18 @@ class TestComplete:
 
     def test_cache_survives_new_client(self, tmp_path):
         cache = ResponseCache(tmp_path / "llm")
-        first = LLMClient(ProviderConfig(), HttpBackend(request=FakeRequest([_ok("hit")])), cache)
+        first = LLMClient(RunConfig(), HttpBackend(request=FakeRequest([_ok("hit")])), cache)
         first.complete(_messages())
 
         dead = FakeRequest([])
-        second = LLMClient(ProviderConfig(), HttpBackend(request=dead), cache)
+        second = LLMClient(RunConfig(), HttpBackend(request=dead), cache)
         assert second.complete(_messages()) == "hit"
         assert dead.calls == []
 
     def test_bypass_cache_reaches_backend(self, tmp_path):
         fake = FakeRequest([_ok("one"), _ok("two")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
+        client = LLMClient(RunConfig(), HttpBackend(request=fake), cache)
         assert client.complete(_messages()) == "one"
         assert client.complete(_messages(), bypass_cache=True) == "two"
         assert len(fake.calls) == 2
@@ -393,7 +390,7 @@ class TestComplete:
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
         fake = FakeRequest([_ok("fresh"), _ok("fresh")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
+        client = LLMClient(RunConfig(), HttpBackend(request=fake), cache)
         client.complete(_messages())
         (entry,) = (tmp_path / "llm").glob("*.json")
         intact = entry.read_bytes()
@@ -407,8 +404,8 @@ class TestComplete:
     def test_directory_at_entry_path(self, tmp_path):
         fake = FakeRequest([_ok("fresh")])
         cache = ResponseCache(tmp_path / "llm")
-        client = LLMClient(ProviderConfig(), HttpBackend(request=fake), cache)
-        key = llm_mod.cache_key(llm_mod.request_body(ProviderConfig(), _messages()))
+        client = LLMClient(RunConfig(), HttpBackend(request=fake), cache)
+        key = llm_mod.cache_key(llm_mod.request_body(RunConfig(), _messages()))
         (tmp_path / "llm" / f"{key}.json").mkdir(parents=True)
         assert cache.get(key) is None
         with pytest.raises(ConfigError) as raised:
@@ -421,7 +418,7 @@ class TestComplete:
         import json
 
         log = tmp_path / "audit.jsonl"
-        client = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "ok")]),
+        client = LLMClient(RunConfig(), ScriptedBackend([("DSCR", "ok")]),
                            log_path=log)
         client.complete(_messages())
         entries = [json.loads(line) for line in log.read_text().splitlines()]
@@ -435,16 +432,7 @@ class TestTokenCounting:
         assert count_message_tokens(messages) == 3 + 1 + 2 + 1
 
     def test_temperature_defaults_to_zero(self):
-        assert ProviderConfig().temperature == 0.0
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            ProviderConfig(max_input_tokens=0)
-
-    @pytest.mark.parametrize("temperature", [-0.5, float("nan"), float("inf")])
-    def test_invalid_temperature_rejected(self, temperature):
-        with pytest.raises(ValueError):
-            ProviderConfig(temperature=temperature)
+        assert RunConfig().temperature == 0.0
 
 
 class TestTokenizeOnce:
@@ -453,7 +441,7 @@ class TestTokenizeOnce:
     @pytest.mark.parametrize("cached", [False, True])
     def test_one_count_per_message_and_reply(self, tmp_path, monkeypatch, cached):
         log = tmp_path / "llm_log.jsonl"
-        client = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "EBITDA / debt service")]),
+        client = LLMClient(RunConfig(), ScriptedBackend([("DSCR", "EBITDA / debt service")]),
                            ResponseCache(tmp_path / "llm"), log_path=log)
         messages = _messages()
         if cached:
@@ -477,7 +465,7 @@ class TestTokenizeOnce:
 
     def test_supplied_prompt_count_is_used_without_a_scan(self, tmp_path, monkeypatch):
         log = tmp_path / "llm_log.jsonl"
-        client = LLMClient(ProviderConfig(max_input_tokens=10),
+        client = LLMClient(RunConfig(max_input_tokens=10),
                            ScriptedBackend([("DSCR", "EBITDA / debt service")]), log_path=log)
         counted = []
 
@@ -498,7 +486,7 @@ class TestTokenizeOnce:
         assert client.backend_calls == 1
 
     def test_completion_is_the_reply_text(self):
-        reply = LLMClient(ProviderConfig(), ScriptedBackend([("DSCR", "ok then")])).complete(
+        reply = LLMClient(RunConfig(), ScriptedBackend([("DSCR", "ok then")])).complete(
             _messages())
         assert isinstance(reply, Completion) and reply == "ok then"
         assert json.dumps({"r": reply}) == json.dumps({"r": "ok then"})
@@ -509,7 +497,7 @@ class TestTokenizeOnce:
 
 class TestConcurrency:
     def test_counters_are_exact_under_threads(self, tmp_path):
-        client = LLMClient(ProviderConfig(), ScriptedBackend([("", "x")]),
+        client = LLMClient(RunConfig(), ScriptedBackend([("", "x")]),
                            ResponseCache(tmp_path / "llm"))
         requests = [_messages(f"question {i % 25}") for i in range(400)]
         interval = sys.getswitchinterval()

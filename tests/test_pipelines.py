@@ -12,12 +12,12 @@ from conftest import (
     make_scripted_client,
 )
 from oracles import random_reply
+from finreportqa.config import RunConfig
 from finreportqa.corpus import PageChunk, Report, parse_report
 from finreportqa.errors import AnswerExtractionError
 from finreportqa.metrics import score_instance
 from finreportqa.llm import (
     LLMClient,
-    ProviderConfig,
     ScriptedBackend,
     count_message_tokens,
     system,
@@ -27,7 +27,6 @@ from finreportqa.prompts import SOLVING_SYSTEM, SOLVING_USER, render_context
 from finreportqa.pipelines import (
     _PROMPT_MARGIN_TOKENS,
     INSUFFICIENT,
-    AgentConfig,
     AgentPipeline,
     EvaluatorVerdict,
     Insufficient,
@@ -234,7 +233,7 @@ class TestSolverAndEvaluator:
             [("annual report in Markdown form", "no braces at all"),
              ("annual report in Markdown form", "still no braces")],
             mode="consume-once")
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         output = agent.solve("q", "f", [(1, "text")])
         assert isinstance(output.answer, Insufficient)
@@ -246,7 +245,7 @@ class TestSolverAndEvaluator:
             [("annual report in Markdown form", "garbled"),
              ("annual report in Markdown form", "fixed {{2.5}}")],
             mode="consume-once")
-        client = LLMClient(ProviderConfig(), backend)
+        client = LLMClient(RunConfig(), backend)
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         output = agent.solve("q", "f", [(1, "text")])
         assert output.answer == 2.5
@@ -260,7 +259,7 @@ class TestSolverAndEvaluator:
                 captured["prompt"] = "\n".join(m.content for m in messages)
                 return super().generate(config, messages, body)
 
-        client = LLMClient(ProviderConfig(), Spy(DSCR_SCRIPT))
+        client = LLMClient(RunConfig(), Spy(DSCR_SCRIPT))
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         formula, _ = agent.expand(
             DSCR_QUESTION, [("interest expense", ["interest and other expense"])])
@@ -303,9 +302,9 @@ class TestAgentRun:
         pages = "".join(
             f"<!-- page: {i} -->\nshared metric value item{i}\n" for i in range(1, 21))
         report = parse_report(pages, report_id="Big_2002")
-        client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
-        config = AgentConfig(max_rounds=5, k_per_round=5, chunk_budget=6)
-        agent = AgentPipeline(client, build_retriever(report, "bm25"), config)
+        client = make_scripted_client(ALWAYS_MISSING_SCRIPT, max_rounds=5, k_per_round=5,
+                                      chunk_budget=6)
+        agent = AgentPipeline(client, build_retriever(report, "bm25"))
         transcript = agent.run("what is the shared metric value?")
         assert transcript.termination == "Budget"
         total_units = sum(len(r.new_unit_ids) for r in transcript.rounds)
@@ -375,8 +374,8 @@ class TestSolverContext:
                 return super().generate(config, messages, body)
 
         report = parse_report(REREAD_REPORT_MD, report_id="Demo_2002")
-        client = LLMClient(ProviderConfig(), Spy(script))
-        agent = AgentPipeline(client, build_retriever(report, "bm25"), AgentConfig(k_per_round=8))
+        client = LLMClient(RunConfig(k_per_round=8), Spy(script))
+        agent = AgentPipeline(client, build_retriever(report, "bm25"))
         search = type(agent.retriever).search
 
         def counted(retriever, query, k):
@@ -456,7 +455,7 @@ class TestBaselines:
                 captured["user"] = messages[-1].content
                 return super().generate(config, messages, body)
 
-        client = LLMClient(ProviderConfig(max_input_tokens=150),
+        client = LLMClient(RunConfig(max_input_tokens=150),
                            Spy([("Question", "{{1.0}}")]))
         run_baseline("long_context", "What is the DSCR?", client, report=dscr_report)
         assert "Quarterly revenue summary" in captured["user"]  # page 10 leads
@@ -474,9 +473,9 @@ class TestBaselines:
                 captured["user"] = messages[-1].content
                 return super().generate(config, messages, body)
 
-        client = LLMClient(ProviderConfig(), Spy([("Question", "{{2.0}}")]))
+        client = LLMClient(RunConfig(baseline_k=3), Spy([("Question", "{{2.0}}")]))
         result = run_baseline("single_round_rag", DSCR_QUESTION, client,
-                              report=dscr_report, retriever=retriever, k=3)
+                              report=dscr_report, retriever=retriever)
         oracle_pages = [h.page_number for h in search(index, DSCR_QUESTION, 3)]
         assert list(result.context_pages) == oracle_pages
         for page in oracle_pages:
@@ -519,7 +518,7 @@ class TestTokenAccounting:
             [("annual report in Markdown form", "garbled"),
              ("annual report in Markdown form", "fixed {{2.5}}")],
             mode="consume-once")
-        agent = AgentPipeline(LLMClient(ProviderConfig(), backend),
+        agent = AgentPipeline(LLMClient(RunConfig(), backend),
                               build_retriever(dscr_report, "bm25"))
         agent.solve("q", "f", [(1, "text")])
         assert agent._tokens_used == 229
@@ -543,13 +542,13 @@ class TestTokenAccounting:
         header = count_message_tokens([system(SOLVING_SYSTEM),
                                        user(f"Question: {DSCR_QUESTION}\n\nReport:\n")])
         for prefix_budget in range(report.total_tokens() + 3):
-            config = ProviderConfig(max_input_tokens=header + _PROMPT_MARGIN_TOKENS + prefix_budget)
+            config = RunConfig(max_input_tokens=header + _PROMPT_MARGIN_TOKENS + prefix_budget)
             client = LLMClient(config, Spy([("Question", "{{1.0}}")]))
             result = run_baseline("long_context", DSCR_QUESTION, client, report=report)
             assert result.prompt_tokens == count_message_tokens(sent[-1]), prefix_budget
             assert result.prompt_tokens == header + min(prefix_budget, report.total_tokens())
         # an input budget with no room past the header leaves an empty prefix
-        client = LLMClient(ProviderConfig(max_input_tokens=header), Spy([("Question", "{{1.0}}")]))
+        client = LLMClient(RunConfig(max_input_tokens=header), Spy([("Question", "{{1.0}}")]))
         result = run_baseline("long_context", DSCR_QUESTION, client, report=report)
         assert (result.prompt_tokens, result.context_pages) == (header, ())
         assert result.prompt_tokens == count_message_tokens(sent[-1])

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from finreportqa.config import RunConfig
 from finreportqa.corpus import count_tokens, parse_report
 from finreportqa.embeddings import (
     CachedEmbeddingProvider,
@@ -454,6 +455,13 @@ class _OfflineProvider(EmbeddingProvider):
         raise ProviderError("provider offline")
 
 
+def _http_provider(request):
+    """An HTTP embedding provider of model "m" and dimension 2 over ``request``."""
+    config = RunConfig(embedding_endpoint="http://x/embeddings", embedding_model="m",
+                       embedding_dimension=2)
+    return HttpEmbeddingProvider(config, request=request)
+
+
 class TestDense:
     def _units(self, count=4):
         return [RetrievalUnit(f"u{i}", i + 1, f"unit {i}") for i in range(count)]
@@ -581,7 +589,7 @@ class TestDense:
     def test_http_provider_session_memo(self):
         fake = FakeRequest([(200, {}, json.dumps({"data": [
             {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}).encode())])
-        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2, request=fake)
+        provider = _http_provider(fake)
         first = provider.embed(["a", "b", "a"])
         second = provider.embed(["a"])
         assert first[0] == first[2] == second[0] == [1.0, 0.0]
@@ -593,15 +601,13 @@ class TestDense:
     def test_http_provider_rejects_a_vector_that_is_not_finite_numbers(self, vectors):
         reply = json.dumps({"data": [{"embedding": [0.0, 1.0]}]
                             + [{"embedding": v} for v in vectors]}).encode()
-        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2,
-                                         request=FakeRequest([(200, {}, reply)]))
+        provider = _http_provider(FakeRequest([(200, {}, reply)]))
         with pytest.raises(ProviderError, match="embedding 1 is not"):
             provider.embed(["ok", "bad"])
 
     def test_http_provider_vector_of_another_dimension(self):
         reply = json.dumps({"data": [{"embedding": [0.0, 1.0, 2.0]}]}).encode()
-        provider = HttpEmbeddingProvider("http://x/embeddings", "m", 2,
-                                         request=FakeRequest([(200, {}, reply)]))
+        provider = _http_provider(FakeRequest([(200, {}, reply)]))
         with pytest.raises(DimensionMismatchError):
             provider.embed(["text"])
 

@@ -8,24 +8,28 @@ a ``sleep`` that records every wait; all three retry through
 import pytest
 
 from conftest import FakeRequest
+from finreportqa.config import RunConfig
 from finreportqa.embeddings import HttpEmbeddingProvider
 from finreportqa.errors import ProviderError, RateLimitedError, TransportError
 from finreportqa.ingest import EdgarClient
-from finreportqa.llm import HttpBackend, LLMClient, ProviderConfig, system, user
+from finreportqa.llm import HttpBackend, LLMClient, system, user
 from finreportqa.transport import RetryPolicy
 
 POLICY = RetryPolicy(max_attempts=3, backoff_seconds=0.25)
 
 
 def _llm(fake, sleeps, policy):
-    config = ProviderConfig(endpoint="http://llm.test/v1/chat/completions", retry=policy)
+    config = RunConfig(endpoint="http://llm.test/v1/chat/completions",
+                       retry_attempts=policy.max_attempts, retry_backoff=policy.backoff_seconds)
     client = LLMClient(config, HttpBackend(request=fake, sleep=sleeps.append))
     return lambda: client.complete([system("Answer."), user("What is the DSCR?")])
 
 
 def _embeddings(fake, sleeps, policy):
-    provider = HttpEmbeddingProvider("http://embeddings.test/v1/embeddings", "m", 2,
-                                     retry=policy, request=fake, sleep=sleeps.append)
+    config = RunConfig(embedding_endpoint="http://embeddings.test/v1/embeddings",
+                       embedding_model="m", embedding_dimension=2,
+                       retry_attempts=policy.max_attempts, retry_backoff=policy.backoff_seconds)
+    provider = HttpEmbeddingProvider(config, request=fake, sleep=sleeps.append)
     return lambda: provider.embed(["text"])
 
 

@@ -16,10 +16,11 @@ import pytest
 from conftest import refused_url
 from finreportqa import ingest as ingest_mod
 from finreportqa import transport
+from finreportqa.config import RunConfig
 from finreportqa.embeddings import HttpEmbeddingProvider
 from finreportqa.errors import DecodeError, ProviderError, TransportError
 from finreportqa.ingest import EdgarClient, FilingRef
-from finreportqa.llm import HttpBackend, LLMClient, ProviderConfig, RetryPolicy, system, user
+from finreportqa.llm import HttpBackend, LLMClient, system, user
 
 COMPLETION = b'{"choices": [{"message": {"content": "ok"}}]}'
 # A self-signed certificate for IP 127.0.0.1 and its key, for tests only.
@@ -31,9 +32,16 @@ def _headers(request) -> dict:
 
 
 def _client(local_server, sleeps):
-    config = ProviderConfig(endpoint=local_server.url + "/v1/chat/completions",
-                            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.5))
+    config = RunConfig(endpoint=local_server.url + "/v1/chat/completions",
+                       retry_attempts=3, retry_backoff=0.5)
     return LLMClient(config, HttpBackend(sleep=sleeps.append))
+
+
+def _embedder(url, **kwargs):
+    """An HTTP embedding provider of model "embedder" and dimension 2 at ``url``."""
+    config = RunConfig(embedding_endpoint=url, embedding_model="embedder",
+                       embedding_dimension=2)
+    return HttpEmbeddingProvider(config, **kwargs)
 
 
 def _messages():
@@ -45,7 +53,7 @@ class TestWire:
         local_server.replies = [(200, {}, json.dumps({"data": [
             {"embedding": [0.5, -1.0]}, {"embedding": [2.0, 0.25]}]}).encode())]
         monkeypatch.delenv("FINDOC_API_KEY", raising=False)
-        provider = HttpEmbeddingProvider(local_server.url + "/v1/embeddings", "embedder", 2)
+        provider = _embedder(local_server.url + "/v1/embeddings")
         texts = ['Net «revenue» — "quoted", a back\\slash', "a tab\tand a new line\n€1.2 bn"]
         assert provider.embed(texts) == [[0.5, -1.0], [2.0, 0.25]]
         (request,) = local_server.requests
@@ -108,8 +116,7 @@ class TestRetries:
 
     def test_refused_connection_is_a_transport_error_after_max_attempts(self):
         sleeps = []
-        config = ProviderConfig(endpoint=refused_url(),
-                                retry=RetryPolicy(max_attempts=3, backoff_seconds=0.5))
+        config = RunConfig(endpoint=refused_url(), retry_attempts=3, retry_backoff=0.5)
         client = LLMClient(config, HttpBackend(sleep=sleeps.append))
         with pytest.raises(TransportError, match="after 3 attempts"):
             client.complete(_messages())
@@ -119,15 +126,14 @@ class TestRetries:
     def test_embedding_status_other_than_200_is_a_provider_error(self, local_server, status,
                                                                  attempts):
         local_server.replies = [(status, {}, b'{"data": []}')]
-        provider = HttpEmbeddingProvider(local_server.url + "/v1/embeddings", "embedder", 2,
-                                         sleep=lambda s: None)
+        provider = _embedder(local_server.url + "/v1/embeddings", sleep=lambda s: None)
         with pytest.raises(ProviderError, match=f"returned {status}"):
             provider.embed(["text"])
         assert len(local_server.requests) == attempts
 
     def test_refused_embedding_connection_is_a_provider_error(self):
         sleeps = []
-        provider = HttpEmbeddingProvider(refused_url(), "embedder", 2, sleep=sleeps.append)
+        provider = _embedder(refused_url(), sleep=sleeps.append)
         with pytest.raises(ProviderError, match="request failed.*after 3 attempts"):
             provider.embed(["text"])
         assert sleeps == [0.5, 1.0]

@@ -87,20 +87,18 @@ def system(content: str) -> ChatMessage:
     return ChatMessage(Role.SYSTEM, content)
 
 
-def user(content: str, tail: str = "",
-         escaped_tail: Optional[Sequence[str | bytes]] = None) -> ChatMessage:
-    """A user message of ``content + tail``.
+def user(content: str, escaped_tail: Optional[Sequence[bytes]] = None) -> ChatMessage:
+    """A user message of ``content``, then the tail ``escaped_tail`` stands for.
 
-    ``escaped_tail``, when given, stands for the tail, escaped as in a JSON
-    string: pieces, str or ASCII bytes, whose join is ``json.dumps(tail)[1:-1]``.
-    ``tail`` is then not read. The message holds ``content`` escaped and the
-    pieces as bytes, so the request body escapes only ``content``.
+    ``escaped_tail``, when given, is ASCII byte pieces whose join is the tail
+    escaped as in a JSON string, ``json.dumps(tail)[1:-1]``. The message holds
+    ``content`` escaped and the pieces as they are, so the request body
+    escapes only ``content``.
     """
     if escaped_tail is None:
-        return ChatMessage(Role.USER, content + tail)
+        return ChatMessage(Role.USER, content)
     return ChatMessage(Role.USER, escaped_content=(
-        json.dumps(content)[1:-1].encode("ascii"),
-        *(piece if isinstance(piece, bytes) else piece.encode("ascii") for piece in escaped_tail)))
+        json.dumps(content)[1:-1].encode("ascii"), *escaped_tail))
 
 
 def render_messages(messages: Sequence[ChatMessage]) -> str:

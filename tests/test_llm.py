@@ -129,10 +129,10 @@ def _random_text(rng, min_length=0) -> str:
                    for _ in range(rng.randint(min_length, 40)))
 
 
-def _split(rng, text: str) -> tuple[str, ...]:
-    """``text`` cut into pieces at random places."""
-    cuts = sorted(rng.sample(range(len(text) + 1), rng.randint(0, min(3, len(text) + 1))))
-    return tuple(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
+def _split(rng, data: bytes) -> tuple[bytes, ...]:
+    """``data`` cut into pieces at random places."""
+    cuts = sorted(rng.sample(range(len(data) + 1), rng.randint(0, min(3, len(data) + 1))))
+    return tuple(data[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)]))
 
 
 class TestRequestBodyBytes:
@@ -144,8 +144,8 @@ class TestRequestBodyBytes:
         temperatures = (0.0, 1e-7, 2.5, 1e20, 0)
         for case in range(2000):
             config = RunConfig(model=rng.choice(models),
-                                    temperature=rng.choice(temperatures),
-                                    max_output_tokens=rng.choice((1, 2048, 10 ** 6)))
+                               temperature=rng.choice(temperatures),
+                               max_output_tokens=rng.choice((1, 2048, 10 ** 6)))
             messages = []
             for _ in range(rng.randint(0, 4)):
                 role = rng.choice(list(Role))
@@ -153,16 +153,11 @@ class TestRequestBodyBytes:
                 if role is Role.USER and rng.random() < 0.5:
                     # the tail arrives escaped, cut into pieces
                     cut = rng.randint(1, len(content))
-                    tail = content[cut:]
-                    messages.append(user(content[:cut], tail, _split(rng, json.dumps(tail)[1:-1])))
+                    escaped_tail = json.dumps(content[cut:])[1:-1].encode("ascii")
+                    messages.append(user(content[:cut], _split(rng, escaped_tail)))
                 else:
                     messages.append(ChatMessage(role, content))
             assert request_body(config, messages) == _reference_body(config, messages), case
-
-    def test_a_tail_without_its_escaping_is_escaped_with_the_rest(self):
-        message = user('Question: "x"\n', "caf\u00e9")
-        assert message == ChatMessage(Role.USER, 'Question: "x"\ncaf\u00e9')
-        assert message.escaped_content is None
 
     def test_nan_temperature_is_refused_like_json_dumps(self):
         with pytest.raises(ValueError):
@@ -173,7 +168,7 @@ class TestRequestBodyBytes:
         """The join and the encode each copy a content once: its escaped copy
         is freed before the encode, and a carried escaping is not copied."""
         content = "Revenue | 1,200 | up 5% " * 20_000
-        message = user("Q: ", content, (content,) if escaped else None)
+        message = user("Q: ", (content.encode("ascii"),)) if escaped else user("Q: " + content)
         tracemalloc.start()
         try:
             request_body(RunConfig(), [message])

@@ -125,7 +125,6 @@ class Transcript:
     final_answer: Optional[float] = None
     termination: str = ""  # "Complete" | "RoundLimit" | "Budget"
     token_usage: int = 0
-    partial: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +134,6 @@ class Transcript:
             "final_answer": self.final_answer,
             "termination": self.termination,
             "token_usage": self.token_usage,
-            "partial": self.partial,
         }
 
     def to_json(self) -> str:

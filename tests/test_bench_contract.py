@@ -53,18 +53,18 @@ RUNS = {
 }
 
 DIGESTS = {
-    "agent": "5b3dcbb2f10091238b4fe5993dbe2e63584e9df9f9494cde3f6ac0776e33491b",
+    "agent": "c54317148d68ff8f31aaed2b9c0ed6fcadef6c94427410fa6021a3d6b0695740",
     "long_context": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag": "647e27d69dcfe515a5f12c5b20ec179b33cf95b8008b1cbc50a8709fd777f4c8",
     "fixed_budget_rag": "36d634718078620cfd4ef948357b17944a069fd3189d9f506aa54f5be79ed5f4",
     "no_context": "64102cc87eba966f608695eb1873da245ab23b2ec008eb5225a4cbf6477ee246",
-    "agent_granularity_256": "35b58f156657b9603c138486b85adbb5e2b5c44ce5065113b7ceb38024bf9881",
-    "agent_workers_2": "5b3dcbb2f10091238b4fe5993dbe2e63584e9df9f9494cde3f6ac0776e33491b",
+    "agent_granularity_256": "6cec5f1fe2271fbc18dee0e57dbeaf1a40fa2c65fe7ccecde1e987b72c26d2eb",
+    "agent_workers_2": "c54317148d68ff8f31aaed2b9c0ed6fcadef6c94427410fa6021a3d6b0695740",
     "long_context_workers_2": "4dd65863f63542ea31cb6bb14cf2cd43f2389b2fc6db1f75fe29014dd8359f0b",
     "single_round_rag_granularity_256":
         "8fb4fbf1a771fae492bf25d99d945c3b1da8b2b7b583659708eea2d603823e9c",
-    "agent_tfidf": "df33cdb2d141087b83f27aa4aa14c04e58b0b863b5de861a8002a74c1cfe28cc",
-    "agent_dense": "e5fb5f7e7625d68d15fd4e77813f7e8c91723c5f82ff7c698d57cfb9e7a9bd7e",
+    "agent_tfidf": "53064307ff3607ea584c1a0707d4cc2324fbd33a123813652e4195d503a97abc",
+    "agent_dense": "09e3f67acc702b35019ff0e4441fe7ff5b7470d1eb25dee0360b02b5f8aee7ed",
 }
 
 

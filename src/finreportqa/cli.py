@@ -149,18 +149,11 @@ class _ReportRunner:
                 "answer": transcript.final_answer,
                 "termination": transcript.termination,
                 "rounds": len(transcript.rounds),
-                "transcript": transcript.to_dict(),
+                "transcript": transcript,
             }
         result = pipelines_mod.run_baseline(
             pipeline, question, self.client, report=report, retriever=retriever)
-        return {
-            "id": question_id,
-            "pipeline": pipeline,
-            "answer": result.answer,
-            "insufficient": result.insufficient,
-            "context_pages": list(result.context_pages),
-            "prompt_tokens": result.prompt_tokens,
-        }
+        return {"id": question_id, "pipeline": pipeline, **vars(result)}
 
 
 # --- commands ------------------------------------------------------------------
@@ -299,13 +292,13 @@ def cmd_datagen(args, config: RunConfig) -> int:
                 record.extras.setdefault("report_id", report.report_id)
             raw_records.extend(batch.records)
             parse_errors += batch.parse_errors
-        datagen_mod.write_raw_batch(raw_records, run.path / "raw.jsonl")
+        run.write_jsonl("raw.jsonl", (record.to_dict() for record in raw_records))
         print(f"generated {len(raw_records)} candidates ({parse_errors} parse errors)")
 
     if args.mode in ("filter", "both"):
         kept, stats, _ = datagen_mod.filter_pipeline(
             raw_records, {r.report_id: r for r in reports})
-        corpus_mod.write_dataset(kept, run.path / "filtered.jsonl")
+        run.write_jsonl("filtered.jsonl", map(corpus_mod.instance_to_record, kept))
         run.write_json("filter_report.json", stats.to_dict())
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
     run.write_manifest("datagen", config, inputs={"reports": [r.report_id for r in reports]},

@@ -575,12 +575,6 @@ def read_dataset(path: str | Path) -> list[QAInstance]:
             for line_number, record in read_json_lines(path)]
 
 
-def write_dataset(instances: Iterable[QAInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for instance in instances:
-            fh.write(json.dumps(instance_to_record(instance), sort_keys=True) + "\n")
-
-
 # --- corpus statistics ------------------------------------------------------
 
 @dataclass

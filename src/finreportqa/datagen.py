@@ -405,12 +405,6 @@ def _to_instance(raw: RawQA, n_evidence_tables: int) -> QAInstance:
     )
 
 
-def write_raw_batch(records: Sequence[RawQA], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
 def read_raw_batch(path) -> list[RawQA]:
     """The records of a raw batch file; a bad file or record raises SchemaError."""
     records: list[RawQA] = []

@@ -39,9 +39,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     dimension, API key variable, timeout and retry policy.
 
     ``request`` has ``transport.request``'s signature and defaults to it;
-    injectable for tests. Identical text embeds identically within a session
-    (in-memory memo). Concurrent requests are bounded only by the caller
-    (``--workers``).
+    injectable for tests. A text repeated within one ``embed`` call is
+    posted once; a later call posts it again, so nothing outlives the call
+    (``--cache-dir`` keeps vectors across calls and runs). Concurrent
+    requests are bounded only by the caller (``--workers``).
     """
 
     def __init__(self, config: RunConfig, request: Optional[Callable] = None,
@@ -51,14 +52,11 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.dimension = config.embedding_dimension
         self._request = request or transport.request
         self._sleep = sleep
-        self._memo: dict[str, list[float]] = {}
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        pending = [t for t in dict.fromkeys(texts) if t not in self._memo]
-        if pending:
-            for text, vector in zip(pending, self._embed_batch(pending)):
-                self._memo[text] = vector
-        return [list(self._memo[t]) for t in texts]
+        unique = list(dict.fromkeys(texts))
+        vectors = dict(zip(unique, self._embed_batch(unique))) if unique else {}
+        return [list(vectors[t]) for t in texts]
 
     def _embed_batch(self, texts: list[str]) -> list[list[float]]:
         headers = {"Content-Type": "application/json"}

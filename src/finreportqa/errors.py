@@ -51,7 +51,7 @@ class ProviderError(FinReportQAError):
     """Embedding provider transport or decode failure."""
 
 
-class DimensionMismatchError(FinReportQAError):
+class DimensionMismatchError(ProviderError):
     """Embedding vectors do not share the expected dimension."""
 
 

@@ -13,7 +13,6 @@ units, and their prompts from ``prompts``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -32,66 +31,40 @@ _BRACES_RE = re.compile(r"\{\{(.*?)\}\}", re.DOTALL)
 _REOFFER = 5
 
 
-class Insufficient:
-    """Sentinel: the solver reported insufficient information."""
-
-    _instance: Optional["Insufficient"] = None
-
-    def __new__(cls) -> "Insufficient":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INSUFFICIENT"
-
-
-INSUFFICIENT = Insufficient()
-
+# The transcript records: a record's fields are its transcript keys, since
+# ``rundir`` writes a transcript with ``json.dumps(..., default=vars)``.
 
 @dataclass
 class SolverOutput:
     raw_text: str
-    answer: float | Insufficient
-    cited_pages: frozenset[int]
+    answer: Optional[float]  # None: a {{0}} reply, or no answer extracted
+    cited_pages: list[int]  # sorted
     extraction_failed: bool = False
+    insufficient: bool = field(init=False)
 
-    def answer_value(self) -> float:
-        """Numeric answer; insufficiency maps to the literal 0 convention."""
-        return 0.0 if isinstance(self.answer, Insufficient) else self.answer
+    def __post_init__(self) -> None:
+        self.insufficient = self.answer is None
 
-    def to_dict(self) -> dict:
-        return {
-            "raw_text": self.raw_text,
-            "answer": None if isinstance(self.answer, Insufficient) else self.answer,
-            "insufficient": isinstance(self.answer, Insufficient),
-            "cited_pages": sorted(self.cited_pages),
-            "extraction_failed": self.extraction_failed,
-        }
+
+@dataclass
+class MissingComponent:
+    name: str
+    synonyms: tuple[str, ...] = ()
 
 
 @dataclass
 class EvaluatorVerdict:
     kind: str  # "Complete" | "Missing"
-    missing_components: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    missing_components: tuple[MissingComponent, ...] = ()
 
     @property
     def complete(self) -> bool:
         return self.kind == "Complete"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "missing_components": [
-                {"name": name, "synonyms": list(synonyms)}
-                for name, synonyms in self.missing_components
-            ],
-        }
-
 
 @dataclass
 class RoundRecord:
-    round_index: int
+    round: int
     expansion_input: str
     formula: str
     query: str
@@ -101,20 +74,6 @@ class RoundRecord:
     solver_pages: tuple[int, ...]
     solver: SolverOutput
     verdict: EvaluatorVerdict
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "expansion_input": self.expansion_input,
-            "formula": self.formula,
-            "query": self.query,
-            "new_unit_ids": list(self.new_unit_ids),
-            "new_pages": list(self.new_pages),
-            "cumulative_pages": list(self.cumulative_pages),
-            "solver_pages": list(self.solver_pages),
-            "solver": self.solver.to_dict(),
-            "verdict": self.verdict.to_dict(),
-        }
 
 
 @dataclass
@@ -126,22 +85,10 @@ class Transcript:
     termination: str = ""  # "Complete" | "RoundLimit" | "Budget"
     token_usage: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "question": self.question,
-            "rounds": [r.to_dict() for r in self.rounds],
-            "final_answer": self.final_answer,
-            "termination": self.termination,
-            "token_usage": self.token_usage,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def extract_answer(text: str) -> float | Insufficient:
-    """Parse the last {{...}} group as a number; literal 0 means insufficient.
+def extract_answer(text: str) -> Optional[float]:
+    """Parse the last {{...}} group as a number; literal 0 means insufficient
+    information, which is None.
 
     Groups are tried from last to first; raises AnswerExtractionError when
     none parses.
@@ -150,7 +97,7 @@ def extract_answer(text: str) -> float | Insufficient:
     for content in reversed(groups):
         stripped = content.strip()
         if stripped == "0":
-            return INSUFFICIENT
+            return None
         normalized = normalize_answer(stripped)
         if normalized.is_numeric:
             return float(normalized.numeric_value)
@@ -218,13 +165,9 @@ def parse_verdict(reply: str) -> EvaluatorVerdict:
         else:
             components.append((_strip_outer_quotes(item), []))
 
-    components = [(name, syns) for name, syns in components if name]
-    if not components:
-        components = [(trimmed, [])]
-    return EvaluatorVerdict(
-        kind="Missing",
-        missing_components=tuple((name, tuple(syns)) for name, syns in components),
-    )
+    missing = tuple(MissingComponent(name, tuple(syns)) for name, syns in components if name)
+    return EvaluatorVerdict(kind="Missing",
+                            missing_components=missing or (MissingComponent(trimmed),))
 
 
 class AgentPipeline:
@@ -239,14 +182,13 @@ class AgentPipeline:
     # -- individual agent steps ------------------------------------------
 
     def expand(self, question: str,
-               feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None
-               ) -> tuple[str, str]:
+               feedback: Sequence[MissingComponent] = ()) -> tuple[str, str]:
         """The expanded formula (possibly empty) and the user prompt that asked for it."""
         if not question:
             raise ValueError("question must be non-empty")
         if feedback:
             rendered_feedback = prompts.render_feedback(
-                [(name, list(syns)) for name, syns in feedback])
+                [(component.name, component.synonyms) for component in feedback])
             content = prompts.EXPANSION_FEEDBACK_USER.format(
                 question=question, feedback=rendered_feedback)
         else:
@@ -275,12 +217,12 @@ class AgentPipeline:
                 answer = extract_answer(reply)
                 failed = False
             except AnswerExtractionError:
-                answer = INSUFFICIENT
+                answer = None
                 failed = True
         return SolverOutput(
             raw_text=reply,
             answer=answer,
-            cited_pages=parse_cited_pages(reply),
+            cited_pages=sorted(parse_cited_pages(reply)),
             extraction_failed=failed,
         )
 
@@ -301,11 +243,11 @@ class AgentPipeline:
         held_units: list[str] = []  # in the order retrieved
         cited_pages: set[int] = set()
         context_pages_seen: set[int] = set()
-        feedback: Optional[Sequence[tuple[str, Sequence[str]]]] = None
+        feedback: Sequence[MissingComponent] = ()
 
         for round_index in range(1, config.max_rounds + 1):
             formula, expansion_input = self.expand(question, feedback)
-            query = build_round_query(question, formula, list(feedback or ()))
+            query = build_round_query(question, formula, feedback)
 
             budget_left = config.chunk_budget - len(held_units)
             new_hits, ranked = retrieve_round(
@@ -325,11 +267,11 @@ class AgentPipeline:
             context = [(unit.page_number, unit.text) for unit in solver_units]
             solver_output = self.solve(
                 question, formula, context if context else [(0, "(no pages retrieved)")])
-            cited_pages |= solver_output.cited_pages
+            cited_pages.update(solver_output.cited_pages)
             verdict = self.evaluate(question, solver_output)
 
             transcript.rounds.append(RoundRecord(
-                round_index=round_index,
+                round=round_index,
                 expansion_input=expansion_input,
                 formula=formula,
                 query=query,
@@ -352,7 +294,8 @@ class AgentPipeline:
             transcript.termination = "RoundLimit"
 
         last = transcript.rounds[-1].solver
-        transcript.final_answer = last.answer_value()
+        # insufficiency answers the literal 0
+        transcript.final_answer = 0.0 if last.answer is None else last.answer
         transcript.token_usage = self._tokens_used
         return transcript
 
@@ -365,15 +308,15 @@ class AgentPipeline:
 
 
 def build_round_query(question: str, formula: str,
-                      missing_components: Sequence[tuple[str, Sequence[str]]] = ()) -> str:
+                      missing_components: Sequence[MissingComponent] = ()) -> str:
     """Question terms + formula terms + missing components and synonyms,
     deduplicated case-insensitively, order preserved."""
     parts: list[str] = []
     parts.extend(question.split())
     parts.extend(formula.split())
-    for name, synonyms in missing_components:
-        parts.append(name)
-        parts.extend(synonyms)
+    for component in missing_components:
+        parts.append(component.name)
+        parts.extend(component.synonyms)
     seen: set[str] = set()
     kept: list[str] = []
     for part in parts:
@@ -426,14 +369,12 @@ BASELINE_KINDS = ("no_context", "long_context", "single_round_rag", "fixed_budge
 _PROMPT_MARGIN_TOKENS = 16
 
 
-def _extract(reply: str) -> tuple[float, bool]:
+def _extract(reply: str) -> Optional[float]:
+    """The reply's answer; None for insufficiency or no answer."""
     try:
-        answer = extract_answer(reply)
+        return extract_answer(reply)
     except AnswerExtractionError:
-        return 0.0, True
-    if isinstance(answer, Insufficient):
-        return 0.0, True
-    return answer, False
+        return None
 
 
 def run_baseline(kind: str, question: str, client: LLMClient, *,
@@ -478,10 +419,10 @@ def run_baseline(kind: str, question: str, client: LLMClient, *,
         messages = [system(prompts.SOLVING_SYSTEM), user(content)]
 
     reply = client.complete(messages, prompt_tokens=prompt_tokens)
-    answer, insufficient = _extract(reply)
+    answer = _extract(reply)
     return BaselineResult(
-        answer=answer,
-        insufficient=insufficient,
+        answer=0.0 if answer is None else answer,
+        insufficient=answer is None,
         context_pages=context_pages,
         prompt_tokens=reply.prompt_tokens,
     )

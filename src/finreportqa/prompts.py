@@ -104,7 +104,7 @@ def render_context(pages: list[tuple[int, str]]) -> str:
     return "\n\n".join(blocks)
 
 
-def render_feedback(components: list[tuple[str, list[str]]]) -> str:
+def render_feedback(components: list[tuple[str, tuple[str, ...]]]) -> str:
     """One line per missing component with its synonyms."""
     lines = []
     for name, synonyms in components:

@@ -36,6 +36,11 @@ def write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def to_json(payload) -> str:
+    """A JSON output file's text; a record object is written as its fields."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=vars) + "\n"
+
+
 def score_rows(rows: Iterable[dict], instances: dict) -> list[metrics_mod.InstanceScore]:
     """One score per prediction row against its dataset instance (id -> QAInstance)."""
     scores = []
@@ -81,7 +86,11 @@ class RunDir:
         return cls(path)
 
     def write_json(self, name: str | Path, payload) -> Path:
-        return write_text(self.path / name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return write_text(self.path / name, to_json(payload))
+
+    def write_jsonl(self, name: str | Path, records: Iterable[dict]) -> Path:
+        return write_text(self.path / name,
+                          "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
     def write_rows(self, rows: Iterable[dict]) -> list[dict]:
         """Write each row's predictions line and transcript as the row arrives;
@@ -100,8 +109,7 @@ class RunDir:
 
     def write_scores(self, scores: list[metrics_mod.InstanceScore]) -> metrics_mod.EvalReport:
         """Write ``scores.jsonl`` and ``eval_report.json``; the report."""
-        write_text(self.path / "scores.jsonl",
-                   "".join(json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in scores))
+        self.write_jsonl("scores.jsonl", (s.to_dict() for s in scores))
         report = metrics_mod.aggregate(scores)
         write_text(self.path / "eval_report.json", report.to_json() + "\n")
         return report

@@ -43,6 +43,7 @@ from finreportqa.retrieval import (
     recall_at_k,
     search,
 )
+from finreportqa.rundir import to_json
 from oracles import brute_force_ranking, brute_force_scores, random_corpus, random_query
 from test_datagen import CLEAN, filter_report, raw
 
@@ -198,7 +199,7 @@ def test_criterion_6_orchestrator_contract(dscr_report, no_network):
     for _ in range(2):
         agent = AgentPipeline(make_scripted_client(DSCR_SCRIPT),
                               build_retriever(dscr_report, "bm25"))
-        serialized.append(agent.run(DSCR_QUESTION, question_id="q1").to_json().encode())
+        serialized.append(to_json(agent.run(DSCR_QUESTION, question_id="q1")).encode())
     assert serialized[0] == serialized[1]
 
     elapsed = time.monotonic() - started

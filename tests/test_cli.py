@@ -385,6 +385,21 @@ class TestExitCodes:
         code = main(_bench_args(tmp_path, corpus_dir, dataset, script))
         assert code == 4
 
+    def test_embedding_of_another_dimension_is_provider_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def three_wide(method, url, *, headers, body=None, timeout):
+            vectors = [{"embedding": [1.0, 0.0, 0.0]} for _ in json.loads(body)["input"]]
+            return 200, {}, json.dumps({"data": vectors}).encode()
+
+        monkeypatch.setattr(transport, "request", three_wide)
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        code = main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--scheme", "dense", "--embedding-endpoint", "http://localhost:1",
+            "--embedding-model", "e", "--embedding-dimension", "2")))
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "provider error: provider returned dimension 3, expected 2")
+
 
 # What an input file holds for each fault; None leaves it missing.
 _FILE_FAULTS = {
@@ -474,6 +489,24 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, command, tak
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"config error: {path}")
+
+
+@pytest.mark.parametrize("name, mode", [("raw.jsonl", "generate"), ("filtered.jsonl", "filter")])
+def test_unwritable_datagen_file_is_a_config_error(tmp_path, capsys, name, mode):
+    corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("")
+    script = tmp_path / "genscript.json"
+    script.write_text(json.dumps({"entries": [{"matcher": "annual report", "response": "[]"}]}))
+    taken = tmp_path / "dg" / name
+    taken.mkdir(parents=True)
+    code = main(["datagen", "--mode", mode, "--raw", str(raw), "--out", str(tmp_path / "dg"),
+                 "--corpus-dir", str(corpus_dir), "--backend", "scripted",
+                 "--script-path", str(script)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: {taken}: cannot write")
 
 
 class TestBench:

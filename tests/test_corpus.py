@@ -16,13 +16,13 @@ from finreportqa.corpus import (
     count_tokens,
     detect_table_spans,
     instance_from_record,
+    instance_to_record,
     load_corpus,
     load_report,
     make_report_id,
     parse_report,
     read_dataset,
     render_markdown,
-    write_dataset,
 )
 from finreportqa.errors import (
     ConfigError,
@@ -32,6 +32,7 @@ from finreportqa.errors import (
     ReportEncodingError,
     SchemaError,
 )
+from finreportqa.rundir import RunDir
 
 TWO_PAGE_MD = "<!-- page: 1 -->\nA\n<!-- page: 2 -->\nB\n"
 
@@ -640,8 +641,7 @@ class TestDataset:
         instances = read_dataset(path)
         assert instances[1].extras == {"custom_tag": "kept"}
 
-        out = tmp_path / "out.jsonl"
-        write_dataset(instances, out)
+        out = RunDir(tmp_path).write_jsonl("out.jsonl", map(instance_to_record, instances))
         again = read_dataset(out)
         assert again == instances
 

@@ -14,8 +14,8 @@ from finreportqa.datagen import (
     sample_pages,
     strip_fences,
     table_block_values,
-    write_raw_batch,
 )
+from finreportqa.rundir import RunDir
 
 FILTER_REPORT_MD = (
     "<!-- page: 5 -->\n"
@@ -264,7 +264,6 @@ class TestFilterPipeline:
 def test_raw_batch_round_trip(tmp_path):
     records = [raw("r1", [5, 7], "1+1", "2", extras={"tag": "x"}),
                raw("r2", [5, 9], "2+2", "4")]
-    path = tmp_path / "raw.jsonl"
-    write_raw_batch(records, path)
+    path = RunDir(tmp_path).write_jsonl("raw.jsonl", (r.to_dict() for r in records))
     again = read_raw_batch(path)
     assert again == records

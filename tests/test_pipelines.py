@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -7,11 +8,14 @@ import pytest
 from conftest import (
     ALWAYS_MISSING_SCRIPT,
     DSCR_QUESTION,
+    DSCR_REPORT_MD,
     DSCR_SCRIPT,
+    ROUND1_FORMULA,
     ROUND2_FORMULA,
     make_scripted_client,
 )
 from oracles import random_reply
+from finreportqa.cli import main
 from finreportqa.config import RunConfig
 from finreportqa.corpus import PageChunk, Report, parse_report
 from finreportqa.errors import AnswerExtractionError
@@ -26,10 +30,9 @@ from finreportqa.llm import (
 from finreportqa.prompts import SOLVING_SYSTEM, SOLVING_USER, render_context
 from finreportqa.pipelines import (
     _PROMPT_MARGIN_TOKENS,
-    INSUFFICIENT,
     AgentPipeline,
     EvaluatorVerdict,
-    Insufficient,
+    MissingComponent,
     build_round_query,
     extract_answer,
     parse_cited_pages,
@@ -47,6 +50,7 @@ from finreportqa.retrieval import (
     rechunk,
     search,
 )
+from finreportqa.rundir import to_json
 
 
 class TestExtractAnswer:
@@ -57,7 +61,7 @@ class TestExtractAnswer:
         assert extract_answer("{{3.49}} and {{3.50}}") == 3.50
 
     def test_zero_is_insufficient(self):
-        assert isinstance(extract_answer("{{0}}"), Insufficient)
+        assert extract_answer("{{0}}") is None
 
     def test_zero_point_zero_is_a_number(self):
         assert extract_answer("{{0.00}}") == 0.0
@@ -71,9 +75,6 @@ class TestExtractAnswer:
 
     def test_formatted_number(self):
         assert extract_answer("{{1,234.50}}") == 1234.50
-
-    def test_insufficient_is_singleton(self):
-        assert extract_answer("{{0}}") is INSUFFICIENT
 
     @pytest.mark.parametrize("value", ["NaN", "nan", "sNaN", "Infinity", "-inf", "1e999999"])
     def test_non_finite_group_is_not_an_answer(self, value):
@@ -94,7 +95,7 @@ class TestReplyFuzz:
             except AnswerExtractionError:
                 pass
             else:
-                assert answer is INSUFFICIENT or math.isfinite(answer), reply
+                assert answer is None or math.isfinite(answer), reply
             assert isinstance(parse_verdict(reply), EvaluatorVerdict), reply
             for pred, gold in ((reply, "1.55"), ("1.55", reply), (reply, reply)):
                 assert score_instance(pred, gold).tol_correct in (0, 1), reply
@@ -123,29 +124,29 @@ class TestParseVerdict:
         verdict = parse_verdict("net income, total assets")
         assert not verdict.complete
         assert verdict.missing_components == (
-            ("net income", ()), ("total assets", ()))
+            MissingComponent("net income"), MissingComponent("total assets"))
 
     def test_colon_synonyms(self):
         verdict = parse_verdict("COGS: cost of goods sold, cost of sales")
         assert verdict.missing_components == (
-            ("COGS", ("cost of goods sold", "cost of sales")),)
+            MissingComponent("COGS", ("cost of goods sold", "cost of sales")),)
 
     def test_parenthesized_synonyms(self):
         verdict = parse_verdict("COGS (cost of goods sold, cost of sales), net income")
         assert verdict.missing_components == (
-            ("COGS", ("cost of goods sold", "cost of sales")),
-            ("net income", ()),
+            MissingComponent("COGS", ("cost of goods sold", "cost of sales")),
+            MissingComponent("net income"),
         )
 
     def test_quoted_items_unwrapped(self):
         verdict = parse_verdict("'net income', 'total assets'")
         assert verdict.missing_components == (
-            ("net income", ()), ("total assets", ()))
+            MissingComponent("net income"), MissingComponent("total assets"))
 
     def test_unparseable_reply_fails_open(self):
         verdict = parse_verdict(",,,")
         assert not verdict.complete
-        assert verdict.missing_components == ((",,,", ()),)
+        assert verdict.missing_components == (MissingComponent(",,,"),)
 
 
 class TestBuildRoundQuery:
@@ -156,7 +157,7 @@ class TestBuildRoundQuery:
     def test_feedback_phrases_present_once(self):
         query = build_round_query(
             "the ratio", "A / B",
-            [("COGS", ["cost of goods sold", "cost of sales"])])
+            [MissingComponent("COGS", ("cost of goods sold", "cost of sales"))])
         assert query.count("cost of goods sold") == 1
         assert query.count("cost of sales") == 1
         assert query.count("COGS") == 1
@@ -206,27 +207,20 @@ class TestRetrieveRound:
         assert retrieve_round(retriever, "net", 15, set(), budget_left=0) == ([], [])
 
 
-def _agent_for(report_md, script, config=None, question=DSCR_QUESTION):
-    report = parse_report(report_md, report_id="DemoCo_2002")
-    client = make_scripted_client(script)
-    agent = AgentPipeline(client, build_retriever(report, "bm25"), config)
-    return agent, client
-
-
 class TestSolverAndEvaluator:
     def test_solver_parses_pages_and_answer(self, dscr_report, dscr_client):
         agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         pages = [(31, dscr_report.page(31).text), (50, dscr_report.page(50).text)]
         output = agent.solve(DSCR_QUESTION, ROUND2_FORMULA, pages)
         assert output.answer == 1.55
-        assert output.cited_pages == frozenset({31, 34, 50})
+        assert output.cited_pages == [31, 34, 50]
 
     def test_solver_insufficient_on_zero(self, dscr_report, dscr_client):
         agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))
         pages = [(10, dscr_report.page(10).text)]
         output = agent.solve(DSCR_QUESTION, "X / Y", pages)
-        assert isinstance(output.answer, Insufficient)
-        assert output.answer_value() == 0.0
+        assert output.answer is None
+        assert output.insufficient and not output.extraction_failed
 
     def test_solver_retries_once_then_gives_up(self, dscr_report):
         backend = ScriptedBackend(
@@ -236,7 +230,7 @@ class TestSolverAndEvaluator:
         client = LLMClient(RunConfig(), backend)
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         output = agent.solve("q", "f", [(1, "text")])
-        assert isinstance(output.answer, Insufficient)
+        assert output.answer is None
         assert output.extraction_failed
         assert backend.calls == 2
 
@@ -262,7 +256,7 @@ class TestSolverAndEvaluator:
         client = LLMClient(RunConfig(), Spy(DSCR_SCRIPT))
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
         formula, _ = agent.expand(
-            DSCR_QUESTION, [("interest expense", ["interest and other expense"])])
+            DSCR_QUESTION, [MissingComponent("interest expense", ("interest and other expense",))])
         assert "interest expense" in captured["prompt"]
         assert "interest and other expense" in captured["prompt"]
         assert formula == ROUND2_FORMULA
@@ -281,7 +275,7 @@ class TestAgentRun:
         assert 31 not in round1.new_pages
         assert 31 in round2.new_pages
         assert round1.verdict.missing_components == (
-            ("interest expense", ("interest and other expense",)),)
+            MissingComponent("interest expense", ("interest and other expense",)),)
         assert round2.verdict.complete
 
     def test_round_queries_gain_feedback_terms(self, dscr_report, dscr_client):
@@ -329,8 +323,40 @@ class TestAgentRun:
         for _ in range(2):
             client = make_scripted_client(DSCR_SCRIPT)
             agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))
-            runs.append(agent.run(DSCR_QUESTION, question_id="q1").to_json())
+            runs.append(to_json(agent.run(DSCR_QUESTION, question_id="q1")))
         assert runs[0].encode() == runs[1].encode()
+
+    def test_transcript_of_a_failed_extraction_and_a_parenthesized_verdict(self, tmp_path):
+        """The solver's retry fallback and the parenthesis synonyms, as written."""
+        report = tmp_path / "DemoCo_2002.md"
+        report.write_text(DSCR_REPORT_MD, encoding="utf-8")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"mode": "consume-once", "entries": [
+            {"matcher": matcher, "response": response} for matcher, response in [
+                ("financial text understanding", ROUND1_FORMULA),
+                ("annual report in Markdown form", "no braces here"),
+                ("annual report in Markdown form", "still no braces"),
+                ("inspects a generated answer", "COGS (cost of goods sold, cost of sales)"),
+                ("Missing components to cover", ROUND2_FORMULA),
+                ("annual report in Markdown form", "cannot tell {{0}}"),
+                ("inspects a generated answer", "NONE"),
+            ]]}), encoding="utf-8")
+        assert main(["ask", "--question", DSCR_QUESTION, "--report", str(report),
+                     "--backend", "scripted", "--script-path", str(script),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        transcript = json.loads((tmp_path / "out" / "ask_transcript.json").read_text())
+        assert (transcript["final_answer"], transcript["termination"]) == (0.0, "Complete")
+        assert [(r["round"], r["solver"], r["verdict"]) for r in transcript["rounds"]] == [
+            (1, {"raw_text": "still no braces", "answer": None, "insufficient": True,
+                 "cited_pages": [], "extraction_failed": True},
+             {"kind": "Missing", "missing_components": [
+                 {"name": "COGS", "synonyms": ["cost of goods sold", "cost of sales"]}]}),
+            (2, {"raw_text": "cannot tell {{0}}", "answer": None, "insufficient": True,
+                 "cited_pages": [], "extraction_failed": False},
+             {"kind": "Complete", "missing_components": []}),
+        ]
+        assert "COGS (synonyms: cost of goods sold, cost of sales)" in \
+            transcript["rounds"][1]["expansion_input"]
 
     def test_context_is_monotone(self, dscr_report, dscr_client):
         agent = AgentPipeline(dscr_client, build_retriever(dscr_report, "bm25"))

@@ -586,15 +586,18 @@ class TestDense:
         assert retriever.n_units == 4
         assert retriever.search("q", 2)[0].unit_id == "u0"
 
-    def test_http_provider_session_memo(self):
-        fake = FakeRequest([(200, {}, json.dumps({"data": [
-            {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}).encode())])
+    def test_http_provider_dedupes_within_one_call(self):
+        fake = FakeRequest([
+            (200, {}, json.dumps({"data": [
+                {"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}).encode()),
+            (200, {}, json.dumps({"data": [{"embedding": [1.0, 0.0]}]}).encode())])
         provider = _http_provider(fake)
         first = provider.embed(["a", "b", "a"])
         second = provider.embed(["a"])
         assert first[0] == first[2] == second[0] == [1.0, 0.0]
-        # deduped, then fully memoized
-        assert [json.loads(call.body)["input"] for call in fake.calls] == [["a", "b"]]
+        assert first[0] is not first[2]
+        # deduped within a call; a later call posts the text again
+        assert [json.loads(call.body)["input"] for call in fake.calls] == [["a", "b"], ["a"]]
 
     @pytest.mark.parametrize("vectors", [
         [["a", "b"]], [5], [[float("nan"), 1.0]], [[1.0, True]], [None], [[10 ** 400, 1]]])

@@ -10,7 +10,8 @@ Configuration, a ``config.RunConfig``, comes from an optional JSON file or
 run manifest plus flags (flags win); every run writes a manifest sufficient
 to reproduce it.
 
-Exit codes: 0 ok, 1 usage, 2 config, 3 data, 4 provider.
+Exit codes: 0 ok, 1 usage, 2 config, 3 data, 4 provider; a package error's
+class decides its code (``FinReportQAError.exit_code``).
 """
 
 from __future__ import annotations
@@ -32,29 +33,12 @@ from . import retrieval as retrieval_mod
 from . import rundir
 from .config import _FIELD_TYPES, RunConfig, read_json_object
 from .embeddings import CachedEmbeddingProvider, EmbeddingCache, HttpEmbeddingProvider
-from .errors import (
-    ChecksumMismatchError,
-    ConfigError,
-    ContextOverflowError,
-    DecodeError,
-    FinReportQAError,
-    ProviderError,
-    RateLimitedError,
-    ReportEncodingError,
-    SchemaError,
-    TransportError,
-    UnmatchedPromptError,
-)
+from .errors import ConfigError, FinReportQAError, ReportEncodingError, SchemaError
 from .llm import HttpBackend, LLMClient, ResponseCache, ScriptedBackend
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_PROVIDER = 4
-
-_PROVIDER_ERRORS = (TransportError, ProviderError, DecodeError, UnmatchedPromptError,
-                    ContextOverflowError, RateLimitedError, ChecksumMismatchError)
 
 PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_budget_rag")
 # Pipelines that never search, so they need no retriever or retrieval units.
@@ -289,10 +273,10 @@ def cmd_datagen(args, config: RunConfig) -> int:
             plan = datagen_mod.sample_pages(report, n=args.sample_pages, seed=config.seed)
             batch = datagen_mod.generate_qa(report, plan, client, max_pairs=args.max_pairs)
             for record in batch.records:
-                record.extras.setdefault("report_id", report.report_id)
+                record.setdefault("report_id", report.report_id)
             raw_records.extend(batch.records)
             parse_errors += batch.parse_errors
-        run.write_jsonl("raw.jsonl", (record.to_dict() for record in raw_records))
+        run.write_jsonl("raw.jsonl", raw_records)
         print(f"generated {len(raw_records)} candidates ({parse_errors} parse errors)")
 
     if args.mode in ("filter", "both"):
@@ -371,6 +355,13 @@ def _positive_ints(text: str) -> list[int]:
     return [int(p) for p in parts]
 
 
+def _non_empty(text: str) -> str:
+    """A flag value that is not the empty string."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _year_range(text: str) -> tuple[int, int]:
     """A flag value like ``2022-2024``: an inclusive range of years."""
     match = re.fullmatch(r"([0-9]{4})-([0-9]{4})", text)
@@ -394,7 +385,7 @@ def _score_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _ask_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--question", required=True)
+    parser.add_argument("--question", required=True, type=_non_empty)
     parser.add_argument("--report", required=True, help="report .md path")
     parser.add_argument("--pipeline", choices=PIPELINES, default="agent")
 
@@ -470,13 +461,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         return _COMMANDS[args.command][0](args, resolve_config(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _PROVIDER_ERRORS as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
-    except (FileNotFoundError, FinReportQAError) as exc:
+    except FinReportQAError as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

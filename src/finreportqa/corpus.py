@@ -27,6 +27,7 @@ from .errors import (
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
+    PageNumberError,
     ReportEncodingError,
     SchemaError,
 )
@@ -236,7 +237,7 @@ class _PageScan:
     """
 
     def __init__(self) -> None:
-        self.page_numbers: list[int] = []  # one per delimiter line, in text order
+        self.page_numbers: list[str] = []  # each delimiter line's digits, in text order
         self.texts: list[str] = []  # the closed pages' texts, in the same order
         self.open: list[str] = []  # the slices of the open page, or of the preamble
 
@@ -254,7 +255,7 @@ class _PageScan:
                 match = _DELIMITER.fullmatch(text, hit, end)
                 if match:
                     self._close(text[start:hit])
-                    self.page_numbers.append(int(match.group(1)))
+                    self.page_numbers.append(match.group(1))
                     start = end + len(line_break)
             hit = text.find(_DELIMITER_PREFIX, end)
         if start < len(text):
@@ -280,7 +281,13 @@ class _PageScan:
 
         pages: list[PageChunk] = []
         seen: set[int] = set()
-        for page_number, page_text in zip(self.page_numbers, [*self.texts, text]):
+        for digits, page_text in zip(self.page_numbers, [*self.texts, text]):
+            try:
+                page_number = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise PageNumberError(f"a page number of {len(digits)} digits") from None
+            if page_number < 1:
+                raise PageNumberError(f"page {page_number}: pages are numbered from 1")
             if page_number in seen:
                 raise DuplicatePageNumberError(f"page {page_number} captured twice")
             seen.add(page_number)
@@ -387,7 +394,7 @@ def load_report(path: str | Path) -> Report:
         company, year = "", "0"
     try:
         return scan.report(path.stem, company, int(year))
-    except (EmptyDocumentError, DuplicatePageNumberError) as exc:
+    except (EmptyDocumentError, DuplicatePageNumberError, PageNumberError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -447,8 +454,9 @@ def _require(record: dict, key: str, line_number: int):
     return record[key]
 
 
-_REQUIRED_KEYS = ("id", "company", "year", "question", "type", "thoughts",
-                  "page_numbers", "python_code", "answer")
+# The keys of every dataset record; datagen's candidates hold them too.
+REQUIRED_KEYS = ("id", "company", "year", "question", "type", "thoughts",
+                 "page_numbers", "python_code", "answer")
 _OPTIONAL_KEYS = ("report_id", "n_evidence_tables")
 
 
@@ -469,11 +477,13 @@ def is_page_list(value) -> bool:
 
 def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
     """Validate one dataset record and build a QAInstance."""
-    values = {key: _require(record, key, line_number) for key in _REQUIRED_KEYS}
+    values = {key: _require(record, key, line_number) for key in REQUIRED_KEYS}
 
     for key in ("id", "company", "question", "thoughts", "python_code", "answer"):
         if not isinstance(values[key], str):
             raise SchemaError(f"field {key!r} must be a string", line_number, key)
+    if not values["question"]:
+        raise SchemaError("field 'question' is empty", line_number, "question")
     if not is_file_name(values["id"]):
         raise SchemaError(f"field 'id' must be one plain file name, got {values['id']!r}",
                           line_number, "id")
@@ -514,7 +524,7 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
         raise SchemaError(f"field 'percent_mode' must be one of {PERCENT_MODES[2:]}",
                           line_number, "percent_mode")
 
-    extras = {k: v for k, v in record.items() if k not in _REQUIRED_KEYS + _OPTIONAL_KEYS}
+    extras = {k: v for k, v in record.items() if k not in REQUIRED_KEYS + _OPTIONAL_KEYS}
 
     return QAInstance(
         id=values["id"],

@@ -5,6 +5,9 @@ prompts the model for structured QA records, and decodes the JSON batch.
 Filtering enforces, in order: a multi-page constraint, removal of cases
 solvable from a single table block, agreement between the arithmetic
 program and the stated answer, and a numeric-answer constraint.
+
+A candidate is a dataset record, as ``corpus.instance_from_record`` reads
+it, and each kept candidate becomes an instance through that function.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ from typing import Optional, Sequence
 
 from .corpus import (
     PERCENT_MODES,
+    QUESTION_TYPES,
+    REQUIRED_KEYS,
     QAInstance,
     Report,
-    instance_to_record,
+    instance_from_record,
     is_file_name,
     is_page_list,
+    make_report_id,
     read_json_lines,
 )
 from .errors import ProgramError, SchemaError, SyntaxUnsupportedError
@@ -41,70 +47,29 @@ REJECTION_REASONS = ("too_few_pages", "single_table", "calc_error",
 _TABLE_NUMBER_RE = re.compile(r"\(?-?[$€£]?\d[\d,]*(?:\.\d+)?\)?%?")
 
 
-@dataclass
-class RawQA:
-    """One generated record, schema-matching but unvalidated."""
-    id: str
-    company: str
-    year: str
-    question: str
-    type: str
-    thoughts: str
-    page_numbers: list[int]
-    python_code: str
-    answer: str
-    extras: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "RawQA":
-        known = {f: record.get(f) for f in
-                 ("id", "company", "year", "question", "type", "thoughts",
-                  "page_numbers", "python_code", "answer")}
-        if any(known[f] is None for f in known):
-            missing = [f for f, v in known.items() if v is None]
-            raise ValueError(f"record missing fields: {missing}")
-        if not is_page_list(known["page_numbers"]):
-            raise ValueError("page_numbers must be positive integers")
-        if not is_file_name(str(known["id"])):
-            raise ValueError("id must be one plain file name")
-        extras = {k: v for k, v in record.items() if k not in known}
-        if not isinstance(extras.get("report_id", ""), str):
-            raise ValueError("report_id must be a string")
-        if extras.get("percent_mode") not in PERCENT_MODES:
-            raise ValueError(f"percent_mode must be one of {PERCENT_MODES[2:]}")
-        return cls(
-            id=str(known["id"]),
-            company=str(known["company"]),
-            year=str(known["year"]),
-            question=str(known["question"]),
-            type=str(known["type"]),
-            thoughts=str(known["thoughts"]),
-            page_numbers=list(known["page_numbers"]),
-            python_code=str(known["python_code"]),
-            answer=str(known["answer"]),
-            extras=extras,
-        )
-
-    @classmethod
-    def from_instance(cls, instance: QAInstance) -> "RawQA":
-        record = instance_to_record(instance)
-        record["year"] = str(record["year"])
-        return cls.from_dict(record)
-
-    def to_dict(self) -> dict:
-        record = {
-            "id": self.id,
-            "company": self.company,
-            "year": self.year,
-            "question": self.question,
-            "type": self.type,
-            "thoughts": self.thoughts,
-            "page_numbers": list(self.page_numbers),
-            "python_code": self.python_code,
-            "answer": self.answer,
-        }
-        record.update(self.extras)
-        return record
+def candidate(record) -> dict:
+    """A QA candidate: a dataset record the filter can read, with its scalar
+    fields as strings. Anything else raises ValueError: not a JSON object, a
+    required key missing or null, an empty question, ``page_numbers`` not a
+    page list, ``id`` not one file name, ``report_id`` not a string or an
+    unknown ``percent_mode``."""
+    if not isinstance(record, dict):
+        raise ValueError("record must be a JSON object")
+    missing = [key for key in REQUIRED_KEYS if record.get(key) is None]
+    if missing:
+        raise ValueError(f"record missing fields: {missing}")
+    fields = {key: str(record[key]) for key in REQUIRED_KEYS if key != "page_numbers"}
+    if not fields["question"]:
+        raise ValueError("question must be non-empty")
+    if not is_page_list(record["page_numbers"]):
+        raise ValueError("page_numbers must be positive integers")
+    if not is_file_name(fields["id"]):
+        raise ValueError("id must be one plain file name")
+    if not isinstance(record.get("report_id", ""), str):
+        raise ValueError("report_id must be a string")
+    if record.get("percent_mode") not in PERCENT_MODES:
+        raise ValueError(f"percent_mode must be one of {PERCENT_MODES[2:]}")
+    return {**record, **fields}
 
 
 # --- page sampling -----------------------------------------------------------
@@ -166,7 +131,7 @@ def sample_pages(report: Report, n: int = 40, *, seed: int) -> PageSamplingPlan:
 
 @dataclass
 class GenerationBatch:
-    records: list[RawQA]
+    records: list[dict]  # candidates
     parse_errors: int = 0
 
 
@@ -189,7 +154,7 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
     cleaned = strip_fences(reply)
     try:
         decoded = json.loads(cleaned)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
         return GenerationBatch(records=[], parse_errors=1)
 
     if isinstance(decoded, dict):
@@ -197,12 +162,12 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
     if not isinstance(decoded, list):
         return GenerationBatch(records=[], parse_errors=1)
 
-    records: list[RawQA] = []
+    records: list[dict] = []
     errors = 0
     for element in decoded[:max_pairs]:
         try:
-            records.append(RawQA.from_dict(element))
-        except (ValueError, TypeError):
+            records.append(candidate(element))
+        except ValueError:
             errors += 1
     return GenerationBatch(records=records, parse_errors=errors)
 
@@ -211,7 +176,7 @@ def generate_qa(report: Report, plan: PageSamplingPlan, client: LLMClient,
 
 @dataclass
 class FilterOutcome:
-    raw: RawQA
+    raw: dict  # the candidate
     kept: bool
     reason: Optional[str] = None  # one of REJECTION_REASONS when rejected
     n_evidence_tables: int = 0
@@ -272,11 +237,11 @@ def table_block_values(block_text: str) -> set[Decimal]:
     return values
 
 
-def _tables_with_operands(raw: RawQA, report: Report) -> tuple[int, int]:
+def _tables_with_operands(raw: dict, report: Report) -> tuple[int, int]:
     """Count (blocks containing every operand, blocks containing any operand)
     over the table blocks of the instance's evidence pages."""
     try:
-        operands = program_operands(raw.python_code)
+        operands = program_operands(raw["python_code"])
     except ProgramError:
         return 0, 0
     if not operands:
@@ -284,7 +249,7 @@ def _tables_with_operands(raw: RawQA, report: Report) -> tuple[int, int]:
 
     blocks_containing_all = 0
     blocks_touched = 0
-    for page_number in raw.page_numbers:
+    for page_number in raw["page_numbers"]:
         try:
             page = report.page(page_number)
         except KeyError:
@@ -301,7 +266,7 @@ def _tables_with_operands(raw: RawQA, report: Report) -> tuple[int, int]:
     return blocks_containing_all, blocks_touched
 
 
-def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Sequence[Report]
+def filter_pipeline(raw_batch: Sequence[dict], reports: dict[str, Report] | Sequence[Report]
                     ) -> tuple[list[QAInstance], FilterStats, list[FilterOutcome]]:
     """Apply the rule-based filters in order and keep survivors.
 
@@ -329,24 +294,26 @@ def filter_pipeline(raw_batch: Sequence[RawQA], reports: dict[str, Report] | Seq
     return kept, stats, outcomes
 
 
-def _resolve_report(raw: RawQA, reports: dict[str, Report]) -> Optional[Report]:
-    candidate = raw.extras.get("report_id")
-    if candidate and candidate in reports:
-        return reports[candidate]
+def _year(raw: dict) -> int:
+    """The candidate's year, or 0 when it is not an integer."""
+    try:
+        return int(raw["year"])
+    except ValueError:
+        return 0
+
+
+def _resolve_report(raw: dict, reports: dict[str, Report]) -> Optional[Report]:
+    report_id = raw.get("report_id")
+    if report_id and report_id in reports:
+        return reports[report_id]
     if len(reports) == 1:
         return next(iter(reports.values()))
-    from .corpus import make_report_id
-
-    try:
-        year = int(raw.year)
-    except ValueError:
-        year = 0
-    return reports.get(make_report_id(raw.company, year))
+    return reports.get(make_report_id(raw["company"], _year(raw)))
 
 
-def _filter_one(raw: RawQA, reports: dict[str, Report]) -> FilterOutcome:
+def _filter_one(raw: dict, reports: dict[str, Report]) -> FilterOutcome:
     # (1) multi-page constraint
-    distinct_pages = set(raw.page_numbers)
+    distinct_pages = set(raw["page_numbers"])
     if len(distinct_pages) < 2:
         return FilterOutcome(raw, kept=False, reason="too_few_pages")
 
@@ -354,7 +321,7 @@ def _filter_one(raw: RawQA, reports: dict[str, Report]) -> FilterOutcome:
 
     # program must be in-grammar before the table and execution checks
     try:
-        parse_program(raw.python_code)
+        parse_program(raw["python_code"])
     except SyntaxUnsupportedError:
         return FilterOutcome(raw, kept=False, reason="parse_error")
     except ProgramError:
@@ -369,48 +336,39 @@ def _filter_one(raw: RawQA, reports: dict[str, Report]) -> FilterOutcome:
         n_tables = blocks_touched
 
     # (3) program execution and answer agreement
-    stated = normalize_answer(raw.answer)
+    stated = normalize_answer(raw["answer"])
     try:
-        computed = run_source(raw.python_code)
+        computed = run_source(raw["python_code"])
     except ProgramError:
         return FilterOutcome(raw, kept=False, reason="calc_error")
     if stated.is_numeric and not tolerance_correct(computed, stated.numeric_value):
         return FilterOutcome(raw, kept=False, reason="calc_error")
 
     # (4) answer-type constraint
-    if not stated.is_numeric or not raw.answer.strip():
+    if not stated.is_numeric or not raw["answer"].strip():
         return FilterOutcome(raw, kept=False, reason="incoherent_answer")
 
     return FilterOutcome(raw, kept=True, n_evidence_tables=n_tables)
 
 
-def _to_instance(raw: RawQA, n_evidence_tables: int) -> QAInstance:
-    try:
-        year = int(raw.year)
-    except ValueError:
-        year = 0
-    return QAInstance(
-        id=raw.id,
-        company=raw.company,
-        fiscal_year=year,
-        question=raw.question,
-        gold_answer=raw.answer,
-        question_type=raw.type if raw.type in ("table", "text", "mixed") else "mixed",
-        evidence_pages=frozenset(raw.page_numbers),
-        program_source=raw.python_code,
-        reasoning_trace=raw.thoughts,
-        n_evidence_tables=n_evidence_tables,
-        report_id=raw.extras.get("report_id", ""),
-        extras={k: v for k, v in raw.extras.items() if k != "report_id"},
-    )
+def _to_instance(raw: dict, n_evidence_tables: int) -> QAInstance:
+    """The dataset instance of a kept candidate: a year that is not an integer
+    reads 0, an unknown type reads ``mixed``, and the table count is the
+    filter's."""
+    return instance_from_record({
+        **raw,
+        "year": _year(raw),
+        "type": raw["type"] if raw["type"] in QUESTION_TYPES else "mixed",
+        "n_evidence_tables": n_evidence_tables,
+    })
 
 
-def read_raw_batch(path) -> list[RawQA]:
-    """The records of a raw batch file; a bad file or record raises SchemaError."""
-    records: list[RawQA] = []
+def read_raw_batch(path) -> list[dict]:
+    """The candidates of a raw batch file; a bad file or record raises SchemaError."""
+    records: list[dict] = []
     for line_number, record in read_json_lines(path):
         try:
-            records.append(RawQA.from_dict(record))
-        except (TypeError, ValueError) as exc:
+            records.append(candidate(record))
+        except ValueError as exc:
             raise SchemaError(f"{path}: {exc}", line_number) from None
     return records

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from . import transport
 from .config import RunConfig
-from .errors import ConfigError, DimensionMismatchError, ProviderError, TransportError
+from .errors import ConfigError, DimensionMismatchError, ProviderError
 
 
 class EmbeddingProvider:
@@ -65,12 +65,9 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = json.dumps({"model": self.model, "input": texts}, allow_nan=False).encode("utf-8")
-        try:
-            status, _, reply = transport.request_with_retry(
-                self._request, "POST", config.embedding_endpoint, headers=headers, body=body,
-                timeout=config.timeout, policy=config.retry_policy(), sleep=self._sleep)
-        except TransportError as exc:
-            raise ProviderError(f"embedding request failed: {exc}") from exc
+        status, _, reply = transport.request_with_retry(
+            self._request, "POST", config.embedding_endpoint, headers=headers, body=body,
+            timeout=config.timeout, policy=config.retry_policy(), sleep=self._sleep)
         if status != 200:
             raise ProviderError(f"embedding endpoint returned {status}")
         try:

@@ -2,7 +2,21 @@
 
 
 class FinReportQAError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    The class decides how the command line reports an error: ``exit_code``
+    is its exit status and ``label`` the word its message starts with.
+    """
+
+    exit_code = 3
+    label = "data"
+
+
+class ProviderError(FinReportQAError):
+    """A model, embedding or EDGAR endpoint failed or sent an unusable reply."""
+
+    exit_code = 4
+    label = "provider"
 
 
 # --- corpus ---------------------------------------------------------------
@@ -17,6 +31,10 @@ class ReportEncodingError(FinReportQAError):
 
 class DuplicatePageNumberError(FinReportQAError):
     """The same page number was captured from two delimiter lines."""
+
+
+class PageNumberError(FinReportQAError):
+    """A delimiter line's page number is 0 or has more digits than int() reads."""
 
 
 class SchemaError(FinReportQAError):
@@ -47,29 +65,25 @@ class EmptyGoldError(FinReportQAError):
     """Recall requested against an empty gold page set."""
 
 
-class ProviderError(FinReportQAError):
-    """Embedding provider transport or decode failure."""
-
-
 class DimensionMismatchError(ProviderError):
     """Embedding vectors do not share the expected dimension."""
 
 
 # --- llm ------------------------------------------------------------------
 
-class ContextOverflowError(FinReportQAError):
+class ContextOverflowError(ProviderError):
     """Rendered messages exceed the provider's input token budget."""
 
 
-class TransportError(FinReportQAError):
+class TransportError(ProviderError):
     """HTTP transport failed after exhausting the retry policy."""
 
 
-class DecodeError(FinReportQAError):
+class DecodeError(ProviderError):
     """Provider response could not be decoded into assistant text."""
 
 
-class UnmatchedPromptError(FinReportQAError):
+class UnmatchedPromptError(ProviderError):
     """Scripted backend received a prompt no matcher covers."""
 
 
@@ -122,11 +136,11 @@ class NotFoundError(FinReportQAError):
     """Ticker, CIK, or document could not be resolved."""
 
 
-class RateLimitedError(FinReportQAError):
+class RateLimitedError(ProviderError):
     """Remote endpoint kept rate-limiting after honoring Retry-After."""
 
 
-class ChecksumMismatchError(FinReportQAError):
+class ChecksumMismatchError(ProviderError):
     """Downloaded byte count or hash does not match the expected value."""
 
 
@@ -134,3 +148,6 @@ class ChecksumMismatchError(FinReportQAError):
 
 class ConfigError(FinReportQAError):
     """Run configuration is invalid."""
+
+    exit_code = 2
+    label = "config"

@@ -90,3 +90,23 @@ _REPLY_PIECES = (
 def random_reply(rng) -> str:
     """A reply of up to 12 random pieces."""
     return "".join(rng.choices(_REPLY_PIECES, k=rng.randint(0, 12)))
+
+
+# Lines of report files: delimiter variants (page 0, leading zeros, a repeated
+# page, a number past 64 bits and one past int()'s 4300-digit limit), near
+# misses, blank lines, table rows and bytes that are not UTF-8.
+_REPORT_LINES = (
+    b"<!-- page: 0 -->", b"<!-- page: 000 -->", b"<!-- page: 1 -->", b"<!-- page: 01 -->",
+    b"<!-- page: 2 -->", b"<!--page=2-->", b"<!-- Page 3 -->", b"<!-- page: 7 -->",
+    b"<!-- page: 18446744073709551617 -->", b"<!-- page: " + b"9" * 5000 + b" -->",
+    b"<!-- page: -1 -->", b"<!-- page: x -->", b"text <!-- page: 4 -->", b"<!-- page: 5",
+    b"", b" ", b"\t  ", b"Revenue 4,139", b"| Revenue | 4,139 |", "é€".encode(),
+    b"\xff", b"\xc3", b"\xed\xa0\x80",
+)
+_REPORT_BREAKS = (b"\n", b"\r", b"\r\n", b"")
+
+
+def random_report(rng) -> bytes:
+    """A report file of up to 12 random lines, each with a random line break."""
+    return b"".join(rng.choice(_REPORT_LINES) + rng.choice(_REPORT_BREAKS)
+                    for _ in range(rng.randint(0, 12)))

@@ -22,8 +22,8 @@ from conftest import (
     write_dscr_workspace,
 )
 from finreportqa.cli import main
-from finreportqa.corpus import parse_report
-from finreportqa.datagen import RawQA, filter_pipeline
+from finreportqa.corpus import instance_to_record, parse_report
+from finreportqa.datagen import candidate, filter_pipeline
 from finreportqa.metrics import (
     DEFAULT_CONSTANTS,
     PercentMode,
@@ -266,7 +266,7 @@ def test_criterion_8_filter_pipeline():
     assert stats.reconciles()
 
     refiltered, stats2, _ = filter_pipeline(
-        [RawQA.from_instance(instance) for instance in kept], [filter_report()])
+        [candidate(instance_to_record(instance)) for instance in kept], [filter_report()])
     assert len(refiltered) == 10
     assert stats2.rejections == {}
 

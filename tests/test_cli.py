@@ -20,6 +20,7 @@ from conftest import (
     write_dscr_workspace,
 )
 from finreportqa import cli as cli_mod
+from finreportqa import errors as errors_mod
 from finreportqa import llm as llm_mod
 from finreportqa import transport
 from finreportqa.cli import RunConfig, build_embedding_provider, main
@@ -362,6 +363,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "DemoCo_2002.md" in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize("command", ["ask", "stats"])
+    def test_report_with_a_page_0_is_data_error(self, tmp_path, capsys, command):
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        report = corpus_dir / "DemoCo_2002.md"
+        report.write_text("<!-- page: 0 -->\nCover.\n<!-- page: 1 -->\nText.\n")
+        assert main({
+            "ask": ["ask", "--question", DSCR_QUESTION, "--report", str(report),
+                    "--backend", "scripted", "--script-path", str(script),
+                    "--output-dir", str(tmp_path / "out")],
+            "stats": ["stats", "--corpus-dir", str(corpus_dir)],
+        }[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {report}: page 0") and "Traceback" not in err
+
+    def test_empty_ask_question_is_usage_error(self, tmp_path, capsys):
+        corpus_dir, _, script = write_dscr_workspace(tmp_path)
+        assert main(["ask", "--question", "", "--report", str(corpus_dir / "DemoCo_2002.md"),
+                     "--backend", "scripted", "--script-path", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --question: must not be empty" in err and "Traceback" not in err
+
     def test_non_finite_reply_is_no_answer(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         script.write_text(json.dumps({"entries": [{"matcher": "", "response": "{{NaN}}"}]}))
@@ -399,6 +421,30 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err.startswith(
             "provider error: provider returned dimension 3, expected 2")
+
+
+# The classes that exit 2 and 4 with their prefixes; every other package
+# error exits 3 with "data error: ".
+_CONFIG_ERRORS = ("ConfigError",)
+_PROVIDER_ERRORS = ("ProviderError", "DimensionMismatchError", "TransportError", "DecodeError",
+                    "UnmatchedPromptError", "ContextOverflowError", "RateLimitedError",
+                    "ChecksumMismatchError")
+
+
+@pytest.mark.parametrize("error", [
+    value for value in vars(errors_mod).values()
+    if isinstance(value, type) and issubclass(value, errors_mod.FinReportQAError)],
+    ids=lambda error: error.__name__)
+def test_an_errors_class_decides_its_exit_code(capsys, monkeypatch, error):
+    def fail(args, config):
+        raise error("it failed")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "stats", (fail, *cli_mod._COMMANDS["stats"][1:]))
+    code, prefix = ((2, "config") if error.__name__ in _CONFIG_ERRORS
+                    else (4, "provider") if error.__name__ in _PROVIDER_ERRORS
+                    else (3, "data"))
+    assert main(["stats"]) == code
+    assert capsys.readouterr().err == f"{prefix} error: it failed\n"
 
 
 # What an input file holds for each fault; None leaves it missing.
@@ -588,7 +634,7 @@ class TestBench:
         ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus"),
         ("year", float("inf")), ("year", float("nan")), ("year", True),
         ("n_evidence_tables", True), ("n_evidence_tables", float("inf")),
-        ("answer", "NaN"), ("answer", "Infinity")])
+        ("answer", "NaN"), ("answer", "Infinity"), ("question", "")])
     def test_bad_dataset_field_ends_bench_before_it_writes(self, tmp_path, capsys, monkeypatch,
                                                            field, value):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)

@@ -29,10 +29,13 @@ from finreportqa.errors import (
     DanglingReferenceError,
     DuplicatePageNumberError,
     EmptyDocumentError,
+    FinReportQAError,
+    PageNumberError,
     ReportEncodingError,
     SchemaError,
 )
 from finreportqa.rundir import RunDir
+from oracles import random_report
 
 TWO_PAGE_MD = "<!-- page: 1 -->\nA\n<!-- page: 2 -->\nB\n"
 
@@ -558,6 +561,11 @@ class TestDataset:
             instance_from_record(self._record(**{field: value}), 7)
         assert (excinfo.value.line_number, excinfo.value.field) == (7, field)
 
+    def test_empty_question_rejected(self):
+        with pytest.raises(SchemaError, match="^line 7: field 'question' is empty$") as excinfo:
+            instance_from_record(self._record(question=""), 7)
+        assert excinfo.value.field == "question"
+
     @pytest.mark.parametrize("year", [2023, 2023.0, "2023"])
     def test_year_may_be_an_integral_number_or_string(self, year):
         assert instance_from_record(self._record(year=year)).fiscal_year == 2023
@@ -790,6 +798,8 @@ def test_load_report_read_byte_by_byte_equals_parse_report_of_its_text(tmp_path,
     (" \n\n", EmptyDocumentError, "document has no non-whitespace content"),
     ("<!-- page: 3 -->\nA\n<!-- page: 3 -->\nB\n", DuplicatePageNumberError,
      "page 3 captured twice"),
+    ("<!-- page: 00 -->\nA\n<!-- page: 1 -->\nB\n", PageNumberError,
+     "page 0: pages are numbered from 1"),
 ])
 def test_load_report_names_the_file_in_a_parse_error(tmp_path, content, error, message):
     path = tmp_path / "Blank_2003.md"
@@ -797,6 +807,34 @@ def test_load_report_names_the_file_in_a_parse_error(tmp_path, content, error, m
     with pytest.raises(error) as caught:
         load_report(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_load_report_names_a_page_number_too_long_for_int(tmp_path):
+    path = tmp_path / "Long_2003.md"
+    path.write_text("<!-- page: " + "1" * 5000 + " -->\nA\n", encoding="utf-8")
+    with pytest.raises(PageNumberError) as caught:
+        load_report(path)
+    assert str(caught.value) == f"{path}: a page number of 5000 digits"
+
+
+def test_report_file_fuzz(tmp_path):
+    """Every seeded report file loads as parse_report reads its text, or
+    raises the package error parse_report raises (a ReportEncodingError when
+    the bytes are not UTF-8), naming the file."""
+    rng = random.Random(20261020)
+    for index in range(1000):
+        path = tmp_path / f"Fuzz{index}_2024.md"
+        path.write_bytes(random_report(rng))
+        try:
+            expected = parse_report(path.read_text(encoding="utf-8"), report_id=path.stem)
+        except (UnicodeDecodeError, FinReportQAError) as exc:
+            error = ReportEncodingError if isinstance(exc, UnicodeDecodeError) else type(exc)
+            with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+                load_report(path)
+            continue
+        report = load_report(path)
+        assert [(p.page_number, p.text) for p in report.pages] == \
+            [(p.page_number, p.text) for p in expected.pages], path.read_bytes()
 
 
 def test_load_report_holds_one_copy_of_the_text(tmp_path):

@@ -4,9 +4,9 @@ from decimal import Decimal
 import pytest
 
 from conftest import make_scripted_client
-from finreportqa.corpus import parse_report
+from finreportqa.corpus import instance_to_record, parse_report
 from finreportqa.datagen import (
-    RawQA,
+    candidate,
     filter_pipeline,
     generate_qa,
     program_operands,
@@ -15,6 +15,7 @@ from finreportqa.datagen import (
     strip_fences,
     table_block_values,
 )
+from finreportqa.errors import SchemaError
 from finreportqa.rundir import RunDir
 
 FILTER_REPORT_MD = (
@@ -44,7 +45,7 @@ def raw(id, pages, code, answer, **overrides):
         page_numbers=pages, python_code=code, answer=answer,
     )
     base.update(overrides)
-    return RawQA(**base)
+    return candidate(base)
 
 
 CLEAN = dict(pages=[5, 7], code="4139/((45+11)/2)", answer="147.82")
@@ -105,7 +106,7 @@ class TestGenerateQA:
         batch = generate_qa(report, plan, client)
         assert len(batch.records) == 2
         assert batch.parse_errors == 0
-        assert batch.records[0].id == "g1"
+        assert batch.records[0]["id"] == "g1"
 
     def test_markdown_fences_stripped(self):
         fenced = "```json\n" + json.dumps(self._records()) + "\n```"
@@ -129,6 +130,30 @@ class TestGenerateQA:
         assert len(batch.records) == 2
         assert batch.parse_errors == 1
 
+    def test_elements_that_are_not_objects_are_parse_errors(self):
+        payload = self._records() + ["a record", 7, None]
+        client = make_scripted_client([("annual report", json.dumps(payload))])
+        report = filter_report()
+        batch = generate_qa(report, sample_pages(report, n=3, seed=0), client)
+        assert [r["id"] for r in batch.records] == ["g1", "g2"]
+        assert batch.parse_errors == 3
+
+    def test_reply_nested_past_the_decoder_is_a_parse_error(self):
+        client = make_scripted_client([("annual report", "[" * 100_000)])
+        report = filter_report()
+        batch = generate_qa(report, sample_pages(report, n=3, seed=0), client)
+        assert batch.records == []
+        assert batch.parse_errors == 1
+
+    def test_empty_question_is_a_parse_error(self):
+        payload = self._records()
+        payload[1]["question"] = ""
+        client = make_scripted_client([("annual report", json.dumps(payload))])
+        report = filter_report()
+        batch = generate_qa(report, sample_pages(report, n=3, seed=0), client)
+        assert [r["id"] for r in batch.records] == ["g1"]
+        assert batch.parse_errors == 1
+
     @pytest.mark.parametrize("bad_page", [31.9, "50", True])
     def test_a_page_number_that_is_not_an_int_is_a_parse_error(self, bad_page):
         payload = self._records()
@@ -136,7 +161,7 @@ class TestGenerateQA:
         client = make_scripted_client([("annual report", json.dumps(payload))])
         report = filter_report()
         batch = generate_qa(report, sample_pages(report, n=3, seed=0), client)
-        assert [r.id for r in batch.records] == ["g1"]
+        assert [r["id"] for r in batch.records] == ["g1"]
         assert batch.parse_errors == 1
 
     def test_prompt_contains_sampled_pages(self):
@@ -243,6 +268,13 @@ class TestFilterPipeline:
         assert instance.n_evidence_tables == 2  # revenue block + inventory block
         assert instance.difficulty.value == "Medium"
 
+    def test_kept_instance_carries_the_filters_table_count(self):
+        kept, _, outcomes = self._run([raw("c0", **CLEAN, n_evidence_tables=9)])
+        (instance,) = kept
+        assert outcomes[0].n_evidence_tables == 2
+        assert instance_to_record(instance)["n_evidence_tables"] == 2
+        assert instance.difficulty.value == "Medium"
+
     def test_idempotent_on_kept_set(self):
         batch = (
             [raw(f"c{i}", **CLEAN) for i in range(5)]
@@ -250,7 +282,7 @@ class TestFilterPipeline:
             + [raw("e0", [5, 9], "10/4", "99")]
         )
         kept, _, _ = self._run(batch)
-        again = [RawQA.from_instance(instance) for instance in kept]
+        again = [candidate(instance_to_record(instance)) for instance in kept]
         kept2, stats2, _ = filter_pipeline(again, [filter_report()])
         assert len(kept2) == len(kept)
         assert stats2.rejections == {}
@@ -262,8 +294,16 @@ class TestFilterPipeline:
 
 
 def test_raw_batch_round_trip(tmp_path):
-    records = [raw("r1", [5, 7], "1+1", "2", extras={"tag": "x"}),
+    records = [raw("r1", [5, 7], "1+1", "2", tag="x"),
                raw("r2", [5, 9], "2+2", "4")]
-    path = RunDir(tmp_path).write_jsonl("raw.jsonl", (r.to_dict() for r in records))
+    path = RunDir(tmp_path).write_jsonl("raw.jsonl", records)
     again = read_raw_batch(path)
     assert again == records
+
+
+def test_raw_batch_with_an_empty_question_is_a_schema_error(tmp_path):
+    path = RunDir(tmp_path).write_jsonl("raw.jsonl", [raw("r1", [5, 7], "1+1", "2"),
+                                                      dict(raw("r2", [5, 9], "2+2", "4"),
+                                                           question="")])
+    with pytest.raises(SchemaError, match="^line 2: .*question must be non-empty$"):
+        read_raw_batch(path)

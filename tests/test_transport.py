@@ -7,6 +7,7 @@ and decoding run against ``conftest.LocalServer`` replies.
 import gzip
 import hashlib
 import json
+import re
 import ssl
 import zlib
 from pathlib import Path
@@ -133,8 +134,9 @@ class TestRetries:
 
     def test_refused_embedding_connection_is_a_provider_error(self):
         sleeps = []
-        provider = _embedder(refused_url(), sleep=sleeps.append)
-        with pytest.raises(ProviderError, match="request failed.*after 3 attempts"):
+        url = refused_url()
+        provider = _embedder(url, sleep=sleeps.append)
+        with pytest.raises(ProviderError, match=f"POST {re.escape(url)}.*after 3 attempts"):
             provider.embed(["text"])
         assert sleeps == [0.5, 1.0]
 

@@ -154,7 +154,7 @@ def read_json_object(path: str | Path) -> dict:
     """The JSON object in a config or manifest file; anything else is a ConfigError."""
     try:
         payload = json.loads(read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} does not hold a JSON object")

@@ -573,7 +573,7 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SchemaError(f"{path}: invalid JSON: {exc}", line_number) from None
         if not isinstance(record, dict):
             raise SchemaError(f"{path}: not a JSON object", line_number)

@@ -124,7 +124,7 @@ class EmbeddingCache:
         """The cached vector; None when the entry is absent or unreadable."""
         try:
             vector = json.loads(self._path(model, text).read_text(encoding="utf-8"))["vector"]
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, RecursionError, KeyError, TypeError):
             return None
         return vector if isinstance(vector, list) else None
 

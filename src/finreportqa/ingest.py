@@ -114,7 +114,7 @@ class EdgarClient:
         _, body = self._get(url)
         try:
             return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise TransportError(f"GET {url}: body is not JSON: {exc}") from exc
 
     def resolve_cik(self, cik_or_ticker: str) -> str:

@@ -248,7 +248,7 @@ class ScriptedBackend(Backend):
             )
         except KeyError as exc:
             raise ConfigError(f"script file {path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"script file {path}: {exc}") from None
 
     def generate(self, config: RunConfig, messages: Sequence[ChatMessage],
@@ -280,7 +280,7 @@ class ResponseCache:
         """The cached reply; None when the entry is absent or unreadable."""
         try:
             response = json.loads(self._path(key).read_text(encoding="utf-8"))["response"]
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, RecursionError, KeyError, TypeError):
             return None
         return response if isinstance(response, str) else None
 

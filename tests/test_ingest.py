@@ -209,6 +209,13 @@ class TestMalformedMetadata:
         with pytest.raises(TransportError, match=f"{SUBMISSIONS_URL}: malformed"):
             client.list_filings("320193")
 
+    def test_deeply_nested_body(self):
+        body = b"[" * 100_000
+        client, _ = make_client({SUBMISSIONS_URL: (200, {"Content-Length": str(len(body))},
+                                                   body)})
+        with pytest.raises(TransportError, match=f"{SUBMISSIONS_URL}: body is not JSON"):
+            client.list_filings("320193")
+
     @pytest.mark.parametrize("payload", [[], {"filings": []}, {"name": 5, "filings": {
         "recent": SUBMISSIONS_FIXTURE["filings"]["recent"]}}])
     def test_submissions_document(self, payload):

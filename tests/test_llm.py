@@ -381,7 +381,8 @@ class TestComplete:
         assert len(fake.calls) == 2
 
     @pytest.mark.parametrize("damaged", [
-        None, b"", b"[]", b"null", b'{"key": "k"}', b'{"response": 5}', b"\xff\xfe"])
+        None, b"", b"[]", b"null", b'{"key": "k"}', b'{"response": 5}', b"\xff\xfe",
+        pytest.param(b"[" * 100_000, id="deeply-nested")])
     def test_unreadable_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
         fake = FakeRequest([_ok("fresh"), _ok("fresh")])
         cache = ResponseCache(tmp_path / "llm")

@@ -519,7 +519,8 @@ class TestDense:
         provider.embed(["unit 1"])
         assert inner.calls == calls_after_first
 
-    @pytest.mark.parametrize("damaged", [None, b"", b"[]", b'{"model": "m"}', b'{"vector": 3}'])
+    @pytest.mark.parametrize("damaged", [None, b"", b"[]", b'{"model": "m"}', b'{"vector": 3}',
+                                         pytest.param(b"[" * 100_000, id="deeply-nested")])
     def test_unreadable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, damaged):
         cache = EmbeddingCache(tmp_path / "emb")
         inner = _BasisProvider()

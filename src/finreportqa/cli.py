@@ -22,7 +22,7 @@ import re
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -68,13 +68,23 @@ class _ReportRunner:
     """Per-report state and question answering for one pipeline.
 
     ``paths`` maps each report id to its file. A report is set up by the
-    first question that needs it, on that question's worker, under one
-    set-up lock. Only the state the pipeline reads is built: the report
+    first question that needs it, on that question's worker, under the
+    runner's lock. Only the state the pipeline reads is built: the report
     always, the retriever (which holds the retrieval units) only for
     pipelines that search, and one embedding provider for the run only for
     those that search densely. With ``questions``, each report's question
     count, a report is dropped, with all it holds, once ``run_instance`` has
     answered that many of its questions. Answering is thread-safe.
+
+    Inside ``with``, once a report's first question is answered, the next
+    report in order of first question is set up ahead on one background
+    thread while this report's other questions wait on the endpoint. For
+    ``long_context`` that step also flattens the pages a prompt can hold,
+    which the report's first question does otherwise. Looking one report
+    ahead holds at most one report more than those with questions in
+    flight: N + 1 at N workers over a dataset grouped by report. A set-up
+    error is kept and raised by that report's first question. Leaving the
+    block cancels a set-up not yet begun and waits for one that is running.
     """
 
     def __init__(self, client: LLMClient, pipeline: str, paths: Mapping[str, Path],
@@ -83,24 +93,39 @@ class _ReportRunner:
         self.client = client
         self.pipeline = pipeline
         self._paths = dict(paths)
-        self._reports: dict[str, tuple] = {}
+        self._reports: dict[str, Future] = {}
         self._questions_left = dict(questions or {})
-        self._setup_lock = threading.Lock()
-        self._lock = threading.Lock()  # guards the question counts
+        order = list(self._questions_left)
+        self._next = dict(zip(order, order[1:]))  # each report's successor
+        self._unstarted = set(order)  # reports whose set-up has not begun
+        self._lock = threading.Lock()  # guards the three above and the question counts
+        self._pool: Optional[ThreadPoolExecutor] = None
         self.provider = (build_embedding_provider(config)
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
                          else None)
 
+    def __enter__(self) -> "_ReportRunner":
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="report-setup")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(cancel_futures=True)
+        self._pool = None
+
     def report(self, report_id: str) -> tuple:
         """The report and its retriever (None for a pipeline that does not
         search), set up on first use."""
-        entry = self._reports.get(report_id)
-        if entry is None:
-            with self._setup_lock:
-                entry = self._reports.get(report_id)
-                if entry is None:
-                    entry = self._reports[report_id] = self._setup(report_id)
-        return entry
+        with self._lock:
+            future = self._reports.get(report_id)
+            if future is None:
+                self._unstarted.discard(report_id)
+                future = Future()
+                try:
+                    future.set_result(self._setup(report_id))
+                except Exception as exc:
+                    future.set_exception(exc)
+                self._reports[report_id] = future
+        return future.result()
 
     def _setup(self, report_id: str) -> tuple:
         report = corpus_mod.load_report(self._paths[report_id])
@@ -111,6 +136,14 @@ class _ReportRunner:
             report, config.scheme, granularity=config.unit_granularity(),
             provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b))
 
+    def _setup_ahead(self, report_id: str) -> tuple:
+        """``_setup``, and for long_context the flattening of every page a
+        prompt can hold, which the report's first question does otherwise."""
+        entry = self._setup(report_id)
+        if self.pipeline == "long_context":
+            entry[0].prefix(self.client.config.max_input_tokens)
+        return entry
+
     def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
         report_id = instance.report_id
         row = self.answer(report_id, instance.question, instance.id)
@@ -118,6 +151,10 @@ class _ReportRunner:
             self._questions_left[report_id] -= 1
             if not self._questions_left[report_id]:
                 del self._reports[report_id]
+            following = self._next.get(report_id)
+            if self._pool is not None and following in self._unstarted:
+                self._unstarted.discard(following)
+                self._reports[following] = self._pool.submit(self._setup_ahead, following)
         return row
 
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
@@ -165,12 +202,13 @@ def cmd_bench(args, config: RunConfig) -> int:
     client.log_path = run.path / "llm_log.jsonl"
 
     # both maps yield rows in dataset order; the pool bounds how many LLM
-    # calls are in flight at once
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = run.write_rows(pool.map(runner.run_instance, instances))
-    else:
-        rows = run.write_rows(map(runner.run_instance, instances))
+    # calls are in flight at once, and the runner sets reports up ahead
+    with runner:
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                rows = run.write_rows(pool.map(runner.run_instance, instances))
+        else:
+            rows = run.write_rows(map(runner.run_instance, instances))
 
     report = run.write_scores(rundir.score_rows(rows, {i.id: i for i in instances}))
     run.write_manifest(

@@ -203,6 +203,7 @@ class TestConfigFiles:
         ('{"command": "bench", "pipeline": "agent"}', "no config"),
         ('{"config": 3}', "no config"),
         ("null", "JSON object"),
+        pytest.param("[" * 100_000, "not valid JSON", id="deeply-nested"),
     ])
     def test_bad_manifest_is_config_error(self, tmp_path, capsys, text, message):
         manifest = tmp_path / "manifest.json"
@@ -334,6 +335,7 @@ class TestScriptFile:
         json.dumps(["Question", "{{1.55}}"]),
         json.dumps({"entries": [{"matcher": 5, "response": "{{1.55}}"}]}),
         json.dumps({"entries": [{"matcher": "Question", "response": 7}]}),
+        pytest.param("[" * 100_000, id="deeply-nested"),
     ])
     def test_malformed_script_is_config_error(self, tmp_path, capsys, text):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -946,18 +948,64 @@ class TestReportSetup:
         assert sorted(refs) == [f"DemoCo_{year}" for year in years]
         assert len(held) == 12 and 1 <= max(held) <= workers + 1, held
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_a_bad_report_mid_run_keeps_the_rows_before_it(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("workers, pipeline", [
+        pytest.param("1", "no_context", id="1"), pytest.param("2", "no_context", id="2"),
+        ("1", "long_context"), ("2", "long_context"), ("1", "agent"), ("2", "agent")])
+    def test_a_bad_report_mid_run_keeps_the_rows_before_it(self, tmp_path, capsys, workers,
+                                                           pipeline):
         corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
+        if pipeline == "agent":
+            script.write_text(json.dumps({
+                "entries": [{"matcher": m, "response": r} for m, r in DSCR_SCRIPT]}))
+        # the blank report is set up ahead, once the first report's first
+        # question is answered
         (corpus_dir / "DemoCo_2003.md").write_text(" \n\n", encoding="utf-8")
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
-            "--pipeline", "no_context", "--workers", workers))) == 3
+            "--pipeline", pipeline, "--workers", workers))) == 3
         err = capsys.readouterr().err
         assert err.startswith(
             f"data error: {corpus_dir / 'DemoCo_2003.md'}: document has no non-whitespace content")
         assert "Traceback" not in err
         rows = (tmp_path / "runs" / "run-a" / "predictions.jsonl").read_text().splitlines()
         assert [json.loads(row)["id"] for row in rows] == ["q-2002-0", "q-2002-1"]
+
+    @pytest.mark.parametrize("pipeline", ["long_context", "single_round_rag"])
+    @pytest.mark.parametrize("fault, code", [(None, 0), ("bad report", 3), ("provider", 4)])
+    def test_the_next_report_is_set_up_ahead_on_a_thread_that_ends(
+            self, tmp_path, capsys, monkeypatch, pipeline, fault, code):
+        years = (2002, 2003, 2004, 2005)
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, years, 3)
+        if fault == "bad report":
+            (corpus_dir / "DemoCo_2004.md").write_text(" \n\n", encoding="utf-8")
+        loading = {f"DemoCo_{year}": threading.Event() for year in years}
+        loaders = set()
+        load_report = cli_mod.corpus_mod.load_report
+
+        def tracked_load_report(path, *args):
+            loaders.add(threading.current_thread())
+            loading[path.stem].set()
+            return load_report(path, *args)
+
+        ahead = []  # at each report's last question: had the next report's load begun?
+        calls = iter(range(len(years) * 3))
+        run_baseline = cli_mod.pipelines_mod.run_baseline
+
+        def last_question_waits(*args, **kwargs):
+            index, position = divmod(next(calls), 3)
+            if position == 2 and index + 1 < len(years):
+                ahead.append(loading[f"DemoCo_{years[index + 1]}"].wait(timeout=5))
+                if fault == "provider":
+                    raise ProviderError("endpoint down")
+            return run_baseline(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
+        monkeypatch.setattr(cli_mod.pipelines_mod, "run_baseline", last_question_waits)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", pipeline, "--workers", "1"))) == code
+        assert ahead == [True] * {0: 3, 3: 2, 4: 1}[code]
+        started = loaders - {threading.current_thread()}
+        assert started and not any(thread.is_alive() for thread in started)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_a_missing_last_report_makes_no_run_directory(self, tmp_path, capsys, monkeypatch):
         corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
@@ -1036,6 +1084,7 @@ class TestScore:
         ("[1, 2]", "not a JSON object"),
         ('{"answer": 1.0}', "JSON object with a string id"),
         ('{"id": ["q-dscr-1"], "answer": 1.0}', "JSON object with a string id"),
+        pytest.param("[" * 100_000, "invalid JSON", id="deeply-nested"),
     ])
     def test_malformed_prediction_line_is_data_error(self, tmp_path, capsys, line, message):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)

@@ -93,12 +93,12 @@ class _ReportRunner:
         self.client = client
         self.pipeline = pipeline
         self._paths = dict(paths)
-        self._reports: dict[str, Future] = {}
+        self._reports: dict[str, Future] = {}  # each held report's (report, retriever)
         self._questions_left = dict(questions or {})
-        order = list(self._questions_left)
-        self._next = dict(zip(order, order[1:]))  # each report's successor
-        self._unstarted = set(order)  # reports whose set-up has not begun
-        self._lock = threading.Lock()  # guards the three above and the question counts
+        order = list(self._questions_left)  # in order of each report's first question
+        self._next = dict(zip(order, order[1:]))
+        self._unstarted = set(order)  # the reports whose set-up has not begun
+        self._lock = threading.Lock()  # guards the held reports, counts and unstarted set
         self._pool: Optional[ThreadPoolExecutor] = None
         self.provider = (build_embedding_provider(config)
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
@@ -120,10 +120,7 @@ class _ReportRunner:
             if future is None:
                 self._unstarted.discard(report_id)
                 future = Future()
-                try:
-                    future.set_result(self._setup(report_id))
-                except Exception as exc:
-                    future.set_exception(exc)
+                future.set_result(self._setup(report_id))
                 self._reports[report_id] = future
         return future.result()
 

@@ -927,6 +927,42 @@ class TestReportSetup:
         # the reports interleave, so each is set up once, by one worker
         assert sorted(loads) == report_ids
 
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_each_report_is_set_up_once_with_set_up_ahead(self, tmp_path, monkeypatch,
+                                                          grouped):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({
+            "mode": "repeatable", "entries": [{"matcher": "Question", "response": "{{1}}"}]}))
+        config = RunConfig(backend="scripted", script_path=str(script))
+        report_ids = [f"R{i}" for i in range(6)]
+        runner = cli_mod._ReportRunner(
+            cli_mod.build_client(config), "long_context",
+            _report_files(tmp_path, report_ids, "<!-- page: 1 -->\nbody\n"),
+            dict.fromkeys(report_ids, 20))
+        instances = ([_instance(f"{rid}-{n}", rid) for rid in report_ids for n in range(20)]
+                     if grouped else
+                     [_instance(f"{rid}-{n}", rid) for n in range(20) for rid in report_ids])
+        loads = []
+        load_report = cli_mod.corpus_mod.load_report
+
+        def counting_load_report(path):
+            loads.append(path.stem)
+            time.sleep(0.005)  # a slow load, so that questions needing the report overlap it
+            return load_report(path)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", counting_load_report)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with runner, ThreadPoolExecutor(max_workers=8) as pool:
+                rows = list(pool.map(runner.run_instance, instances, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) == len(instances)
+        assert runner._reports == {}
+        assert runner._questions_left == dict.fromkeys(report_ids, 0)
+        assert sorted(loads) == report_ids
+
     @pytest.mark.parametrize("pipeline", ["long_context", "single_round_rag"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_more_than_workers_plus_one_reports_are_held(self, tmp_path, capsys,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -112,9 +112,6 @@ class RunConfig:
             raise ConfigError(
                 f"granularity must be 'page' or a positive integer, got {self.granularity!r}")
         return value
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":

@@ -581,53 +581,25 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def read_dataset(path: str | Path) -> list[QAInstance]:
-    return [instance_from_record(record, line_number)
-            for line_number, record in read_json_lines(path)]
+    """The dataset's instances; an id that repeats is a SchemaError naming it."""
+    instances: dict[str, QAInstance] = {}
+    for line_number, record in read_json_lines(path):
+        instance = instance_from_record(record, line_number)
+        if instance.id in instances:
+            raise SchemaError(f"{path}: id {instance.id!r} repeats", line_number, "id")
+        instances[instance.id] = instance
+    return list(instances.values())
 
 
 # --- corpus statistics ------------------------------------------------------
-
-@dataclass
-class CorpusStats:
-    n_reports: int
-    n_companies: int
-    n_tables: int
-    token_mean: Optional[float]
-    token_median: Optional[float]
-    qa_count: int
-    counts_by_type: dict[str, int]
-    evidence_pages_mean: Optional[float]
-    evidence_pages_median: Optional[float]
-    evidence_pages_min: Optional[int]
-    evidence_pages_max: Optional[int]
-    page_histogram: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "reports": self.n_reports,
-            "companies": self.n_companies,
-            "tables": self.n_tables,
-            "tokens_mean": self.token_mean,
-            "tokens_median": self.token_median,
-            "token_scheme": "whitespace",
-            "qa_count": self.qa_count,
-            "counts_by_type": dict(self.counts_by_type),
-            "evidence_pages": {
-                "mean": self.evidence_pages_mean,
-                "median": self.evidence_pages_median,
-                "min": self.evidence_pages_min,
-                "max": self.evidence_pages_max,
-            },
-            "evidence_page_histogram": dict(self.page_histogram),
-        }
-
 
 def _bucket_label(page: int, width: int = PAGE_BUCKET_WIDTH) -> str:
     low = ((page - 1) // width) * width + 1
     return f"{low}-{low + width - 1}"
 
 
-def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> CorpusStats:
+def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> dict:
+    """The figures ``stats`` prints, keyed as it prints them."""
     import statistics  # only the stats command reads these figures
 
     reports_by_id(reports, instances)
@@ -645,17 +617,20 @@ def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> 
     for instance in instances:
         counts_by_type[instance.question_type] += 1
 
-    return CorpusStats(
-        n_reports=len(reports),
-        n_companies=len({r.company for r in reports if r.company}),
-        n_tables=sum(r.n_tables() for r in reports),
-        token_mean=statistics.mean(token_totals) if token_totals else None,
-        token_median=statistics.median(token_totals) if token_totals else None,
-        qa_count=len(instances),
-        counts_by_type=counts_by_type,
-        evidence_pages_mean=statistics.mean(evidence_counts) if evidence_counts else None,
-        evidence_pages_median=statistics.median(evidence_counts) if evidence_counts else None,
-        evidence_pages_min=min(evidence_counts) if evidence_counts else None,
-        evidence_pages_max=max(evidence_counts) if evidence_counts else None,
-        page_histogram=histogram,
-    )
+    return {
+        "reports": len(reports),
+        "companies": len({r.company for r in reports if r.company}),
+        "tables": sum(r.n_tables() for r in reports),
+        "tokens_mean": statistics.mean(token_totals) if token_totals else None,
+        "tokens_median": statistics.median(token_totals) if token_totals else None,
+        "token_scheme": "whitespace",
+        "qa_count": len(instances),
+        "counts_by_type": counts_by_type,
+        "evidence_pages": {
+            "mean": statistics.mean(evidence_counts) if evidence_counts else None,
+            "median": statistics.median(evidence_counts) if evidence_counts else None,
+            "min": min(evidence_counts) if evidence_counts else None,
+            "max": max(evidence_counts) if evidence_counts else None,
+        },
+        "evidence_page_histogram": histogram,
+    }

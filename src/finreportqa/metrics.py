@@ -186,7 +186,9 @@ def bucket_difficulty(n_evidence_tables: int) -> Difficulty:
 
 @dataclass
 class InstanceScore:
-    instance_id: str
+    """One score row: its fields are the row's keys."""
+
+    id: str
     em: int
     tol_correct: int
     f1: float
@@ -194,18 +196,6 @@ class InstanceScore:
     question_type: Optional[str] = None
     matched_variant: Optional[str] = None
     reason: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.instance_id,
-            "em": self.em,
-            "tol_correct": self.tol_correct,
-            "f1": round(self.f1, 6),
-            "difficulty": self.difficulty.value,
-            "question_type": self.question_type,
-            "matched_variant": self.matched_variant,
-            "reason": self.reason,
-        }
 
 
 def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
@@ -224,7 +214,8 @@ def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
     gold = normalize_answer(gold_raw, mode)
 
     em = exact_match(pred, gold)
-    f1 = token_f1(pred_raw, gold_raw)
+    # rounded as written, so that aggregate averages what the rows hold
+    f1 = round(token_f1(pred_raw, gold_raw), 6)
 
     matched_variant: Optional[str] = None
     reason: Optional[str] = None
@@ -246,7 +237,7 @@ def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
         matched_variant = matched_variant or "as_given"
 
     return InstanceScore(
-        instance_id=instance_id,
+        id=instance_id,
         em=em,
         tol_correct=tol,
         f1=f1,

@@ -105,7 +105,15 @@ def extract_answer(text: str) -> Optional[float]:
 
 
 def parse_cited_pages(text: str) -> frozenset[int]:
-    return frozenset(int(m) for m in _PAGE_REF_RE.findall(text))
+    """The pages a reply cites; a number past int()'s digit limit is skipped,
+    since no report has that page."""
+    pages = set()
+    for digits in _PAGE_REF_RE.findall(text):
+        try:
+            pages.add(int(digits))
+        except ValueError:
+            pass
+    return frozenset(pages)
 
 
 def _strip_outer_quotes(text: str) -> str:

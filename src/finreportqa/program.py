@@ -31,6 +31,10 @@ from .errors import (
 
 ALLOWED_CALLS = ("round", "abs", "min", "max")
 
+# Significant digits of evaluation; also the most places round() takes, since
+# its cost in time and memory grows with the count of places.
+PRECISION = 28
+
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
@@ -109,7 +113,7 @@ def round_half_away(value: Decimal, ndigits: int = 0) -> Decimal:
     exponent = Decimal(1).scaleb(-ndigits)
     with localcontext() as ctx:
         # quantize needs room for every integral digit plus the requested places
-        ctx.prec = max(28, len(value.as_tuple().digits) + abs(ndigits) + 2)
+        ctx.prec = max(PRECISION, len(value.as_tuple().digits) + abs(ndigits) + 2)
         return value.quantize(exponent, rounding=ROUND_HALF_UP)
 
 
@@ -146,6 +150,9 @@ def _eval_expr(node: ast.expr, env: dict[str, Decimal]) -> Decimal:
         name = node.func.id  # type: ignore[union-attr]
         args = [_eval_expr(arg, env) for arg in node.args]
         if name == "round":
+            # bounded before int(), which is slow for a huge count
+            if len(args) == 2 and abs(args[1]) >= PRECISION + 1:
+                raise NumericRangeError(f"round() takes at most {PRECISION} places")
             ndigits = int(args[1]) if len(args) == 2 else 0
             return round_half_away(args[0], ndigits)
         if name == "abs":
@@ -175,7 +182,7 @@ def _eval_program(program: ProgramAST, round_final: bool) -> Decimal:
     env: dict[str, Decimal] = {}
     value: Decimal | None = None
     with localcontext() as ctx:
-        ctx.prec = 28
+        ctx.prec = PRECISION
         ctx.traps[Overflow] = True
         for stmt in program.statements:
             if isinstance(stmt, ast.Assign):

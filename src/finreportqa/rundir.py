@@ -88,9 +88,10 @@ class RunDir:
     def write_json(self, name: str | Path, payload) -> Path:
         return write_text(self.path / name, to_json(payload))
 
-    def write_jsonl(self, name: str | Path, records: Iterable[dict]) -> Path:
-        return write_text(self.path / name,
-                          "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    def write_jsonl(self, name: str | Path, records: Iterable) -> Path:
+        """One line per record; a record object is written as its fields."""
+        return write_text(self.path / name, "".join(
+            json.dumps(r, sort_keys=True, default=vars) + "\n" for r in records))
 
     def write_rows(self, rows: Iterable[dict]) -> list[dict]:
         """Write each row's predictions line and transcript as the row arrives;
@@ -109,7 +110,7 @@ class RunDir:
 
     def write_scores(self, scores: list[metrics_mod.InstanceScore]) -> metrics_mod.EvalReport:
         """Write ``scores.jsonl`` and ``eval_report.json``; the report."""
-        self.write_jsonl("scores.jsonl", (s.to_dict() for s in scores))
+        self.write_jsonl("scores.jsonl", scores)
         report = metrics_mod.aggregate(scores)
         write_text(self.path / "eval_report.json", report.to_json() + "\n")
         return report
@@ -121,7 +122,7 @@ class RunDir:
         self.write_json(name, {
             "command": command,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "config": config.to_dict(),
+            "config": config,
             "inputs": inputs,
             **extra,
         })

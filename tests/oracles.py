@@ -78,12 +78,13 @@ def random_query(rng) -> str:
 
 # Pieces of model replies: answer braces, number syntax Decimal accepts
 # (signs, exponents, underscores, non-ASCII digits, NaN and infinities) and
-# the formatting normalize_answer strips, plus verdict syntax.
+# the formatting normalize_answer strips, plus verdict syntax and page
+# citations (one with a number past int()'s 4300-digit limit).
 _REPLY_PIECES = (
     "{{", "}}", "{", "}", "0", "1", "7", "42", "3.14", ".", "-", "+", "e", "E", "e9", "e-9",
     "e999999", "e-999999", "e28", "_", "NaN", "nan", "sNaN", "Inf", "Infinity", "-inf",
     "%", "(", ")", "$", "€", "£", ",", " ", "\t", "\n", "\u0663", "\u00bd", "x", "NONE",
-    ":", "'", '"', "page_number: 3", "revenue",
+    ":", "'", '"', "page_number: 3", "page_number: " + "9" * 5000, "revenue",
 )
 
 

@@ -22,6 +22,7 @@ from conftest import (
 from finreportqa import cli as cli_mod
 from finreportqa import errors as errors_mod
 from finreportqa import llm as llm_mod
+from finreportqa import metrics as metrics_mod
 from finreportqa import transport
 from finreportqa.cli import RunConfig, build_embedding_provider, main
 from finreportqa.corpus import QAInstance
@@ -228,7 +229,7 @@ class TestConfigFiles:
         config.validate()
         assert (config.timeout, config.unit_granularity(), config.workers) == (5, 256, 2)
         # every field, as a manifest writes it
-        assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+        assert RunConfig.from_dict(vars(RunConfig())) == RunConfig()
 
     @pytest.mark.parametrize("field_name", ["temperature", "timeout", "retry_backoff",
                                             "bm25_k1", "bm25_b"])
@@ -577,6 +578,12 @@ class TestBench:
         assert report["em"] == 100.0
         out = capsys.readouterr().out
         assert "run-a" in out
+
+    def test_score_row_keys_are_the_score_fields(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        row = json.loads((tmp_path / "runs" / "run-a" / "scores.jsonl").read_text())
+        assert list(row) == sorted(f.name for f in fields(metrics_mod.InstanceScore))
 
     def test_manifest_written_with_config(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -1113,6 +1120,16 @@ class TestScore:
         assert main(["score", "--predictions", str(predictions), "--gold", str(dataset),
                      "--out", str(tmp_path / "scored")]) == 3
         assert "line 1: field 'percent_mode'" in capsys.readouterr().err
+        assert not (tmp_path / "scored").exists()
+
+    def test_repeated_prediction_id_is_data_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text(json.dumps({"id": "q-dscr-1", "answer": 1.55}) + "\n"
+                               + json.dumps({"id": "q-dscr-1", "answer": 9.99}) + "\n")
+        assert main(["score", "--predictions", str(predictions), "--gold", str(dataset),
+                     "--out", str(tmp_path / "scored")]) == 3
+        assert f"line 2: {predictions}: id 'q-dscr-1' repeats" in capsys.readouterr().err
         assert not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("line, message", [

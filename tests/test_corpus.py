@@ -638,6 +638,18 @@ class TestDataset:
         (instance,) = read_dataset(path)
         assert instance.extras == mode
 
+    def test_repeated_id_rejected(self, tmp_path):
+        """Its rows would be scored against the other record's gold."""
+        path = tmp_path / "repeated.jsonl"
+        path.write_text(json.dumps(self._record(id="q1", answer="10")) + "\n"
+                        + json.dumps(self._record(id="q2")) + "\n"
+                        + json.dumps(self._record(id="q1", answer="5")) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert str(excinfo.value) == f"line 3: {path}: id 'q1' repeats"
+        assert (excinfo.value.line_number, excinfo.value.field) == (3, "id")
+
     def test_round_trip_identity(self, tmp_path):
         records = [
             self._record(),
@@ -674,23 +686,23 @@ class TestCorpusStats:
 
     def test_evidence_count_stats(self):
         stats = corpus_stats([self._report()], self._instances())
-        assert stats.evidence_pages_mean == pytest.approx(3.0)
-        assert stats.evidence_pages_median == pytest.approx(3.0)
-        assert stats.evidence_pages_min == 2
-        assert stats.evidence_pages_max == 4
+        assert stats["evidence_pages"]["mean"] == pytest.approx(3.0)
+        assert stats["evidence_pages"]["median"] == pytest.approx(3.0)
+        assert stats["evidence_pages"]["min"] == 2
+        assert stats["evidence_pages"]["max"] == 4
 
     def test_histogram_sums_to_occurrences(self):
         stats = corpus_stats([self._report()], self._instances())
-        assert sum(stats.page_histogram.values()) == 6
-        assert stats.page_histogram["1-50"] == 4
-        assert stats.page_histogram["51-100"] == 1
-        assert stats.page_histogram["101-150"] == 1
+        assert sum(stats["evidence_page_histogram"].values()) == 6
+        assert stats["evidence_page_histogram"]["1-50"] == 4
+        assert stats["evidence_page_histogram"]["51-100"] == 1
+        assert stats["evidence_page_histogram"]["101-150"] == 1
 
     def test_zero_instances(self):
         stats = corpus_stats([self._report()], [])
-        assert stats.qa_count == 0
-        assert stats.evidence_pages_mean is None
-        assert stats.token_mean is not None
+        assert stats["qa_count"] == 0
+        assert stats["evidence_pages"]["mean"] is None
+        assert stats["tokens_mean"] is not None
 
     def test_dangling_reference(self):
         instance = self._instances()[0]
@@ -701,7 +713,7 @@ class TestCorpusStats:
     def test_table_count(self):
         report = parse_report(TABLE_PAGE_MD, report_id="DemoCo_2023")
         stats = corpus_stats([report], [])
-        assert stats.n_tables == 1
+        assert stats["tables"] == 1
 
 
 def test_make_report_id_slug():

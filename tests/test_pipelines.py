@@ -86,7 +86,8 @@ class TestExtractAnswer:
 class TestReplyFuzz:
     def test_every_reply_is_an_answer_a_verdict_and_a_score(self):
         """Braces around NaN, infinities and exponents past the decimal
-        context are among the replies: each is no answer, not an exception."""
+        context are among the replies: each is no answer, not an exception.
+        So is a page cited by a number past int()'s digit limit."""
         rng = random.Random(20261019)
         for _ in range(5000):
             reply = random_reply(rng)
@@ -97,6 +98,7 @@ class TestReplyFuzz:
             else:
                 assert answer is None or math.isfinite(answer), reply
             assert isinstance(parse_verdict(reply), EvaluatorVerdict), reply
+            assert all(page >= 0 for page in parse_cited_pages(reply)), reply
             for pred, gold in ((reply, "1.55"), ("1.55", reply), (reply, reply)):
                 assert score_instance(pred, gold).tol_correct in (0, 1), reply
 
@@ -111,6 +113,10 @@ class TestParseCitedPages:
 
     def test_none(self):
         assert parse_cited_pages("no references at all") == frozenset()
+
+    def test_number_past_the_int_digit_limit_is_skipped(self):
+        text = "page_number: " + "9" * 5000 + " and page_number: 31"
+        assert parse_cited_pages(text) == frozenset({31})
 
 
 class TestParseVerdict:

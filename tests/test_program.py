@@ -153,11 +153,18 @@ class TestOnlyProgramErrors:
         "x = 1e300\n" + "x = x * x\n" * 25,
         "round(1, 1e999999)",
         "round(1, 1e20)",
+        "round(1.5, 1000000)",
+        "round(1.5, -29)",
+        "round(1.5, 29)",
         "abs(-1e999999)",
     ])
     def test_overflow_and_impossible_rounding(self, source):
         with pytest.raises(NumericRangeError):
             run_source(source)
+
+    def test_round_takes_up_to_the_evaluation_precision(self):
+        assert run_source("round(1.5, 28.9)", round_final=False) == Decimal("1.5")
+        assert run_source("round(15, -28.9)", round_final=False) == 0
 
     def test_deep_unary_chain_is_nesting_error(self):
         with pytest.raises(NestingTooDeepError):

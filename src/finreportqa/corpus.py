@@ -17,7 +17,7 @@ import codecs
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -421,22 +421,26 @@ def reports_by_id(reports: Sequence[Report], instances: Iterable[QAInstance]) ->
 
 @dataclass
 class QAInstance:
+    """One dataset record: its fields, in order, are the record's keys, and
+    ``extras`` holds the record's other keys. ``page_numbers`` is the
+    record's pages, sorted and without repeats."""
+
     id: str
     company: str
-    fiscal_year: int
+    year: int
     question: str
-    gold_answer: str
-    question_type: str
-    evidence_pages: frozenset[int]
-    program_source: str
-    reasoning_trace: str
-    n_evidence_tables: int = 0
+    type: str
+    thoughts: str
+    page_numbers: list[int]
+    python_code: str
+    answer: str  # the gold answer
     report_id: str = ""
+    n_evidence_tables: int = 0
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.report_id:
-            self.report_id = make_report_id(self.company, self.fiscal_year)
+            self.report_id = make_report_id(self.company, self.year)
 
     @property
     def difficulty(self) -> Difficulty:
@@ -454,10 +458,12 @@ def _require(record: dict, key: str, line_number: int):
     return record[key]
 
 
-# The keys of every dataset record; datagen's candidates hold them too.
-REQUIRED_KEYS = ("id", "company", "year", "question", "type", "thoughts",
-                 "page_numbers", "python_code", "answer")
-_OPTIONAL_KEYS = ("report_id", "n_evidence_tables")
+# The keys of every dataset record, QAInstance's fields without a default;
+# datagen's candidates hold them too. A record may also hold the fields with
+# a default value; extras is the record's other keys.
+REQUIRED_KEYS = tuple(f.name for f in fields(QAInstance)
+                      if f.default is MISSING and f.default_factory is MISSING)
+_OPTIONAL_KEYS = tuple(f.name for f in fields(QAInstance) if f.default is not MISSING)
 
 
 def is_file_name(value: str) -> bool:
@@ -490,22 +496,21 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
 
     raw_year = values["year"]
     try:
-        year = int(raw_year)
+        values["year"] = int(raw_year)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-        year = None
+        values["year"] = None
     # int() accepts a bool and truncates a float: 2023.5 is no year
-    if (year is None or isinstance(raw_year, bool)
+    if (values["year"] is None or isinstance(raw_year, bool)
             or isinstance(raw_year, float) and not raw_year.is_integer()):
         raise SchemaError("field 'year' must be an integer", line_number, "year")
 
-    qtype = values["type"]
-    if qtype not in QUESTION_TYPES:
+    if values["type"] not in QUESTION_TYPES:
         raise SchemaError(f"field 'type' must be one of {QUESTION_TYPES}", line_number, "type")
 
-    raw_pages = values["page_numbers"]
-    if not is_page_list(raw_pages):
+    if not is_page_list(values["page_numbers"]):
         raise SchemaError("field 'page_numbers' must be a list of positive integers",
                           line_number, "page_numbers")
+    values["page_numbers"] = sorted(set(values["page_numbers"]))
 
     if not normalize_answer(values["answer"]).is_numeric:
         raise SchemaError(f"field 'answer' is non-numeric: {values['answer']!r}",
@@ -526,37 +531,14 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
 
     extras = {k: v for k, v in record.items() if k not in REQUIRED_KEYS + _OPTIONAL_KEYS}
 
-    return QAInstance(
-        id=values["id"],
-        company=values["company"],
-        fiscal_year=year,
-        question=values["question"],
-        gold_answer=values["answer"],
-        question_type=qtype,
-        evidence_pages=frozenset(raw_pages),
-        program_source=values["python_code"],
-        reasoning_trace=values["thoughts"],
-        n_evidence_tables=n_tables,
-        report_id=report_id,
-        extras=extras,
-    )
+    return QAInstance(**values, report_id=report_id, n_evidence_tables=n_tables,
+                      extras=extras)
 
 
 def instance_to_record(instance: QAInstance) -> dict:
-    record = {
-        "id": instance.id,
-        "company": instance.company,
-        "year": instance.fiscal_year,
-        "question": instance.question,
-        "type": instance.question_type,
-        "thoughts": instance.reasoning_trace,
-        "page_numbers": sorted(instance.evidence_pages),
-        "python_code": instance.program_source,
-        "answer": instance.gold_answer,
-        "report_id": instance.report_id,
-        "n_evidence_tables": instance.n_evidence_tables,
-    }
-    record.update(instance.extras)
+    """The dataset record of an instance: its fields, with ``extras`` merged in."""
+    record = vars(instance).copy()
+    record.update(record.pop("extras"))
     return record
 
 
@@ -605,17 +587,17 @@ def corpus_stats(reports: Sequence[Report], instances: Sequence[QAInstance]) -> 
     reports_by_id(reports, instances)
 
     token_totals = [r.total_tokens() for r in reports]
-    evidence_counts = [len(i.evidence_pages) for i in instances]
+    evidence_counts = [len(i.page_numbers) for i in instances]
 
     histogram: dict[str, int] = {}
     for instance in instances:
-        for page in sorted(instance.evidence_pages):
+        for page in instance.page_numbers:
             label = _bucket_label(page)
             histogram[label] = histogram.get(label, 0) + 1
 
     counts_by_type = {qtype: 0 for qtype in QUESTION_TYPES}
     for instance in instances:
-        counts_by_type[instance.question_type] += 1
+        counts_by_type[instance.type] += 1
 
     return {
         "reports": len(reports),

@@ -25,7 +25,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .corpus import Report, reports_by_id
 from .embeddings import EmbeddingProvider
@@ -296,7 +296,7 @@ def build_retriever(report: Report, scheme: str, *, granularity: str | int = "pa
 
 # --- evaluation ----------------------------------------------------------------
 
-def recall_at_k(retrieved_pages: Sequence[int], gold_pages: set[int] | frozenset[int], k: int) -> float:
+def recall_at_k(retrieved_pages: Sequence[int], gold_pages: Collection[int], k: int) -> float:
     """Fraction of gold pages among the first k distinct retrieved pages."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -335,7 +335,7 @@ def ablate_chunks(reports: Sequence[Report], instances: Sequence, sizes: Sequenc
             hits = retriever.search(instance.question, k=max(max_k, retriever.n_units))
             pages = [hit.page_number for hit in hits]
             for k in k_values:
-                recalls[k].append(recall_at_k(pages, instance.evidence_pages, k))
+                recalls[k].append(recall_at_k(pages, instance.page_numbers, k))
         row: dict = {"granularity": str(granularity)}
         for k in k_values:
             values = recalls[k]

@@ -54,10 +54,10 @@ def score_rows(rows: Iterable[dict], instances: dict) -> list[metrics_mod.Instan
         mode = instance.extras.get("percent_mode")
         percent_mode = metrics_mod.PercentMode(mode) if mode else None
         scores.append(metrics_mod.score_instance(
-            pred_string, instance.gold_answer,
+            pred_string, instance.answer,
             instance_id=instance.id,
             difficulty=instance.difficulty,
-            question_type=instance.question_type,
+            question_type=instance.type,
             percent_mode=percent_mode,
         ))
     return scores

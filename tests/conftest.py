@@ -81,13 +81,13 @@ def dscr_instance(**overrides) -> QAInstance:
     base = dict(
         id="q-dscr-1",
         company="DemoCo",
-        fiscal_year=2002,
+        year=2002,
         question=DSCR_QUESTION,
-        gold_answer="1.55",
-        question_type="mixed",
-        evidence_pages=frozenset({31, 50}),
-        program_source="17/(11+0)",
-        reasoning_trace="Thought: combine the coverage inputs across pages.",
+        answer="1.55",
+        type="mixed",
+        page_numbers=[31, 50],
+        python_code="17/(11+0)",
+        thoughts="Thought: combine the coverage inputs across pages.",
         n_evidence_tables=2,
     )
     base.update(overrides)

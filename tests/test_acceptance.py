@@ -176,7 +176,7 @@ def test_criterion_6_orchestrator_contract(dscr_report, no_network):
     assert len(transcript.rounds) == 2
     assert transcript.final_answer == 1.55
     instance = dscr_instance()
-    score = score_instance(json.dumps(transcript.final_answer), instance.gold_answer,
+    score = score_instance(json.dumps(transcript.final_answer), instance.answer,
                            difficulty=instance.difficulty)
     assert score.em == 1
 

@@ -192,7 +192,7 @@ def test_long_context_lists_only_the_pages_in_its_prompt(runs, data):
     correct row's gold pages lie in its context; pages cut off by the input
     budget do not, so some row misses a gold page."""
     run_dir = data / "runs" / "long_context"
-    gold = {i.id: i.evidence_pages for i in corpus_mod.read_dataset(data / "dataset.jsonl")}
+    gold = {i.id: set(i.page_numbers) for i in corpus_mod.read_dataset(data / "dataset.jsonl")}
     correct = {row["id"] for row in _jsonl(run_dir / "scores.jsonl") if row["tol_correct"]}
     rows = _jsonl(run_dir / "predictions.jsonl")
     assert correct

@@ -56,9 +56,9 @@ def _change_record(dataset, **changes):
 
 
 def _instance(question_id, report_id):
-    return QAInstance(id=question_id, company="DemoCo", fiscal_year=2002, question="Question?",
-                      gold_answer="1.55", question_type="text", evidence_pages=frozenset({1}),
-                      program_source="1.55", reasoning_trace="", report_id=report_id)
+    return QAInstance(id=question_id, company="DemoCo", year=2002, question="Question?",
+                      type="text", thoughts="", page_numbers=[1], python_code="1.55",
+                      answer="1.55", report_id=report_id)
 
 
 def _report_files(directory, report_ids, text):

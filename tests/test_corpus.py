@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -10,7 +11,9 @@ import pytest
 from finreportqa import corpus as corpus_mod
 from finreportqa.corpus import (
     DEFAULT_PAGE_DELIMITER,
+    REQUIRED_KEYS,
     PageChunk,
+    QAInstance,
     Report,
     corpus_stats,
     count_tokens,
@@ -538,9 +541,9 @@ class TestDataset:
         path = tmp_path / "one.jsonl"
         path.write_text(json.dumps(self._record()) + "\n", encoding="utf-8")
         (instance,) = read_dataset(path)
-        assert instance.evidence_pages == frozenset({50, 51})
+        assert instance.page_numbers == [50, 51]
         assert instance.report_id == "DemoCo_2023"
-        assert instance.program_source == "10/4"
+        assert instance.python_code == "10/4"
 
     def test_non_numeric_answer_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -568,7 +571,7 @@ class TestDataset:
 
     @pytest.mark.parametrize("year", [2023, 2023.0, "2023"])
     def test_year_may_be_an_integral_number_or_string(self, year):
-        assert instance_from_record(self._record(year=year)).fiscal_year == 2023
+        assert instance_from_record(self._record(year=year)).year == 2023
 
     @pytest.mark.parametrize("year", [2023.5, 2022.999, -0.5])
     def test_fractional_year_rejected(self, year):
@@ -664,6 +667,15 @@ class TestDataset:
         out = RunDir(tmp_path).write_jsonl("out.jsonl", map(instance_to_record, instances))
         again = read_dataset(out)
         assert again == instances
+
+    def test_instance_fields_are_the_record_keys(self):
+        names = [f.name for f in dataclasses.fields(QAInstance)]
+        assert names == [*REQUIRED_KEYS, "report_id", "n_evidence_tables", "extras"]
+
+    def test_page_numbers_are_sorted_without_repeats(self):
+        instance = instance_from_record(self._record(page_numbers=[51, 50, 51]))
+        assert instance.page_numbers == [50, 51]
+        assert instance_to_record(instance)["page_numbers"] == [50, 51]
 
     def test_difficulty_follows_table_count(self):
         instance = instance_from_record(self._record(n_evidence_tables=3))

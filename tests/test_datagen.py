@@ -264,7 +264,7 @@ class TestFilterPipeline:
         kept, _, outcomes = self._run([raw("c0", **CLEAN)])
         (instance,) = kept
         assert instance.report_id == "DemoCo_2023"
-        assert instance.evidence_pages == frozenset({5, 7})
+        assert instance.page_numbers == [5, 7]
         assert instance.n_evidence_tables == 2  # revenue block + inventory block
         assert instance.difficulty.value == "Medium"
 

@@ -709,7 +709,7 @@ class TestAblation:
         instance = type("I", (), {})()
         instance.report_id = "DemoCo_2023"
         instance.question = "turnover headcount"
-        instance.evidence_pages = frozenset({1})
+        instance.page_numbers = [1]
         return report, instance
 
     def test_page_beats_subpage_when_table_splits(self):

@@ -200,7 +200,7 @@ def cmd_bench(args, config: RunConfig) -> int:
     for path in paths.values():
         corpus_mod.check_opens(path, ReportEncodingError)
     run = rundir.RunDir.create(config.output_dir, args.run_id)
-    client.log_path = run.path / "llm_log.jsonl"
+    client.log_path = run.path / rundir.LLM_LOG
 
     # both maps yield rows in dataset order; the pool bounds how many LLM
     # calls are in flight at once, and the runner sets reports up ahead
@@ -253,7 +253,7 @@ def cmd_ask(args, config: RunConfig) -> int:
     print(f"answer: {row['answer']}")
     if "transcript" in row:
         run = rundir.RunDir(config.output_dir)
-        transcript_path = run.write_json("ask_transcript.json", row["transcript"])
+        transcript_path = run.write_json(rundir.ASK_TRANSCRIPT, row["transcript"])
         run.write_manifest("ask", config,
                            inputs={"report_sha256": rundir.sha256_file(args.report)},
                            pipeline=args.pipeline, question=args.question)

@@ -100,6 +100,10 @@ class RunConfig:
                      "baseline_k", "fixed_budget_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for setting in fields(self):  # a path string holding a NUL opens no file
+            value = getattr(self, setting.name)
+            if isinstance(value, str) and "\0" in value:
+                raise ConfigError(f"{setting.name} must not hold a NUL character, got {value!r}")
 
     def unit_granularity(self) -> str | int:
         """"page", or the token count of each retrieval unit."""

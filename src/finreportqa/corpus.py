@@ -519,6 +519,9 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
     report_id = record.get("report_id", "")
     if not isinstance(report_id, str):
         raise SchemaError("field 'report_id' must be a string", line_number, "report_id")
+    if report_id and not is_file_name(report_id):  # it names the report's file
+        raise SchemaError(f"field 'report_id' must be one plain file name, got {report_id!r}",
+                          line_number, "report_id")
 
     n_tables = record.get("n_evidence_tables", 0)
     if type(n_tables) is not int or n_tables < 0:

@@ -40,7 +40,7 @@ from .prompts import QA_GENERATION_TEMPLATE, render_context
 GENERATION_SYSTEM = "You are a seasoned financial analyst."
 
 REJECTION_REASONS = ("too_few_pages", "single_table", "calc_error",
-                     "incoherent_answer", "parse_error")
+                     "incoherent_answer", "parse_error", "duplicate_id")
 
 # Candidate numeric strings inside a table block: optional currency/comma
 # formatting and parentheses negatives.
@@ -51,8 +51,8 @@ def candidate(record) -> dict:
     """A QA candidate: a dataset record the filter can read, with its scalar
     fields as strings. Anything else raises ValueError: not a JSON object, a
     required key missing or null, an empty question, ``page_numbers`` not a
-    page list, ``id`` not one file name, ``report_id`` not a string or an
-    unknown ``percent_mode``."""
+    page list, ``id`` not one file name, ``report_id`` not a string or, when
+    set, not one file name, or an unknown ``percent_mode``."""
     if not isinstance(record, dict):
         raise ValueError("record must be a JSON object")
     missing = [key for key in REQUIRED_KEYS if record.get(key) is None]
@@ -65,8 +65,11 @@ def candidate(record) -> dict:
         raise ValueError("page_numbers must be positive integers")
     if not is_file_name(fields["id"]):
         raise ValueError("id must be one plain file name")
-    if not isinstance(record.get("report_id", ""), str):
+    report_id = record.get("report_id", "")
+    if not isinstance(report_id, str):
         raise ValueError("report_id must be a string")
+    if report_id and not is_file_name(report_id):
+        raise ValueError("report_id must be one plain file name")
     if record.get("percent_mode") not in PERCENT_MODES:
         raise ValueError(f"percent_mode must be one of {PERCENT_MODES[2:]}")
     return {**record, **fields}
@@ -274,24 +277,27 @@ def filter_pipeline(raw_batch: Sequence[dict], reports: dict[str, Report] | Sequ
     program operand sits inside one table block; (3) reject when the program
     fails or its value contradicts a numeric stated answer; (4) reject
     non-numeric or empty answers. Out-of-grammar programs count as
-    parse_error.
+    parse_error. Of the candidates kept under one id, the first is kept and
+    each later one is a duplicate_id, since a dataset's ids do not repeat.
     """
     if not isinstance(reports, dict):
         reports = {report.report_id: report for report in reports}
 
     stats = FilterStats(input_count=len(raw_batch))
     outcomes: list[FilterOutcome] = []
-    kept: list[QAInstance] = []
+    kept: dict[str, QAInstance] = {}  # by id
 
     for raw in raw_batch:
         outcome = _filter_one(raw, reports)
+        if outcome.kept and raw["id"] in kept:
+            outcome = FilterOutcome(raw, kept=False, reason="duplicate_id")
         outcomes.append(outcome)
         if outcome.kept:
             stats.kept += 1
-            kept.append(_to_instance(raw, outcome.n_evidence_tables))
+            kept[raw["id"]] = _to_instance(raw, outcome.n_evidence_tables)
         else:
             stats.record(outcome.reason)  # type: ignore[arg-type]
-    return kept, stats, outcomes
+    return list(kept.values()), stats, outcomes
 
 
 def _year(raw: dict) -> int:

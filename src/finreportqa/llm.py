@@ -52,7 +52,6 @@ class ChatMessage:
     whose join is ``json.dumps(content)[1:-1]``, the content escaped as in a
     JSON string. Its content is decoded from them the first time it is read,
     so a long prompt is held once, escaped, until something reads its text.
-    Messages compare and hash by role and content.
     """
 
     def __init__(self, role: Role, content: Optional[str] = None,
@@ -70,14 +69,6 @@ class ChatMessage:
     @cached_property
     def content(self) -> str:
         return decode_escaped(self.escaped_content)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChatMessage):
-            return NotImplemented
-        return (self.role, self.content) == (other.role, other.content)
-
-    def __hash__(self) -> int:
-        return hash((self.role, self.content))
 
     def __repr__(self) -> str:
         return f"ChatMessage(role={self.role!r}, content={self.content!r})"

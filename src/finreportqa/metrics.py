@@ -62,7 +62,6 @@ DEFAULT_CONSTANTS = MetricConstants()
 class NormalizedAnswer:
     canonical_string: str
     numeric_value: Optional[Decimal]
-    percent_mode: PercentMode
 
     @property
     def is_numeric(self) -> bool:
@@ -122,7 +121,7 @@ def normalize_answer(raw: str, percent_mode: PercentMode = PercentMode.AS_GIVEN)
     except (DecimalException, ValueError):
         value, canonical = None, cleaned
 
-    return NormalizedAnswer(canonical_string=canonical, numeric_value=value, percent_mode=percent_mode)
+    return NormalizedAnswer(canonical_string=canonical, numeric_value=value)
 
 
 def exact_match(pred: NormalizedAnswer, gold: NormalizedAnswer) -> int:

@@ -5,8 +5,10 @@
 ``scores.jsonl``, ``eval_report.json`` and ``manifest.json``. A run that
 stops early leaves a dataset-order prefix of the predictions and the
 transcripts, and no scores or manifest. ``score`` writes the score files
-and ``score_manifest.json``, beside a bench run's own manifest. A path that
-cannot be written is a ConfigError naming it.
+and ``score_manifest.json``, beside a bench run's own manifest. ``bench``
+logs each LLM call to ``llm_log.jsonl``, and ``ask`` writes its transcript
+to ``ask_transcript.json``. A path that cannot be written is a ConfigError
+naming it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from typing import Iterable, Optional
 
 from . import metrics as metrics_mod
 from .errors import ConfigError, DanglingReferenceError
+
+LLM_LOG = "llm_log.jsonl"
+ASK_TRANSCRIPT = "ask_transcript.json"
 
 
 def sha256_file(path: str | Path) -> str:

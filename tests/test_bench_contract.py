@@ -157,6 +157,15 @@ def test_answer_files_are_pinned(runs, name):
     assert runs[name].answer_digest == ANSWER_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_score_reproduces_the_bench_score_files(runs, data, tmp_path, name):
+    run_dir = data / "runs" / name
+    assert cli.main(["score", "--predictions", str(run_dir / "predictions.jsonl"),
+                     "--gold", str(data / "dataset.jsonl"), "--out", str(tmp_path)]) == 0
+    for file_name in ("scores.jsonl", "eval_report.json"):
+        assert (tmp_path / file_name).read_bytes() == (run_dir / file_name).read_bytes()
+
+
 def request_key_digest(llm_log: list[dict]) -> str:
     return hashlib.sha256("\n".join(sorted(e["key"] for e in llm_log)).encode()).hexdigest()
 

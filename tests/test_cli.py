@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -257,6 +257,32 @@ class TestConfigFiles:
         config_path.write_text('{"temperature": 1' + "0" * 400 + "}")
         assert main(["stats", "--config", str(config_path)]) == 2
         assert "temperature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if "str" in f.type])
+    def test_a_config_string_holding_a_nul_is_config_error(self, name):
+        with pytest.raises(ConfigError, match=name):
+            replace(RunConfig(), **{name: "a\u0000b"}).validate()
+
+    def test_a_nul_in_a_config_file_path_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset": "a\u0000b"}))
+        assert main(["stats", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset must not hold a NUL character")
+        assert "Traceback" not in err
+
+    def test_a_nul_in_a_manifest_path_is_config_error(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["output_dir"] = "r\u0000uns"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["bench", "--from-manifest", str(manifest_path), "--run-id", "run-b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir must not hold a NUL character")
+        assert "Traceback" not in err
 
     def test_config_with_index_dir_is_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -643,7 +669,8 @@ class TestBench:
         ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus"),
         ("year", float("inf")), ("year", float("nan")), ("year", True),
         ("n_evidence_tables", True), ("n_evidence_tables", float("inf")),
-        ("answer", "NaN"), ("answer", "Infinity"), ("question", "")])
+        ("answer", "NaN"), ("answer", "Infinity"), ("question", ""),
+        ("report_id", "Bad\u0000Name"), ("report_id", "../escape")])
     def test_bad_dataset_field_ends_bench_before_it_writes(self, tmp_path, capsys, monkeypatch,
                                                            field, value):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -657,6 +684,22 @@ class TestBench:
         assert f"line 1: field {field!r}" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "corpus", "dataset.jsonl", "script.json"]
+
+    def test_a_report_id_cannot_name_a_file_outside_the_corpus(self, tmp_path, capsys,
+                                                                monkeypatch):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        (tmp_path / "escape.md").write_text("<!-- page: 1 -->\nNot in the corpus.\n")
+        _change_record(dataset, report_id="../escape")
+
+        def no_call(*args):
+            raise AssertionError("no LLM call expected")
+
+        monkeypatch.setattr(ScriptedBackend, "generate", no_call)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
+                                extra=("--pipeline", "long_context"))) == 3
+        err = capsys.readouterr().err
+        assert "line 1: field 'report_id' must be one plain file name" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_blank_expansion_keeps_the_round(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
@@ -1297,6 +1340,22 @@ class TestOtherCommands:
         filtered = (out_dir / "filtered.jsonl").read_text().splitlines()
         assert len(filtered) == 1
 
+    def test_datagen_filter_writes_a_dataset_whose_ids_do_not_repeat(self, tmp_path, capsys):
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        record = {"id": "r1", "company": "DemoCo", "year": "2002", "question": "?",
+                  "type": "table", "thoughts": "t", "page_numbers": [31, 50],
+                  "python_code": "17/(11+0)", "answer": "1.55", "report_id": "DemoCo_2002"}
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, thoughts="u")) + "\n")
+        out_dir = tmp_path / "dg"
+        assert main(["datagen", "--mode", "filter", "--raw", str(raw),
+                     "--out", str(out_dir), "--corpus-dir", str(corpus_dir)]) == 0
+        stats = json.loads((out_dir / "filter_report.json").read_text())
+        assert (stats["kept"], stats["rejections"]["duplicate_id"]) == (1, 1)
+        assert json.loads((out_dir / "filtered.jsonl").read_text())["thoughts"] == "t"
+        assert main(["stats", "--corpus-dir", str(corpus_dir),
+                     "--dataset", str(out_dir / "filtered.jsonl")]) == 0
+
     @pytest.mark.parametrize("field, value, message", [
         ("report_id", ["DemoCo_2002"], "report_id must be a string"),
         ("page_numbers", [31, 0], "page_numbers must be positive"),
@@ -1305,6 +1364,8 @@ class TestOtherCommands:
         ("page_numbers", ["31", 50], "page_numbers must be positive integers"),
         ("page_numbers", [True, 50], "page_numbers must be positive integers"),
         ("id", "../escaped", "id must be one plain file name"),
+        ("report_id", "../escape", "report_id must be one plain file name"),
+        ("report_id", "Bad\u0000Name", "report_id must be one plain file name"),
         ("percent_mode", "bogus", "percent_mode must be one of"),
     ])
     def test_datagen_filter_rejects_a_bad_record(self, tmp_path, capsys, field, value, message):

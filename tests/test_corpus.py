@@ -605,6 +605,14 @@ class TestDataset:
             read_dataset(path)
         assert (excinfo.value.line_number, excinfo.value.field) == (1, "report_id")
 
+    @pytest.mark.parametrize("report_id", ["../escape", "Bad\u0000Name", "a\\b", ".", ".."])
+    def test_report_id_that_is_no_file_name_rejected(self, report_id):
+        """bench opens <corpus_dir>/<report_id>.md."""
+        with pytest.raises(SchemaError, match="field 'report_id' must be one plain file name"
+                           ) as excinfo:
+            instance_from_record(self._record(report_id=report_id), 7)
+        assert (excinfo.value.line_number, excinfo.value.field) == (7, "report_id")
+
     @pytest.mark.parametrize("pages", [[50, 31.9], [50, "51"], [50, True], [0, 50], 50])
     def test_page_numbers_must_be_ints_of_at_least_one(self, tmp_path, pages):
         path = tmp_path / "bad_pages.jsonl"

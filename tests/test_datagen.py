@@ -253,6 +253,17 @@ class TestFilterPipeline:
         assert stats.rejections == {reason: 1}
         assert outcomes[0].reason == reason
 
+    def test_a_repeated_id_keeps_its_first_kept_candidate(self):
+        """A dataset's ids do not repeat, so a second kept one is dropped."""
+        batch = [raw("c0", [5], "1+1", "2"), raw("c0", **CLEAN), raw("c1", **CLEAN),
+                 raw("c0", **CLEAN, thoughts="Thought: again.")]
+        kept, stats, outcomes = self._run(batch)
+        assert [i.id for i in kept] == ["c0", "c1"]
+        assert kept[0].thoughts == "Thought: read the tables."
+        assert stats.rejections == {"too_few_pages": 1, "duplicate_id": 1}
+        assert [o.reason for o in outcomes] == ["too_few_pages", None, None, "duplicate_id"]
+        assert stats.reconciles()
+
     def test_tolerance_applied_to_answer_agreement(self):
         # eval(10/3) = 3.33 at two decimals; stated 3.33 agrees, 3.43 does not
         ok, stats_ok, _ = self._run([raw("t0", [5, 9], "10/3", "3.33")])

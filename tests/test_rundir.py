@@ -6,7 +6,8 @@ from finreportqa.rundir import RunDir
 SRC = Path(__file__).resolve().parents[1] / "src" / "finreportqa"
 
 _LAYOUT_NAMES = re.compile(
-    r"predictions\.jsonl|scores\.jsonl|eval_report\.json|manifest\.json|[\"']transcripts[\"']")
+    r"predictions\.jsonl|scores\.jsonl|eval_report\.json|manifest\.json|[\"']transcripts[\"']"
+    r"|llm_log\.jsonl|ask_transcript\.json")
 
 
 def test_only_the_rundir_module_spells_the_run_directory_layout():

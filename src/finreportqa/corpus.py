@@ -496,13 +496,14 @@ def instance_from_record(record: dict, line_number: int = 0) -> QAInstance:
 
     raw_year = values["year"]
     try:
-        values["year"] = int(raw_year)
+        year = int(raw_year)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
-        values["year"] = None
+        year = None
     # int() accepts a bool and truncates a float: 2023.5 is no year
-    if (values["year"] is None or isinstance(raw_year, bool)
+    if (year is None or isinstance(raw_year, bool)
             or isinstance(raw_year, float) and not raw_year.is_integer()):
         raise SchemaError("field 'year' must be an integer", line_number, "year")
+    values["year"] = year
 
     if values["type"] not in QUESTION_TYPES:
         raise SchemaError(f"field 'type' must be one of {QUESTION_TYPES}", line_number, "type")

@@ -685,22 +685,6 @@ class TestBench:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "corpus", "dataset.jsonl", "script.json"]
 
-    def test_a_report_id_cannot_name_a_file_outside_the_corpus(self, tmp_path, capsys,
-                                                                monkeypatch):
-        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
-        (tmp_path / "escape.md").write_text("<!-- page: 1 -->\nNot in the corpus.\n")
-        _change_record(dataset, report_id="../escape")
-
-        def no_call(*args):
-            raise AssertionError("no LLM call expected")
-
-        monkeypatch.setattr(ScriptedBackend, "generate", no_call)
-        assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
-                                extra=("--pipeline", "long_context"))) == 3
-        err = capsys.readouterr().err
-        assert "line 1: field 'report_id' must be one plain file name" in err
-        assert not (tmp_path / "runs").exists()
-
     def test_blank_expansion_keeps_the_round(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         entries = [("financial text understanding", " \n "), *DSCR_SCRIPT[2:]]

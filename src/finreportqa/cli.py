@@ -64,27 +64,56 @@ def build_embedding_provider(config: RunConfig):
     return provider
 
 
+def _retriever_of(setup: Future) -> Future:
+    """A Future of the retriever in ``setup``'s (report, retriever), done
+    when ``setup`` is, with its error if it failed."""
+    retriever: Future = Future()
+
+    def settle(done: Future) -> None:
+        if done.cancelled():
+            retriever.cancel()
+        elif done.exception() is not None:
+            retriever.set_exception(done.exception())
+        else:
+            retriever.set_result(done.result()[1])
+
+    setup.add_done_callback(settle)
+    return retriever
+
+
 class _ReportRunner:
     """Per-report state and question answering for one pipeline.
 
-    ``paths`` maps each report id to its file. A report is set up by the
-    first question that needs it, on that question's worker, under the
-    runner's lock. Only the state the pipeline reads is built: the report
-    always, the retriever (which holds the retrieval units) only for
+    ``paths`` maps each report id to its file. Each held report is one
+    ``Future`` of its (report, retriever), made by the first question that
+    needs the report, under the runner's lock, so questions that need it at
+    once share one set-up. Only the state the pipeline reads is built: the
+    report always, the retriever (which holds the retrieval units) only for
     pipelines that search, and one embedding provider for the run only for
     those that search densely. With ``questions``, each report's question
     count, a report is dropped, with all it holds, once ``run_instance`` has
     answered that many of its questions. Answering is thread-safe.
 
+    Where a first question sets its report up depends on the pipeline.
+    Inside ``with``, the agent's set-up runs on the runner's one set-up
+    thread and the agent gets a Future of the retriever: its first call,
+    the expansion, needs only the question, so the index builds while that
+    call is in flight, and a set-up error is raised at the question's first
+    search. The baselines read the report or search it before their one
+    call, so there is nothing to overlap: they set up on the asking thread,
+    as does any pipeline outside ``with``. Handing their set-up to the
+    set-up thread made ``long_context_wide`` ``setup_s`` worse.
+
     Inside ``with``, once a report's first question is answered, the next
-    report in order of first question is set up ahead on one background
-    thread while this report's other questions wait on the endpoint. For
+    report in order of first question is set up ahead on the set-up thread
+    while this report's other questions wait on the endpoint. For
     ``long_context`` that step also flattens the pages a prompt can hold,
     which the report's first question does otherwise. Looking one report
     ahead holds at most one report more than those with questions in
     flight: N + 1 at N workers over a dataset grouped by report. A set-up
-    error is kept and raised by that report's first question. Leaving the
-    block cancels a set-up not yet begun and waits for one that is running.
+    error is kept and raised by each question that asks for that report.
+    Leaving the block cancels a set-up not yet begun and waits for one that
+    is running.
     """
 
     def __init__(self, client: LLMClient, pipeline: str, paths: Mapping[str, Path],
@@ -115,18 +144,28 @@ class _ReportRunner:
     def report(self, report_id: str) -> tuple:
         """The report and its retriever (None for a pipeline that does not
         search), set up on first use."""
+        return self._setup_future(report_id).result()
+
+    def _setup_future(self, report_id: str) -> Future:
+        """The Future of the report's (report, retriever). A report not yet
+        held is set up on the set-up thread for the agent inside ``with``,
+        and otherwise here, under the lock."""
         with self._lock:
             future = self._reports.get(report_id)
             if future is None:
-                # Set up here, on the asking thread, not on the set-up thread:
-                # handing it over costs a thread start (0.3-0.4 ms), and a
-                # 300-page load_report took a median 3.72 ms on the calling
-                # thread against 4.89 ms on a new executor thread.
                 self._unstarted.discard(report_id)
-                future = Future()
-                future.set_result(self._setup(report_id))
+                if self.pipeline == "agent" and self._pool is not None:
+                    future = self._pool.submit(self._setup, report_id)
+                else:
+                    # A baseline sets up on the asking thread, not on the
+                    # set-up thread: handing it over costs a thread start
+                    # (0.3-0.4 ms), and a 300-page load_report took a median
+                    # 3.72 ms on the calling thread against 4.89 ms on a new
+                    # executor thread.
+                    future = Future()
+                    future.set_result(self._setup(report_id))
                 self._reports[report_id] = future
-        return future.result()
+        return future
 
     def _setup(self, report_id: str) -> tuple:
         report = corpus_mod.load_report(self._paths[report_id])
@@ -161,9 +200,9 @@ class _ReportRunner:
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
         """One prediction row; an agent row also carries its transcript."""
         pipeline = self.pipeline
-        report, retriever = self.report(report_id)
         if pipeline == "agent":
-            agent = pipelines_mod.AgentPipeline(self.client, retriever)
+            agent = pipelines_mod.AgentPipeline(
+                self.client, _retriever_of(self._setup_future(report_id)))
             transcript = agent.run(question, question_id=question_id)
             return {
                 "id": question_id,
@@ -173,6 +212,7 @@ class _ReportRunner:
                 "rounds": len(transcript.rounds),
                 "transcript": transcript,
             }
+        report, retriever = self.report(report_id)
         result = pipelines_mod.run_baseline(
             pipeline, question, self.client, report=report, retriever=retriever)
         return {"id": question_id, "pipeline": pipeline, **vars(result)}
@@ -249,7 +289,8 @@ def cmd_score(args, config: RunConfig) -> int:
 def cmd_ask(args, config: RunConfig) -> int:
     report_id = Path(args.report).stem
     runner = _ReportRunner(build_client(config), args.pipeline, {report_id: Path(args.report)})
-    row = runner.answer(report_id, args.question, "ask")
+    with runner:
+        row = runner.answer(report_id, args.question, "ask")
     print(f"answer: {row['answer']}")
     if "transcript" in row:
         run = rundir.RunDir(config.output_dir)

@@ -14,8 +14,9 @@ units, and their prompts from ``prompts``.
 from __future__ import annotations
 
 import re
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from . import prompts
 from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
@@ -180,12 +181,27 @@ def parse_verdict(reply: str) -> EvaluatorVerdict:
 
 class AgentPipeline:
     """Drives the three agent roles over retrieval rounds, within the
-    client's run settings ``max_rounds``, ``k_per_round`` and ``chunk_budget``."""
+    client's run settings ``max_rounds``, ``k_per_round`` and ``chunk_budget``.
 
-    def __init__(self, client: LLMClient, retriever: Retriever):
+    ``retriever`` may be a ``Future`` of the retriever, as ``bench`` and
+    ``ask`` hand it over while the report is still being set up. ``run``
+    reads it only once round 1's expansion call has returned, since that
+    call needs only the question: the index builds while the call is in
+    flight, and the first search waits for whatever build time is left. A
+    set-up error is raised there, after that one expansion call.
+    """
+
+    def __init__(self, client: LLMClient, retriever: Union[Retriever, Future]):
         self.client = client
-        self.retriever = retriever
+        self._retriever = retriever
         self._tokens_used = 0
+
+    @property
+    def retriever(self) -> Retriever:
+        """The retriever; a ``Future`` of one is waited for on first read."""
+        if isinstance(self._retriever, Future):
+            self._retriever = self._retriever.result()
+        return self._retriever
 
     # -- individual agent steps ------------------------------------------
 
@@ -245,7 +261,6 @@ class AgentPipeline:
 
     def run(self, question: str, question_id: str = "") -> Transcript:
         config = self.client.config
-        units = self.retriever.units
         transcript = Transcript(question_id=question_id, question=question)
 
         held_units: list[str] = []  # in the order retrieved
@@ -256,10 +271,14 @@ class AgentPipeline:
         for round_index in range(1, config.max_rounds + 1):
             formula, expansion_input = self.expand(question, feedback)
             query = build_round_query(question, formula, feedback)
+            # read after the expansion call, which a retriever still being
+            # built overlaps
+            retriever = self.retriever
+            units = retriever.units
 
             budget_left = config.chunk_budget - len(held_units)
             new_hits, ranked = retrieve_round(
-                self.retriever, query, config.k_per_round, set(held_units), budget_left)
+                retriever, query, config.k_per_round, set(held_units), budget_left)
             solver_units = [units[unit_id] for unit_id in reread_units(
                 held_units, ranked, cited_pages, units)]
             new_pages: list[int] = []

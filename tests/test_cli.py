@@ -23,6 +23,7 @@ from finreportqa import cli as cli_mod
 from finreportqa import errors as errors_mod
 from finreportqa import llm as llm_mod
 from finreportqa import metrics as metrics_mod
+from finreportqa import prompts
 from finreportqa import transport
 from finreportqa.cli import RunConfig, build_embedding_provider, main
 from finreportqa.corpus import QAInstance
@@ -961,16 +962,23 @@ class TestReportSetup:
         # the reports interleave, so each is set up once, by one worker
         assert sorted(loads) == report_ids
 
-    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("grouped, pipeline", [
+        pytest.param(True, "long_context", id="True"),
+        pytest.param(False, "long_context", id="False"),
+        pytest.param(True, "agent", id="agent-grouped"),
+        pytest.param(False, "agent", id="agent-interleaved")])
     def test_each_report_is_set_up_once_with_set_up_ahead(self, tmp_path, monkeypatch,
-                                                          grouped):
+                                                          grouped, pipeline):
         script = tmp_path / "script.json"
-        script.write_text(json.dumps({
-            "mode": "repeatable", "entries": [{"matcher": "Question", "response": "{{1}}"}]}))
+        # the agent's expansion and evaluation prompts also hold "Question"
+        entries = [("financial text understanding", "Alpha"),
+                   ("inspects a generated answer", "NONE"), ("Question", "{{1}}")]
+        script.write_text(json.dumps({"mode": "repeatable", "entries": [
+            {"matcher": m, "response": r} for m, r in entries]}))
         config = RunConfig(backend="scripted", script_path=str(script))
         report_ids = [f"R{i}" for i in range(6)]
         runner = cli_mod._ReportRunner(
-            cli_mod.build_client(config), "long_context",
+            cli_mod.build_client(config), pipeline,
             _report_files(tmp_path, report_ids, "<!-- page: 1 -->\nbody\n"),
             dict.fromkeys(report_ids, 20))
         instances = ([_instance(f"{rid}-{n}", rid) for rid in report_ids for n in range(20)]
@@ -1090,6 +1098,84 @@ class TestReportSetup:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "DemoCo_2004.md" in err
         assert list((tmp_path / "runs").iterdir()) == []
+
+    @staticmethod
+    def _agent_argv(tmp_path, command):
+        """The DSCR report's path, and the argv of ``command``: ``bench`` at
+        1 or 2 workers over two questions of that report, or ``ask`` of one."""
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        record = json.loads(dataset.read_text())
+        dataset.write_text("".join(
+            json.dumps({**record, "id": f"q-{n}"}) + "\n" for n in range(2)))
+        report = corpus_dir / "DemoCo_2002.md"
+        if command == "ask":
+            return report, ["ask", "--question", DSCR_QUESTION, "--report", str(report),
+                            "--backend", "scripted", "--script-path", str(script),
+                            "--output-dir", str(tmp_path / "out")]
+        workers = command.split()[1]
+        return report, _bench_args(tmp_path, corpus_dir, dataset, script,
+                                   extra=("--workers", workers))
+
+    @pytest.mark.parametrize("command", ["bench 1", "bench 2", "ask"])
+    def test_the_agent_index_builds_while_the_expansion_call_is_in_flight(
+            self, tmp_path, capsys, monkeypatch, command):
+        _, argv = self._agent_argv(tmp_path, command)
+        expansion_sent, build_started = threading.Event(), threading.Event()
+        build_waits, expansion_waits = [], []
+        build_retriever = cli_mod.retrieval_mod.build_retriever
+        generate = ScriptedBackend.generate
+
+        def build_after_the_expansion_is_sent(*args, **kwargs):
+            build_started.set()
+            build_waits.append(expansion_sent.wait(timeout=5))
+            return build_retriever(*args, **kwargs)
+
+        def expand_while_the_build_runs(self, config, messages, body):
+            if messages[0].content == prompts.EXPANSION_SYSTEM:
+                expansion_sent.set()
+                expansion_waits.append(build_started.wait(timeout=5))
+            return generate(self, config, messages, body)
+
+        monkeypatch.setattr(cli_mod.retrieval_mod, "build_retriever",
+                            build_after_the_expansion_is_sent)
+        monkeypatch.setattr(ScriptedBackend, "generate", expand_while_the_build_runs)
+        assert main(argv) == 0
+        # a runner that builds before the expansion call waits out both timeouts
+        assert build_waits == [True]
+        assert expansion_waits and all(expansion_waits)
+
+    @pytest.mark.parametrize("command", ["bench 1", "bench 2", "ask"])
+    def test_a_blank_report_set_up_during_an_agent_question(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        report, argv = self._agent_argv(tmp_path, command)
+        report.write_text(" \n\n", encoding="utf-8")
+        loaders, prompts_sent = set(), []
+        load_report = cli_mod.corpus_mod.load_report
+        generate = ScriptedBackend.generate
+
+        def tracked_load_report(path, *args):
+            loaders.add(threading.current_thread())
+            return load_report(path, *args)
+
+        def tracked_generate(self, config, messages, body):
+            prompts_sent.append(messages[0].content)
+            return generate(self, config, messages, body)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
+        monkeypatch.setattr(ScriptedBackend, "generate", tracked_generate)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {report}: document has no non-whitespace content")
+        assert "Traceback" not in err
+        # the set-up ran on the set-up thread, which has ended
+        assert loaders and all(t.name.startswith("report-setup") for t in loaders)
+        assert not any(thread.is_alive() for thread in loaders)
+        # at most one expansion request per question in flight went out first
+        questions_in_flight = 1 if command != "bench 2" else 2
+        assert len(prompts_sent) <= questions_in_flight
+        assert set(prompts_sent) <= {prompts.EXPANSION_SYSTEM}
+        if command == "ask":
+            assert not (tmp_path / "out" / "ask_transcript.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["index", "--corpus-dir", "corpus"],

@@ -17,7 +17,6 @@ class decides its code (``FinReportQAError.exit_code``).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import threading
@@ -220,11 +219,21 @@ class _ReportRunner:
 
 # --- commands ------------------------------------------------------------------
 
+def _print_json(payload, out: Optional[str | Path] = None) -> None:
+    """Print ``payload`` as a JSON document, first writing the same text to ``out``."""
+    rendered = rundir.to_json(payload)
+    if out:
+        rundir.write_text(out, rendered)
+    print(rendered, end="")
+
+
 def cmd_bench(args, config: RunConfig) -> int:
     if not config.dataset:
         raise ConfigError("bench needs a dataset (--dataset)")
     if type(args.limit) is not int or args.limit < 0:
         raise ConfigError(f"limit must be a non-negative integer, got {args.limit!r}")
+    if args.pipeline not in PIPELINES:
+        raise ConfigError(f"pipeline must be one of {', '.join(PIPELINES)}, got {args.pipeline!r}")
     instances = corpus_mod.read_dataset(config.dataset)
     if args.limit:
         instances = instances[:args.limit]
@@ -258,7 +267,7 @@ def cmd_bench(args, config: RunConfig) -> int:
                 "instances": len(instances)},
         pipeline=args.pipeline, limit=args.limit)
     print(f"bench: {len(rows)} instances -> {run.path}")
-    print(report.to_json())
+    _print_json(report)
     return EXIT_OK
 
 
@@ -282,7 +291,7 @@ def cmd_score(args, config: RunConfig) -> int:
         "predictions_sha256": rundir.sha256_file(args.predictions),
         "dataset_sha256": rundir.sha256_file(dataset_path),
     })
-    print(report.to_json())
+    _print_json(report)
     return EXIT_OK
 
 
@@ -308,10 +317,7 @@ def cmd_ask(args, config: RunConfig) -> int:
 def cmd_stats(args, config: RunConfig) -> int:
     reports = corpus_mod.load_corpus(config.corpus_dir) if config.corpus_dir else []
     instances = corpus_mod.read_dataset(config.dataset) if config.dataset else []
-    rendered = json.dumps(corpus_mod.corpus_stats(reports, instances), indent=2, sort_keys=True)
-    if args.out:
-        rundir.write_text(args.out, rendered + "\n")
-    print(rendered)
+    _print_json(corpus_mod.corpus_stats(reports, instances), args.out)
     return EXIT_OK
 
 
@@ -326,10 +332,7 @@ def cmd_ablate(args, config: RunConfig) -> int:
     rows = retrieval_mod.ablate_chunks(reports, instances, sizes, args.k_values,
                                        scheme=config.scheme,
                                        bm25_params=(config.bm25_k1, config.bm25_b))
-    rendered = json.dumps(rows, indent=2, sort_keys=True)
-    if args.out:
-        rundir.write_text(args.out, rendered + "\n")
-    print(rendered)
+    _print_json(rows, args.out)
     return EXIT_OK
 
 
@@ -344,14 +347,22 @@ def cmd_datagen(args, config: RunConfig) -> int:
     if not reports:
         raise FileNotFoundError(f"no reports under {config.corpus_dir}")
     raw_records = datagen_mod.read_raw_batch(args.raw) if args.mode == "filter" else []
-    # only now, so that an unreadable input leaves no output directory behind
+    generating = args.mode in ("generate", "both")
+    plans = []
+    for report in reports if generating else ():
+        try:
+            plans.append(datagen_mod.sample_pages(report, n=args.sample_pages, seed=config.seed))
+        except ValueError as exc:
+            path = Path(config.corpus_dir) / f"{report.report_id}.md"
+            raise FinReportQAError(f"{path}: {exc}") from None
+    # only now, so that an unreadable input or a report too short to sample
+    # leaves no output directory behind
     run = rundir.RunDir(args.out)
 
-    if args.mode in ("generate", "both"):
+    if generating:
         client = build_client(config)
         parse_errors = 0
-        for report in reports:
-            plan = datagen_mod.sample_pages(report, n=args.sample_pages, seed=config.seed)
+        for report, plan in zip(reports, plans):
             batch = datagen_mod.generate_qa(report, plan, client, max_pairs=args.max_pairs)
             for record in batch.records:
                 record.setdefault("report_id", report.report_id)
@@ -364,8 +375,7 @@ def cmd_datagen(args, config: RunConfig) -> int:
         kept, stats, _ = datagen_mod.filter_pipeline(
             raw_records, {r.report_id: r for r in reports})
         run.write_jsonl("filtered.jsonl", map(corpus_mod.instance_to_record, kept))
-        run.write_json("filter_report.json", stats.to_dict())
-        print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+        _print_json(stats, run.path / "filter_report.json")
     run.write_manifest("datagen", config, inputs={"reports": [r.report_id for r in reports]},
                        mode=args.mode)
     return EXIT_OK
@@ -436,6 +446,13 @@ def _positive_ints(text: str) -> list[int]:
     return [int(p) for p in parts]
 
 
+def _positive_int(text: str) -> int:
+    """A flag value that is an integer >= 1."""
+    if not re.fullmatch(r"[0-9]+", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _non_empty(text: str) -> str:
     """A flag value that is not the empty string."""
     if not text:
@@ -486,8 +503,8 @@ def _datagen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("generate", "filter", "both"), default="both")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--raw", help="raw batch JSONL (filter mode)")
-    parser.add_argument("--max-pairs", type=int, default=10)
-    parser.add_argument("--sample-pages", type=int, default=40)
+    parser.add_argument("--max-pairs", type=_positive_int, default=10)
+    parser.add_argument("--sample-pages", type=_positive_int, default=40)
 
 
 def _ingest_flags(parser: argparse.ArgumentParser) -> None:

@@ -187,22 +187,15 @@ class FilterOutcome:
 
 @dataclass
 class FilterStats:
-    input_count: int = 0
-    kept: int = 0
-    rejections: dict[str, int] = field(default_factory=dict)
+    """The filter's counts: its fields are the filter report's keys."""
 
-    def record(self, reason: str) -> None:
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
+    input: int = 0
+    kept: int = 0
+    rejections: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
     def reconciles(self) -> bool:
-        return self.kept + sum(self.rejections.values()) == self.input_count
-
-    def to_dict(self) -> dict:
-        return {
-            "input": self.input_count,
-            "kept": self.kept,
-            "rejections": {r: self.rejections.get(r, 0) for r in REJECTION_REASONS},
-        }
+        return self.kept + sum(self.rejections.values()) == self.input
 
 
 def program_operands(source: str) -> list[Decimal]:
@@ -283,7 +276,7 @@ def filter_pipeline(raw_batch: Sequence[dict], reports: dict[str, Report] | Sequ
     if not isinstance(reports, dict):
         reports = {report.report_id: report for report in reports}
 
-    stats = FilterStats(input_count=len(raw_batch))
+    stats = FilterStats(input=len(raw_batch))
     outcomes: list[FilterOutcome] = []
     kept: dict[str, QAInstance] = {}  # by id
 
@@ -296,7 +289,7 @@ def filter_pipeline(raw_batch: Sequence[dict], reports: dict[str, Report] | Sequ
             stats.kept += 1
             kept[raw["id"]] = _to_instance(raw, outcome.n_evidence_tables)
         else:
-            stats.record(outcome.reason)  # type: ignore[arg-type]
+            stats.rejections[outcome.reason] += 1  # type: ignore[index]
     return list(kept.values()), stats, outcomes
 
 

@@ -7,7 +7,6 @@ percentages overall, per difficulty bucket, and per question type.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, DecimalException, InvalidOperation, getcontext
@@ -17,6 +16,11 @@ from typing import Optional, Sequence
 from .errors import EmptyScoresError, NonNumericError
 
 CURRENCY_SYMBOLS = "$€£"
+
+# Tolerance: |pred - gold| <= A_TOL + R_TOL * max(|gold|, EPSILON).
+A_TOL = 1e-4
+R_TOL = 1e-3
+EPSILON = 1e-12
 
 # Numbers keep their decimal point as one token; everything else splits on
 # whitespace/punctuation. "1.55 million" -> ["1.55", "million"].
@@ -42,20 +46,6 @@ class ErrorCategory(str, Enum):
     EVIDENCE_UTILIZATION = "evidence_utilization"
     VALUE_EXTRACTION = "value_extraction"
     REASONING_CALCULATION = "reasoning_calculation"
-
-
-@dataclass(frozen=True)
-class MetricConstants:
-    a_tol: float = 1e-4
-    r_tol: float = 1e-3
-    epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.a_tol <= 0 or self.r_tol <= 0 or self.epsilon <= 0:
-            raise ValueError("metric constants must be strictly positive")
-
-
-DEFAULT_CONSTANTS = MetricConstants()
 
 
 @dataclass(frozen=True)
@@ -129,14 +119,13 @@ def exact_match(pred: NormalizedAnswer, gold: NormalizedAnswer) -> int:
     return int(pred.canonical_string == gold.canonical_string)
 
 
-def tolerance_correct(pred: float | Decimal | None, gold: float | Decimal | None,
-                      constants: MetricConstants = DEFAULT_CONSTANTS) -> int:
-    """1 iff |pred - gold| <= a_tol + r_tol * max(|gold|, epsilon)."""
+def tolerance_correct(pred: float | Decimal | None, gold: float | Decimal | None) -> int:
+    """1 iff |pred - gold| <= A_TOL + R_TOL * max(|gold|, EPSILON)."""
     if pred is None or gold is None:
         raise NonNumericError("tolerance comparison requires numeric prediction and gold")
     p = float(pred)
     g = float(gold)
-    return int(abs(p - g) <= constants.a_tol + constants.r_tol * max(abs(g), constants.epsilon))
+    return int(abs(p - g) <= A_TOL + R_TOL * max(abs(g), EPSILON))
 
 
 def _f1_tokens(raw: str) -> list[str]:
@@ -200,8 +189,7 @@ class InstanceScore:
 def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
                    difficulty: Difficulty = Difficulty.EASY,
                    question_type: Optional[str] = None,
-                   percent_mode: Optional[PercentMode] = None,
-                   constants: MetricConstants = DEFAULT_CONSTANTS) -> InstanceScore:
+                   percent_mode: Optional[PercentMode] = None) -> InstanceScore:
     """Score one prediction against gold.
 
     When no explicit percent mode is supplied, both sides are compared
@@ -219,12 +207,12 @@ def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
     matched_variant: Optional[str] = None
     reason: Optional[str] = None
     if pred.is_numeric and gold.is_numeric:
-        tol = tolerance_correct(pred.numeric_value, gold.numeric_value, constants)
+        tol = tolerance_correct(pred.numeric_value, gold.numeric_value)
         if tol:
             matched_variant = "as_given"
         elif percent_mode is None:
             for label, factor in (("x100", Decimal(100)), ("/100", Decimal("0.01"))):
-                if tolerance_correct(pred.numeric_value * factor, gold.numeric_value, constants):
+                if tolerance_correct(pred.numeric_value * factor, gold.numeric_value):
                     tol = 1
                     matched_variant = label
                     break
@@ -249,39 +237,29 @@ def score_instance(pred_raw: str, gold_raw: str, *, instance_id: str = "",
 
 @dataclass
 class EvalReport:
-    n_instances: int
-    em_pct: float
-    tol_acc_pct: float
-    f1_pct: float
+    """The evaluation report: its fields are the report file's keys. Each
+    value is a percentage rounded to 2 places; ``instances`` and
+    ``counts_by_difficulty`` are counts."""
+
+    instances: int
+    em: float
+    tol_acc: float
+    f1: float
     em_by_difficulty: dict[str, float]
     counts_by_difficulty: dict[str, int]
     by_type: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.n_instances,
-            "em": round(self.em_pct, 2),
-            "tol_acc": round(self.tol_acc_pct, 2),
-            "f1": round(self.f1_pct, 2),
-            "em_by_difficulty": {k: round(v, 2) for k, v in self.em_by_difficulty.items()},
-            "counts_by_difficulty": dict(self.counts_by_difficulty),
-            "by_type": {
-                t: {m: round(v, 2) for m, v in row.items()} for t, row in self.by_type.items()
-            },
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+def _pct(values) -> float:
+    """The mean of 0-1 values as a percentage, rounded to 2 places."""
+    values = list(values)
+    return round(100.0 * sum(values) / len(values), 2)
 
 
 def aggregate(scores: Sequence[InstanceScore]) -> EvalReport:
     """Mean instance scores as percentages, with difficulty/type breakdowns."""
     if not scores:
         raise EmptyScoresError("cannot aggregate zero scores")
-    n = len(scores)
-    em_pct = 100.0 * sum(s.em for s in scores) / n
-    tol_pct = 100.0 * sum(s.tol_correct for s in scores) / n
-    f1_pct = 100.0 * sum(s.f1 for s in scores) / n
 
     em_by_difficulty: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -289,25 +267,24 @@ def aggregate(scores: Sequence[InstanceScore]) -> EvalReport:
         members = [s for s in scores if s.difficulty is bucket]
         if members:
             counts[bucket.value] = len(members)
-            em_by_difficulty[bucket.value] = 100.0 * sum(s.em for s in members) / len(members)
+            em_by_difficulty[bucket.value] = _pct(s.em for s in members)
 
     by_type: dict[str, dict[str, float]] = {}
     for qtype in sorted({s.question_type for s in scores if s.question_type}):
         members = [s for s in scores if s.question_type == qtype]
         by_type[qtype] = {
-            "em": 100.0 * sum(s.em for s in members) / len(members),
-            "tol_acc": 100.0 * sum(s.tol_correct for s in members) / len(members),
-            "f1": 100.0 * sum(s.f1 for s in members) / len(members),
+            "em": _pct(s.em for s in members),
+            "tol_acc": _pct(s.tol_correct for s in members),
+            "f1": _pct(s.f1 for s in members),
             "count": float(len(members)),
         }
 
     return EvalReport(
-        n_instances=n,
-        em_pct=em_pct,
-        tol_acc_pct=tol_pct,
-        f1_pct=f1_pct,
+        instances=len(scores),
+        em=_pct(s.em for s in scores),
+        tol_acc=_pct(s.tol_correct for s in scores),
+        f1=_pct(s.f1 for s in scores),
         em_by_difficulty=em_by_difficulty,
         counts_by_difficulty=counts,
         by_type=by_type,
     )
-

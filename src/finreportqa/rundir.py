@@ -117,7 +117,7 @@ class RunDir:
         """Write ``scores.jsonl`` and ``eval_report.json``; the report."""
         self.write_jsonl("scores.jsonl", scores)
         report = metrics_mod.aggregate(scores)
-        write_text(self.path / "eval_report.json", report.to_json() + "\n")
+        self.write_json("eval_report.json", report)
         return report
 
     def write_manifest(self, command: str, config, inputs: dict, **extra) -> None:

@@ -25,7 +25,9 @@ from finreportqa.cli import main
 from finreportqa.corpus import instance_to_record, parse_report
 from finreportqa.datagen import candidate, filter_pipeline
 from finreportqa.metrics import (
-    DEFAULT_CONSTANTS,
+    A_TOL,
+    EPSILON,
+    R_TOL,
     PercentMode,
     bucket_difficulty,
     normalize_answer,
@@ -45,7 +47,7 @@ from finreportqa.retrieval import (
 )
 from finreportqa.rundir import to_json
 from oracles import brute_force_ranking, brute_force_scores, random_corpus, random_query
-from test_datagen import CLEAN, filter_report, raw
+from test_datagen import CLEAN, filter_report, raw, rejections
 
 
 def _report(number: int, summary: str) -> None:
@@ -54,9 +56,9 @@ def _report(number: int, summary: str) -> None:
 
 def test_criterion_1_tolerance_golden():
     started = time.monotonic()
-    assert DEFAULT_CONSTANTS.a_tol == 1e-4
-    assert DEFAULT_CONSTANTS.r_tol == 1e-3
-    assert DEFAULT_CONSTANTS.epsilon == 1e-12
+    assert A_TOL == 1e-4
+    assert R_TOL == 1e-3
+    assert EPSILON == 1e-12
     assert tolerance_correct(518.80, 518.75) == 1
     assert tolerance_correct(0.584, 0.82) == 0
     rng = random.Random(2024)
@@ -259,16 +261,14 @@ def test_criterion_8_filter_pipeline():
     assert len(batch) == 30
     kept, stats, _ = filter_pipeline(batch, [filter_report()])
     assert len(kept) == 10
-    assert stats.rejections == {
-        "single_table": 8, "calc_error": 7, "incoherent_answer": 3,
-        "too_few_pages": 2,
-    }
+    assert stats.rejections == rejections(
+        single_table=8, calc_error=7, incoherent_answer=3, too_few_pages=2)
     assert stats.reconciles()
 
     refiltered, stats2, _ = filter_pipeline(
         [candidate(instance_to_record(instance)) for instance in kept], [filter_report()])
     assert len(refiltered) == 10
-    assert stats2.rejections == {}
+    assert stats2.rejections == rejections()
 
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -339,6 +339,20 @@ class TestConfigFiles:
         assert "limit" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "run-b").exists()
 
+    @pytest.mark.parametrize("pipeline", ["bogus", ["agent"], None, 1])
+    def test_manifest_pipeline_must_be_a_known_pipeline(self, tmp_path, capsys, pipeline):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 0
+        manifest_path = tmp_path / "runs" / "run-a" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["pipeline"] = pipeline
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["bench", "--from-manifest", str(manifest_path), "--run-id", "run-b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pipeline must be one of") and "Traceback" not in err
+        assert not (tmp_path / "runs" / "run-b").exists()
+
     def test_negative_limit_flag_is_config_error(self, tmp_path, capsys):
         corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script,
@@ -1476,6 +1490,52 @@ class TestOtherCommands:
         assert stats["input"] == 1
         assert stats["kept"] == 1
 
+    @pytest.mark.parametrize("flag", ["--max-pairs", "--sample-pages"])
+    @pytest.mark.parametrize("value", ["0", "-1", "-2", "2.5", "x"])
+    def test_datagen_rejects_a_size_below_1_as_usage_error(self, tmp_path, capsys,
+                                                          flag, value):
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        script = tmp_path / "genscript.json"
+        script.write_text(json.dumps({"entries": [{"matcher": "annual report",
+                                                   "response": "[]"}]}))
+        out_dir = tmp_path / "dg"
+        code = main(["datagen", "--mode", "generate", "--out", str(out_dir),
+                     "--corpus-dir", str(corpus_dir), "--backend", "scripted",
+                     "--script-path", str(script), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "integer >= 1" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode", ["generate", "both"])
+    def test_datagen_over_a_report_too_short_to_sample_is_data_error(self, tmp_path, capsys,
+                                                                     mode):
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        short = corpus_dir / "ShortCo_2002.md"
+        short.write_text("<!-- page: 1 -->\nOne.\n<!-- page: 2 -->\nTwo.\n", encoding="utf-8")
+        script = tmp_path / "genscript.json"
+        script.write_text(json.dumps({"entries": [{"matcher": "annual report",
+                                                   "response": "[]"}]}))
+        out_dir = tmp_path / "dg"
+        code = main(["datagen", "--mode", mode, "--out", str(out_dir),
+                     "--corpus-dir", str(corpus_dir), "--backend", "scripted",
+                     "--script-path", str(script)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {short}: ") and "at least 3 pages" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_datagen_filters_a_report_too_short_to_sample(self, tmp_path, capsys):
+        """Only sampling needs 3 pages: filter mode reads a short report."""
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        (corpus_dir / "ShortCo_2002.md").write_text("<!-- page: 1 -->\nOne.\n",
+                                                    encoding="utf-8")
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("")
+        assert main(["datagen", "--mode", "filter", "--raw", str(raw),
+                     "--out", str(tmp_path / "dg"), "--corpus-dir", str(corpus_dir)]) == 0
+
     def test_ingest_is_wired(self, tmp_path, monkeypatch, capsys):
         # transport-level substitution; the CLI path itself stays intact
         fixture = {
@@ -1602,6 +1662,57 @@ def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
     printed = capsys.readouterr()
     digest = hashlib.sha256((printed.out + printed.err).encode("utf-8")).hexdigest()
     assert digest == _USAGE_SHA256[argv]
+
+
+# sha256 of each command's stdout on the DSCR workspace, with the workspace
+# directory written as <tmp>, and of the JSON files that stats, ablate and
+# datagen write
+_OUTPUT_SHA256 = {
+    "bench stdout": "ffd842baced187afa532398a3c99744f0bb6db9b1464df1920647c534ee0b4bb",
+    "score stdout": "1a0c256768da03910209f43f8cca9762b84ff0a76a37e417c56672072320d5d8",
+    "stats stdout": "8edf7827ab5ce7b7363358ec2e7e6d69aef44afdde28cfe859de1cc2fb6887d1",
+    "ablate stdout": "e0984a58c93e1a3c3bba4feb3b0ff2884875a4e8fc84afef05fea3a16ddbacd7",
+    "datagen stdout": "429c625ba9d2d3803529515a2368afe91d7fd7d96d92716da2f3dc6f1e8d1eb4",
+    "stats --out": "8edf7827ab5ce7b7363358ec2e7e6d69aef44afdde28cfe859de1cc2fb6887d1",
+    "ablate --out": "e0984a58c93e1a3c3bba4feb3b0ff2884875a4e8fc84afef05fea3a16ddbacd7",
+    "filter_report.json": "429c625ba9d2d3803529515a2368afe91d7fd7d96d92716da2f3dc6f1e8d1eb4",
+}
+
+
+def test_command_outputs_are_unchanged(tmp_path, capsys):
+    corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+    record = {"id": "r1", "company": "DemoCo", "year": "2002", "question": "?",
+              "type": "table", "thoughts": "t", "page_numbers": [31, 50],
+              "python_code": "17/(11+0)", "answer": "1.55", "report_id": "DemoCo_2002"}
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in (
+        record,
+        dict(record, id="r2", page_numbers=[31]),
+        dict(record, id="r3", answer="2"),
+        dict(record, thoughts="u"),
+    )))
+    commands = {
+        "bench": _bench_args(tmp_path, corpus_dir, dataset, script),
+        "score": ["score", "--predictions", str(tmp_path / "runs" / "run-a" / "predictions.jsonl"),
+                  "--gold", str(dataset), "--out", str(tmp_path / "scored")],
+        "stats": ["stats", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                  "--out", str(tmp_path / "stats.json")],
+        "ablate": ["ablate", "--corpus-dir", str(corpus_dir), "--dataset", str(dataset),
+                   "--sizes", "8,64", "--k-values", "1,6",
+                   "--out", str(tmp_path / "ablate.json")],
+        "datagen": ["datagen", "--mode", "filter", "--raw", str(raw),
+                    "--out", str(tmp_path / "dg"), "--corpus-dir", str(corpus_dir)],
+    }
+    outputs = {}
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        out = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        outputs[f"{name} stdout"] = out.encode("utf-8")
+    for name, path in (("stats --out", "stats.json"), ("ablate --out", "ablate.json"),
+                       ("filter_report.json", "dg/filter_report.json")):
+        outputs[name] = (tmp_path / path).read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == _OUTPUT_SHA256
 
 
 _COMMAND_ONLY_MODULES = ("finreportqa.datagen", "finreportqa.ingest", "finreportqa.program",

@@ -51,6 +51,13 @@ def raw(id, pages, code, answer, **overrides):
 CLEAN = dict(pages=[5, 7], code="4139/((45+11)/2)", answer="147.82")
 
 
+def rejections(**counts):
+    """The filter's rejection counts: all six reasons, ``counts`` and zeros."""
+    return {**dict.fromkeys(("too_few_pages", "single_table", "calc_error",
+                             "incoherent_answer", "parse_error", "duplicate_id"), 0),
+            **counts}
+
+
 class TestSamplePages:
     def _report(self, n_pages):
         md = "".join(f"<!-- page: {i} -->\nword{i} text\n" for i in range(1, n_pages + 1))
@@ -217,30 +224,30 @@ class TestFilterPipeline:
         )
         kept, stats, _ = self._run(batch)
         assert len(kept) == 4
-        assert stats.rejections == {"single_table": 3, "calc_error": 2,
-                                    "incoherent_answer": 1}
+        assert stats.rejections == rejections(single_table=3, calc_error=2,
+                                                 incoherent_answer=1)
         assert stats.reconciles()
 
     def test_single_page_rejected(self):
         batch = [raw("p0", [50], "1+1", "2")]
         _, stats, outcomes = self._run(batch)
-        assert stats.rejections == {"too_few_pages": 1}
+        assert stats.rejections == rejections(too_few_pages=1)
         assert outcomes[0].reason == "too_few_pages"
 
     def test_same_page_listed_twice_is_single_page(self):
         batch = [raw("p0", [5, 5], "1+1", "2")]
         _, stats, _ = self._run(batch)
-        assert stats.rejections == {"too_few_pages": 1}
+        assert stats.rejections == rejections(too_few_pages=1)
 
     def test_out_of_grammar_program_counts_parse_error(self):
         batch = [raw("x0", [5, 7], "import os", "1")]
         _, stats, _ = self._run(batch)
-        assert stats.rejections == {"parse_error": 1}
+        assert stats.rejections == rejections(parse_error=1)
 
     def test_execution_failure_is_calc_error(self):
         batch = [raw("d0", [5, 9], "1/(3-3)", "2")]
         _, stats, _ = self._run(batch)
-        assert stats.rejections == {"calc_error": 1}
+        assert stats.rejections == rejections(calc_error=1)
 
     @pytest.mark.parametrize("source, reason", [
         ("1e999999", "calc_error"),
@@ -250,7 +257,7 @@ class TestFilterPipeline:
         batch = [raw("bad", [5, 9], source, "1"), raw("c0", **CLEAN)]
         kept, stats, outcomes = self._run(batch)
         assert [i.id for i in kept] == ["c0"]
-        assert stats.rejections == {reason: 1}
+        assert stats.rejections == rejections(**{reason: 1})
         assert outcomes[0].reason == reason
 
     def test_a_repeated_id_keeps_its_first_kept_candidate(self):
@@ -260,7 +267,7 @@ class TestFilterPipeline:
         kept, stats, outcomes = self._run(batch)
         assert [i.id for i in kept] == ["c0", "c1"]
         assert kept[0].thoughts == "Thought: read the tables."
-        assert stats.rejections == {"too_few_pages": 1, "duplicate_id": 1}
+        assert stats.rejections == rejections(too_few_pages=1, duplicate_id=1)
         assert [o.reason for o in outcomes] == ["too_few_pages", None, None, "duplicate_id"]
         assert stats.reconciles()
 
@@ -269,7 +276,7 @@ class TestFilterPipeline:
         ok, stats_ok, _ = self._run([raw("t0", [5, 9], "10/3", "3.33")])
         assert len(ok) == 1 and stats_ok.kept == 1
         _, stats_bad, _ = self._run([raw("t1", [5, 9], "10/3", "3.43")])
-        assert stats_bad.rejections == {"calc_error": 1}
+        assert stats_bad.rejections == rejections(calc_error=1)
 
     def test_kept_instance_fields(self):
         kept, _, outcomes = self._run([raw("c0", **CLEAN)])
@@ -296,7 +303,7 @@ class TestFilterPipeline:
         again = [candidate(instance_to_record(instance)) for instance in kept]
         kept2, stats2, _ = filter_pipeline(again, [filter_report()])
         assert len(kept2) == len(kept)
-        assert stats2.rejections == {}
+        assert stats2.rejections == rejections()
 
     def test_order_stable(self):
         batch = [raw(f"c{i}", **CLEAN) for i in range(3)]

@@ -16,6 +16,13 @@ def test_only_the_rundir_module_spells_the_run_directory_layout():
     assert spelled == {"rundir.py"}
 
 
+def test_only_the_rundir_module_renders_json_documents():
+    """Every JSON document a command writes or prints is ``rundir.to_json``'s text."""
+    rendering = {path.name for path in SRC.glob("*.py")
+                 if "indent=2" in path.read_text(encoding="utf-8")}
+    assert rendering == {"rundir.py"}
+
+
 def test_create_adds_a_suffix_while_the_name_is_taken(tmp_path):
     names = [RunDir.create(tmp_path / "runs", "run").path.name for _ in range(3)]
     assert names == ["run", "run-1", "run-2"]

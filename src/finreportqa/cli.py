@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ingest, ask, bench, score, datagen, stats, ablate. ``bench``
-and ``ask`` set up each report and answer each question through one runner;
-``ask`` is a one-question ``bench`` over a report file. ``main`` builds the
+and ``ask`` answer each question through one runner method, which sets the
+question's report up and frees it after its last question; ``ask`` is a
+one-question ``bench`` over a report file. ``main`` builds the
 flags of the invoked subcommand only, and ``datagen``, ``ingest`` and
 ``stats`` import the modules only they use (``datagen``, ``ingest``,
 ``statistics``) when they run, so the other commands never load them.
@@ -39,7 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 3
 
-PIPELINES = ("agent", "no_context", "long_context", "single_round_rag", "fixed_budget_rag")
+PIPELINES = ("agent", *pipelines_mod.BASELINE_KINDS)
 # Pipelines that never search, so they need no retriever or retrieval units.
 _INDEXLESS_PIPELINES = ("no_context", "long_context")
 
@@ -63,71 +64,55 @@ def build_embedding_provider(config: RunConfig):
     return provider
 
 
-def _retriever_of(setup: Future) -> Future:
-    """A Future of the retriever in ``setup``'s (report, retriever), done
-    when ``setup`` is, with its error if it failed."""
-    retriever: Future = Future()
-
-    def settle(done: Future) -> None:
-        if done.cancelled():
-            retriever.cancel()
-        elif done.exception() is not None:
-            retriever.set_exception(done.exception())
-        else:
-            retriever.set_result(done.result()[1])
-
-    setup.add_done_callback(settle)
-    return retriever
-
-
 class _ReportRunner:
-    """Per-report state and question answering for one pipeline.
+    """Per-report state and question answering for one pipeline, inside
+    ``with``.
 
-    ``paths`` maps each report id to its file. Each held report is one
-    ``Future`` of its (report, retriever), made by the first question that
-    needs the report, under the runner's lock, so questions that need it at
-    once share one set-up. Only the state the pipeline reads is built: the
-    report always, the retriever (which holds the retrieval units) only for
-    pipelines that search, and one embedding provider for the run only for
-    those that search densely. With ``questions``, each report's question
-    count, a report is dropped, with all it holds, once ``run_instance`` has
-    answered that many of its questions. Answering is thread-safe.
+    ``paths`` maps each report id to its file, and ``questions`` each
+    report's question count, in order of each report's first question.
+    Each held report is one ``Future`` of its (report, retriever), made by
+    the first question that needs the report, under the runner's lock, so
+    questions that need it at once share one set-up. Only the state the
+    pipeline reads is built: the report always, the retriever (which holds
+    the retrieval units) only for pipelines that search, and one embedding
+    provider for the run only for those that search densely. ``answer``
+    answers one question, and drops its report, with all it holds, once it
+    has answered that many of the report's questions. Answering is
+    thread-safe.
 
-    Where a first question sets its report up depends on the pipeline.
-    Inside ``with``, the agent's set-up runs on the runner's one set-up
-    thread and the agent gets a Future of the retriever: its first call,
-    the expansion, needs only the question, so the index builds while that
-    call is in flight, and a set-up error is raised at the question's first
-    search. The baselines read the report or search it before their one
-    call, so there is nothing to overlap: they set up on the asking thread,
-    as does any pipeline outside ``with``. Handing their set-up to the
-    set-up thread made ``long_context_wide`` ``setup_s`` worse.
+    Where a first question sets its report up depends on the pipeline. The
+    agent's set-up runs on the runner's one set-up thread and the agent gets
+    a function that waits for the retriever: its first call, the expansion,
+    needs only the question, so the index builds while that call is in
+    flight, and a set-up error is raised at the question's first search.
+    The baselines read the report or search it before their one call, so
+    there is nothing to overlap: they set up on the asking thread. Handing
+    their set-up to the set-up thread made ``long_context_wide``
+    ``setup_s`` worse.
 
-    Inside ``with``, once a report's first question is answered, the next
-    report in order of first question is set up ahead on the set-up thread
-    while this report's other questions wait on the endpoint. For
-    ``long_context`` that step also flattens the pages a prompt can hold,
-    which the report's first question does otherwise. Looking one report
-    ahead holds at most one report more than those with questions in
-    flight: N + 1 at N workers over a dataset grouped by report. A set-up
-    error is kept and raised by each question that asks for that report.
-    Leaving the block cancels a set-up not yet begun and waits for one that
-    is running.
+    Once a report's first question is answered, the next report in order of
+    first question is set up ahead on the set-up thread while this report's
+    other questions wait on the endpoint. For ``long_context`` that step
+    also flattens the pages a prompt can hold, which the report's first
+    question does otherwise. Looking one report ahead holds at most one
+    report more than those with questions in flight: N + 1 at N workers over
+    a dataset grouped by report. A set-up error is kept and raised by each
+    question that asks for that report. Leaving the block cancels a set-up
+    not yet begun and waits for one that is running.
     """
 
     def __init__(self, client: LLMClient, pipeline: str, paths: Mapping[str, Path],
-                 questions: Optional[Mapping[str, int]] = None):
+                 questions: Mapping[str, int]):
         config = client.config
         self.client = client
         self.pipeline = pipeline
         self._paths = dict(paths)
         self._reports: dict[str, Future] = {}  # each held report's (report, retriever)
-        self._questions_left = dict(questions or {})
+        self._questions_left = dict(questions)
         order = list(self._questions_left)  # in order of each report's first question
         self._next = dict(zip(order, order[1:]))
         self._unstarted = set(order)  # the reports whose set-up has not begun
         self._lock = threading.Lock()  # guards the held reports, counts and unstarted set
-        self._pool: Optional[ThreadPoolExecutor] = None
         self.provider = (build_embedding_provider(config)
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
                          else None)
@@ -138,22 +123,16 @@ class _ReportRunner:
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
-        self._pool = None
-
-    def report(self, report_id: str) -> tuple:
-        """The report and its retriever (None for a pipeline that does not
-        search), set up on first use."""
-        return self._setup_future(report_id).result()
 
     def _setup_future(self, report_id: str) -> Future:
         """The Future of the report's (report, retriever). A report not yet
-        held is set up on the set-up thread for the agent inside ``with``,
-        and otherwise here, under the lock."""
+        held is set up on the set-up thread for the agent, and otherwise
+        here, under the lock."""
         with self._lock:
             future = self._reports.get(report_id)
             if future is None:
                 self._unstarted.discard(report_id)
-                if self.pipeline == "agent" and self._pool is not None:
+                if self.pipeline == "agent":
                     future = self._pool.submit(self._setup, report_id)
                 else:
                     # A baseline sets up on the asking thread, not on the
@@ -183,27 +162,16 @@ class _ReportRunner:
             entry[0].prefix(self.client.config.max_input_tokens)
         return entry
 
-    def run_instance(self, instance: corpus_mod.QAInstance) -> dict:
-        report_id = instance.report_id
-        row = self.answer(report_id, instance.question, instance.id)
-        with self._lock:
-            self._questions_left[report_id] -= 1
-            if not self._questions_left[report_id]:
-                del self._reports[report_id]
-            following = self._next.get(report_id)
-            if self._pool is not None and following in self._unstarted:
-                self._unstarted.discard(following)
-                self._reports[following] = self._pool.submit(self._setup_ahead, following)
-        return row
-
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
-        """One prediction row; an agent row also carries its transcript."""
+        """One prediction row; an agent row also carries its transcript.
+        Then the question is counted, its report dropped after its last
+        question and the next report set up ahead."""
         pipeline = self.pipeline
+        setup = self._setup_future(report_id)
         if pipeline == "agent":
-            agent = pipelines_mod.AgentPipeline(
-                self.client, _retriever_of(self._setup_future(report_id)))
+            agent = pipelines_mod.AgentPipeline(self.client, lambda: setup.result()[1])
             transcript = agent.run(question, question_id=question_id)
-            return {
+            row = {
                 "id": question_id,
                 "pipeline": pipeline,
                 "answer": transcript.final_answer,
@@ -211,10 +179,20 @@ class _ReportRunner:
                 "rounds": len(transcript.rounds),
                 "transcript": transcript,
             }
-        report, retriever = self.report(report_id)
-        result = pipelines_mod.run_baseline(
-            pipeline, question, self.client, report=report, retriever=retriever)
-        return {"id": question_id, "pipeline": pipeline, **vars(result)}
+        else:
+            report, retriever = setup.result()
+            result = pipelines_mod.run_baseline(
+                pipeline, question, self.client, report=report, retriever=retriever)
+            row = {"id": question_id, "pipeline": pipeline, **vars(result)}
+        with self._lock:
+            self._questions_left[report_id] -= 1
+            if not self._questions_left[report_id]:
+                del self._reports[report_id]
+            following = self._next.get(report_id)
+            if following in self._unstarted:
+                self._unstarted.discard(following)
+                self._reports[following] = self._pool.submit(self._setup_ahead, following)
+        return row
 
 
 # --- commands ------------------------------------------------------------------
@@ -253,12 +231,14 @@ def cmd_bench(args, config: RunConfig) -> int:
 
     # both maps yield rows in dataset order; the pool bounds how many LLM
     # calls are in flight at once, and the runner sets reports up ahead
+    columns = ([i.report_id for i in instances], [i.question for i in instances],
+               [i.id for i in instances])
     with runner:
         if config.workers > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                rows = run.write_rows(pool.map(runner.run_instance, instances))
+                rows = run.write_rows(pool.map(runner.answer, *columns))
         else:
-            rows = run.write_rows(map(runner.run_instance, instances))
+            rows = run.write_rows(map(runner.answer, *columns))
 
     report = run.write_scores(rundir.score_rows(rows, {i.id: i for i in instances}))
     run.write_manifest(
@@ -297,7 +277,8 @@ def cmd_score(args, config: RunConfig) -> int:
 
 def cmd_ask(args, config: RunConfig) -> int:
     report_id = Path(args.report).stem
-    runner = _ReportRunner(build_client(config), args.pipeline, {report_id: Path(args.report)})
+    runner = _ReportRunner(build_client(config), args.pipeline, {report_id: Path(args.report)},
+                           {report_id: 1})
     with runner:
         row = runner.answer(report_id, args.question, "ask")
     print(f"answer: {row['answer']}")
@@ -355,12 +336,12 @@ def cmd_datagen(args, config: RunConfig) -> int:
         except ValueError as exc:
             path = Path(config.corpus_dir) / f"{report.report_id}.md"
             raise FinReportQAError(f"{path}: {exc}") from None
-    # only now, so that an unreadable input or a report too short to sample
-    # leaves no output directory behind
+    client = build_client(config) if generating else None
+    # only now, so that an unreadable input, script file included, or a
+    # report too short to sample leaves no output directory behind
     run = rundir.RunDir(args.out)
 
     if generating:
-        client = build_client(config)
         parse_errors = 0
         for report, plan in zip(reports, plans):
             batch = datagen_mod.generate_qa(report, plan, client, max_pairs=args.max_pairs)

@@ -14,9 +14,8 @@ units, and their prompts from ``prompts``.
 from __future__ import annotations
 
 import re
-from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import prompts
 from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
@@ -183,24 +182,25 @@ class AgentPipeline:
     """Drives the three agent roles over retrieval rounds, within the
     client's run settings ``max_rounds``, ``k_per_round`` and ``chunk_budget``.
 
-    ``retriever`` may be a ``Future`` of the retriever, as ``bench`` and
-    ``ask`` hand it over while the report is still being set up. ``run``
-    reads it only once round 1's expansion call has returned, since that
-    call needs only the question: the index builds while the call is in
-    flight, and the first search waits for whatever build time is left. A
-    set-up error is raised there, after that one expansion call.
+    ``retriever`` may be a zero-argument function that returns the
+    retriever, as ``bench`` and ``ask`` hand over one that waits for the
+    report's set-up. ``run`` calls it once, only after round 1's expansion
+    call has returned, since that call needs only the question: the index
+    builds while the call is in flight, and the first search waits for
+    whatever build time is left. A set-up error is raised there, after that
+    one expansion call.
     """
 
-    def __init__(self, client: LLMClient, retriever: Union[Retriever, Future]):
+    def __init__(self, client: LLMClient, retriever: Union[Retriever, Callable[[], Retriever]]):
         self.client = client
         self._retriever = retriever
         self._tokens_used = 0
 
     @property
     def retriever(self) -> Retriever:
-        """The retriever; a ``Future`` of one is waited for on first read."""
-        if isinstance(self._retriever, Future):
-            self._retriever = self._retriever.result()
+        """The retriever; a function of one is called on first read."""
+        if callable(self._retriever):
+            self._retriever = self._retriever()
         return self._retriever
 
     # -- individual agent steps ------------------------------------------

@@ -70,6 +70,11 @@ def _report_files(directory, report_ids, text):
     return paths
 
 
+def _answer_each(runner):
+    """A function that answers one instance through ``runner``."""
+    return lambda instance: runner.answer(instance.report_id, instance.question, instance.id)
+
+
 def _track_setup(monkeypatch):
     """Weak references to each report ``load_report`` returns, by report id,
     followed by one to its retriever once one is built."""
@@ -855,7 +860,7 @@ class TestReportSetup:
         assert without_question_id(ask) == without_question_id(bench)
         assert without_question_id(ask) != ask.read_bytes()
 
-    @pytest.mark.parametrize("pipeline", ["single_round_rag", "long_context"])
+    @pytest.mark.parametrize("pipeline", ["single_round_rag", "long_context", "agent"])
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_report_freed_after_its_last_question(self, tmp_path, capsys, monkeypatch,
                                                   pipeline, workers):
@@ -867,9 +872,11 @@ class TestReportSetup:
         years = [2002, 2003, 2002, 2003, 2003]
         dataset.write_text("".join(json.dumps({**record, "id": f"q-{i}", "year": year}) + "\n"
                                    for i, year in enumerate(years)))
-        script.write_text(json.dumps({
-            "entries": [{"matcher": "Question", "response": "{{1.55}}"}],
-        }))
+        # the agent's expansion and evaluation prompts also hold "Question"
+        entries = [("financial text understanding", "Alpha"),
+                   ("inspects a generated answer", "NONE"), ("Question", "{{1.55}}")]
+        script.write_text(json.dumps({"entries": [
+            {"matcher": m, "response": r} for m, r in entries]}))
         refs = {}
         load_report = cli_mod.corpus_mod.load_report
 
@@ -879,19 +886,19 @@ class TestReportSetup:
             return report
 
         alive, done, lock = {}, set(), threading.Lock()
-        run_instance = cli_mod._ReportRunner.run_instance
+        answer = cli_mod._ReportRunner.answer
 
-        def tracked_run_instance(self, instance):
-            row = run_instance(self, instance)
+        def tracked_answer(self, report_id, question, question_id):
+            row = answer(self, report_id, question, question_id)
             with lock:
-                done.add(instance.id)
-                if instance.id in ("q-0", "q-2") and {"q-0", "q-2"} <= done:
+                done.add(question_id)
+                if question_id in ("q-0", "q-2") and {"q-0", "q-2"} <= done:
                     # both of the 2002 report's questions are answered
                     alive["2002"] = refs["DemoCo_2002"]() is not None
             return row
 
         monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
-        monkeypatch.setattr(cli_mod._ReportRunner, "run_instance", tracked_run_instance)
+        monkeypatch.setattr(cli_mod._ReportRunner, "answer", tracked_answer)
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
             "--pipeline", pipeline, "--workers", workers))) == 0
         assert alive == {"2002": False}
@@ -911,13 +918,15 @@ class TestReportSetup:
             return {rid: [ref() is not None for ref in pair] for rid, pair in refs.items()}
 
         states = []
-        for instance in instances:
-            runner.run_instance(instance)
-            states.append(alive())
+        with runner:
+            for instance in instances:
+                runner.answer(instance.report_id, instance.question, instance.id)
+                states.append(alive())
         both, gone = [True, True], [False, False]
-        # B is set up by its first question, b1
-        assert states == [{"A": both}, {"A": both, "B": both},
-                          {"A": gone, "B": both}, {"A": gone, "B": gone}]
+        # after a1, B may already be set up ahead, in part or in full
+        assert states[0]["A"] == both
+        assert states[1:] == [{"A": both, "B": both},
+                              {"A": gone, "B": both}, {"A": gone, "B": gone}]
 
     @pytest.mark.parametrize("pipeline, searches", [
         ("agent", True), ("single_round_rag", True), ("long_context", False),
@@ -937,8 +946,10 @@ class TestReportSetup:
                            embedding_model="hash-toy", embedding_dimension=8)
         text = (corpus_dir / "DemoCo_2002.md").read_text(encoding="utf-8")
         runner = cli_mod._ReportRunner(cli_mod.build_client(config), pipeline,
-                                       _report_files(corpus_dir, ("A", "B"), text))
-        entries = [runner.report(report_id) for report_id in ("A", "B")]
+                                       _report_files(corpus_dir, ("A", "B"), text),
+                                       {"A": 1, "B": 1})
+        with runner:
+            entries = [runner._setup_future(report_id).result() for report_id in ("A", "B")]
         assert len(built) == (1 if searches else 0)
         if searches:
             assert all(retriever.provider is built[0] for _, retriever in entries)
@@ -966,8 +977,8 @@ class TestReportSetup:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                rows = list(pool.map(runner.run_instance, instances, timeout=60))
+            with runner, ThreadPoolExecutor(max_workers=8) as pool:
+                rows = list(pool.map(_answer_each(runner), instances, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert len(rows) == len(instances)
@@ -1011,7 +1022,7 @@ class TestReportSetup:
         sys.setswitchinterval(1e-6)
         try:
             with runner, ThreadPoolExecutor(max_workers=8) as pool:
-                rows = list(pool.map(runner.run_instance, instances, timeout=60))
+                rows = list(pool.map(_answer_each(runner), instances, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert len(rows) == len(instances)
@@ -1190,6 +1201,27 @@ class TestReportSetup:
         assert set(prompts_sent) <= {prompts.EXPANSION_SYSTEM}
         if command == "ask":
             assert not (tmp_path / "out" / "ask_transcript.json").exists()
+
+    @pytest.mark.parametrize("pipeline", ["agent", "long_context"])
+    def test_ask_frees_its_report_after_its_one_question(self, tmp_path, capsys, monkeypatch,
+                                                         pipeline):
+        report, argv = self._agent_argv(tmp_path, "ask")
+        if pipeline != "agent":
+            Path(argv[argv.index("--script-path") + 1]).write_text(json.dumps({
+                "entries": [{"matcher": "Question", "response": "{{1.55}}"}]}))
+        runners = []
+
+        class RecordedRunner(cli_mod._ReportRunner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runners.append(self)
+
+        monkeypatch.setattr(cli_mod, "_ReportRunner", RecordedRunner)
+        assert main([*argv, "--pipeline", pipeline]) == 0
+        assert "answer: 1.55" in capsys.readouterr().out
+        [runner] = runners
+        assert runner._reports == {}
+        assert runner._questions_left == {report.stem: 0}
 
     @pytest.mark.parametrize("argv", [
         ["index", "--corpus-dir", "corpus"],
@@ -1523,6 +1555,21 @@ class TestOtherCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {short}: ") and "at least 3 pages" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode", ["generate", "both"])
+    def test_datagen_with_an_unreadable_script_makes_no_output_directory(self, tmp_path,
+                                                                         capsys, mode):
+        corpus_dir, _, _ = write_dscr_workspace(tmp_path)
+        missing = tmp_path / "missing.json"
+        out_dir = tmp_path / "dg"
+        code = main(["datagen", "--mode", mode, "--out", str(out_dir),
+                     "--corpus-dir", str(corpus_dir), "--backend", "scripted",
+                     "--script-path", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(missing) in err
         assert "Traceback" not in err
         assert not out_dir.exists()
 

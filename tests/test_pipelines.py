@@ -290,6 +290,21 @@ class TestAgentRun:
         assert "interest and other expense" in transcript.rounds[1].query
         assert "interest and other expense" not in transcript.rounds[0].query
 
+    def test_a_retriever_function_is_called_once_after_the_first_expansion(self, dscr_report):
+        retriever = build_retriever(dscr_report, "bm25")
+        client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
+        calls_before = []
+
+        def get_retriever():
+            calls_before.append(client.backend_calls)
+            return retriever
+
+        transcript = AgentPipeline(client, get_retriever).run(DSCR_QUESTION)
+        # read once over five rounds, after round 1's expansion call only
+        assert calls_before == [1]
+        assert transcript == AgentPipeline(make_scripted_client(ALWAYS_MISSING_SCRIPT),
+                                           retriever).run(DSCR_QUESTION)
+
     def test_always_missing_hits_round_limit(self, dscr_report):
         client = make_scripted_client(ALWAYS_MISSING_SCRIPT)
         agent = AgentPipeline(client, build_retriever(dscr_report, "bm25"))

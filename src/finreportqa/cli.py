@@ -70,35 +70,31 @@ class _ReportRunner:
 
     ``paths`` maps each report id to its file, and ``questions`` each
     report's question count, in order of each report's first question.
-    Each held report is one ``Future`` of its (report, retriever), made by
-    the first question that needs the report, under the runner's lock, so
-    questions that need it at once share one set-up. Only the state the
-    pipeline reads is built: the report always, the retriever (which holds
-    the retrieval units) only for pipelines that search, and one embedding
-    provider for the run only for those that search densely. ``answer``
-    answers one question, and drops its report, with all it holds, once it
-    has answered that many of the report's questions. Answering is
-    thread-safe.
+    Each held report is one ``Future`` of its set-up, made by the first
+    question that needs the report, under the runner's lock, so questions
+    that need it at once share one set-up. Only the state the pipeline reads
+    is built: for long_context the report's prefix of ``max_input_tokens``
+    tokens, which keeps each page's flat text and frees its page texts, and
+    otherwise the report, with a retriever (which holds the retrieval units)
+    only for pipelines that search, and one embedding provider for the run
+    only for those that search densely. ``answer`` answers one question,
+    and drops its report, with all it holds, once it has answered that many
+    of the report's questions. Answering is thread-safe.
 
-    Where a first question sets its report up depends on the pipeline. The
-    agent's set-up runs on the runner's one set-up thread and the agent gets
-    a function that waits for the retriever: its first call, the expansion,
+    Every set-up runs on the runner's one set-up thread, never under the
+    lock, and the pipeline gets functions that wait for it, so a question
+    waits for its report's set-up inside the pipeline's own call, and a
+    set-up error is raised there. The agent's first call, the expansion,
     needs only the question, so the index builds while that call is in
-    flight, and a set-up error is raised at the question's first search.
-    The baselines read the report or search it before their one call, so
-    there is nothing to overlap: they set up on the asking thread. Handing
-    their set-up to the set-up thread made ``long_context_wide``
-    ``setup_s`` worse.
+    flight; a baseline reads its report or searches it before its one call.
 
     Once a report's first question is answered, the next report in order of
-    first question is set up ahead on the set-up thread while this report's
-    other questions wait on the endpoint. For ``long_context`` that step
-    also flattens the pages a prompt can hold, which the report's first
-    question does otherwise. Looking one report ahead holds at most one
-    report more than those with questions in flight: N + 1 at N workers over
-    a dataset grouped by report. A set-up error is kept and raised by each
-    question that asks for that report. Leaving the block cancels a set-up
-    not yet begun and waits for one that is running.
+    first question is set up ahead while this report's other questions wait
+    on the endpoint. Looking one report ahead holds at most one report more
+    than those with questions in flight: N + 1 at N workers over a dataset
+    grouped by report. A set-up error is kept and raised by each question
+    that asks for that report. Leaving the block cancels a set-up not yet
+    begun and waits for one that is running.
     """
 
     def __init__(self, client: LLMClient, pipeline: str, paths: Mapping[str, Path],
@@ -107,7 +103,7 @@ class _ReportRunner:
         self.client = client
         self.pipeline = pipeline
         self._paths = dict(paths)
-        self._reports: dict[str, Future] = {}  # each held report's (report, retriever)
+        self._reports: dict[str, Future] = {}  # each held report's set-up
         self._questions_left = dict(questions)
         order = list(self._questions_left)  # in order of each report's first question
         self._next = dict(zip(order, order[1:]))
@@ -124,43 +120,32 @@ class _ReportRunner:
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
 
-    def _setup_future(self, report_id: str) -> Future:
-        """The Future of the report's (report, retriever). A report not yet
-        held is set up on the set-up thread for the agent, and otherwise
-        here, under the lock."""
-        with self._lock:
-            future = self._reports.get(report_id)
-            if future is None:
-                self._unstarted.discard(report_id)
-                if self.pipeline == "agent":
-                    future = self._pool.submit(self._setup, report_id)
-                else:
-                    # A baseline sets up on the asking thread, not on the
-                    # set-up thread: handing it over costs a thread start
-                    # (0.3-0.4 ms), and a 300-page load_report took a median
-                    # 3.72 ms on the calling thread against 4.89 ms on a new
-                    # executor thread.
-                    future = Future()
-                    future.set_result(self._setup(report_id))
-                self._reports[report_id] = future
+    def _start_setup(self, report_id: str) -> Future:
+        """Submit the report's set-up to the set-up thread; the caller holds
+        the lock."""
+        self._unstarted.discard(report_id)
+        self._reports[report_id] = future = self._pool.submit(self._setup, report_id)
         return future
 
+    def _setup_future(self, report_id: str) -> Future:
+        """The Future of the report's set-up, started here if the report is
+        not held."""
+        with self._lock:
+            future = self._reports.get(report_id)
+            return future if future is not None else self._start_setup(report_id)
+
     def _setup(self, report_id: str) -> tuple:
+        """The report, or for long_context its prefix, and its retriever or
+        None."""
         report = corpus_mod.load_report(self._paths[report_id])
+        config = self.client.config
+        if self.pipeline == "long_context":
+            return report.prefix(config.max_input_tokens), None
         if self.pipeline in _INDEXLESS_PIPELINES:
             return report, None
-        config = self.client.config
         return report, retrieval_mod.build_retriever(
             report, config.scheme, granularity=config.unit_granularity(),
             provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b))
-
-    def _setup_ahead(self, report_id: str) -> tuple:
-        """``_setup``, and for long_context the flattening of every page a
-        prompt can hold, which the report's first question does otherwise."""
-        entry = self._setup(report_id)
-        if self.pipeline == "long_context":
-            entry[0].prefix(self.client.config.max_input_tokens)
-        return entry
 
     def answer(self, report_id: str, question: str, question_id: str) -> dict:
         """One prediction row; an agent row also carries its transcript.
@@ -180,9 +165,9 @@ class _ReportRunner:
                 "transcript": transcript,
             }
         else:
-            report, retriever = setup.result()
             result = pipelines_mod.run_baseline(
-                pipeline, question, self.client, report=report, retriever=retriever)
+                pipeline, question, self.client, report=lambda: setup.result()[0],
+                retriever=lambda: setup.result()[1])
             row = {"id": question_id, "pipeline": pipeline, **vars(result)}
         with self._lock:
             self._questions_left[report_id] -= 1
@@ -190,8 +175,7 @@ class _ReportRunner:
                 del self._reports[report_id]
             following = self._next.get(report_id)
             if following in self._unstarted:
-                self._unstarted.discard(following)
-                self._reports[following] = self._pool.submit(self._setup_ahead, following)
+                self._start_setup(following)
         return row
 
 

@@ -82,6 +82,12 @@ class FlatPage(NamedTuple):
     escaped: bytes
     tokens: int
 
+    def head(self, n: int) -> "FlatPage":
+        """The page's first ``n`` words, for ``n`` below ``tokens``."""
+        # escaping turns no character into a space, so the escaped words are
+        # split by single spaces, as the words are
+        return FlatPage(b" ".join(self.escaped.split(b" ", n)[:n]), n)
+
 
 def decode_escaped(pieces: Sequence[bytes]) -> str:
     """The text whose JSON-string escaping is the join of ``pieces``."""
@@ -117,20 +123,55 @@ class PageChunk:
         return [self.text[s:e] for s, e in self.table_block_spans]
 
 
-class ReportPrefix(NamedTuple):
+@dataclass(frozen=True)
+class ReportPrefix:
     """The start of a report's normalised text, as ``Report.prefix`` returns it.
 
-    ``escaped`` is that text as a JSON string holds it, in byte pieces: each
-    page's escaped flat text, with ``b" "`` between pages. ``text`` decodes it.
+    ``pages`` holds the flat text of each page in ``page_numbers``, the last
+    one cut where the prefix ends, so a prefix answers ``prefix`` for any
+    shorter prefix without its report. ``whole`` is whether it holds every
+    token of the report. ``escaped`` is the text as a JSON string holds it, in
+    byte pieces: each page's escaped flat text, with ``b" "`` between pages.
+    ``text`` decodes it.
     """
 
     tokens: int
     page_numbers: tuple[int, ...]
-    escaped: tuple[bytes, ...]
+    pages: tuple[FlatPage, ...]
+    whole: bool
+
+    @property
+    def escaped(self) -> tuple[bytes, ...]:
+        pieces = [b" "] * (2 * len(self.pages) - 1)
+        pieces[::2] = [page.escaped for page in self.pages]
+        return tuple(pieces)
 
     @property
     def text(self) -> str:
         return decode_escaped(self.escaped)
+
+    def prefix(self, n: int) -> "ReportPrefix":
+        """``Report.prefix(n)`` of the report this prefix was cut from. An
+        ``n`` above ``tokens`` is a ValueError unless the prefix is whole."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if n >= self.tokens:
+            if n > self.tokens and not self.whole:
+                raise ValueError(f"a prefix of {self.tokens} tokens of a longer report "
+                                 f"holds no prefix of {n}")
+            return self
+        page_numbers: list[int] = []
+        flats: list[FlatPage] = []
+        tokens = 0
+        for page_number, flat in zip(self.page_numbers, self.pages):
+            if tokens == n:
+                break
+            if flat.tokens > n - tokens:
+                flat = flat.head(n - tokens)
+            page_numbers.append(page_number)
+            flats.append(flat)
+            tokens += flat.tokens
+        return ReportPrefix(n, tuple(page_numbers), tuple(flats), False)
 
 
 @dataclass(frozen=True)
@@ -174,30 +215,31 @@ class Report:
         It is built from each page's ``flat`` text, so no page past the one
         holding token ``n`` is flattened, and only that page is cut on each
         call. ``tokens`` is its token count, ``min(n, total)``;
-        ``page_numbers`` lists the pages with at least one token in it.
+        ``page_numbers`` lists the pages with at least one token in it, and
+        ``whole`` is whether it holds every token, ``n >= total``.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        escaped: list[bytes] = []
         page_numbers: list[int] = []
+        flats: list[FlatPage] = []
         tokens = 0
-        for page in self.pages:
-            if tokens >= n:
-                break
+        for index, page in enumerate(self.pages):
+            if tokens == n:
+                # whole unless a later page holds a token, counted without
+                # flattening that page
+                whole = not any(later.token_count for later in self.pages[index:])
+                return ReportPrefix(tokens, tuple(page_numbers), tuple(flats), whole)
             flat = page.flat
             if not flat.tokens:
                 continue
-            if tokens + flat.tokens > n:
-                # escaping turns no character into a space, so the escaped
-                # words are split by single spaces, as the words are
-                kept = n - tokens
-                flat = FlatPage(b" ".join(flat.escaped.split(b" ", kept)[:kept]), kept)
-            if escaped:
-                escaped.append(b" ")
-            escaped.append(flat.escaped)
+            if flat.tokens > n - tokens:
+                page_numbers.append(page.page_number)
+                flats.append(flat.head(n - tokens))
+                return ReportPrefix(n, tuple(page_numbers), tuple(flats), False)
             page_numbers.append(page.page_number)
+            flats.append(flat)
             tokens += flat.tokens
-        return ReportPrefix(tokens, tuple(page_numbers), tuple(escaped))
+        return ReportPrefix(tokens, tuple(page_numbers), tuple(flats), True)
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:

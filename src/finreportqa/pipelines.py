@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import prompts
-from .corpus import Report, count_tokens  # noqa: F401  (re-exported)
+from .corpus import Report, ReportPrefix, count_tokens  # noqa: F401  (re-exported)
 from .errors import AnswerExtractionError
 from .llm import ChatMessage, Completion, LLMClient, count_message_tokens, system, user
 from .metrics import normalize_answer
@@ -405,15 +405,26 @@ def _extract(reply: str) -> Optional[float]:
 
 
 def run_baseline(kind: str, question: str, client: LLMClient, *,
-                 report: Optional[Report] = None,
-                 retriever: Optional[Retriever] = None) -> BaselineResult:
+                 report: Union[Report, ReportPrefix,
+                               Callable[[], Union[Report, ReportPrefix]], None] = None,
+                 retriever: Union[Retriever, Callable[[], Retriever], None] = None
+                 ) -> BaselineResult:
     """Run one of the non-agentic pipelines; answers extracted identically.
 
-    long_context reads the report; the retrieval kinds read the retriever,
-    to the client's ``baseline_k`` or ``fixed_budget_k`` hits.
+    long_context reads the report, or a prefix of it that holds the client's
+    ``max_input_tokens``; the retrieval kinds read the retriever, to the
+    client's ``baseline_k`` or ``fixed_budget_k`` hits. Either may be a
+    zero-argument function that returns it, as ``bench`` and ``ask`` hand
+    over ones that wait for the report's set-up: each is called first, so
+    the question's wait for its set-up, and a set-up error, fall inside
+    this call.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind: {kind!r}")
+    if callable(report):
+        report = report()
+    if callable(retriever):
+        retriever = retriever()
 
     prompt_tokens: Optional[int] = None  # None: the client counts the prompt
     if kind == "no_context":

@@ -21,6 +21,7 @@ after its last.
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
 from collections import Counter
@@ -195,14 +196,14 @@ def search(index: SparseIndex, query_text: str, k: int) -> list[ScoredHit]:
         raise EmptyQueryError("query tokenized to nothing")
     scores = _sparse_scores(index, query_terms)
     units = index.units
-    hits = [
-        ScoredHit(unit_id=units[position].unit_id, page_number=units[position].page_number,
-                  score=score)
+    # the sort keys of _hit_sort_key, unique since unit ids are; nsmallest
+    # equals sorted(...)[:k], and only the k kept become hits
+    top = heapq.nsmallest(k, (
+        (-score, units[position].page_number, units[position].unit_id)
         for position, score in scores.items()
-        if score > 0.0
-    ]
-    hits.sort(key=_hit_sort_key)
-    return hits[:k]
+        if score > 0.0))
+    return [ScoredHit(unit_id=unit_id, page_number=page_number, score=-negated)
+            for negated, page_number, unit_id in top]
 
 
 # --- dense indexing ----------------------------------------------------------

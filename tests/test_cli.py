@@ -76,25 +76,25 @@ def _answer_each(runner):
 
 
 def _track_setup(monkeypatch):
-    """Weak references to each report ``load_report`` returns, by report id,
-    followed by one to its retriever once one is built."""
+    """Weak references to what each report's set-up holds, by report id: the
+    report, or for long_context its prefix, followed by its retriever if one
+    is built."""
     refs = {}
-    load_report = cli_mod.corpus_mod.load_report
-    build_retriever = cli_mod.retrieval_mod.build_retriever
+    setup = cli_mod._ReportRunner._setup
 
-    def tracked_load_report(path, *args):
-        report = load_report(path, *args)
-        refs[report.report_id] = [weakref.ref(report)]
-        return report
+    def tracked_setup(self, report_id):
+        entry = setup(self, report_id)
+        refs[report_id] = [weakref.ref(held) for held in entry if held is not None]
+        return entry
 
-    def tracked_build_retriever(report, *args, **kwargs):
-        retriever = build_retriever(report, *args, **kwargs)
-        refs[report.report_id].append(weakref.ref(retriever))
-        return retriever
-
-    monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
-    monkeypatch.setattr(cli_mod.retrieval_mod, "build_retriever", tracked_build_retriever)
+    monkeypatch.setattr(cli_mod._ReportRunner, "_setup", tracked_setup)
     return refs
+
+
+# replies that answer every question of every pipeline; the agent's expansion
+# and evaluation prompts also hold "Question"
+_ANSWERING_REPLIES = [("financial text understanding", "Alpha"),
+                      ("inspects a generated answer", "NONE"), ("Question", "{{1.55}}")]
 
 
 def _grouped_workspace(tmp_path, years, questions_per_report):
@@ -872,19 +872,9 @@ class TestReportSetup:
         years = [2002, 2003, 2002, 2003, 2003]
         dataset.write_text("".join(json.dumps({**record, "id": f"q-{i}", "year": year}) + "\n"
                                    for i, year in enumerate(years)))
-        # the agent's expansion and evaluation prompts also hold "Question"
-        entries = [("financial text understanding", "Alpha"),
-                   ("inspects a generated answer", "NONE"), ("Question", "{{1.55}}")]
         script.write_text(json.dumps({"entries": [
-            {"matcher": m, "response": r} for m, r in entries]}))
-        refs = {}
-        load_report = cli_mod.corpus_mod.load_report
-
-        def tracked_load_report(path, *args):
-            report = load_report(path, *args)
-            refs[report.report_id] = weakref.ref(report)
-            return report
-
+            {"matcher": m, "response": r} for m, r in _ANSWERING_REPLIES]}))
+        refs = _track_setup(monkeypatch)
         alive, done, lock = {}, set(), threading.Lock()
         answer = cli_mod._ReportRunner.answer
 
@@ -894,14 +884,13 @@ class TestReportSetup:
                 done.add(question_id)
                 if question_id in ("q-0", "q-2") and {"q-0", "q-2"} <= done:
                     # both of the 2002 report's questions are answered
-                    alive["2002"] = refs["DemoCo_2002"]() is not None
+                    alive["2002"] = [ref() is not None for ref in refs["DemoCo_2002"]]
             return row
 
-        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
         monkeypatch.setattr(cli_mod._ReportRunner, "answer", tracked_answer)
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
             "--pipeline", pipeline, "--workers", workers))) == 0
-        assert alive == {"2002": False}
+        assert alive == {"2002": [False] * len(refs["DemoCo_2002"])}
 
     def test_report_freed_with_its_retriever(self, tmp_path, monkeypatch):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)
@@ -1050,6 +1039,110 @@ class TestReportSetup:
             "--pipeline", pipeline, "--workers", str(workers)))) == 0
         assert sorted(refs) == [f"DemoCo_{year}" for year in years]
         assert len(held) == 12 and 1 <= max(held) <= workers + 1, held
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_no_loaded_report_outlives_a_long_context_set_up(self, tmp_path, capsys,
+                                                              monkeypatch, workers):
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
+        loaded, alive = {}, []
+        load_report = cli_mod.corpus_mod.load_report
+        setup = cli_mod._ReportRunner._setup
+
+        def tracked_load_report(path, *args):
+            report = load_report(path, *args)
+            loaded[report.report_id] = weakref.ref(report)
+            return report
+
+        def checked_setup(self, report_id):
+            entry = setup(self, report_id)
+            alive.append(loaded[report_id]() is not None)
+            return entry
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
+        monkeypatch.setattr(cli_mod._ReportRunner, "_setup", checked_setup)
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", "long_context", "--workers", workers))) == 0
+        # the held prefix keeps the flat pages, and no page text
+        assert alive == [False] * 3
+
+    @pytest.mark.parametrize("pipeline", cli_mod.PIPELINES)
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_set_up_runs_on_the_set_up_thread_inside_a_question(
+            self, tmp_path, capsys, monkeypatch, pipeline, workers):
+        corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003), 2)
+        script.write_text(json.dumps({"entries": [
+            {"matcher": m, "response": r} for m, r in _ANSWERING_REPLIES]}))
+        loaders, loads, calls, lock = [], [], [], threading.Lock()
+        load_report = cli_mod.corpus_mod.load_report
+
+        def slow_load_report(path, *args):
+            loaders.append(threading.current_thread().name)
+            time.sleep(0.05)
+            try:
+                return load_report(path, *args)
+            finally:
+                loads.append(time.perf_counter())
+
+        def timed(call):
+            def timed_call(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    with lock:
+                        calls.append((start, time.perf_counter()))
+            return timed_call
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", slow_load_report)
+        if pipeline == "agent":
+            agent_class = cli_mod.pipelines_mod.AgentPipeline
+            monkeypatch.setattr(agent_class, "run", timed(agent_class.run))
+        else:
+            monkeypatch.setattr(cli_mod.pipelines_mod, "run_baseline",
+                                timed(cli_mod.pipelines_mod.run_baseline))
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
+            "--pipeline", pipeline, "--workers", workers))) == 0
+        assert len(loaders) == 2 and all(name.startswith("report-setup") for name in loaders)
+        # the first question waits for its report's 50 ms load inside its own call
+        first_start, first_end = min(calls)
+        assert len(calls) == 4 and first_start < loads[0] <= first_end, (calls, loads)
+
+    @pytest.mark.parametrize("pipeline", cli_mod.PIPELINES)
+    def test_a_question_completes_while_another_report_is_set_up(self, tmp_path, monkeypatch,
+                                                                  pipeline):
+        """No set-up holds the runner's lock: a question of a held report is
+        answered and counted while another report's set-up is blocked."""
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"mode": "repeatable", "entries": [
+            {"matcher": m, "response": r} for m, r in _ANSWERING_REPLIES]}))
+        config = RunConfig(backend="scripted", script_path=str(script))
+        # C is set up ahead once A's first question is answered, so B's first
+        # question starts B's set-up
+        runner = cli_mod._ReportRunner(
+            cli_mod.build_client(config), pipeline,
+            _report_files(tmp_path, ("A", "C", "B"), "<!-- page: 1 -->\nQuestion body\n"),
+            {"A": 2, "C": 1, "B": 1})
+        loading, released, waits = threading.Event(), threading.Event(), []
+        load_report = cli_mod.corpus_mod.load_report
+
+        def blocking_load_report(path):
+            if path.stem == "B":
+                loading.set()
+                waits.append(released.wait(timeout=5))
+            return load_report(path)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", blocking_load_report)
+        with runner, ThreadPoolExecutor(max_workers=1) as pool:
+            runner.answer("A", "Question?", "a1")
+            b1 = pool.submit(runner.answer, "B", "Question?", "b1")
+            assert loading.wait(timeout=5)
+            runner.answer("A", "Question?", "a2")
+            released.set()
+            b1.result(timeout=10)
+            runner.answer("C", "Question?", "c1")
+        # a2 was answered while B's load waited, not after its timeout
+        assert waits == [True]
+        assert runner._questions_left == {"A": 0, "C": 0, "B": 0}
 
     @pytest.mark.parametrize("workers, pipeline", [
         pytest.param("1", "no_context", id="1"), pytest.param("2", "no_context", id="2"),

@@ -15,6 +15,7 @@ from finreportqa.corpus import (
     PageChunk,
     QAInstance,
     Report,
+    ReportPrefix,
     corpus_stats,
     count_tokens,
     detect_table_spans,
@@ -108,6 +109,16 @@ _AWKWARD_PAGES = (
     "kappa\x0blambda\x0cmu\n\n| a | 1 |\n| b | 2 |\n", " \t ", "",
 )
 
+# reports with non-ASCII text, quotes and backslashes, control characters and
+# empty pages
+_EDGE_REPORTS = [
+    _AWKWARD_PAGES,
+    ("Revenue | 1,200 |", "  net\tincome\n{4} ~x' "),
+    ('said "so"', "", "C:\\x", "nul\x00 del\x7f"),
+    ("caf\u00e9 \u20ac1.2bn", "\U0001f600 \u2028 \ud800", " \r\n\x1c "),
+    ("", " \n"),
+]
+
 
 class TestReportPrefix:
     def test_equals_reference_for_every_n(self):
@@ -137,16 +148,10 @@ class TestReportPrefix:
 
     def test_blank_report_has_empty_prefix(self):
         report = _report_of(("", " \n", "\t"))
-        assert [report.prefix(n) for n in range(3)] == [(0, (), ())] * 3
+        assert [report.prefix(n) for n in range(3)] == [ReportPrefix(0, (), (), True)] * 3
         assert report.prefix(2).text == ""
 
-    @pytest.mark.parametrize("texts", [
-        _AWKWARD_PAGES,
-        ("Revenue | 1,200 |", "  net\tincome\n{4} ~x' "),
-        ('said "so"', "", "C:\\x", "nul\x00 del\x7f"),
-        ("caf\u00e9 \u20ac1.2bn", "\U0001f600 \u2028 \ud800", " \r\n\x1c "),
-        ("", " \n"),
-    ])
+    @pytest.mark.parametrize("texts", _EDGE_REPORTS)
     def test_escaped_is_json_dumps_of_every_prefix(self, texts):
         report = _report_of(texts)
         for page in report.pages:
@@ -156,6 +161,27 @@ class TestReportPrefix:
             prefix = report.prefix(n)
             assert b"".join(prefix.escaped) == \
                 json.dumps(_reference_prefix(report, n))[1:-1].encode(), n
+
+    @pytest.mark.parametrize("texts", _EDGE_REPORTS)
+    def test_a_prefix_of_a_prefix_is_the_report_prefix(self, texts):
+        """A held prefix answers every shorter prefix as its report does,
+        whether it ends inside a page or with one, and refuses a longer one
+        unless it holds the whole report."""
+        report = _report_of(texts)
+        total = report.total_tokens()
+        for n in range(total + 2):
+            held = report.prefix(n)
+            assert held.whole == (n >= total), n
+            for m in range(n + 1):
+                assert held.prefix(m) == report.prefix(m), (n, m)
+            for m in (n + 1, n + 2):
+                if held.whole:
+                    assert held.prefix(m) == report.prefix(m), (n, m)
+                else:
+                    with pytest.raises(ValueError):
+                        held.prefix(m)
+            with pytest.raises(ValueError):
+                held.prefix(-1)
 
     def test_escaped_is_json_dumps_of_random_prefixes(self):
         rng = random.Random(20261019)

@@ -201,6 +201,9 @@ class TestRequestBodyBytes:
                 assert body == _reference_body(config, messages), (question, budget)
                 # every report's prompt carries its escaping, plain or not
                 assert messages[-1].escaped_content is not None
+                # the prefix a run holds in place of the report sends the same body
+                run_baseline("long_context", question, client, report=report.prefix(budget))
+                assert sent[-1][2] == body, (question, budget)
 
 
 # the characters ingest.html_to_pages decodes from &#8217;, &#8220;, &#8221;,
@@ -212,7 +215,7 @@ class TestLongContextBody:
     @pytest.mark.parametrize("words", ["Acme's net income - rose", _INGESTED_WORDS])
     def test_a_request_over_flattened_pages_peaks_below_one_fifth_past_its_body(self, words):
         """The request body is the one report-sized buffer a long-context
-        question allocates once the report's pages are flattened."""
+        question allocates over the prefix a run holds."""
         report = Report("r", "", 0, tuple(
             PageChunk(n, f"Page {n}\n" + "".join(f"| {words} | {n},{row:03} |\n"
                                                   for row in range(150)))
@@ -224,12 +227,15 @@ class TestLongContextBody:
                 bodies.append(len(body))
                 return "{{1.0}}"
 
-        # a budget that cuts the report inside a page
+        # a budget that cuts the report inside a page; a run holds the
+        # report's prefix of that budget, not the report
         client = LLMClient(RunConfig(max_input_tokens=100_003), BodyLength())
-        run_baseline("long_context", "What is the DSCR?", client, report=report)
+        held = report.prefix(100_003)
+        del report
+        run_baseline("long_context", "What is the DSCR?", client, report=held)
         tracemalloc.start()
         try:
-            run_baseline("long_context", "What is the DSCR?", client, report=report)
+            run_baseline("long_context", "What is the DSCR?", client, report=held)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

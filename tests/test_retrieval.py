@@ -419,6 +419,8 @@ class TestSearch:
         hits = search(index, "same", k=3)
         assert [(h.page_number, h.unit_id) for h in hits] == \
                [(3, "u001"), (3, "u002"), (7, "u000")]
+        # a k below the hit count keeps the same order
+        assert [search(index, "same", k=k) for k in (1, 2)] == [hits[:1], hits[:2]]
 
 
 class TestIndexSerialization:

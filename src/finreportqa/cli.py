@@ -72,21 +72,22 @@ class _ReportRunner:
     report's question count, in order of each report's first question.
     Each held report is one ``Future`` of its set-up, made by the first
     question that needs the report, under the runner's lock, so questions
-    that need it at once share one set-up. Only the state the pipeline reads
-    is built: for long_context the report's prefix of ``max_input_tokens``
-    tokens, which keeps each page's flat text and frees its page texts, and
-    otherwise the report, with a retriever (which holds the retrieval units)
-    only for pipelines that search, and one embedding provider for the run
-    only for those that search densely. ``answer`` answers one question,
-    and drops its report, with all it holds, once it has answered that many
-    of the report's questions. Answering is thread-safe.
+    that need it at once share one set-up. A set-up holds the one object its
+    pipeline reads: for long_context the report's prefix of
+    ``max_input_tokens`` tokens, which keeps each page's flat text and frees
+    its page texts; for the pipelines that search, the retriever, which holds
+    the retrieval units; for no_context nothing, once the report is loaded
+    and checked. The run builds one embedding provider only for pipelines
+    that search densely. ``answer`` answers one question, and drops its
+    report's set-up once it has answered that many of its questions.
+    Answering is thread-safe.
 
     Every set-up runs on the runner's one set-up thread, never under the
-    lock, and the pipeline gets functions that wait for it, so a question
+    lock, and the pipeline gets a function that waits for it, so a question
     waits for its report's set-up inside the pipeline's own call, and a
     set-up error is raised there. The agent's first call, the expansion,
     needs only the question, so the index builds while that call is in
-    flight; a baseline reads its report or searches it before its one call.
+    flight; a baseline reads its prefix or searches before its one call.
 
     Once a report's first question is answered, the next report in order of
     first question is set up ahead while this report's other questions wait
@@ -107,8 +108,7 @@ class _ReportRunner:
         self._questions_left = dict(questions)
         order = list(self._questions_left)  # in order of each report's first question
         self._next = dict(zip(order, order[1:]))
-        self._unstarted = set(order)  # the reports whose set-up has not begun
-        self._lock = threading.Lock()  # guards the held reports, counts and unstarted set
+        self._lock = threading.Lock()  # guards the held reports and the counts
         self.provider = (build_embedding_provider(config)
                          if config.scheme == "dense" and pipeline not in _INDEXLESS_PIPELINES
                          else None)
@@ -123,7 +123,6 @@ class _ReportRunner:
     def _start_setup(self, report_id: str) -> Future:
         """Submit the report's set-up to the set-up thread; the caller holds
         the lock."""
-        self._unstarted.discard(report_id)
         self._reports[report_id] = future = self._pool.submit(self._setup, report_id)
         return future
 
@@ -134,16 +133,16 @@ class _ReportRunner:
             future = self._reports.get(report_id)
             return future if future is not None else self._start_setup(report_id)
 
-    def _setup(self, report_id: str) -> tuple:
-        """The report, or for long_context its prefix, and its retriever or
-        None."""
+    def _setup(self, report_id: str):
+        """The one object the pipeline reads: for long_context the prefix, for
+        no_context None (the report is still loaded and checked), else the retriever."""
         report = corpus_mod.load_report(self._paths[report_id])
         config = self.client.config
         if self.pipeline == "long_context":
-            return report.prefix(config.max_input_tokens), None
-        if self.pipeline in _INDEXLESS_PIPELINES:
-            return report, None
-        return report, retrieval_mod.build_retriever(
+            return report.prefix(config.max_input_tokens)
+        if self.pipeline == "no_context":
+            return None
+        return retrieval_mod.build_retriever(
             report, config.scheme, granularity=config.unit_granularity(),
             provider=self.provider, bm25_params=(config.bm25_k1, config.bm25_b))
 
@@ -154,7 +153,7 @@ class _ReportRunner:
         pipeline = self.pipeline
         setup = self._setup_future(report_id)
         if pipeline == "agent":
-            agent = pipelines_mod.AgentPipeline(self.client, lambda: setup.result()[1])
+            agent = pipelines_mod.AgentPipeline(self.client, setup.result)
             transcript = agent.run(question, question_id=question_id)
             row = {
                 "id": question_id,
@@ -165,16 +164,18 @@ class _ReportRunner:
                 "transcript": transcript,
             }
         else:
-            result = pipelines_mod.run_baseline(
-                pipeline, question, self.client, report=lambda: setup.result()[0],
-                retriever=lambda: setup.result()[1])
+            held = "report" if pipeline in _INDEXLESS_PIPELINES else "retriever"
+            result = pipelines_mod.run_baseline(pipeline, question, self.client,
+                                                **{held: setup.result})
             row = {"id": question_id, "pipeline": pipeline, **vars(result)}
         with self._lock:
             self._questions_left[report_id] -= 1
             if not self._questions_left[report_id]:
                 del self._reports[report_id]
             following = self._next.get(report_id)
-            if following in self._unstarted:
+            # a report leaves _reports only at its last answer, so one not
+            # held with questions left has not been set up yet
+            if following not in self._reports and self._questions_left.get(following):
                 self._start_setup(following)
         return row
 
@@ -197,11 +198,13 @@ def cmd_bench(args, config: RunConfig) -> int:
     if args.pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {', '.join(PIPELINES)}, got {args.pipeline!r}")
     instances = corpus_mod.read_dataset(config.dataset)
+    if not instances:
+        raise SchemaError(f"{config.dataset}: no instances")
     if args.limit:
         instances = instances[:args.limit]
     client = build_client(config)
     questions = Counter(i.report_id for i in instances)
-    if questions and not config.corpus_dir:
+    if not config.corpus_dir:
         raise ConfigError("corpus_dir is not set")
     paths = {report_id: Path(config.corpus_dir) / f"{report_id}.md" for report_id in questions}
     runner = _ReportRunner(client, args.pipeline, paths, questions)

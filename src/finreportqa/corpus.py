@@ -212,34 +212,29 @@ class Report:
         r"""The report's first ``n`` whitespace tokens, joined by single spaces.
 
         The text equals ``" ".join("\n".join(p.text for p in pages).split()[:n])``.
-        It is built from each page's ``flat`` text, so no page past the one
-        holding token ``n`` is flattened, and only that page is cut on each
-        call. ``tokens`` is its token count, ``min(n, total)``;
-        ``page_numbers`` lists the pages with at least one token in it, and
-        ``whole`` is whether it holds every token, ``n >= total``.
+        ``tokens`` is its token count, ``min(n, total)``; ``page_numbers``
+        lists the pages with at least one token in it, and ``whole`` is
+        whether it holds every token, ``n >= total``. Each page's ``flat``
+        text is gathered up to the page holding token ``n``, and no further;
+        ``ReportPrefix.prefix``, the one cut, cuts that page.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
         page_numbers: list[int] = []
         flats: list[FlatPage] = []
         tokens = 0
+        whole = True
         for index, page in enumerate(self.pages):
-            if tokens == n:
+            if tokens >= n:
                 # whole unless a later page holds a token, counted without
                 # flattening that page
-                whole = not any(later.token_count for later in self.pages[index:])
-                return ReportPrefix(tokens, tuple(page_numbers), tuple(flats), whole)
+                whole = tokens == n and not any(later.token_count
+                                                for later in self.pages[index:])
+                break
             flat = page.flat
-            if not flat.tokens:
-                continue
-            if flat.tokens > n - tokens:
+            if flat.tokens:
                 page_numbers.append(page.page_number)
-                flats.append(flat.head(n - tokens))
-                return ReportPrefix(n, tuple(page_numbers), tuple(flats), False)
-            page_numbers.append(page.page_number)
-            flats.append(flat)
-            tokens += flat.tokens
-        return ReportPrefix(tokens, tuple(page_numbers), tuple(flats), True)
+                flats.append(flat)
+                tokens += flat.tokens
+        return ReportPrefix(tokens, tuple(page_numbers), tuple(flats), whole).prefix(n)
 
 
 def detect_table_spans(text: str) -> tuple[tuple[int, int], ...]:

@@ -114,9 +114,9 @@ class RunDir:
         return written
 
     def write_scores(self, scores: list[metrics_mod.InstanceScore]) -> metrics_mod.EvalReport:
-        """Write ``scores.jsonl`` and ``eval_report.json``; the report."""
-        self.write_jsonl("scores.jsonl", scores)
+        """Write ``scores.jsonl`` and ``eval_report.json``, neither for no scores; the report."""
         report = metrics_mod.aggregate(scores)
+        self.write_jsonl("scores.jsonl", scores)
         self.write_json("eval_report.json", report)
         return report
 

@@ -76,16 +76,15 @@ def _answer_each(runner):
 
 
 def _track_setup(monkeypatch):
-    """Weak references to what each report's set-up holds, by report id: the
-    report, or for long_context its prefix, followed by its retriever if one
-    is built."""
+    """A weak reference to what each report's set-up holds, by report id: for
+    long_context the report's prefix, and otherwise its retriever."""
     refs = {}
     setup = cli_mod._ReportRunner._setup
 
     def tracked_setup(self, report_id):
-        entry = setup(self, report_id)
-        refs[report_id] = [weakref.ref(held) for held in entry if held is not None]
-        return entry
+        held = setup(self, report_id)
+        refs[report_id] = weakref.ref(held)
+        return held
 
     monkeypatch.setattr(cli_mod._ReportRunner, "_setup", tracked_setup)
     return refs
@@ -685,6 +684,16 @@ class TestBench:
         assert main(args) == code
         assert list((tmp_path / "runs").iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_a_dataset_with_no_instances_makes_no_run_directory(self, tmp_path, capsys,
+                                                                 text):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        dataset.write_text(text, encoding="utf-8")
+        (tmp_path / "runs").mkdir()
+        assert main(_bench_args(tmp_path, corpus_dir, dataset, script)) == 3
+        assert capsys.readouterr().err == f"data error: {dataset}: no instances\n"
+        assert list((tmp_path / "runs").iterdir()) == []
+
     @pytest.mark.parametrize("field, value", [
         ("id", "../../escaped"), ("id", "a/b"), ("id", ".."), ("percent_mode", "bogus"),
         ("year", float("inf")), ("year", float("nan")), ("year", True),
@@ -884,13 +893,13 @@ class TestReportSetup:
                 done.add(question_id)
                 if question_id in ("q-0", "q-2") and {"q-0", "q-2"} <= done:
                     # both of the 2002 report's questions are answered
-                    alive["2002"] = [ref() is not None for ref in refs["DemoCo_2002"]]
+                    alive["2002"] = refs["DemoCo_2002"]() is not None
             return row
 
         monkeypatch.setattr(cli_mod._ReportRunner, "answer", tracked_answer)
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
             "--pipeline", pipeline, "--workers", workers))) == 0
-        assert alive == {"2002": [False] * len(refs["DemoCo_2002"])}
+        assert alive == {"2002": False}
 
     def test_report_freed_with_its_retriever(self, tmp_path, monkeypatch):
         corpus_dir, _, script = write_dscr_workspace(tmp_path)
@@ -904,18 +913,17 @@ class TestReportSetup:
         refs = _track_setup(monkeypatch)
 
         def alive():
-            return {rid: [ref() is not None for ref in pair] for rid, pair in refs.items()}
+            return {rid: ref() is not None for rid, ref in refs.items()}
 
         states = []
         with runner:
             for instance in instances:
                 runner.answer(instance.report_id, instance.question, instance.id)
                 states.append(alive())
-        both, gone = [True, True], [False, False]
         # after a1, B may already be set up ahead, in part or in full
-        assert states[0]["A"] == both
-        assert states[1:] == [{"A": both, "B": both},
-                              {"A": gone, "B": both}, {"A": gone, "B": gone}]
+        assert states[0]["A"] is True
+        assert states[1:] == [{"A": True, "B": True},
+                              {"A": False, "B": True}, {"A": False, "B": False}]
 
     @pytest.mark.parametrize("pipeline, searches", [
         ("agent", True), ("single_round_rag", True), ("long_context", False),
@@ -941,7 +949,7 @@ class TestReportSetup:
             entries = [runner._setup_future(report_id).result() for report_id in ("A", "B")]
         assert len(built) == (1 if searches else 0)
         if searches:
-            assert all(retriever.provider is built[0] for _, retriever in entries)
+            assert all(retriever.provider is built[0] for retriever in entries)
 
     def test_question_counts_survive_many_workers(self, tmp_path, monkeypatch):
         script = tmp_path / "script.json"
@@ -1019,6 +1027,44 @@ class TestReportSetup:
         assert runner._questions_left == dict.fromkeys(report_ids, 0)
         assert sorted(loads) == report_ids
 
+    def test_a_report_answered_before_the_previous_report_is_not_set_up_again(
+            self, tmp_path, monkeypatch):
+        """B's one question is answered, and B dropped, while A's one question
+        waits on the endpoint; A's answer then sets nothing up ahead."""
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"mode": "repeatable", "entries": [
+            {"matcher": "Question", "response": "{{1}}"}]}))
+        config = RunConfig(backend="scripted", script_path=str(script))
+        runner = cli_mod._ReportRunner(
+            cli_mod.build_client(config), "no_context",
+            _report_files(tmp_path, ("A", "B"), "<!-- page: 1 -->\nbody\n"),
+            {"A": 1, "B": 1})
+        calling, released, loads = threading.Event(), threading.Event(), []
+        load_report = cli_mod.corpus_mod.load_report
+        generate = ScriptedBackend.generate
+
+        def counting_load_report(path):
+            loads.append(path.stem)
+            return load_report(path)
+
+        def held_generate(self, config, messages, body):
+            if b"Question A?" in body:
+                calling.set()
+                assert released.wait(timeout=5)
+            return generate(self, config, messages, body)
+
+        monkeypatch.setattr(cli_mod.corpus_mod, "load_report", counting_load_report)
+        monkeypatch.setattr(ScriptedBackend, "generate", held_generate)
+        with runner, ThreadPoolExecutor(max_workers=2) as pool:
+            a1 = pool.submit(runner.answer, "A", "Question A?", "a1")
+            assert calling.wait(timeout=5)
+            pool.submit(runner.answer, "B", "Question B?", "b1").result(timeout=10)
+            assert runner._reports.keys() == {"A"}
+            released.set()
+            a1.result(timeout=10)
+        assert sorted(loads) == ["A", "B"]
+        assert runner._reports == {}
+
     @pytest.mark.parametrize("pipeline", ["long_context", "single_round_rag"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_more_than_workers_plus_one_reports_are_held(self, tmp_path, capsys,
@@ -1031,7 +1077,7 @@ class TestReportSetup:
 
         def counting_run_baseline(*args, **kwargs):
             with lock:
-                held.append(sum(pair[0]() is not None for pair in refs.values()))
+                held.append(sum(ref() is not None for ref in refs.values()))
             return run_baseline(*args, **kwargs)
 
         monkeypatch.setattr(cli_mod.pipelines_mod, "run_baseline", counting_run_baseline)
@@ -1040,10 +1086,13 @@ class TestReportSetup:
         assert sorted(refs) == [f"DemoCo_{year}" for year in years]
         assert len(held) == 12 and 1 <= max(held) <= workers + 1, held
 
+    @pytest.mark.parametrize("pipeline", cli_mod.PIPELINES)
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_no_loaded_report_outlives_a_long_context_set_up(self, tmp_path, capsys,
-                                                              monkeypatch, workers):
+    def test_no_loaded_report_outlives_its_set_up(self, tmp_path, capsys, monkeypatch,
+                                                  pipeline, workers):
         corpus_dir, dataset, script = _grouped_workspace(tmp_path, (2002, 2003, 2004), 2)
+        script.write_text(json.dumps({"entries": [
+            {"matcher": m, "response": r} for m, r in _ANSWERING_REPLIES]}))
         loaded, alive = {}, []
         load_report = cli_mod.corpus_mod.load_report
         setup = cli_mod._ReportRunner._setup
@@ -1054,15 +1103,16 @@ class TestReportSetup:
             return report
 
         def checked_setup(self, report_id):
-            entry = setup(self, report_id)
+            held = setup(self, report_id)
             alive.append(loaded[report_id]() is not None)
-            return entry
+            return held
 
         monkeypatch.setattr(cli_mod.corpus_mod, "load_report", tracked_load_report)
         monkeypatch.setattr(cli_mod._ReportRunner, "_setup", checked_setup)
         assert main(_bench_args(tmp_path, corpus_dir, dataset, script, extra=(
-            "--pipeline", "long_context", "--workers", workers))) == 0
-        # the held prefix keeps the flat pages, and no page text
+            "--pipeline", pipeline, "--workers", workers))) == 0
+        # a set-up keeps what its pipeline reads (a prefix's flat pages, a
+        # retriever's units), never the loaded report
         assert alive == [False] * 3
 
     @pytest.mark.parametrize("pipeline", cli_mod.PIPELINES)
@@ -1383,6 +1433,19 @@ class TestScore:
                      "--out", str(tmp_path / "scored")]) == 3
         assert f"line 2: {predictions}: id 'q-dscr-1' repeats" in capsys.readouterr().err
         assert not (tmp_path / "scored").exists()
+
+    def test_empty_predictions_leave_the_score_files_as_they_were(self, tmp_path, capsys):
+        corpus_dir, dataset, script = write_dscr_workspace(tmp_path)
+        run = tmp_path / "run"
+        run.mkdir()
+        # a bench that stopped before its first row, over an earlier score
+        (run / "predictions.jsonl").write_text("")
+        (run / "scores.jsonl").write_bytes(b"earlier scores\n")
+        assert main(["score", "--predictions", str(run / "predictions.jsonl"),
+                     "--gold", str(dataset)]) == 3
+        assert (run / "scores.jsonl").read_bytes() == b"earlier scores\n"
+        assert sorted(path.name for path in run.iterdir()) == ["predictions.jsonl",
+                                                                "scores.jsonl"]
 
     @pytest.mark.parametrize("line, message", [
         ("{not json", "invalid JSON"),
